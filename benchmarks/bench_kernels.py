@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time the numba kernels against the pure-numpy fallbacks.
+"""Time the hot kernels: conv forward and backward over clip windows, and
+discrete first-window matching.
 
 Run with defaults (benchmark-sized shapes) or adjust via flags:
 
     python benchmarks/bench_kernels.py --clips 2000 --filters 64 --repeats 20
 
-Both code paths always run in-process; the PATTERNCONV_NO_NUMBA environment
-variable only affects which one the package dispatches to at import time.
+The convolution is one matrix multiply each way on numpy. Matching is timed on
+the pure-numpy path and, when numba is installed and not disabled with
+PATTERNCONV_NO_NUMBA=1, on the numba path too.
 """
 
 import argparse
@@ -27,7 +29,7 @@ def _time(fn, *args, repeats=10):
     return best
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--clips", type=int, default=2000)
     ap.add_argument("--filters", type=int, default=64)
@@ -35,42 +37,35 @@ def main():
     ap.add_argument("--features", type=int, default=13)
     ap.add_argument("--kernel", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=10)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = np.random.default_rng(0)
     B, M, L, d, k = (args.clips, args.filters, args.clip_length,
                      args.features, args.kernel)
     X = (rng.random((B, L, d)) < 0.25).astype(np.uint8)
+    Xw = kernels.clip_windows(X, k, 1).astype(np.float64)
     Xp = kernels.pad_clips(X, 1)
-    Xp_f = Xp.astype(np.float64)
     W = rng.random((M, k, d))
     cells = (rng.random((M, k, d)) < 0.2).astype(np.uint8)
-    C = Xp.shape[1] - k + 1
-    dh = rng.standard_normal((B, M, C))
-
-    cases = [
-        ("conv_forward", kernels._conv_forward_np, (W, Xp_f)),
-        ("conv_backward", kernels._conv_backward_np, (dh, Xp_f, k)),
-        ("match_first_window", kernels._match_first_window_np, (cells, Xp)),
-    ]
-    if kernels.USE_NUMBA:
-        nb = [kernels._conv_forward_nb, kernels._conv_backward_nb,
-              kernels._match_first_window_nb]
-    else:
-        nb = [None] * 3
+    dh = rng.standard_normal((B, Xw.shape[1], M))
 
     print(f"B={B} M={M} L={L} d={d} k={k}  (numba available: {kernels.USE_NUMBA})")
     print(f"{'kernel':<20} {'numpy':>12} {'numba':>12} {'speedup':>9}")
-    for (name, np_fn, a), nb_fn in zip(cases, nb):
-        t_np = _time(np_fn, *a, repeats=args.repeats)
-        if nb_fn is None:
-            print(f"{name:<20} {t_np * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
-            continue
-        t_nb = _time(nb_fn, *a, repeats=args.repeats)
-        ref, got = np_fn(*a), nb_fn(*a)
-        assert np.allclose(ref, got), f"{name}: numba and numpy disagree"
-        print(f"{name:<20} {t_np * 1e3:>10.2f}ms {t_nb * 1e3:>10.2f}ms "
-              f"{t_np / t_nb:>8.1f}x")
+    for name, fn, a in [("conv_forward", kernels.conv_forward_batch, (W, Xw)),
+                        ("conv_backward", kernels.conv_backward_batch, (dh, Xw, k))]:
+        t_np = _time(fn, *a, repeats=args.repeats)
+        print(f"{name:<20} {t_np * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
+
+    t_np = _time(kernels._match_first_window_np, cells, Xp, repeats=args.repeats)
+    if not kernels.USE_NUMBA:
+        print(f"{'match_first_window':<20} {t_np * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
+        return
+    t_nb = _time(kernels._match_first_window_nb, cells, Xp, repeats=args.repeats)
+    ref = kernels._match_first_window_np(cells, Xp)
+    got = kernels._match_first_window_nb(cells, Xp)
+    assert (ref == got).all(), "match_first_window: numba and numpy disagree"
+    print(f"{'match_first_window':<20} {t_np * 1e3:>10.2f}ms {t_nb * 1e3:>10.2f}ms "
+          f"{t_np / t_nb:>8.1f}x")
 
 
 if __name__ == "__main__":

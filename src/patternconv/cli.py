@@ -4,6 +4,7 @@ driven by a single JSON config file with reproducible seeds."""
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -60,15 +61,13 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None, seed: int | None = None) -> dict:
-    cfg = DEFAULT_CONFIG
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
             with open(path) as fh:
                 cfg = _merge(cfg, json.load(fh))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
-    else:
-        cfg = _merge(cfg, {})
     if seed is not None:
         cfg["train"]["seed"] = seed
     model = cfg["model"]

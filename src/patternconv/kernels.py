@@ -1,8 +1,11 @@
-"""Hot numeric kernels: batched convolution and discrete pattern matching.
+"""Hot numeric kernels: window convolution and discrete pattern matching.
 
-Numba-jitted implementations are used by default; set PATTERNCONV_NO_NUMBA=1
-to force the pure-numpy path (same results, useful for debugging and as a
-benchmark baseline — see benchmarks/bench_kernels.py).
+The convolution works on clip windows built once per dataset (im2col,
+`clip_windows`), so its forward and backward passes are each a single 2-D
+matrix multiply on numpy. Discrete first-window matching is numba-jitted when
+numba is installed; set PATTERNCONV_NO_NUMBA=1 to force the pure-numpy path
+(same results, useful for debugging and as a benchmark baseline — see
+benchmarks/bench_kernels.py).
 """
 
 from __future__ import annotations
@@ -33,13 +36,25 @@ def windows(Xp: np.ndarray, k: int) -> np.ndarray:
     return v.transpose(0, 1, 3, 2)
 
 
-def _conv_forward_np(W: np.ndarray, Xp: np.ndarray) -> np.ndarray:
-    k = W.shape[1]
-    return np.einsum("mkd,bckd->bmc", W, windows(Xp, k), optimize=True)
+def clip_windows(X: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """Flattened length-k windows of zero-padded clips (B, L, d): a (B, C, k·d)
+    copy in the dtype of X, with C = L + 2·padding - k + 1."""
+    v = windows(pad_clips(X, padding), k)
+    return v.reshape(v.shape[0], v.shape[1], -1)
 
 
-def _conv_backward_np(dh: np.ndarray, Xp: np.ndarray, k: int) -> np.ndarray:
-    return np.einsum("bmc,bckd->mkd", dh, windows(Xp, k), optimize=True)
+def conv_forward_batch(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Pre-activation feature maps (B, C, M) of filters W (M, k, d) over float64
+    clip windows X (B, C, k·d)."""
+    B, C, kd = X.shape
+    return (X.reshape(-1, kd) @ W.reshape(W.shape[0], -1).T).reshape(B, C, -1)
+
+
+def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """dL/dW (M, k, d) from feature-map gradients dh (B, C, M) over float64 clip
+    windows X (B, C, k·d)."""
+    M, kd = dh.shape[2], X.shape[2]
+    return (dh.reshape(-1, M).T @ X.reshape(-1, kd)).reshape(M, k, kd // k)
 
 
 def _match_first_window_np(cells: np.ndarray, Xp: np.ndarray) -> np.ndarray:
@@ -53,38 +68,6 @@ def _match_first_window_np(cells: np.ndarray, Xp: np.ndarray) -> np.ndarray:
 
 
 if USE_NUMBA:
-
-    @njit(cache=True)
-    def _conv_forward_nb(W, Xp):
-        M, k, d = W.shape
-        B, Lp, _ = Xp.shape
-        C = Lp - k + 1
-        h = np.zeros((B, M, C))
-        for b in range(B):
-            for m in range(M):
-                for c in range(C):
-                    acc = 0.0
-                    for n in range(k):
-                        for j in range(d):
-                            acc += W[m, n, j] * Xp[b, c + n, j]
-                    h[b, m, c] = acc
-        return h
-
-    @njit(cache=True)
-    def _conv_backward_nb(dh, Xp, k):
-        B, M, C = dh.shape
-        d = Xp.shape[2]
-        dW = np.zeros((M, k, d))
-        for b in range(B):
-            for m in range(M):
-                for c in range(C):
-                    g = dh[b, m, c]
-                    if g == 0.0:
-                        continue
-                    for n in range(k):
-                        for j in range(d):
-                            dW[m, n, j] += g * Xp[b, c + n, j]
-        return dW
 
     @njit(cache=True)
     def _match_first_window_nb(cells, Xp):
@@ -107,20 +90,6 @@ if USE_NUMBA:
                         out[p, b] = c
                         break
         return out
-
-
-def conv_forward_batch(W: np.ndarray, Xp: np.ndarray) -> np.ndarray:
-    """Pre-activation feature maps (B, M, C) for padded clips (B, Lp, d)."""
-    if USE_NUMBA:
-        return _conv_forward_nb(np.ascontiguousarray(W), np.ascontiguousarray(Xp, dtype=np.float64))
-    return _conv_forward_np(W, Xp.astype(np.float64))
-
-
-def conv_backward_batch(dh: np.ndarray, Xp: np.ndarray, k: int) -> np.ndarray:
-    """Accumulate dL/dW (M, k, d) from feature-map gradients (B, M, C)."""
-    if USE_NUMBA:
-        return _conv_backward_nb(np.ascontiguousarray(dh), np.ascontiguousarray(Xp, dtype=np.float64), k)
-    return _conv_backward_np(dh, Xp.astype(np.float64), k)
 
 
 def match_first_window(cells: np.ndarray, Xp: np.ndarray) -> np.ndarray:

@@ -102,16 +102,26 @@ def conv_forward(state: ModelState, clip) -> np.ndarray:
         raise DataError(f"clip feature width {X.shape[2]} != model d {state.d}")
     if X.shape[1] + 2 * state.padding < state.k:
         raise DataError("clip too short for the kernel even with padding")
-    Xp = kernels.pad_clips(X, state.padding)
-    h = kernels.conv_forward_batch(state.W, Xp)
-    return np.maximum(h[0], 0.0)
+    Xw = kernels.clip_windows(X, state.k, state.padding).astype(np.float64)
+    h = kernels.conv_forward_batch(state.W, Xw)
+    return np.maximum(h[0].T, 0.0)
 
 
-def maxpool(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise max with the lowest-index tie-break (for gradient routing)."""
-    if h.shape[-1] < 1:
+def maxpool(h: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Max along `axis` with the lowest-index tie-break (for gradient routing).
+
+    One comparison against the max finds every position that attains it; the
+    lowest of them has the highest descending rank C, C-1, ..., 1.
+    """
+    C = h.shape[axis]
+    if C < 1:
         raise DataError("feature maps need at least one convolution position")
-    return h.max(axis=-1), h.argmax(axis=-1)
+    f = h.max(axis=axis, keepdims=True)
+    shape = [1] * h.ndim
+    shape[axis] = C
+    rank = np.arange(C, 0, -1, dtype=np.min_scalar_type(C)).reshape(shape)
+    arg = C - (rank * (h == f)).max(axis=axis)
+    return f.squeeze(axis), arg.astype(np.intp)
 
 
 def thresholding_weights(W: np.ndarray, epsilon: float) -> np.ndarray:
@@ -143,13 +153,13 @@ def traditional_forward(fm: np.ndarray, fc_trad: np.ndarray) -> float:
 
 @dataclass
 class ForwardCache:
-    Xp: np.ndarray
-    h_pre: np.ndarray
-    drop_mask: np.ndarray | None
+    X: np.ndarray                 # float64 clip windows (B, C, k·d)
+    h_pre: np.ndarray             # (B, C, M)
+    drop_mask: np.ndarray | None  # (B, C, M)
     f: np.ndarray
-    argmax: np.ndarray
+    argmax: np.ndarray            # (B, M) window index of each pooled max
+    pool_gate: np.ndarray         # (B, M) d f / d h_pre at that window
     w: np.ndarray
-    z: np.ndarray
     a: np.ndarray
     s: np.ndarray
     y_trad: np.ndarray
@@ -158,30 +168,46 @@ class ForwardCache:
 
 
 def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
-                  rng: np.random.Generator | int | None = None):
-    """Full forward pass over a clip batch (B, L, d). Returns (y (B,), cache)."""
+                  rng: np.random.Generator | int | None = None, *,
+                  windowed: bool = False):
+    """Full forward pass over a clip batch (B, L, d), or, when `windowed`, over
+    its clip windows (B, C, k·d) from `kernels.clip_windows`.
+
+    Returns (y (B,), cache).
+    """
     X = np.asarray(X)
-    if X.shape[2] != state.d:
-        raise DataError(f"clip feature width {X.shape[2]} != model d {state.d}")
-    Xp = kernels.pad_clips(X, state.padding)
-    h_pre = kernels.conv_forward_batch(state.W, Xp)
+    width = state.k * state.d if windowed else state.d
+    if X.shape[2] != width:
+        raise DataError(f"input width {X.shape[2]} != {width} for model d {state.d}")
+    if not windowed:
+        X = kernels.clip_windows(X, state.k, state.padding)
+    X = np.asarray(X, dtype=np.float64)
+    h_pre = kernels.conv_forward_batch(state.W, X)
     h = np.maximum(h_pre, 0.0)
 
     drop_mask = None
+    scale = 1.0
     if training and state.dropout_rate > 0.0:
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         keep = 1.0 - state.dropout_rate
-        drop_mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
+        # drawn as (B, M, C), then viewed as (B, C, M): the draw order fixes
+        # which uniform masks which feature-map cell for a given seed
+        B, C, M = h.shape
+        drop_mask = ((rng.random((B, M, C)) < keep).astype(np.float64) / keep).transpose(0, 2, 1)
         h = h * drop_mask
+        scale = 1.0 / keep
 
-    f, arg = maxpool(h)
+    f, arg = maxpool(h, axis=1)
+    # the pooled max is positive exactly where ReLU passed and dropout kept its
+    # window, and a kept window's mask value is the dropout scale
+    gate = np.where(f > 0.0, scale, 0.0)
     w = thresholding_weights(state.W, state.thresh.epsilon)
     y_thresh, a, s = thresholding_forward(f, w, state.thresh)
     y_trad = sigmoid(f @ state.fc_trad)
     y_pre = (1.0 - state.alpha) * y_trad + state.alpha * y_thresh
     y = np.minimum(y_pre, 1.0)
-    cache = ForwardCache(Xp=Xp, h_pre=h_pre, drop_mask=drop_mask, f=f, argmax=arg,
-                         w=w, z=f * w, a=a, s=s, y_trad=y_trad, y_thresh=y_thresh,
+    cache = ForwardCache(X=X, h_pre=h_pre, drop_mask=drop_mask, f=f, argmax=arg,
+                         pool_gate=gate, w=w, a=a, s=s, y_trad=y_trad, y_thresh=y_thresh,
                          y_preclip=y_pre)
     return y, cache
 
@@ -213,13 +239,12 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
     # w_p = 1 / (sum |W_p| + eps)  =>  dw_p/dW = -sign(W) * w_p^2
     dW = (-dw * cache.w**2)[:, None, None] * np.sign(state.W)
 
-    # max pool routes to the recorded argmax; dropout and ReLU backward
+    # max pool routes each pooled gradient, through dropout and ReLU, to the
+    # window it came from
+    B, _, M = cache.h_pre.shape
     dh = np.zeros_like(cache.h_pre)
-    np.put_along_axis(dh, cache.argmax[:, :, None], df[:, :, None], axis=2)
-    if cache.drop_mask is not None:
-        dh *= cache.drop_mask
-    dh *= cache.h_pre > 0.0
-    dW += kernels.conv_backward_batch(dh, cache.Xp, state.k)
+    dh[np.arange(B)[:, None], cache.argmax, np.arange(M)] = df * cache.pool_gate
+    dW += kernels.conv_backward_batch(dh, cache.X, state.k)
     return {"W": dW, "fc_trad": dfc}
 
 
@@ -228,12 +253,6 @@ def model_forward(state: ModelState, clip, training: bool = False,
     """Single-clip forward: blended output y in [0, 1] plus the backward cache."""
     y, cache = forward_batch(state, _as_batch(clip), training=training, rng=rng)
     return float(y[0]), cache
-
-
-def model_backward(state: ModelState, cache: ForwardCache, d_loss_d_y: float) -> dict:
-    if cache.y_preclip.shape[0] != 1:
-        raise DataError("model_backward expects a single-clip cache")
-    return backward_batch(state, cache, np.array([d_loss_d_y]))
 
 
 def state_to_json(state: ModelState) -> str:

@@ -159,7 +159,7 @@ def total_loss(y: float, label, W: np.ndarray, weights: LossWeights,
     """BCE plus scaled regularizers; returns (value, dL/dy, dL/dW from the regularizers).
 
     The convolution path's contribution to dL/dW flows separately through
-    netcore.model_backward with the returned dL/dy.
+    netcore.backward_batch with the returned dL/dy.
     """
     value = float(np.asarray(bce(y, label)).sum()) + regularizer_value(W, weights, vocab, min_params)
     return value, bce_grad(y, label), regularizer_grad(W, weights, vocab, min_params)

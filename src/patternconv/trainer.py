@@ -58,6 +58,24 @@ class EraSnapshot:
         self.per_filter_precision.setflags(write=False)
 
 
+@dataclass(frozen=True)
+class WindowedSet:
+    """A dataset's clip windows, built once: the input that training batches
+    and the per-epoch val forward pass slice instead of re-stacking clips."""
+
+    X: np.ndarray        # (N, C, k·d) uint8, from kernels.clip_windows
+    labels: np.ndarray   # (N,) bool
+    vocabulary: FeatureVocabulary
+
+    @classmethod
+    def build(cls, dataset: Dataset, k: int, padding: int) -> "WindowedSet":
+        X = kernels.clip_windows(dataset.steps_array().astype(np.uint8), k, padding)
+        return cls(X=X, labels=dataset.labels(), vocabulary=dataset.vocabulary)
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+
 def _pos_weight(dataset: Dataset) -> float:
     n_pos = sum(c.label for c in dataset.clips)
     n_neg = len(dataset) - n_pos
@@ -82,11 +100,12 @@ def anneal_at(config: TrainConfig, epoch_in_era: int, era: int):
     return min(max(p, 0.0), 0.99), lr
 
 
-def train_epoch(state: ModelState, train_set: Dataset, weights: LossWeights,
+def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
                 alpha: float, freeze: bool, config: TrainConfig,
                 rng: np.random.Generator, pos_weight: float = 1.0,
                 learning_rate: float | None = None) -> dict:
-    """One pass over shuffled mini-batches; mutates `state` in place.
+    """One pass over shuffled mini-batches of the windowed training set;
+    mutates `state` in place.
 
     Per batch: dropout forward, positively-weighted mean BCE plus scaled
     regularizers, analytic backward, SGD step, clamp W to [0, 1].
@@ -96,8 +115,7 @@ def train_epoch(state: ModelState, train_set: Dataset, weights: LossWeights,
     vocab = train_set.vocabulary
     state.alpha = alpha
     state.fc_frozen = freeze
-    X_all = train_set.steps_array().astype(np.float64)
-    labels_all = train_set.labels().astype(np.float64)
+    labels_all = train_set.labels.astype(np.float64)
     order = rng.permutation(len(train_set))
 
     bce_sum = 0.0
@@ -106,8 +124,9 @@ def train_epoch(state: ModelState, train_set: Dataset, weights: LossWeights,
     n_batches = 0
     for start in range(0, len(order), config.batch_size):
         idx = order[start:start + config.batch_size]
-        X, labels = X_all[idx], labels_all[idx]
-        y, cache = forward_batch(state, X, training=True, rng=rng)
+        labels = labels_all[idx]
+        y, cache = forward_batch(state, train_set.X[idx], training=True, rng=rng,
+                                 windowed=True)
 
         clip_w = np.where(labels == 1.0, pos_weight, 1.0)
         batch_bce = float((clip_w * objective.bce(y, labels)).mean())
@@ -188,7 +207,8 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
     rng = np.random.default_rng(config.seed)
     state = netcore.init_state(M, k, d, padding=padding, rng=rng)
     pos_weight = _pos_weight(train_set) if config.class_weighting else 1.0
-    val_X = val_set.steps_array().astype(np.float64) if val_set is not None and len(val_set) else None
+    train_w = WindowedSet.build(train_set, k, padding)
+    val_w = WindowedSet.build(val_set, k, padding) if val_set is not None and len(val_set) else None
 
     snapshots: list[EraSnapshot] = []
     harvested: list[Pattern] = []
@@ -199,14 +219,14 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
             dropout, lr = anneal_at(config, epoch, era)
             if dropout is not None:
                 state.dropout_rate = dropout
-            record = train_epoch(state, train_set, weights, alpha, freeze, config,
+            record = train_epoch(state, train_w, weights, alpha, freeze, config,
                                  rng, pos_weight, learning_rate=lr)
             record.update(era=era, epoch=epoch, learning_rate=lr,
                           dropout_rate=state.dropout_rate)
-            if config.log_val_metrics and val_X is not None:
+            if config.log_val_metrics and val_w is not None:
                 from .evalmetrics import confusion, kappa
-                y_val, _ = forward_batch(state, val_X)
-                record["val_kappa"] = kappa(confusion(y_val, val_set.labels()))
+                y_val, _ = forward_batch(state, val_w.X, windowed=True)
+                record["val_kappa"] = kappa(confusion(y_val, val_w.labels))
             if log is not None:
                 log(record)
             epoch_records.append(record)

@@ -1,6 +1,7 @@
 """Command-line pipeline: config handling, exit codes, and an end-to-end
 synth -> train -> curate -> eval -> compare -> explain run on a tiny config."""
 
+import copy
 import json
 import os
 
@@ -38,6 +39,14 @@ def test_load_config_defaults_and_merge(tmp_path):
     assert cfg["train"]["eras"] == 2
     assert cfg["train"]["epochs_per_era"] == 50  # untouched default
     assert cfg["train"]["seed"] == 7
+
+
+def test_load_config_leaves_defaults_unchanged():
+    before = copy.deepcopy(cli.DEFAULT_CONFIG)
+    first = cli.load_config(None, seed=7)
+    second = cli.load_config(None, seed=11)
+    assert first["train"]["seed"] == 7 and second["train"]["seed"] == 11
+    assert cli.DEFAULT_CONFIG == before
 
 
 def test_config_hash_stable_under_key_order(tmp_path):

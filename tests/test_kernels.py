@@ -1,5 +1,9 @@
-"""Kernel equivalence: the jitted and pure-numpy paths must agree exactly,
-and matching must agree with a brute-force window scan."""
+"""Kernels: window convolution against direct sums, matching against a
+brute-force window scan, and the jitted and pure-numpy match paths agreeing
+exactly."""
+
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -50,20 +54,9 @@ def test_match_empty_inputs():
 
 def test_numba_and_numpy_paths_agree(vocab):
     if not kernels.USE_NUMBA:
-        pytest.skip("numba path disabled (PATTERNCONV_NO_NUMBA)")
+        pytest.skip("numba not installed or disabled")
     rng = np.random.default_rng(5)
     X = random_legal_clip_batch(vocab, 30, 5, rng)
-    Xp = kernels.pad_clips(X, 1).astype(np.float64)
-    W = rng.random((8, 3, vocab.d))
-    h_nb = kernels._conv_forward_nb(np.ascontiguousarray(W), np.ascontiguousarray(Xp))
-    h_np = kernels._conv_forward_np(W, Xp)
-    np.testing.assert_allclose(h_nb, h_np, rtol=1e-12, atol=1e-12)
-
-    dh = rng.standard_normal(h_np.shape)
-    g_nb = kernels._conv_backward_nb(np.ascontiguousarray(dh), np.ascontiguousarray(Xp), 3)
-    g_np = kernels._conv_backward_np(dh, Xp, 3)
-    np.testing.assert_allclose(g_nb, g_np, rtol=1e-10, atol=1e-10)
-
     cells = np.stack([random_legal_pattern(vocab, 3, rng).cells for _ in range(10)])
     Xp8 = kernels.pad_clips(X, 1)
     m_nb = kernels._match_first_window_nb(np.ascontiguousarray(cells), np.ascontiguousarray(Xp8))
@@ -75,8 +68,28 @@ def test_conv_forward_matches_direct_sum(vocab):
     rng = np.random.default_rng(7)
     X = random_legal_clip_batch(vocab, 6, 5, rng)
     Xp = kernels.pad_clips(X, 1)
+    Xw = kernels.clip_windows(X, 3, 1).astype(np.float64)
     W = rng.random((4, 3, vocab.d))
-    h = kernels.conv_forward_batch(W, Xp)
-    b, m, c = 3, 2, 4
-    direct = sum(W[m, n, j] * Xp[b, c + n, j] for n in range(3) for j in range(vocab.d))
-    assert h[b, m, c] == pytest.approx(direct)
+    h = kernels.conv_forward_batch(W, Xw)
+    assert h.shape == (6, 5, 4)
+    for b, c, m in [(3, 4, 2), (0, 0, 0), (5, 2, 3)]:
+        direct = sum(W[m, n, j] * Xp[b, c + n, j] for n in range(3) for j in range(vocab.d))
+        assert h[b, c, m] == pytest.approx(direct)
+
+    dh = rng.standard_normal(h.shape)
+    dW = kernels.conv_backward_batch(dh, Xw, 3)
+    assert dW.shape == W.shape
+    m, n, j = 1, 2, 5
+    direct = sum(dh[b, c, m] * Xp[b, c + n, j] for b in range(6) for c in range(5))
+    assert dW[m, n, j] == pytest.approx(direct)
+
+
+def test_bench_kernels_script_runs(capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_kernels.py")
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.main(["--clips", "8", "--filters", "4", "--repeats", "1"])
+    out = capsys.readouterr().out
+    for name in ("conv_forward", "conv_backward", "match_first_window"):
+        assert name in out

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_legal_clip_batch
-from patternconv import netcore, objective
+from patternconv import kernels, netcore, objective
 from patternconv.corpus import FeatureVocabulary
 from patternconv.errors import DataError
 from patternconv.netcore import (ModelState, ThresholdingParams, backward_batch,
@@ -68,6 +68,36 @@ def test_conv_dimension_mismatch():
 def test_maxpool_tie_takes_lowest_index():
     vals, arg = maxpool(np.array([[0.0, 3.0, 1.0, 3.0, 0.0]]))
     assert vals[0] == 3.0 and arg[0] == 1
+
+
+def test_pooling_ties_route_to_lowest_window(vocab, monkeypatch):
+    """Every legal step carries exactly one submission type, so binary
+    filters that weigh only submission types score 3 on each window inside a
+    clip and 2 on the two windows that overlap the padding: the pooled max
+    ties across windows 1-3, and its gradient must reach window 1 alone."""
+    rng = np.random.default_rng(12)
+    X = random_legal_clip_batch(vocab, 4, 5, rng)
+    st_ = _state(M=3, d=vocab.d, seed=13)
+    st_.W[:] = 0.0
+    st_.W[:, :, list(vocab.submission_indices)] = 1.0
+    st_.alpha = 0.5
+    st_.fc_trad[:] = [0.3, -0.2, 0.1]
+    y, cache = forward_batch(st_, X)
+
+    Xp = kernels.pad_clips(X, 1)
+    direct = np.einsum("mkd,bckd->bcm", st_.W, kernels.windows(Xp, 3).astype(np.float64))
+    assert (cache.h_pre == direct).all()
+    assert (cache.h_pre[:, 1:4] == 3.0).all() and (cache.h_pre[:, [0, 4]] == 2.0).all()
+    assert (cache.argmax == 1).all()
+
+    seen = []
+    conv_backward = kernels.conv_backward_batch
+    monkeypatch.setattr(kernels, "conv_backward_batch",
+                        lambda dh, Xw, k: seen.append(dh.copy()) or conv_backward(dh, Xw, k))
+    backward_batch(st_, cache, np.ones(4))
+    (dh,) = seen
+    assert (dh[:, 1] != 0).all()
+    assert (np.delete(dh, 1, axis=1) == 0).all()
 
 
 def test_maxpool_zero_and_single():
@@ -183,15 +213,18 @@ def test_dropout_inverted_scaling(vocab):
 
 # ----------------------------------------------------------------- gradients
 
-def _fd_check(st_, X, labels, rtol=1e-4, h=1e-5):
-    """Central finite differences of batch BCE w.r.t. every W entry."""
+def _fd_check(st_, X, labels, rtol=1e-4, h=1e-5, dropout_seed=None):
+    """Central finite differences of batch BCE w.r.t. every W entry; with a
+    dropout seed, every pass draws the same dropout masks."""
+    training = dropout_seed is not None
+
     def loss_of(W):
         s2 = st_.copy()
         s2.W = W
-        y, _ = forward_batch(s2, X)
+        y, _ = forward_batch(s2, X, training=training, rng=dropout_seed)
         return float(np.asarray(objective.bce(y, labels)).sum())
 
-    y, cache = forward_batch(st_, X)
+    y, cache = forward_batch(st_, X, training=training, rng=dropout_seed)
     d_y = objective.bce_grad(y, labels)
     grads = backward_batch(st_, cache, d_y)
     g = grads["W"]
@@ -216,6 +249,10 @@ def test_gradients_match_finite_differences(vocab):
         X = random_legal_clip_batch(vocab, 3, 5, rng).astype(np.float64)
         labels = rng.integers(0, 2, size=3).astype(np.float64)
         assert _fd_check(st_, X, labels) == 0
+        # under dropout; alpha = 0 keeps the steep thresholding head, where central
+        # differences are too coarse, out of this check
+        st_.alpha, st_.dropout_rate = 0.0, 0.3
+        assert _fd_check(st_, X, labels, dropout_seed=trial) == 0
 
 
 def test_zero_upstream_gradient(vocab):

@@ -9,8 +9,9 @@ from patternconv.curator import Pattern
 from patternconv.errors import DataError
 from patternconv.objective import LossWeights
 from patternconv.schedule import ConstraintSchedule, RampSpec
-from patternconv.trainer import (TrainConfig, anneal_at, eval_filter_precision,
-                                 harvest_filters, train_epoch, train_full)
+from patternconv.trainer import (TrainConfig, WindowedSet, anneal_at,
+                                 eval_filter_precision, harvest_filters, train_epoch,
+                                 train_full)
 
 
 def _small_config(eras=1, epochs=2, **kw):
@@ -27,10 +28,11 @@ def _dataset(vocab, planted, n=120, seed=0):
 
 def test_zero_learning_rate_leaves_params(vocab, planted):
     ds = _dataset(vocab, planted)
+    windows = WindowedSet.build(ds, 3, 1)
     cfg = _small_config(learning_rate=0.0)
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     W0, fc0 = st_.W.copy(), st_.fc_trad.copy()
-    rec = train_epoch(st_, ds, LossWeights(), 0.0, False, cfg,
+    rec = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg,
                       np.random.default_rng(1), learning_rate=0.0)
     assert (st_.W == W0).all() and (st_.fc_trad == fc0).all()
     assert np.isfinite(rec["bce"])
@@ -38,32 +40,35 @@ def test_zero_learning_rate_leaves_params(vocab, planted):
 
 def test_freeze_keeps_fc_trad(vocab, planted):
     ds = _dataset(vocab, planted)
+    windows = WindowedSet.build(ds, 3, 1)
     cfg = _small_config()
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     fc0 = st_.fc_trad.copy()
-    train_epoch(st_, ds, LossWeights(), 0.5, True, cfg, np.random.default_rng(1))
+    train_epoch(st_, windows, LossWeights(), 0.5, True, cfg, np.random.default_rng(1))
     assert (st_.fc_trad == fc0).all()
 
 
 def test_plain_training_reduces_bce(vocab, planted):
     ds = _dataset(vocab, planted, n=200, seed=1)
+    windows = WindowedSet.build(ds, 3, 1)
     cfg = _small_config(dropout_base=None)
     st_ = netcore.init_state(8, 3, vocab.d, rng=np.random.default_rng(0))
     st_.dropout_rate = 0.0
     rng = np.random.default_rng(2)
-    first = train_epoch(st_, ds, LossWeights(), 0.0, False, cfg, rng)["bce"]
+    first = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng)["bce"]
     last = None
     for _ in range(50):
-        last = train_epoch(st_, ds, LossWeights(), 0.0, False, cfg, rng)["bce"]
+        last = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng)["bce"]
     assert last < first
 
 
 def test_weights_stay_clamped(vocab, planted):
     ds = _dataset(vocab, planted)
+    windows = WindowedSet.build(ds, 3, 1)
     cfg = _small_config(learning_rate=0.5)
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     for _ in range(5):
-        train_epoch(st_, ds, LossWeights(bin=2.0), 0.5, False, cfg,
+        train_epoch(st_, windows, LossWeights(bin=2.0), 0.5, False, cfg,
                     np.random.default_rng(1))
     assert st_.W.min() >= 0.0 and st_.W.max() <= 1.0
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the hot kernels: conv forward and backward over clip windows, and
-discrete first-window matching.
+"""Time the hot kernels: conv forward and backward over clip windows,
+discrete first-window matching, and the curation passes (subsumption pruning
+and filter harvesting) on seeded pattern pools.
 
 Run with defaults (benchmark-sized shapes) or adjust via flags:
 
@@ -8,7 +9,9 @@ Run with defaults (benchmark-sized shapes) or adjust via flags:
 
 The convolution is one matrix multiply each way on numpy. Matching is timed on
 the pure-numpy path and, when numba is installed and not disabled with
-PATTERNCONV_NO_NUMBA=1, on the numba path too.
+PATTERNCONV_NO_NUMBA=1, on the numba path too. The curation pools default to
+300 and 1,359 unique patterns; 1,359 is the unique count of the source paper's
+funnel.
 """
 
 import argparse
@@ -16,7 +19,8 @@ import time
 
 import numpy as np
 
-from patternconv import kernels
+from patternconv import curator, kernels, trainer
+from patternconv.corpus import FeatureVocabulary
 
 
 def _time(fn, *args, repeats=10):
@@ -29,6 +33,42 @@ def _time(fn, *args, repeats=10):
     return best
 
 
+def pattern_pool(n: int, k: int, vocab: FeatureVocabulary, rng) -> np.ndarray:
+    """n unique legal patterns (n, k, d): sparse random patterns and one-cell
+    extensions of earlier ones, so that pruning has subsumed pairs to find."""
+    pool, seen = [], set()
+    while len(pool) < n:
+        if pool and rng.random() < 0.5:
+            cells = pool[rng.integers(len(pool))].copy()
+            cells[rng.integers(k), rng.integers(vocab.d)] = 1
+        else:
+            cells = (rng.random((k, vocab.d)) < 0.08).astype(np.uint8)
+        if cells.tobytes() not in seen and curator.pattern_violation(cells, vocab) is None:
+            seen.add(cells.tobytes())
+            pool.append(cells)
+    return np.stack(pool)
+
+
+def bench_curation(sizes, k: int, repeats: int) -> None:
+    vocab = FeatureVocabulary.default()
+    print(f"{'curation pass':<20} {'patterns':>9} {'time':>12} {'out':>7}")
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        cells = pattern_pool(n, k, vocab, rng)
+        pats = [curator.Pattern(cells=c, pattern_id=f"p{i:05d}") for i, c in enumerate(cells)]
+        t = _time(curator.prune_subsumed, pats, repeats=repeats)
+        kept = len(curator.prune_subsumed(pats))
+        print(f"{'prune_subsumed':<20} {n:>9} {t * 1e3:>10.2f}ms {kept:>7}")
+        # four raw filters per pattern: near-binary jitter, a quarter pushed off-binary
+        W = np.repeat(cells, 4, axis=0).astype(np.float64)
+        W = np.abs(W - rng.random(W.shape) * 0.04)
+        W[rng.random(len(W)) < 0.25, 0, 0] = 0.5
+        prec = rng.random(len(W))
+        t = _time(trainer.harvest_filters, W, prec, 0, vocab, 0.3, 0.05, repeats=repeats)
+        got = len(trainer.harvest_filters(W, prec, 0, vocab, 0.3, 0.05))
+        print(f"{'harvest_filters':<20} {len(W):>9} {t * 1e3:>10.2f}ms {got:>7}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--clips", type=int, default=2000)
@@ -37,6 +77,8 @@ def main(argv=None):
     ap.add_argument("--features", type=int, default=13)
     ap.add_argument("--kernel", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=10)
+    ap.add_argument("--pool-sizes", default="300,1359",
+                    help="comma-separated unique-pattern counts for the curation passes")
     args = ap.parse_args(argv)
 
     rng = np.random.default_rng(0)
@@ -59,13 +101,15 @@ def main(argv=None):
     t_np = _time(kernels._match_first_window_np, cells, Xp, repeats=args.repeats)
     if not kernels.USE_NUMBA:
         print(f"{'match_first_window':<20} {t_np * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
-        return
-    t_nb = _time(kernels._match_first_window_nb, cells, Xp, repeats=args.repeats)
-    ref = kernels._match_first_window_np(cells, Xp)
-    got = kernels._match_first_window_nb(cells, Xp)
-    assert (ref == got).all(), "match_first_window: numba and numpy disagree"
-    print(f"{'match_first_window':<20} {t_np * 1e3:>10.2f}ms {t_nb * 1e3:>10.2f}ms "
-          f"{t_np / t_nb:>8.1f}x")
+    else:
+        t_nb = _time(kernels._match_first_window_nb, cells, Xp, repeats=args.repeats)
+        ref = kernels._match_first_window_np(cells, Xp)
+        got = kernels._match_first_window_nb(cells, Xp)
+        assert (ref == got).all(), "match_first_window: numba and numpy disagree"
+        print(f"{'match_first_window':<20} {t_np * 1e3:>10.2f}ms {t_nb * 1e3:>10.2f}ms "
+              f"{t_np / t_nb:>8.1f}x")
+
+    bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
 
 
 if __name__ == "__main__":

@@ -102,32 +102,46 @@ class FeatureVocabulary:
             )
         except KeyError as e:
             raise DataError(f"vocabulary header missing key {e}") from None
+        except TypeError:  # a field that is not a list of names or indices
+            raise DataError("vocabulary header fields must be lists") from None
+
+
+def step_rules(rows: np.ndarray, vocab: FeatureVocabulary):
+    """Per-row rule quantities of binary step or pattern rows (..., d): the
+    number of submission types set, whether any help-related feature is set,
+    and whether any attempt-related feature is set."""
+    n_sub = rows[..., list(vocab.submission_indices)].sum(axis=-1, dtype=np.uint8)
+    help_on = rows[..., sorted(vocab.help_related)].any(axis=-1)
+    attempt_on = rows[..., sorted(vocab.attempt_related)].any(axis=-1)
+    return n_sub, help_on, attempt_on
+
+
+def _step_violation(rows: np.ndarray, vocab: FeatureVocabulary) -> tuple[int, str] | None:
+    """(row, reason) of the first of the binary step rows (n, d) that breaks
+    a step rule, or None when all are legal."""
+    n_sub, help_on, attempt_on = step_rules(rows, vocab)
+    is_help = rows[:, vocab.help_index] == 1
+    bad = (n_sub != 1) | (help_on & attempt_on) | (help_on & ~is_help) | (attempt_on & is_help)
+    if not bad.any():
+        return None
+    n = int(bad.argmax())
+    if n_sub[n] != 1:
+        return n, "multiple submission types" if n_sub[n] > 1 else "no submission type"
+    if help_on[n] and attempt_on[n]:
+        return n, "help- and attempt-related features both active"
+    if help_on[n]:
+        return n, "help-related feature without help submission"
+    return n, "attempt-related feature on a help step"
 
 
 def check_steps(steps: np.ndarray, vocab: FeatureVocabulary) -> str | None:
     """Return a violation message for a steps matrix, or None when legal."""
     if steps.ndim != 2 or steps.shape[1] != vocab.d:
         return f"feature count {steps.shape[-1] if steps.ndim == 2 else '?'} does not match vocabulary d={vocab.d}"
-    if not np.isin(steps, (0, 1)).all():
+    if not ((steps == 0) | (steps == 1)).all():
         return "non-binary feature value"
-    sub = list(vocab.submission_indices)
-    h = sorted(vocab.help_related)
-    a = sorted(vocab.attempt_related)
-    for n in range(steps.shape[0]):
-        row = steps[n]
-        n_sub = int(row[sub].sum())
-        if n_sub != 1:
-            return f"step {n}: {'multiple submission types' if n_sub > 1 else 'no submission type'}"
-        h_on = int(row[h].sum()) if h else 0
-        a_on = int(row[a].sum()) if a else 0
-        if h_on and a_on:
-            return f"step {n}: help- and attempt-related features both active"
-        is_help = row[vocab.help_index] == 1
-        if h_on and not is_help:
-            return f"step {n}: help-related feature without help submission"
-        if a_on and is_help:
-            return f"step {n}: attempt-related feature on a help step"
-    return None
+    bad = _step_violation(steps, vocab)
+    return None if bad is None else f"step {bad[0]}: {bad[1]}"
 
 
 @dataclass(frozen=True)
@@ -175,24 +189,56 @@ class Dataset:
         return len(self.clips)
 
 
-def _validate_clip_record(rec: dict, vocab: FeatureVocabulary) -> Clip:
+def _is_binary(values: np.ndarray) -> bool:
+    """Every value is 0 or 1. Tested before narrowing to uint8, which would
+    wrap 256 to 0 and truncate 1.7 to 1."""
+    kind = values.dtype.kind
+    if kind == "b":
+        return True
+    if kind in "iu":
+        return not np.count_nonzero(values >> 1)
+    if kind == "f":
+        return bool(((values == 0) | (values == 1)).all())
+    return False
+
+
+def _parse_clip_record(rec, vocab: FeatureVocabulary) -> tuple[str, np.ndarray, bool]:
+    """A clip record's id, (L, d) uint8 steps and label. The step rules are
+    checked later, over all clips of the file at once."""
+    if not isinstance(rec, dict):
+        raise DataError("malformed clip record: not a JSON object")
     for key in ("clip_id", "label", "steps"):
         if key not in rec:
             raise DataError(f"malformed clip record: missing '{key}'")
-    steps = np.asarray(rec["steps"], dtype=np.uint8)
-    reason = check_steps(steps, vocab)
-    if reason is not None:
-        raise DataError(f"clip '{rec['clip_id']}': {reason}")
+    clip_id = rec["clip_id"]
+    try:
+        steps = np.array(rec["steps"])
+    except (ValueError, TypeError):  # rows of uneven width
+        steps = None
+    if steps is None or steps.ndim != 2:
+        raise DataError(f"clip '{clip_id}': steps are not a rectangular (steps x features) array")
+    if steps.shape[1] != vocab.d:
+        raise DataError(f"clip '{clip_id}': feature count {steps.shape[1]} does not match "
+                        f"vocabulary d={vocab.d}")
+    if not _is_binary(steps):
+        raise DataError(f"clip '{clip_id}': non-binary feature value")
     if rec["label"] not in (0, 1, True, False):
-        raise DataError(f"clip '{rec['clip_id']}': label must be 0 or 1")
-    return Clip(clip_id=str(rec["clip_id"]), steps=steps, label=bool(rec["label"]))
+        raise DataError(f"clip '{clip_id}': label must be 0 or 1")
+    return str(clip_id), steps.astype(np.uint8), bool(rec["label"])
+
+
+_CHECK_ROWS = 1 << 13  # rows per block of the load-time rule check, to bound its temporaries
 
 
 def load_dataset(path, vocabulary: FeatureVocabulary | None = None) -> Dataset:
-    """Load a line-delimited clip file, rejecting the whole file on any violation."""
+    """Load a line-delimited clip file, rejecting the whole file on any
+    violation. Every clip must have the same number of steps."""
     clips = []
+    X = None  # (lines in the file, L, d): each clip's steps are a view of one row
     header_vocab = None
     with open(path) as fh:
+        n_lines = sum(1 for _ in fh)
+        fh.seek(0)
         for lineno, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -201,18 +247,36 @@ def load_dataset(path, vocabulary: FeatureVocabulary | None = None) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno + 1}: malformed record: {e}") from None
-            if rec.get("format") == CLIP_FORMAT_NAME:
-                header_vocab = FeatureVocabulary.from_record(rec)
+            if isinstance(rec, dict) and rec.get("format") == CLIP_FORMAT_NAME:
+                file_vocab = FeatureVocabulary.from_record(rec)
+                if header_vocab is not None and file_vocab != header_vocab:
+                    raise DataError(f"{path}:{lineno + 1}: vocabulary header differs "
+                                    "from an earlier one")
+                header_vocab = file_vocab
                 continue
             vocab = vocabulary or header_vocab
             if vocab is None:
                 raise DataError(f"{path}: clip record before vocabulary header")
-            clips.append(_validate_clip_record(rec, vocab))
+            clip_id, steps, label = _parse_clip_record(rec, vocab)
+            if X is None:
+                X = np.empty((n_lines, len(steps), vocab.d), dtype=np.uint8)
+            elif len(steps) != X.shape[1]:
+                raise DataError(f"clip '{clip_id}': {len(steps)} steps, where earlier "
+                                f"clips have {X.shape[1]}")
+            X[len(clips)] = steps
+            clips.append(Clip(clip_id=clip_id, steps=X[len(clips)], label=label))
     vocab = vocabulary or header_vocab
     if vocab is None:
         raise DataError(f"{path}: no vocabulary header and none supplied")
     if vocabulary is not None and header_vocab is not None and header_vocab != vocabulary:
         raise DataError(f"{path}: file vocabulary differs from the supplied one")
+    if clips:
+        rows = X[:len(clips)].reshape(-1, vocab.d)
+        for start in range(0, len(rows), _CHECK_ROWS):
+            bad = _step_violation(rows[start:start + _CHECK_ROWS], vocab)
+            if bad is not None:
+                clip, n = divmod(start + bad[0], X.shape[1])
+                raise DataError(f"clip '{clips[clip].clip_id}': step {n}: {bad[1]}")
     return Dataset(vocabulary=vocab, clips=tuple(clips))
 
 

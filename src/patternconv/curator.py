@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary
+from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, step_rules
 from .errors import DataError
 from .evalmetrics import confusion, kappa
 
@@ -77,36 +77,62 @@ class PatternBank:
         return np.stack([p.cells for p in self.patterns])
 
 
+_REASONS = ("non-binary cell", "all-zero pattern", "submission invariant",
+            "help/attempt exclusion invariant")
+_NON_BINARY, _ALL_ZERO, _SUBMISSION, _EXCLUSION = range(4)
+
+
+def _violations(cells: np.ndarray, vocab: FeatureVocabulary):
+    """Per pattern of binary cells (M, k, d): the invariant it breaks first
+    (-1 when legal, else an index into _REASONS) and the step where it does."""
+    n_sub, help_on, attempt_on = step_rules(cells, vocab)
+    bad_sub = n_sub > 1
+    bad_step = bad_sub | (help_on & attempt_on)
+    step = bad_step.argmax(axis=1)
+    rows = np.arange(len(cells))
+    code = np.where(bad_sub[rows, step], _SUBMISSION, _EXCLUSION)
+    code[~bad_step.any(axis=1)] = -1
+    code[~cells.any(axis=(1, 2))] = _ALL_ZERO
+    return code, step
+
+
+def _reason(code: int, step: int) -> str | None:
+    if code < 0:
+        return None
+    if code >= _SUBMISSION:
+        return f"step {step}: {_REASONS[code]}"
+    return _REASONS[code]
+
+
 def pattern_violation(cells: np.ndarray, vocab: FeatureVocabulary) -> str | None:
     """Invariant check for a binary pattern matrix; None when legal."""
-    if not np.isin(cells, (0, 1)).all():
-        return "non-binary cell"
-    if cells.sum() == 0:
-        return "all-zero pattern"
-    sub = list(vocab.submission_indices)
-    h = sorted(vocab.help_related)
-    a = sorted(vocab.attempt_related)
-    for n in range(cells.shape[0]):
-        if cells[n, sub].sum() > 1:
-            return f"step {n}: submission invariant"
-        if cells[n, h].sum() and cells[n, a].sum():
-            return f"step {n}: help/attempt exclusion invariant"
-    return None
+    if not ((cells == 0) | (cells == 1)).all():
+        return _REASONS[_NON_BINARY]
+    code, step = _violations(np.asarray(cells)[None], vocab)
+    return _reason(code[0], step[0])
+
+
+def binarize_filters(W: np.ndarray, vocab: FeatureVocabulary,
+                     tolerance: float = DEFAULT_BINARIZE_TOLERANCE):
+    """Round continuous filters (M, k, d) at 0.5 in one pass. Returns the
+    cells (M, k, d) uint8 and, per filter, the first rejection (-1 when the
+    filter binarizes, else an index into _REASONS) and its step."""
+    W = np.asarray(W, dtype=np.float64)
+    cells = (W >= 0.5).astype(np.uint8)
+    code, step = _violations(cells, vocab)
+    dist = np.minimum(np.abs(W), np.abs(W - 1.0))
+    code[(dist > tolerance).any(axis=(1, 2))] = _NON_BINARY
+    return cells, code, step
 
 
 def binarize(W_filter: np.ndarray, vocab: FeatureVocabulary,
              tolerance: float = DEFAULT_BINARIZE_TOLERANCE,
              pattern_id: str = "", source_era: int = -1) -> tuple[Pattern | None, str | None]:
     """Round a continuous filter at 0.5; returns (pattern, None) or (None, reason)."""
-    W_filter = np.asarray(W_filter, dtype=np.float64)
-    dist = np.minimum(np.abs(W_filter), np.abs(W_filter - 1.0))
-    if (dist > tolerance).any():
-        return None, "non-binary cell"
-    cells = (W_filter >= 0.5).astype(np.uint8)
-    reason = pattern_violation(cells, vocab)
-    if reason is not None:
-        return None, reason
-    return Pattern(cells=cells, pattern_id=pattern_id, source_era=source_era), None
+    cells, code, step = binarize_filters(np.asarray(W_filter)[None], vocab, tolerance)
+    if code[0] >= 0:
+        return None, _reason(code[0], step[0])
+    return Pattern(cells=cells[0], pattern_id=pattern_id, source_era=source_era), None
 
 
 def discrete_match(pattern: Pattern, clip, padding: int = 1) -> tuple[bool, int | None]:
@@ -164,12 +190,76 @@ def dedup(patterns) -> list[Pattern]:
     return out
 
 
-def _match_window_range(positives_rows: np.ndarray, k: int, clip_length: int,
-                        padding: int) -> tuple[int, int]:
-    """Window indices at which a pattern's positive rows all land on real steps."""
+_SUBSET_CHUNK = 1 << 18  # pairs per block of the all-pairs subset test
+
+
+def _packed_words(cells: np.ndarray) -> np.ndarray:
+    """Bit-packed rows (n, k, d) -> (n, k, w) uint64: features packed with
+    np.packbits, each step zero-padded to whole 64-bit words."""
+    packed = np.packbits(cells, axis=2)
+    pad = -packed.shape[2] % 8
+    if pad:
+        packed = np.concatenate(
+            [packed, np.zeros(packed.shape[:2] + (pad,), np.uint8)], axis=2)
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
+def _subset(A: np.ndarray, not_B: np.ndarray) -> np.ndarray:
+    """S[i, j]: every bit of A[i] is set in B[j], given packed A (n, r, w)
+    and the complement of packed B (m, r, w)."""
+    width = A.shape[1] * A.shape[2]
+    A, not_B = A.reshape(len(A), width), not_B.reshape(len(not_B), width)
+    out = np.empty((len(A), len(not_B)), dtype=bool)
+    block = max(1, _SUBSET_CHUNK // max(len(not_B), 1))
+    for i in range(0, len(A), block):
+        a = A[i:i + block, None, :]
+        stray = a[..., 0] & not_B[:, 0]  # bits of A[i] outside B[j]
+        for t in range(1, width):
+            stray |= a[..., t] & not_B[:, t]
+        out[i:i + block] = stray == 0
+    return out
+
+
+def _step_span(cells: np.ndarray):
+    """First and last non-empty step of each pattern (n, k, d), and whether
+    it has any positive cell."""
+    on = cells.any(axis=2)
+    k = cells.shape[1]
+    return on.argmax(axis=1), k - 1 - on[:, ::-1].argmax(axis=1), on.any(axis=1)
+
+
+def _dominance(a_cells: np.ndarray, b_cells: np.ndarray, clip_length: int,
+               padding: int, check_shifts: bool) -> np.ndarray:
+    """D[i, j] = pattern a_cells[i] subsumes pattern b_cells[j] (both (n, k, d)).
+
+    Position-aligned containment is a strict subset of positives. A shift s
+    of a by whole steps must keep a inside its k steps, leave a's positives
+    inside b's, and keep a's window in range for every window at which b's
+    positive steps land on real clip steps.
+    """
+    k = a_cells.shape[1]
+    A, not_B = _packed_words(a_cells), ~_packed_words(b_cells)
+    n_a = a_cells.sum(axis=(1, 2), dtype=np.int64)
+    n_b = b_cells.sum(axis=(1, 2), dtype=np.int64)
+    D = _subset(A, not_B) & (n_a[:, None] < n_b[None, :])
+    if not check_shifts:
+        return D
+    first_a, last_a, _ = _step_span(a_cells)
+    first_b, last_b, live_b = _step_span(b_cells)
     C = clip_length - k + 1 + 2 * padding
-    m_min, m_max = int(positives_rows.min()), int(positives_rows.max())
-    return max(0, padding - m_min), min(C - 1, padding + clip_length - 1 - m_max)
+    c_min = np.maximum(0, padding - first_b)
+    c_max = np.minimum(C - 1, padding + clip_length - 1 - last_b)
+    live_b &= c_min <= c_max
+    for s in range(-(k - 1), k):
+        if s == 0:
+            continue
+        ia = np.flatnonzero((first_a + s >= 0) & (last_a + s <= k - 1))
+        jb = np.flatnonzero(live_b & (c_min + s >= 0) & (c_max + s <= C - 1))
+        if ia.size == 0 or jb.size == 0:
+            continue
+        lo, hi = max(0, -s), min(k, k - s)
+        D[np.ix_(ia, jb)] |= _subset(A[ia, lo:hi], not_B[jb, lo + s:hi + s])
+    return D
 
 
 def subsumes(a: Pattern, b: Pattern, clip_length: int = DEFAULT_CLIP_LENGTH,
@@ -180,48 +270,33 @@ def subsumes(a: Pattern, b: Pattern, clip_length: int = DEFAULT_CLIP_LENGTH,
     of b's. Shifted containment additionally requires the shift to keep a's
     match window in range for every window where b can match.
     """
-    pos_a, pos_b = a.positives, b.positives
-    if pos_a < pos_b:
-        return True
-    if not check_shifts:
-        return False
-    k = a.cells.shape[0]
-    if b.n_positive == 0:
-        return False
-    rows_b = np.unique(np.nonzero(b.cells)[0])
-    c_min_b, c_max_b = _match_window_range(rows_b, k, clip_length, padding)
-    if c_min_b > c_max_b:
-        return False  # b can never match; nothing to preserve
-    C = clip_length - k + 1 + 2 * padding
-    for s in range(-(k - 1), k):
-        if s == 0:
-            continue
-        shifted = {(n + s, j) for (n, j) in pos_a}
-        if not all(0 <= n < k for n, _ in shifted):
-            continue
-        if shifted <= pos_b and c_min_b + s >= 0 and c_max_b + s <= C - 1:
-            return True
-    return False
+    return bool(_dominance(a.cells[None], b.cells[None], clip_length, padding,
+                           check_shifts)[0, 0])
 
 
 def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH, padding: int = 1,
                    check_shifts: bool = True) -> list[Pattern]:
     """Drop every pattern some other pattern subsumes; mutual (shift-equal)
     pairs keep the earlier one."""
-    kept = []
-    for j, b in enumerate(patterns):
-        dominated = False
-        for i, a in enumerate(patterns):
-            if i == j:
-                continue
-            if subsumes(a, b, clip_length, padding, check_shifts) and not (
-                subsumes(b, a, clip_length, padding, check_shifts) and j < i
-            ):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(b)
-    return kept
+    patterns = list(patterns)
+    if not patterns:
+        return []
+    cells = np.stack([p.cells for p in patterns])
+    D = _dominance(cells, cells, clip_length, padding, check_shifts)
+    np.fill_diagonal(D, False)
+    later = np.tri(len(patterns), k=-1, dtype=bool)  # [i, j] with j < i
+    dominated = (D & ~(D.T & later)).any(axis=0)
+    return [p for p, out in zip(patterns, dominated) if not out]
+
+
+def match_precision(hits: np.ndarray, labels: np.ndarray):
+    """Per-row (precision, matched count) of a (n_patterns, n_clips) hit
+    matrix against the clip labels; precision is NaN for rows with no hit."""
+    matched = hits.sum(axis=1)
+    tp = (hits & labels[None, :]).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        prec = np.where(matched > 0, tp / np.maximum(matched, 1), np.nan)
+    return prec, matched
 
 
 def pattern_precisions(patterns, dataset: Dataset, padding: int = 1):
@@ -229,14 +304,7 @@ def pattern_precisions(patterns, dataset: Dataset, padding: int = 1):
     for patterns matching nothing."""
     if not patterns:
         return np.zeros(0), np.zeros(0, dtype=int)
-    first = match_matrix(patterns, dataset, padding)
-    hits = first >= 0
-    labels = dataset.labels()
-    matched = hits.sum(axis=1)
-    tp = (hits & labels[None, :]).sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        prec = np.where(matched > 0, tp / np.maximum(matched, 1), np.nan)
-    return prec, matched
+    return match_precision(match_matrix(patterns, dataset, padding) >= 0, dataset.labels())
 
 
 def rank_by_precision(patterns, ranking_set: Dataset, padding: int = 1) -> list[Pattern]:

@@ -10,7 +10,8 @@ import numpy as np
 
 from . import kernels, netcore, objective
 from .corpus import Dataset, FeatureVocabulary
-from .curator import DEFAULT_BINARIZE_TOLERANCE, Pattern, binarize
+from .curator import (DEFAULT_BINARIZE_TOLERANCE, Pattern, binarize_filters,
+                      match_precision)
 from .errors import DataError, NumericalError
 from .netcore import ModelState, backward_batch, forward_batch
 from .objective import LossWeights, MinPenaltyParams
@@ -168,11 +169,7 @@ def eval_filter_precision(W: np.ndarray, dataset: Dataset, padding: int = 1) -> 
     cells = (W >= 0.5).astype(np.uint8)
     X = dataset.steps_array().astype(np.uint8)
     first = kernels.match_first_window(cells, kernels.pad_clips(X, padding))
-    hits = first >= 0
-    labels = dataset.labels()
-    matched = hits.sum(axis=1)
-    tp = (hits & labels[None, :]).sum(axis=1)
-    return np.where(matched > 0, tp / np.maximum(matched, 1), np.nan)
+    return match_precision(first >= 0, dataset.labels())[0]
 
 
 def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
@@ -180,15 +177,12 @@ def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
                     tolerance: float) -> list[Pattern]:
     """Binarize filters whose discrete precision clears the threshold; filters
     failing binarization (non-binary cells or invariant violations) are dropped."""
-    out = []
-    for m in range(W.shape[0]):
-        if not np.isnan(precisions[m]) and precisions[m] > threshold:
-            pat, _reason = binarize(W[m], vocab, tolerance=tolerance,
-                                    pattern_id=f"e{era:03d}f{m:04d}", source_era=era)
-            if pat is not None:
-                out.append(Pattern(cells=pat.cells, pattern_id=pat.pattern_id,
-                                   precision_train=float(precisions[m]), source_era=era))
-    return out
+    precisions = np.asarray(precisions, dtype=np.float64)
+    candidates = np.flatnonzero(precisions > threshold)  # NaN never clears it
+    cells, code, _ = binarize_filters(np.asarray(W)[candidates], vocab, tolerance)
+    return [Pattern(cells=cells[i], pattern_id=f"e{era:03d}f{m:04d}",
+                    precision_train=float(precisions[m]), source_era=era)
+            for i, m in enumerate(candidates) if code[i] < 0]
 
 
 def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,

@@ -5,8 +5,10 @@ import copy
 import json
 import os
 
+import numpy as np
 import pytest
 
+from conftest import random_legal_steps
 from patternconv import cli, corpus, curator
 
 TINY_CONFIG = {
@@ -81,6 +83,46 @@ def test_bad_dataset_exits_2(tmp_path, tiny_config_path, capsys):
                  "train", str(bad)])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+def _set_cell(value):
+    def mutate(steps):
+        steps[1][4] = value
+    return mutate
+
+
+# each case edits the steps of the second clip of a legal file: (edit, message)
+BAD_STEPS = {
+    "negative": (_set_cell(-1), "non-binary feature value"),
+    "too_large": (_set_cell(300), "non-binary feature value"),
+    "string": (_set_cell("a"), "non-binary feature value"),
+    "fraction_above_one": (_set_cell(1.7), "non-binary feature value"),
+    "fraction_below_one": (_set_cell(0.5), "non-binary feature value"),
+    "uneven_rows": (lambda steps: steps[2].pop(), "not a rectangular"),
+    "short_clip": (lambda steps: steps.pop(), "4 steps, where earlier clips have 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STEPS))
+def test_bad_step_values_exit_2(tmp_path, tiny_config_path, capsys, vocab, case):
+    rng = np.random.default_rng(0)
+    clips = tuple(corpus.Clip(clip_id=f"c{i}", label=bool(i % 2),
+                              steps=random_legal_steps(vocab, 5, rng))
+                  for i in range(4))
+    path = tmp_path / "clips.jsonl"
+    corpus.write_dataset(corpus.Dataset(vocabulary=vocab, clips=clips), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    edit, message = BAD_STEPS[case]
+    edit(rec["steps"])
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    code = _run(["--config", tiny_config_path, "--out", str(tmp_path / "o"),
+                 "train", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "data error: clip 'c1': " in err and message in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- end to end

@@ -132,6 +132,52 @@ def test_load_rejects_file_naming_bad_clip(tmp_path, vocab):
         corpus.load_dataset(path)
 
 
+@pytest.mark.parametrize("block_rows", [3, 1 << 13])
+def test_load_names_first_bad_clip_and_step_across_blocks(tmp_path, vocab, monkeypatch,
+                                                          block_rows):
+    monkeypatch.setattr(corpus, "_CHECK_ROWS", block_rows)
+    path = tmp_path / "bad.jsonl"
+    corpus.write_dataset(_tiny_dataset(vocab, n=8), path)
+    lines = path.read_text().splitlines()
+    for line_no, step in ((5, 2), (7, 0)):  # clips c004 and c006
+        rec = json.loads(lines[line_no])
+        rec["steps"][step][:3] = [0, 0, 0]
+        lines[line_no] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="clip 'c004': step 2: no submission type"):
+        corpus.load_dataset(path)
+
+
+def test_load_rejects_record_that_is_not_an_object(tmp_path, vocab):
+    ds = _tiny_dataset(vocab, n=2)
+    path = tmp_path / "list.jsonl"
+    corpus.write_dataset(ds, path)
+    path.write_text(path.read_text() + "[1, 2]\n")
+    with pytest.raises(DataError, match="not a JSON object"):
+        corpus.load_dataset(path)
+
+
+def test_load_rejects_second_header_with_other_vocabulary(tmp_path, vocab):
+    path = tmp_path / "two.jsonl"
+    corpus.write_dataset(_tiny_dataset(vocab, n=2), path)
+    other = FeatureVocabulary(feature_names=vocab.feature_names[:12],
+                              submission_indices=(0, 1, 2),
+                              help_related=frozenset(range(3, 8)),
+                              attempt_related=frozenset(range(8, 12)))
+    path.write_text(path.read_text() + json.dumps(other.to_record()) + "\n")
+    with pytest.raises(DataError, match="differs from an earlier one"):
+        corpus.load_dataset(path)
+
+
+def test_load_rejects_header_field_that_is_not_a_list(tmp_path, vocab):
+    header = vocab.to_record()
+    header["feature_names"] = 5
+    path = tmp_path / "hdr.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(DataError, match="must be lists"):
+        corpus.load_dataset(path)
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "junk.jsonl"
     path.write_text("{not json\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_legal_clip_batch, random_legal_pattern
-from patternconv import corpus, curator
+from patternconv import corpus, curator, trainer
 from patternconv.corpus import Clip, Dataset
 from patternconv.curator import (Pattern, PatternBank, bank_predict,
                                  bank_predict_batch, binarize,
@@ -270,6 +270,144 @@ def test_prune_shift_toggle(vocab):
     pats = [_pat(a, "a"), _pat(b, "b")]
     assert len(prune_subsumed(pats, check_shifts=False)) == 2
     assert [p.pattern_id for p in prune_subsumed(pats, check_shifts=True)] == ["a"]
+
+
+def _oracle_prune_ids(patterns, check_shifts=True):
+    """The pair rule, pattern by pattern: j goes when some i subsumes it,
+    unless j also subsumes i and comes first."""
+    def sub(a, b):
+        return _oracle_subsumes(a, b, check_shifts=check_shifts)
+    return [b.pattern_id for j, b in enumerate(patterns)
+            if not any(i != j and sub(a, b) and not (sub(b, a) and j < i)
+                       for i, a in enumerate(patterns))]
+
+
+def _random_pool(vocab, rng, n=60):
+    """Random legal patterns plus shift-equal copies, drop-one-cell subsets
+    and exact duplicates, each with its own id."""
+    cells = []
+    while len(cells) < n:
+        c = random_legal_pattern(vocab, 3, rng, p_cell=0.2).cells.copy()
+        if rng.random() < 0.4:
+            c[2 * int(rng.integers(2))] = 0  # an empty edge step leaves room to shift
+        if not c.any():
+            continue
+        cells.append(c)
+        kind = rng.random()
+        if kind < 0.3 and not c[2].any():
+            cells.append(np.roll(c, 1, axis=0))
+        elif kind < 0.3 and not c[0].any():
+            cells.append(np.roll(c, -1, axis=0))
+        elif kind < 0.6 and c.sum() > 1:
+            sub = c.copy()
+            n_, j = np.argwhere(sub == 1)[rng.integers(int(sub.sum()))]
+            sub[n_, j] = 0
+            cells.append(sub)
+        elif kind < 0.7:
+            cells.append(c.copy())
+    return [_pat(c, f"q{i:03d}") for i, c in enumerate(cells)]
+
+
+@pytest.mark.parametrize("check_shifts", [True, False])
+def test_prune_matches_pair_rule_on_random_pools(vocab, check_shifts):
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        pool = _random_pool(vocab, rng)
+        for order in (pool, pool[::-1], [pool[i] for i in rng.permutation(len(pool))]):
+            got = [p.pattern_id for p in prune_subsumed(order, check_shifts=check_shifts)]
+            assert got == _oracle_prune_ids(order, check_shifts), (trial, check_shifts)
+
+
+def test_prune_keeps_earlier_of_shift_equal_pair(vocab):
+    a = np.zeros((3, vocab.d), dtype=np.uint8)
+    a[0, vocab.submission_indices[1]] = 1
+    a[1, vocab.submission_indices[2]] = 1
+    b = np.roll(a, 1, axis=0)
+    assert subsumes(_pat(a), _pat(b)) and subsumes(_pat(b), _pat(a))
+    for first, second in (("a", "b"), ("b", "a")):
+        pats = {"a": _pat(a, "a"), "b": _pat(b, "b")}
+        kept = prune_subsumed([pats[first], pats[second]])
+        assert [p.pattern_id for p in kept] == [first]
+
+
+def test_prune_empty_and_single(vocab):
+    assert prune_subsumed([]) == []
+    p = random_legal_pattern(vocab, 3, np.random.default_rng(22))
+    assert prune_subsumed([p]) == [p]
+
+
+# ------------------------------------------------------------------ harvest
+
+def _binarize_oracle(w, vocab, tolerance):
+    """Per-filter rounding with the invariants checked step by step."""
+    if any(min(abs(x), abs(x - 1.0)) > tolerance for x in w.ravel()):
+        return None, "non-binary cell"
+    cells = (w >= 0.5).astype(np.uint8)
+    if cells.sum() == 0:
+        return None, "all-zero pattern"
+    for n, row in enumerate(cells):
+        if sum(row[j] for j in vocab.submission_indices) > 1:
+            return None, f"step {n}: submission invariant"
+        if any(row[j] for j in vocab.help_related) and any(row[j] for j in vocab.attempt_related):
+            return None, f"step {n}: help/attempt exclusion invariant"
+    return cells, None
+
+
+def _filter_pool(vocab, rng, n=80):
+    """Filters of every kind: near-binary legal, non-binary, all-zero,
+    invariant-breaking; precisions include NaN and values on either side of
+    the threshold."""
+    h, a = sorted(vocab.help_related), sorted(vocab.attempt_related)
+    W = []
+    for i in range(n):
+        kind = i % 5
+        cells = random_legal_pattern(vocab, 3, rng).cells.astype(np.float64)
+        if kind == 1:
+            cells[int(rng.integers(3)), int(rng.integers(vocab.d))] = 0.3 + 0.4 * rng.random()
+        elif kind == 2:
+            cells[:] = 0.0
+        elif kind == 3:
+            n_ = int(rng.integers(3))
+            if rng.random() < 0.5:
+                cells[n_, list(vocab.submission_indices[:2])] = 1.0
+            else:
+                cells[n_, [h[0], a[0]]] = 1.0
+        w = np.abs(cells - rng.random(cells.shape) * 0.04)  # near-binary jitter
+        W.append(w)
+    prec = rng.random(n)
+    prec[rng.random(n) < 0.2] = np.nan
+    return np.stack(W), prec
+
+
+def test_binarize_matches_per_filter_oracle(vocab):
+    W, _ = _filter_pool(vocab, np.random.default_rng(23))
+    reasons = set()
+    for w in W:
+        pat, reason = binarize(w, vocab)
+        want_cells, want_reason = _binarize_oracle(w, vocab, curator.DEFAULT_BINARIZE_TOLERANCE)
+        assert reason == want_reason
+        assert (pat is None) == (want_cells is None)
+        if pat is not None:
+            assert np.array_equal(pat.cells, want_cells)
+        reasons.add(reason.split(": ")[-1] if reason else None)
+    assert reasons == {None, "non-binary cell", "all-zero pattern", "submission invariant",
+                       "help/attempt exclusion invariant"}
+
+
+def test_harvest_batch_equals_per_filter_loop(vocab):
+    W, prec = _filter_pool(vocab, np.random.default_rng(24))
+    got = trainer.harvest_filters(W, prec, era=7, vocab=vocab, threshold=0.3, tolerance=0.05)
+    want = []
+    for m, (w, p) in enumerate(zip(W, prec)):
+        if not np.isnan(p) and p > 0.3:
+            cells, _ = _binarize_oracle(w, vocab, 0.05)
+            if cells is not None:
+                want.append((f"e007f{m:04d}", cells, float(p)))
+    assert len(want) >= 5
+    assert [p.pattern_id for p in got] == [w[0] for w in want]
+    for pat, (_, cells, p) in zip(got, want):
+        assert np.array_equal(pat.cells, cells)
+        assert pat.precision_train == p and pat.source_era == 7
 
 
 # ----------------------------------------------------- ranking and selection

@@ -89,7 +89,8 @@ def test_bench_kernels_script_runs(capsys):
     spec = importlib.util.spec_from_file_location("bench_kernels", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    bench.main(["--clips", "8", "--filters", "4", "--repeats", "1"])
+    bench.main(["--clips", "8", "--filters", "4", "--repeats", "1", "--pool-sizes", "30"])
     out = capsys.readouterr().out
-    for name in ("conv_forward", "conv_backward", "match_first_window"):
+    for name in ("conv_forward", "conv_backward", "match_first_window", "prune_subsumed",
+                 "harvest_filters"):
         assert name in out

@@ -7,11 +7,11 @@ Run with defaults (benchmark-sized shapes) or adjust via flags:
 
     python benchmarks/bench_kernels.py --clips 2000 --filters 64 --repeats 20
 
-The convolution is one matrix multiply each way on numpy. Matching is timed on
-the pure-numpy path and, when numba is installed and not disabled with
-PATTERNCONV_NO_NUMBA=1, on the numba path too. The curation pools default to
-300 and 1,359 unique patterns; 1,359 is the unique count of the source paper's
-funnel.
+The convolution is one matrix multiply each way, and matching is the same
+window product thresholded at each pattern's cell count. Matching is timed on
+the whole batch and on a single clip, the shape of `discrete_match` and
+`explain`. The curation pools default to 300 and 1,359 unique patterns; 1,359
+is the unique count of the source paper's funnel.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from patternconv.corpus import FeatureVocabulary
 
 
 def _time(fn, *args, repeats=10):
-    fn(*args)  # warm-up (numba compilation, caches)
+    fn(*args)  # warm-up (caches)
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -91,23 +91,14 @@ def main(argv=None):
     cells = (rng.random((M, k, d)) < 0.2).astype(np.uint8)
     dh = rng.standard_normal((B, Xw.shape[1], M))
 
-    print(f"B={B} M={M} L={L} d={d} k={k}  (numba available: {kernels.USE_NUMBA})")
-    print(f"{'kernel':<20} {'numpy':>12} {'numba':>12} {'speedup':>9}")
+    print(f"B={B} M={M} L={L} d={d} k={k}")
+    print(f"{'kernel':<20} {'clips':>9} {'time':>12}")
     for name, fn, a in [("conv_forward", kernels.conv_forward_batch, (W, Xw)),
-                        ("conv_backward", kernels.conv_backward_batch, (dh, Xw, k))]:
-        t_np = _time(fn, *a, repeats=args.repeats)
-        print(f"{name:<20} {t_np * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
-
-    t_np = _time(kernels._match_first_window_np, cells, Xp, repeats=args.repeats)
-    if not kernels.USE_NUMBA:
-        print(f"{'match_first_window':<20} {t_np * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
-    else:
-        t_nb = _time(kernels._match_first_window_nb, cells, Xp, repeats=args.repeats)
-        ref = kernels._match_first_window_np(cells, Xp)
-        got = kernels._match_first_window_nb(cells, Xp)
-        assert (ref == got).all(), "match_first_window: numba and numpy disagree"
-        print(f"{'match_first_window':<20} {t_np * 1e3:>10.2f}ms {t_nb * 1e3:>10.2f}ms "
-              f"{t_np / t_nb:>8.1f}x")
+                        ("conv_backward", kernels.conv_backward_batch, (dh, Xw, k)),
+                        ("match_first_window", kernels.match_first_window, (cells, Xp)),
+                        ("match_first_window", kernels.match_first_window, (cells, Xp[:1]))]:
+        t = _time(fn, *a, repeats=args.repeats)
+        print(f"{name:<20} {a[1].shape[0]:>9} {t * 1e3:>10.3f}ms")
 
     bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
 

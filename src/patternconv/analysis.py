@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FeatureVocabulary
-from .curator import Pattern, PatternBank, match_matrix, pattern_violation
+from .curator import Pattern, PatternBank, match_matrix
 from .errors import DataError
 
 

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
-from .errors import ConfigError, DataError, NumericalError, PatternConvError
+from .errors import ConfigError, DataError, NumericalError, json_object
 from .objective import MinPenaltyParams
 from .schedule import ConstraintSchedule
 
@@ -238,7 +238,7 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
 def _load_predictor(path: str):
     with open(path) as fh:
         text = fh.read()
-    doc = json.loads(text)
+    doc = json_object(text, path)
     if doc.get("format") == "patternconv-bank":
         return curator.bank_from_json(text)
     if doc.get("format") == "patternconv-model":
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

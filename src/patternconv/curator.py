@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, step_rules
-from .errors import DataError
+from .errors import DataError, json_object
 from .evalmetrics import confusion, kappa
 
 BANK_FORMAT_VERSION = 1
@@ -69,12 +69,6 @@ class PatternBank:
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    def cells_tensor(self) -> np.ndarray:
-        if not self.patterns:
-            k = 0
-            return np.zeros((0, k, self.vocabulary.d), dtype=np.uint8)
-        return np.stack([p.cells for p in self.patterns])
 
 
 _REASONS = ("non-binary cell", "all-zero pattern", "submission invariant",
@@ -158,18 +152,6 @@ def match_matrix(patterns, dataset_or_steps, padding: int = 1) -> np.ndarray:
         X = np.asarray(dataset_or_steps)
     cells = np.stack([p.cells for p in patterns]) if patterns else np.zeros((0, 1, X.shape[2]), np.uint8)
     return kernels.match_first_window(cells, kernels.pad_clips(X.astype(np.uint8), padding))
-
-
-def bank_predict(bank: PatternBank, clip, padding: int = 1) -> tuple[bool, list[str]]:
-    """OR over all patterns; returns (prediction, matching pattern ids)."""
-    steps = clip.steps if hasattr(clip, "steps") else np.asarray(clip)
-    if steps.shape[1] != bank.vocabulary.d:
-        raise DataError("clip feature width does not match the bank vocabulary")
-    if not bank.patterns:
-        return False, []
-    first = match_matrix(bank.patterns, steps[None], padding)[:, 0]
-    ids = [p.pattern_id for p, f in zip(bank.patterns, first) if f >= 0]
-    return bool(ids), ids
 
 
 def bank_predict_batch(bank: PatternBank, dataset: Dataset, padding: int = 1) -> np.ndarray:
@@ -369,10 +351,13 @@ def bank_to_json(bank: PatternBank, extra: dict | None = None) -> str:
 
 
 def bank_from_json(text: str) -> PatternBank:
-    doc = json.loads(text)
+    doc = json_object(text, "pattern bank file")
     if doc.get("format") != "patternconv-bank":
         raise DataError("not a pattern bank file")
-    return PatternBank(
-        patterns=tuple(Pattern.from_record(r) for r in doc["patterns"]),
-        vocabulary=FeatureVocabulary.from_record(doc["vocabulary"]),
-    )
+    try:
+        return PatternBank(
+            patterns=tuple(Pattern.from_record(r) for r in doc["patterns"]),
+            vocabulary=FeatureVocabulary.from_record(doc["vocabulary"]),
+        )
+    except KeyError as e:
+        raise DataError(f"pattern bank file missing key {e}") from None

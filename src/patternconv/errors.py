@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON document
+reader that turns a malformed document into a DataError."""
+
+import json
 
 
 class PatternConvError(Exception):
@@ -15,3 +18,14 @@ class DataError(PatternConvError):
 
 class NumericalError(PatternConvError):
     """Non-finite loss or other numerical failure (CLI exit code 3)."""
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse a document that must be one JSON object; DataError otherwise."""
+    try:
+        doc = json.loads(text)
+    except ValueError as e:
+        raise DataError(f"{what} is not JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} is not a JSON object")
+    return doc

@@ -2,25 +2,18 @@
 
 The convolution works on clip windows built once per dataset (im2col,
 `clip_windows`), so its forward and backward passes are each a single 2-D
-matrix multiply on numpy. Discrete first-window matching is numba-jitted when
-numba is installed; set PATTERNCONV_NO_NUMBA=1 to force the pure-numpy path
-(same results, useful for debugging and as a benchmark baseline — see
-benchmarks/bench_kernels.py).
+matrix multiply. Discrete first-window matching is the same window product:
+a binary pattern matches a window when the window holds all of its 1-cells,
+that is, when the window-times-pattern count reaches the pattern's cell count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("PATTERNCONV_NO_NUMBA", "") not in ("1", "true", "yes")
+from .errors import DataError
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+USE_NUMBA = False  # the only kernel path is numpy; perfbench/run.py stamps runs with it
 
 
 def pad_clips(X: np.ndarray, padding: int) -> np.ndarray:
@@ -32,6 +25,8 @@ def pad_clips(X: np.ndarray, padding: int) -> np.ndarray:
 
 def windows(Xp: np.ndarray, k: int) -> np.ndarray:
     """All length-k step windows of padded clips: (B, C, k, d) view."""
+    if Xp.shape[1] < k:
+        raise DataError("clip too short for the kernel even with padding")
     v = np.lib.stride_tricks.sliding_window_view(Xp, k, axis=1)
     return v.transpose(0, 1, 3, 2)
 
@@ -43,11 +38,16 @@ def clip_windows(X: np.ndarray, k: int, padding: int) -> np.ndarray:
     return v.reshape(v.shape[0], v.shape[1], -1)
 
 
+def _window_product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(B, C, M) products of flattened windows X (B, C, k·d) with filters W (M, k, d)."""
+    B, C, kd = X.shape
+    return (X.reshape(-1, kd) @ W.reshape(W.shape[0], -1).T).reshape(B, C, -1)
+
+
 def conv_forward_batch(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Pre-activation feature maps (B, C, M) of filters W (M, k, d) over float64
     clip windows X (B, C, k·d)."""
-    B, C, kd = X.shape
-    return (X.reshape(-1, kd) @ W.reshape(W.shape[0], -1).T).reshape(B, C, -1)
+    return _window_product(X, W)
 
 
 def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
@@ -57,51 +57,21 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return (dh.reshape(-1, M).T @ X.reshape(-1, kd)).reshape(M, k, kd // k)
 
 
-def _match_first_window_np(cells: np.ndarray, Xp: np.ndarray) -> np.ndarray:
-    k = cells.shape[1]
-    counts = np.einsum("pkd,bckd->pbc", cells.astype(np.float64),
-                       windows(Xp, k).astype(np.float64), optimize=True)
-    needed = cells.reshape(cells.shape[0], -1).sum(axis=1).astype(np.float64)
-    hit = counts >= needed[:, None, None] - 0.5
-    first = np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
-    return first.astype(np.int64)
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _match_first_window_nb(cells, Xp):
-        P, k, d = cells.shape
-        B, Lp, _ = Xp.shape
-        C = Lp - k + 1
-        out = np.full((P, B), -1, dtype=np.int64)
-        for p in range(P):
-            for b in range(B):
-                for c in range(C):
-                    ok = True
-                    for n in range(k):
-                        for j in range(d):
-                            if cells[p, n, j] == 1 and Xp[b, c + n, j] == 0:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        out[p, b] = c
-                        break
-        return out
-
-
 def match_first_window(cells: np.ndarray, Xp: np.ndarray) -> np.ndarray:
-    """First matching window index per (pattern, clip), -1 when none.
+    """First matching window index per (pattern, clip), -1 when none: (P, B).
 
-    A pattern matches a window when every 1-cell is 1 in the (padded) clip;
-    0-cells are unconstrained.
+    A pattern (k, d) matches a window of the padded binary clips Xp (B, Lp, d)
+    when every 1-cell is 1 in the window; 0-cells are unconstrained.
     """
-    cells = np.ascontiguousarray(cells, dtype=np.uint8)
-    Xp = np.ascontiguousarray(Xp, dtype=np.uint8)
+    cells = np.asarray(cells, dtype=np.uint8)
+    P, k = cells.shape[:2]
     if cells.size == 0 or Xp.shape[0] == 0:
-        return np.full((cells.shape[0], Xp.shape[0]), -1, dtype=np.int64)
-    if USE_NUMBA:
-        return _match_first_window_nb(cells, Xp)
-    return _match_first_window_np(cells, Xp)
+        return np.full((P, Xp.shape[0]), -1, dtype=np.int64)
+    # float32 counts are exact: each is an integer no larger than k·d < 2**24
+    v = windows(Xp, k).astype(np.float32)
+    counts = _window_product(v.reshape(v.shape[0], v.shape[1], -1), cells.astype(np.float32))
+    hit = counts >= cells.reshape(P, -1).sum(axis=1) - 0.5
+    first = np.full((Xp.shape[0], P), -1, dtype=np.int64)
+    for c in range(hit.shape[1] - 1, -1, -1):  # an earlier hit overwrites a later one
+        np.copyto(first, c, where=hit[:, c])
+    return np.ascontiguousarray(first.T)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .errors import DataError
+from .errors import DataError, json_object
 
 MODEL_FORMAT_VERSION = 1
 
@@ -80,7 +80,7 @@ def init_conv_weights(M: int, k: int, d: int, rng: np.random.Generator) -> np.nd
 def init_state(M: int, k: int, d: int, padding: int = DEFAULT_PADDING,
                rng: np.random.Generator | int | None = None, **kwargs) -> ModelState:
     """Fresh model: conv weights uniform [0,1), fc uniform [-1/sqrt(M), 1/sqrt(M)]."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     bound = 1.0 / np.sqrt(M)
     return ModelState(
         W=init_conv_weights(M, k, d, rng),
@@ -88,23 +88,6 @@ def init_state(M: int, k: int, d: int, padding: int = DEFAULT_PADDING,
         padding=padding,
         **kwargs,
     )
-
-
-def _as_batch(clip) -> np.ndarray:
-    steps = clip.steps if hasattr(clip, "steps") else np.asarray(clip)
-    return steps[None, :, :]
-
-
-def conv_forward(state: ModelState, clip) -> np.ndarray:
-    """Post-ReLU feature maps (M, C) for one clip."""
-    X = _as_batch(clip)
-    if X.shape[2] != state.d:
-        raise DataError(f"clip feature width {X.shape[2]} != model d {state.d}")
-    if X.shape[1] + 2 * state.padding < state.k:
-        raise DataError("clip too short for the kernel even with padding")
-    Xw = kernels.clip_windows(X, state.k, state.padding).astype(np.float64)
-    h = kernels.conv_forward_batch(state.W, Xw)
-    return np.maximum(h[0].T, 0.0)
 
 
 def maxpool(h: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -141,14 +124,6 @@ def thresholding_forward(f: np.ndarray, w: np.ndarray, params: ThresholdingParam
     s = e / e.sum(axis=-1, keepdims=True)
     y = (a * s).sum(axis=-1)
     return y, a, s
-
-
-def traditional_forward(fm: np.ndarray, fc_trad: np.ndarray) -> float:
-    """Conventional head: adaptive max pool to one value per filter, then linear + sigmoid."""
-    f, _ = maxpool(fm)
-    if f.shape[-1] != fc_trad.shape[0]:
-        raise DataError("fc_trad length does not match the pooled width")
-    return float(sigmoid(f @ fc_trad))
 
 
 @dataclass
@@ -188,7 +163,7 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     drop_mask = None
     scale = 1.0
     if training and state.dropout_rate > 0.0:
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         keep = 1.0 - state.dropout_rate
         # drawn as (B, M, C), then viewed as (B, C, M): the draw order fixes
         # which uniform masks which feature-map cell for a given seed
@@ -248,13 +223,6 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
     return {"W": dW, "fc_trad": dfc}
 
 
-def model_forward(state: ModelState, clip, training: bool = False,
-                  rng: np.random.Generator | int | None = None):
-    """Single-clip forward: blended output y in [0, 1] plus the backward cache."""
-    y, cache = forward_batch(state, _as_batch(clip), training=training, rng=rng)
-    return float(y[0]), cache
-
-
 def state_to_json(state: ModelState) -> str:
     doc = {
         "format": "patternconv-model",
@@ -279,19 +247,22 @@ def state_to_json(state: ModelState) -> str:
 
 
 def state_from_json(text: str) -> ModelState:
-    doc = json.loads(text)
+    doc = json_object(text, "model file")
     if doc.get("format") != "patternconv-model":
         raise DataError("not a model file")
-    M, k, d = doc["M"], doc["k"], doc["d"]
-    return ModelState(
-        W=np.array(doc["W"], dtype=np.float64).reshape(M, k, d),
-        fc_trad=np.array(doc["fc_trad"], dtype=np.float64),
-        fc_frozen=bool(doc["fc_frozen"]),
-        thresh=ThresholdingParams(**doc["thresh"]),
-        alpha=float(doc["alpha"]),
-        dropout_rate=float(doc["dropout_rate"]),
-        padding=int(doc["padding"]),
-    )
+    try:
+        M, k, d = doc["M"], doc["k"], doc["d"]
+        return ModelState(
+            W=np.array(doc["W"], dtype=np.float64).reshape(M, k, d),
+            fc_trad=np.array(doc["fc_trad"], dtype=np.float64),
+            fc_frozen=bool(doc["fc_frozen"]),
+            thresh=ThresholdingParams(**doc["thresh"]),
+            alpha=float(doc["alpha"]),
+            dropout_rate=float(doc["dropout_rate"]),
+            padding=int(doc["padding"]),
+        )
+    except KeyError as e:
+        raise DataError(f"model file missing key {e}") from None
 
 
 def filters_to_json(W: np.ndarray, padding: int = DEFAULT_PADDING, extra: dict | None = None) -> str:
@@ -311,8 +282,11 @@ def filters_to_json(W: np.ndarray, padding: int = DEFAULT_PADDING, extra: dict |
 
 
 def filters_from_json(text: str) -> tuple[np.ndarray, dict]:
-    doc = json.loads(text)
+    doc = json_object(text, "filter snapshot file")
     if doc.get("format") != "patternconv-filters":
         raise DataError("not a filter snapshot file")
-    W = np.array(doc["W"], dtype=np.float64).reshape(doc["M"], doc["k"], doc["d"])
+    try:
+        W = np.array(doc["W"], dtype=np.float64).reshape(doc["M"], doc["k"], doc["d"])
+    except KeyError as e:
+        raise DataError(f"filter snapshot file missing key {e}") from None
     return W, doc

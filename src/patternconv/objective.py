@@ -152,14 +152,3 @@ def regularizer_grad(W: np.ndarray, weights: LossWeights, vocab: FeatureVocabula
     if weights.poss:
         g += weights.poss * l_poss_grad(W, vocab.help_related, vocab.attempt_related)
     return g
-
-
-def total_loss(y: float, label, W: np.ndarray, weights: LossWeights,
-               vocab: FeatureVocabulary, min_params: MinPenaltyParams):
-    """BCE plus scaled regularizers; returns (value, dL/dy, dL/dW from the regularizers).
-
-    The convolution path's contribution to dL/dW flows separately through
-    netcore.backward_batch with the returned dL/dy.
-    """
-    value = float(np.asarray(bce(y, label)).sum()) + regularizer_value(W, weights, vocab, min_params)
-    return value, bce_grad(y, label), regularizer_grad(W, weights, vocab, min_params)

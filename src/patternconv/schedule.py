@@ -106,7 +106,7 @@ def era_reset(state: ModelState, per_filter_precision: np.ndarray,
     prec = np.asarray(per_filter_precision, dtype=np.float64)
     if prec.shape != (state.M,):
         raise DataError("precision vector length does not match the filter count")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     empty = (state.W.reshape(state.M, -1) == 0).all(axis=1)
     reinit = empty | np.isnan(prec) | (prec < schedule.reinit_precision_threshold)
     new_state = state.copy()

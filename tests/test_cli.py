@@ -85,6 +85,27 @@ def test_bad_dataset_exits_2(tmp_path, tiny_config_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _write_clips(path, vocab, n_clips, length):
+    rng = np.random.default_rng(0)
+    clips = tuple(corpus.Clip(clip_id=f"c{i}", label=bool(i % 2),
+                              steps=random_legal_steps(vocab, length, rng))
+                  for i in range(n_clips))
+    corpus.write_dataset(corpus.Dataset(vocabulary=vocab, clips=clips), path)
+    return str(path)
+
+
+def _write_bank(path, vocab, k=3, edit=None):
+    cells = np.zeros((k, vocab.d), dtype=np.uint8)
+    cells[0, vocab.help_index] = 1
+    bank = curator.PatternBank(patterns=(curator.Pattern(cells=cells, pattern_id="p"),),
+                               vocabulary=vocab)
+    doc = json.loads(curator.bank_to_json(bank))
+    if edit:
+        edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _set_cell(value):
     def mutate(steps):
         steps[1][4] = value
@@ -105,12 +126,8 @@ BAD_STEPS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_STEPS))
 def test_bad_step_values_exit_2(tmp_path, tiny_config_path, capsys, vocab, case):
-    rng = np.random.default_rng(0)
-    clips = tuple(corpus.Clip(clip_id=f"c{i}", label=bool(i % 2),
-                              steps=random_legal_steps(vocab, 5, rng))
-                  for i in range(4))
     path = tmp_path / "clips.jsonl"
-    corpus.write_dataset(corpus.Dataset(vocabulary=vocab, clips=clips), path)
+    _write_clips(path, vocab, 4, 5)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
     edit, message = BAD_STEPS[case]
@@ -122,6 +139,55 @@ def test_bad_step_values_exit_2(tmp_path, tiny_config_path, capsys, vocab, case)
     err = capsys.readouterr().err
     assert code == 2
     assert "data error: clip 'c1': " in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_clips_shorter_than_the_kernel_exit_2(tmp_path, capsys, vocab, command):
+    """One-step clips: unpadded under the 3-step kernel for train, padded to
+    three steps under a 4-step pattern for eval of a bank."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": {"padding": 0}}))
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 1)
+    argv = {"train": ["--config", str(config), "train", data],
+            "eval": ["eval", _write_bank(tmp_path / "bank.json", vocab, k=4), data]}[command]
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "data error: clip too short for the kernel" in err
+    assert "Traceback" not in err
+
+
+def _missing_dataset(tmp, vocab, data):
+    return ["train", str(tmp / "missing.jsonl")]
+
+
+def _bank_without_patterns(tmp, vocab, data):
+    return ["eval", _write_bank(tmp / "b.json", vocab, edit=lambda d: d.pop("patterns")), data]
+
+
+def _bank_not_json(tmp, vocab, data):
+    path = tmp / "b.json"
+    path.write_text('{"format": "patternconv-bank", ')
+    return ["eval", str(path), data]
+
+
+# each case writes one unreadable input and returns the command that reads it
+UNREADABLE = {
+    "missing_dataset": (_missing_dataset, "No such file"),
+    "bank_without_patterns": (_bank_without_patterns, "pattern bank file missing key 'patterns'"),
+    "bank_not_json": (_bank_not_json, "is not JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_inputs_exit_2(tmp_path, capsys, vocab, case):
+    build, message = UNREADABLE[case]
+    argv = build(tmp_path, vocab, _write_clips(tmp_path / "d.jsonl", vocab, 40, 5))
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from conftest import random_legal_clip_batch, random_legal_pattern
 from patternconv import corpus, curator, trainer
 from patternconv.corpus import Clip, Dataset
-from patternconv.curator import (Pattern, PatternBank, bank_predict,
-                                 bank_predict_batch, binarize,
-                                 cumulative_kappa_curve, dedup, discrete_match,
-                                 prune_subsumed, rank_by_precision, select_bank,
-                                 subsumes)
+from patternconv.curator import (Pattern, PatternBank, bank_predict_batch,
+                                 binarize, cumulative_kappa_curve, dedup,
+                                 discrete_match, match_matrix, prune_subsumed,
+                                 rank_by_precision, select_bank, subsumes)
 from patternconv.errors import DataError
 from patternconv.evalmetrics import confusion, kappa
 
@@ -95,18 +94,25 @@ def test_match_dimension_mismatch(vocab):
 
 # -------------------------------------------------------------- bank_predict
 
+def _dataset_of(vocab, X):
+    return Dataset(vocabulary=vocab, clips=tuple(
+        Clip(clip_id=str(i), steps=x, label=False) for i, x in enumerate(X)))
+
+
 def test_bank_predict_empty(vocab):
     bank = PatternBank(patterns=(), vocabulary=vocab)
-    pred, ids = bank_predict(bank, np.zeros((5, vocab.d), dtype=np.uint8))
-    assert pred is False and ids == []
+    X = np.zeros((1, 5, vocab.d), dtype=np.uint8)
+    assert match_matrix(bank.patterns, X).shape == (0, 1)
+    assert bank_predict_batch(bank, _dataset_of(vocab, X)).tolist() == [False]
 
 
 def test_bank_predict_single(vocab):
     rng = np.random.default_rng(1)
-    X = random_legal_clip_batch(vocab, 1, 5, rng)[0]
-    bank = PatternBank(patterns=(_pat(X[0:3], "hit"),), vocabulary=vocab)
-    pred, ids = bank_predict(bank, X)
-    assert pred and ids == ["hit"]
+    X = random_legal_clip_batch(vocab, 1, 5, rng)
+    bank = PatternBank(patterns=(_pat(X[0, 0:3], "hit"),), vocabulary=vocab)
+    # padded window 1 aligns the pattern with clip steps 0..2
+    assert match_matrix(bank.patterns, X).tolist() == [[1]]
+    assert bank_predict_batch(bank, _dataset_of(vocab, X)).tolist() == [True]
 
 
 def test_bank_predict_brute_force_oracle(vocab):
@@ -114,8 +120,7 @@ def test_bank_predict_brute_force_oracle(vocab):
     pats = [random_legal_pattern(vocab, 3, rng) for _ in range(25)]
     bank = PatternBank(patterns=tuple(pats), vocabulary=vocab)
     X = random_legal_clip_batch(vocab, 60, 5, rng)
-    got = bank_predict_batch(bank, Dataset(vocabulary=vocab, clips=tuple(
-        Clip(clip_id=str(i), steps=x, label=False) for i, x in enumerate(X))))
+    got = bank_predict_batch(bank, _dataset_of(vocab, X))
     for i, x in enumerate(X):
         expect = any(discrete_match(p, x, padding=1)[0] for p in pats)
         assert got[i] == expect
@@ -125,8 +130,7 @@ def test_bank_predict_monotone(vocab):
     rng = np.random.default_rng(3)
     pats = [random_legal_pattern(vocab, 3, rng) for _ in range(10)]
     X = random_legal_clip_batch(vocab, 40, 5, rng)
-    ds = Dataset(vocabulary=vocab, clips=tuple(
-        Clip(clip_id=str(i), steps=x, label=False) for i, x in enumerate(X)))
+    ds = _dataset_of(vocab, X)
     prev = np.zeros(len(X), dtype=bool)
     for n in range(1, len(pats) + 1):
         cur = bank_predict_batch(PatternBank(patterns=tuple(pats[:n]), vocabulary=vocab), ds)

@@ -1,6 +1,8 @@
 """Forward/backward core: shapes, the four thresholding stages, blending,
 dropout, finite-difference gradient checks, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,8 @@ from patternconv import kernels, netcore, objective
 from patternconv.corpus import FeatureVocabulary
 from patternconv.errors import DataError
 from patternconv.netcore import (ModelState, ThresholdingParams, backward_batch,
-                                 forward_batch, init_state, maxpool, model_forward,
-                                 sigmoid, thresholding_forward, thresholding_weights,
-                                 traditional_forward)
+                                 forward_batch, init_state, maxpool, sigmoid,
+                                 thresholding_forward, thresholding_weights)
 
 
 def _state(M=2, k=3, d=13, seed=0, **kw):
@@ -27,8 +28,8 @@ def test_conv_zero_filters_zero_maps(vocab):
     st_.W[:] = 0.0
     rng = np.random.default_rng(0)
     X = random_legal_clip_batch(vocab, 1, 5, rng)
-    h = netcore.conv_forward(st_, X[0])
-    assert (h == 0).all()
+    _, cache = forward_batch(st_, X)
+    assert (cache.h_pre == 0).all()
 
 
 def test_conv_window_self_match_counts_ones(vocab):
@@ -36,31 +37,34 @@ def test_conv_window_self_match_counts_ones(vocab):
     X = random_legal_clip_batch(vocab, 1, 5, rng)[0]
     st_ = _state(M=1, d=vocab.d)
     st_.W[0] = X[1:4].astype(np.float64)  # filter equals the middle window
-    h = netcore.conv_forward(st_, X)
+    _, cache = forward_batch(st_, X[None])
     # padded window index 2 aligns the filter with clip steps 1..3
-    assert h[0, 2] == pytest.approx(X[1:4].sum())
+    assert cache.h_pre[0, 2, 0] == pytest.approx(X[1:4].sum())
 
 
 def test_conv_position_count():
     st_ = _state(d=13)
-    X = np.zeros((5, 13))
-    assert netcore.conv_forward(st_, X).shape == (2, 5)  # C = 5-3+1+2
+    X = np.zeros((1, 5, 13))
+    assert forward_batch(st_, X)[1].h_pre.shape == (1, 5, 2)  # C = 5-3+1+2
 
 
 @settings(max_examples=30, deadline=None)
 @given(L=st.integers(1, 12), padding=st.integers(0, 2))
 def test_shape_law(L, padding):
     k = 3
-    if L + 2 * padding < k:
-        return
     st_ = init_state(2, k, 13, padding=padding, rng=np.random.default_rng(0))
-    C = netcore.conv_forward(st_, np.zeros((L, 13))).shape[1]
+    X = np.zeros((1, L, 13))
+    if L + 2 * padding < k:
+        with pytest.raises(DataError, match="too short"):
+            forward_batch(st_, X)
+        return
+    C = forward_batch(st_, X)[1].h_pre.shape[1]
     assert C == L - k + 1 + 2 * padding
 
 
 def test_conv_dimension_mismatch():
     with pytest.raises(DataError):
-        netcore.conv_forward(_state(d=13), np.zeros((5, 7)))
+        forward_batch(_state(d=13), np.zeros((1, 5, 7)))
 
 
 # ------------------------------------------------------------------ pooling
@@ -141,28 +145,39 @@ def test_thresholding_boundary():
 
 # --------------------------------------------------------- traditional head
 
-def test_traditional_zero_weights():
-    fm = np.array([[1.0, 0.0], [0.5, 2.0]])
-    assert traditional_forward(fm, np.zeros(2)) == pytest.approx(0.5)
+def test_traditional_zero_weights(vocab):
+    st_ = _state(M=2, d=vocab.d)
+    st_.fc_trad[:] = 0.0
+    X = random_legal_clip_batch(vocab, 3, 5, np.random.default_rng(0))
+    _, cache = forward_batch(st_, X)
+    assert cache.y_trad == pytest.approx([0.5] * 3)
 
 
 def test_traditional_linear_sigmoid():
-    fm = np.array([[1.0], [0.0]])
-    assert traditional_forward(fm, np.array([2.0, -1.0])) == pytest.approx(float(sigmoid(2.0)), rel=1e-9)
+    """Pooled activations (1, 0) through weights (2, -1): sigmoid(2)."""
+    st_ = _state(M=2, d=13)
+    st_.W[:] = 0.0
+    st_.W[0, 1, 4] = 1.0
+    st_.fc_trad[:] = [2.0, -1.0]
+    X = np.zeros((1, 5, 13))
+    X[0, 2, 4] = 1.0
+    _, cache = forward_batch(st_, X)
+    assert cache.f[0].tolist() == [1.0, 0.0]
+    assert cache.y_trad[0] == pytest.approx(float(sigmoid(2.0)), rel=1e-9)
 
 
 # ------------------------------------------------------------ blend and clip
 
 def test_blend_endpoints(vocab):
     rng = np.random.default_rng(2)
-    X = random_legal_clip_batch(vocab, 1, 5, rng)[0].astype(np.float64)
+    X = random_legal_clip_batch(vocab, 1, 5, rng).astype(np.float64)
     st_ = _state(M=4, d=vocab.d, seed=3)
     st_.alpha = 0.0
-    y0, cache0 = model_forward(st_, X)
-    assert y0 == pytest.approx(float(cache0.y_trad[0]))
+    y0, cache0 = forward_batch(st_, X)
+    assert y0[0] == pytest.approx(float(cache0.y_trad[0]))
     st_.alpha = 1.0
-    y1, cache1 = model_forward(st_, X)
-    assert y1 == pytest.approx(float(cache1.y_thresh[0]))
+    y1, cache1 = forward_batch(st_, X)
+    assert y1[0] == pytest.approx(float(cache1.y_thresh[0]))
 
 
 def test_blend_midpoint_arithmetic():
@@ -302,6 +317,20 @@ def test_filters_json_round_trip():
     W = np.random.default_rng(0).random((4, 3, 13))
     W2, doc = netcore.filters_from_json(netcore.filters_to_json(W, extra={"era": 7}))
     assert (W2 == W).all() and doc["era"] == 7
+
+
+@pytest.mark.parametrize("load", [netcore.state_from_json, netcore.filters_from_json])
+def test_malformed_model_and_snapshot_files_raise_data_error(load):
+    with pytest.raises(DataError, match="is not JSON"):
+        load('{"W": [0.5,')
+    with pytest.raises(DataError, match="is not a JSON object"):
+        load("[1, 2]")
+    text = (netcore.state_to_json(_state()) if load is netcore.state_from_json
+            else netcore.filters_to_json(_state().W))
+    doc = json.loads(text)
+    del doc["W"]
+    with pytest.raises(DataError, match="missing key 'W'"):
+        load(json.dumps(doc))
 
 
 def test_thresholding_params_validation():

@@ -113,16 +113,17 @@ def test_l_poss_is_per_step_sum(vocab):
 # ----------------------------------------------------------- composite loss
 
 def test_total_loss_reduces_to_bce(vocab):
+    """With zero regularizer weights the training loss is the BCE alone."""
     W = np.random.default_rng(0).random((2, 3, vocab.d))
-    v, dy, dW = objective.total_loss(0.7, 1, W, LossWeights(), vocab, MP)
-    assert v == pytest.approx(float(bce(0.7, 1)))
-    assert (dW == 0).all()
+    assert regularizer_value(W, LossWeights(), vocab, MP) == 0.0
+    assert (regularizer_grad(W, LossWeights(), vocab, MP) == 0).all()
 
 
 def test_total_loss_composition(vocab):
+    """BCE plus the weighted regularizer value, as a training step adds them."""
     W = np.zeros((1, 1, vocab.d))
     W[0, 0, sorted(vocab.attempt_related)[0]] = 0.5
-    v, _, _ = objective.total_loss(0.5, 1, W, LossWeights(bin=2.0), vocab, MP)
+    v = float(bce(0.5, 1)) + regularizer_value(W, LossWeights(bin=2.0), vocab, MP)
     assert v == pytest.approx(math.log(2) + 2 * 0.25)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import FeatureVocabulary
 from .curator import Pattern, PatternBank, match_matrix
-from .errors import DataError
+from .errors import DataError, read_text
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,15 @@ def expert_from_names(name: str, step_names, vocab: FeatureVocabulary) -> Expert
 def load_expert_patterns(path, vocab: FeatureVocabulary) -> list[ExpertPattern]:
     """Line-delimited records with `name` and `steps` (arrays of feature names)."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(expert_from_names(rec["name"], rec["steps"], vocab))
-            except (json.JSONDecodeError, KeyError) as e:
-                raise DataError(f"{path}:{lineno + 1}: malformed expert pattern: {e}") from None
+    for lineno, line in enumerate(read_text(path).splitlines()):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            out.append(expert_from_names(rec["name"], rec["steps"], vocab))
+        except (json.JSONDecodeError, KeyError) as e:
+            raise DataError(f"{path}:{lineno + 1}: malformed expert pattern: {e}") from None
     return out
 
 

@@ -13,12 +13,12 @@ import sys
 import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
-from .errors import ConfigError, DataError, NumericalError, json_object
+from .errors import ConfigError, DataError, NumericalError, json_object, read_text
 from .objective import MinPenaltyParams
-from .schedule import ConstraintSchedule
+from .schedule import DEFAULT_TARGETS, ConstraintSchedule
 
 DEFAULT_CONFIG = {
-    "model": {"M": 64, "k": 3, "d": 13, "padding": 1},
+    "model": {"M": 64, "k": 3, "padding": 1},
     "data": {
         "clip_length": 5,
         "n_clips": 2000,
@@ -29,7 +29,6 @@ DEFAULT_CONFIG = {
         "p_feature": 0.10,
         "p_distract": 0.7,
         "planted_bank": None,
-        "dataset": None,
     },
     "split": {"test_fraction": 0.25, "val_fraction": 0.2},
     "train": {
@@ -40,14 +39,55 @@ DEFAULT_CONFIG = {
         "epochs_per_era": 50,
         "targets": {},
         "harvest_precision_threshold": 0.3,
-        "class_weighting": True,
         "dropout_base": 0.35,
         "dropout_era_amp": 0.45,
         "anneal_end_fraction": 0.9,
         "seed": 0,
     },
-    "curate": {"n_override": None, "check_shifts": True},
+    "curate": {"n_override": None},
 }
+
+# The type a set value must have where the default alone does not say it:
+# these leaves may also be null (null planted_bank plants the default
+# patterns, null n_override selects by kappa, null final_learning_rate keeps
+# the rate flat and null dropout_base keeps the model's flat dropout).
+_NULLABLE = {("data", "planted_bank"): str, ("curate", "n_override"): int,
+             ("train", "final_learning_rate"): float, ("train", "dropout_base"): float}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _fits(value, kind: type) -> bool:
+    """JSON type check: no leaf takes a bool, and a float leaf takes any
+    number."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_keys(override, defaults: dict, path: tuple = ()) -> None:
+    """ConfigError naming the first key of `override` that is not in
+    `defaults` or whose value has the wrong type."""
+    where = ".".join(path) or "config"
+    if not isinstance(override, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key, value in override.items():
+        leaf = path + (key,)
+        name = ".".join(leaf)
+        if key not in defaults:
+            raise ConfigError(f"unknown config key '{name}'")
+        if leaf == ("train", "targets"):
+            _check_keys(value, DEFAULT_TARGETS, leaf)
+        elif isinstance(defaults[key], dict):
+            _check_keys(value, defaults[key], leaf)
+        elif value is None and leaf in _NULLABLE:
+            continue
+        else:
+            kind = _NULLABLE.get(leaf, type(defaults[key]))
+            if not _fits(value, kind):
+                raise ConfigError(f"config key '{name}' must be {_TYPE_NAMES[kind]}, "
+                                  f"not {json.dumps(value)}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -64,10 +104,12 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            with open(path) as fh:
-                cfg = _merge(cfg, json.load(fh))
-        except (OSError, json.JSONDecodeError) as e:
+            with open(path, encoding="utf-8") as fh:
+                override = json.load(fh)
+        except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
             raise ConfigError(f"cannot read config {path}: {e}") from None
+        _check_keys(override, DEFAULT_CONFIG)
+        cfg = _merge(cfg, override)
     if seed is not None:
         cfg["train"]["seed"] = seed
     model = cfg["model"]
@@ -101,7 +143,7 @@ def default_planted_patterns(vocab: corpus.FeatureVocabulary) -> list[curator.Pa
 
 def build_schedule(tcfg: dict) -> ConstraintSchedule:
     return ConstraintSchedule.default(eras=tcfg["eras"], epochs_per_era=tcfg["epochs_per_era"],
-                                      targets=tcfg.get("targets") or {})
+                                      targets=tcfg["targets"])
 
 
 def build_train_config(cfg: dict) -> trainer.TrainConfig:
@@ -113,7 +155,6 @@ def build_train_config(cfg: dict) -> trainer.TrainConfig:
         schedule=build_schedule(tcfg),
         min_params=MinPenaltyParams(),
         harvest_precision_threshold=tcfg["harvest_precision_threshold"],
-        class_weighting=tcfg["class_weighting"],
         dropout_base=tcfg["dropout_base"],
         dropout_era_amp=tcfg["dropout_era_amp"],
         anneal_end_fraction=tcfg["anneal_end_fraction"],
@@ -122,10 +163,9 @@ def build_train_config(cfg: dict) -> trainer.TrainConfig:
 
 
 def _planted(cfg: dict, vocab: corpus.FeatureVocabulary) -> list[curator.Pattern]:
-    path = cfg["data"].get("planted_bank")
+    path = cfg["data"]["planted_bank"]
     if path:
-        with open(path) as fh:
-            return list(curator.bank_from_json(fh.read()).patterns)
+        return list(curator.bank_from_json(read_text(path)).patterns)
     return default_planted_patterns(vocab)
 
 
@@ -138,12 +178,13 @@ def cmd_synth(cfg: dict, out: str) -> int:
         vocab, planted, data["n_clips"], data["label_noise"], data["feature_noise"],
         seed=cfg["train"]["seed"], clip_length=data["clip_length"],
         p_plant=data["p_plant"], p_help=data["p_help"], p_feature=data["p_feature"],
-        p_distract=data["p_distract"],
+        p_distract=data["p_distract"], match_padding=cfg["model"]["padding"],
     )
     h = config_hash(cfg)
     corpus.write_dataset(dataset, os.path.join(out, "dataset.jsonl"),
                          meta={"config_hash": h})
-    bank = curator.PatternBank(patterns=tuple(planted), vocabulary=vocab)
+    bank = curator.PatternBank(patterns=tuple(planted), vocabulary=vocab,
+                               padding=cfg["model"]["padding"])
     with open(os.path.join(out, "planted_bank.json"), "w") as fh:
         fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
     print(f"wrote {len(dataset)} clips (positive rate {dataset.positive_rate:.3f}) to {out}")
@@ -170,7 +211,7 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
             log_fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
         state, snapshots, harvested = trainer.train_full(
-            tc, train_set, val_set, model["M"], model["k"], model["d"],
+            tc, train_set, val_set, model["M"], model["k"], train_set.vocabulary.d,
             padding=model["padding"], log=log)
 
     snap_dir = os.path.join(out, "snapshots")
@@ -187,7 +228,8 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
 
     with open(os.path.join(out, "model.json"), "w") as fh:
         fh.write(netcore.state_to_json(state))
-    bank = curator.PatternBank(patterns=tuple(harvested), vocabulary=train_set.vocabulary)
+    bank = curator.PatternBank(patterns=tuple(harvested), vocabulary=train_set.vocabulary,
+                               padding=model["padding"])
     with open(os.path.join(out, "harvested.json"), "w") as fh:
         fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
     with open(os.path.join(out, "manifest.json"), "w") as fh:
@@ -195,6 +237,21 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
                    "harvested": len(harvested)}, fh, indent=2)
     print(f"trained {len(snapshots)} eras; harvested {len(harvested)} filters")
     return 0
+
+
+def _snapshot_precisions(doc: dict, M: int, path: str) -> np.ndarray:
+    """A snapshot's per-filter precisions, null read as NaN."""
+    if "per_filter_precision" not in doc:
+        raise DataError(f"{path}: filter snapshot file missing key 'per_filter_precision'")
+    try:
+        prec = np.array([np.nan if p is None else p for p in doc["per_filter_precision"]],
+                        dtype=np.float64)
+    except (TypeError, ValueError):
+        prec = None
+    if prec is None or prec.shape != (M,):
+        raise DataError(f"{path}: per_filter_precision must list a number or null "
+                        f"for each of the {M} filters")
+    return prec
 
 
 def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> int:
@@ -209,22 +266,19 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
         raise DataError(f"no snapshot files in {snapshots_dir}")
     harvested = []
     for fname in files:
-        with open(os.path.join(snapshots_dir, fname)) as fh:
-            W, doc = netcore.filters_from_json(fh.read())
-        prec = np.array([np.nan if p is None else p
-                         for p in doc["per_filter_precision"]], dtype=np.float64)
+        path = os.path.join(snapshots_dir, fname)
+        W, doc = netcore.filters_from_json(read_text(path))
         harvested.extend(trainer.harvest_filters(
-            W, prec, doc.get("era", -1), vocab,
-            tcfg["harvest_precision_threshold"], curator.DEFAULT_BINARIZE_TOLERANCE))
+            W, _snapshot_precisions(doc, len(W), path), doc.get("era", -1), vocab,
+            tcfg["harvest_precision_threshold"]))
 
     unique = curator.dedup(harvested)
     pruned = curator.prune_subsumed(unique, clip_length=cfg["data"]["clip_length"],
-                                    padding=model["padding"],
-                                    check_shifts=cfg["curate"]["check_shifts"])
+                                    padding=model["padding"])
     ranked, curve = curator.cumulative_kappa_curve(pruned, train_set, val_set,
                                                   padding=model["padding"])
-    bank = curator.select_bank(curve, ranked, vocab,
-                               n_override=cfg["curate"]["n_override"])
+    bank = curator.select_bank(curve, ranked, vocab, n_override=cfg["curate"]["n_override"],
+                               padding=model["padding"])
     h = config_hash(cfg)
     with open(os.path.join(out, "bank.json"), "w") as fh:
         fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
@@ -236,8 +290,7 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
 
 
 def _load_predictor(path: str):
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     doc = json_object(text, path)
     if doc.get("format") == "patternconv-bank":
         return curator.bank_from_json(text)
@@ -261,8 +314,7 @@ def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int
 
 def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
     os.makedirs(out, exist_ok=True)
-    with open(bank_path) as fh:
-        bank = curator.bank_from_json(fh.read())
+    bank = curator.bank_from_json(read_text(bank_path))
     experts = analysis.load_expert_patterns(expert_path, bank.vocabulary)
     report = analysis.compare_banks(bank, experts, k=cfg["model"]["k"])
     report["config_hash"] = config_hash(cfg)
@@ -280,13 +332,12 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
 
 
 def cmd_explain(cfg: dict, out: str, bank_path: str, clip_path: str, clip_id: str) -> int:
-    with open(bank_path) as fh:
-        bank = curator.bank_from_json(fh.read())
+    bank = curator.bank_from_json(read_text(bank_path))
     dataset = corpus.load_dataset(clip_path)
     clip = next((c for c in dataset.clips if c.clip_id == clip_id), None)
     if clip is None:
         raise DataError(f"clip '{clip_id}' not found in {clip_path}")
-    exp = analysis.explain(clip, bank, bank.vocabulary, padding=cfg["model"]["padding"])
+    exp = analysis.explain(clip, bank, bank.vocabulary, padding=bank.padding)
     print(exp.bullet_text)
     print()
     print(exp.matrix_text)

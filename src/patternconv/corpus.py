@@ -230,14 +230,17 @@ def _parse_clip_record(rec, vocab: FeatureVocabulary) -> tuple[str, np.ndarray, 
 _CHECK_ROWS = 1 << 13  # rows per block of the load-time rule check, to bound its temporaries
 
 
-def load_dataset(path, vocabulary: FeatureVocabulary | None = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a line-delimited clip file, rejecting the whole file on any
     violation. Every clip must have the same number of steps."""
     clips = []
     X = None  # (lines in the file, L, d): each clip's steps are a view of one row
-    header_vocab = None
-    with open(path) as fh:
-        n_lines = sum(1 for _ in fh)
+    vocab = None
+    with open(path, encoding="utf-8") as fh:
+        try:  # the first pass decodes the whole file
+            n_lines = sum(1 for _ in fh)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path} is not UTF-8 text: {e}") from None
         fh.seek(0)
         for lineno, line in enumerate(fh):
             line = line.strip()
@@ -249,12 +252,11 @@ def load_dataset(path, vocabulary: FeatureVocabulary | None = None) -> Dataset:
                 raise DataError(f"{path}:{lineno + 1}: malformed record: {e}") from None
             if isinstance(rec, dict) and rec.get("format") == CLIP_FORMAT_NAME:
                 file_vocab = FeatureVocabulary.from_record(rec)
-                if header_vocab is not None and file_vocab != header_vocab:
+                if vocab is not None and file_vocab != vocab:
                     raise DataError(f"{path}:{lineno + 1}: vocabulary header differs "
                                     "from an earlier one")
-                header_vocab = file_vocab
+                vocab = file_vocab
                 continue
-            vocab = vocabulary or header_vocab
             if vocab is None:
                 raise DataError(f"{path}: clip record before vocabulary header")
             clip_id, steps, label = _parse_clip_record(rec, vocab)
@@ -265,11 +267,8 @@ def load_dataset(path, vocabulary: FeatureVocabulary | None = None) -> Dataset:
                                 f"clips have {X.shape[1]}")
             X[len(clips)] = steps
             clips.append(Clip(clip_id=clip_id, steps=X[len(clips)], label=label))
-    vocab = vocabulary or header_vocab
     if vocab is None:
-        raise DataError(f"{path}: no vocabulary header and none supplied")
-    if vocabulary is not None and header_vocab is not None and header_vocab != vocabulary:
-        raise DataError(f"{path}: file vocabulary differs from the supplied one")
+        raise DataError(f"{path}: no vocabulary header")
     if clips:
         rows = X[:len(clips)].reshape(-1, vocab.d)
         for start in range(0, len(rows), _CHECK_ROWS):

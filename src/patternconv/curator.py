@@ -66,6 +66,7 @@ class Pattern:
 class PatternBank:
     patterns: tuple[Pattern, ...]
     vocabulary: FeatureVocabulary
+    padding: int = 1  # the zero padding its patterns are matched with
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -154,10 +155,10 @@ def match_matrix(patterns, dataset_or_steps, padding: int = 1) -> np.ndarray:
     return kernels.match_first_window(cells, kernels.pad_clips(X.astype(np.uint8), padding))
 
 
-def bank_predict_batch(bank: PatternBank, dataset: Dataset, padding: int = 1) -> np.ndarray:
+def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
     if not bank.patterns:
         return np.zeros(len(dataset), dtype=bool)
-    return (match_matrix(bank.patterns, dataset, padding) >= 0).any(axis=0)
+    return (match_matrix(bank.patterns, dataset, bank.padding) >= 0).any(axis=0)
 
 
 def dedup(patterns) -> list[Pattern]:
@@ -211,7 +212,7 @@ def _step_span(cells: np.ndarray):
 
 
 def _dominance(a_cells: np.ndarray, b_cells: np.ndarray, clip_length: int,
-               padding: int, check_shifts: bool) -> np.ndarray:
+               padding: int) -> np.ndarray:
     """D[i, j] = pattern a_cells[i] subsumes pattern b_cells[j] (both (n, k, d)).
 
     Position-aligned containment is a strict subset of positives. A shift s
@@ -224,8 +225,6 @@ def _dominance(a_cells: np.ndarray, b_cells: np.ndarray, clip_length: int,
     n_a = a_cells.sum(axis=(1, 2), dtype=np.int64)
     n_b = b_cells.sum(axis=(1, 2), dtype=np.int64)
     D = _subset(A, not_B) & (n_a[:, None] < n_b[None, :])
-    if not check_shifts:
-        return D
     first_a, last_a, _ = _step_span(a_cells)
     first_b, last_b, live_b = _step_span(b_cells)
     C = clip_length - k + 1 + 2 * padding
@@ -245,26 +244,25 @@ def _dominance(a_cells: np.ndarray, b_cells: np.ndarray, clip_length: int,
 
 
 def subsumes(a: Pattern, b: Pattern, clip_length: int = DEFAULT_CLIP_LENGTH,
-             padding: int = 1, check_shifts: bool = True) -> bool:
+             padding: int = 1) -> bool:
     """True when a is more general than b: every clip b matches, a matches too.
 
     Position-aligned containment requires a's positives to be a strict subset
     of b's. Shifted containment additionally requires the shift to keep a's
     match window in range for every window where b can match.
     """
-    return bool(_dominance(a.cells[None], b.cells[None], clip_length, padding,
-                           check_shifts)[0, 0])
+    return bool(_dominance(a.cells[None], b.cells[None], clip_length, padding)[0, 0])
 
 
-def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH, padding: int = 1,
-                   check_shifts: bool = True) -> list[Pattern]:
+def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH,
+                   padding: int = 1) -> list[Pattern]:
     """Drop every pattern some other pattern subsumes; mutual (shift-equal)
     pairs keep the earlier one."""
     patterns = list(patterns)
     if not patterns:
         return []
     cells = np.stack([p.cells for p in patterns])
-    D = _dominance(cells, cells, clip_length, padding, check_shifts)
+    D = _dominance(cells, cells, clip_length, padding)
     np.fill_diagonal(D, False)
     later = np.tri(len(patterns), k=-1, dtype=bool)  # [i, j] with j < i
     dominated = (D & ~(D.T & later)).any(axis=0)
@@ -326,8 +324,9 @@ def cumulative_kappa_curve(patterns, ranking_set: Dataset, eval_set: Dataset,
 
 
 def select_bank(curve, sorted_patterns, vocabulary: FeatureVocabulary,
-                n_override: int | None = None) -> PatternBank:
-    """Prefix maximizing eval kappa (smallest n on ties); n_override wins."""
+                n_override: int | None = None, padding: int = 1) -> PatternBank:
+    """Prefix maximizing eval kappa (smallest n on ties); n_override wins.
+    `padding` is the one the curve was computed with, recorded in the bank."""
     if n_override is not None:
         n = n_override
     elif not curve:
@@ -335,13 +334,15 @@ def select_bank(curve, sorted_patterns, vocabulary: FeatureVocabulary,
     else:
         best = max(k for _, k in curve)
         n = next(i for i, k in curve if k == best)
-    return PatternBank(patterns=tuple(sorted_patterns[:n]), vocabulary=vocabulary)
+    return PatternBank(patterns=tuple(sorted_patterns[:n]), vocabulary=vocabulary,
+                       padding=padding)
 
 
 def bank_to_json(bank: PatternBank, extra: dict | None = None) -> str:
     doc = {
         "format": "patternconv-bank",
         "version": BANK_FORMAT_VERSION,
+        "padding": bank.padding,
         "vocabulary": bank.vocabulary.to_record(),
         "patterns": [p.to_record() for p in bank.patterns],
     }
@@ -354,10 +355,14 @@ def bank_from_json(text: str) -> PatternBank:
     doc = json_object(text, "pattern bank file")
     if doc.get("format") != "patternconv-bank":
         raise DataError("not a pattern bank file")
+    padding = doc.get("padding", 1)  # banks written before the field matched with 1
+    if isinstance(padding, bool) or not isinstance(padding, int) or padding < 0:
+        raise DataError("pattern bank padding must be a non-negative integer")
     try:
         return PatternBank(
             patterns=tuple(Pattern.from_record(r) for r in doc["patterns"]),
             vocabulary=FeatureVocabulary.from_record(doc["vocabulary"]),
+            padding=padding,
         )
     except KeyError as e:
         raise DataError(f"pattern bank file missing key {e}") from None

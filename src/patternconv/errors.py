@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the JSON document
-reader that turns a malformed document into a DataError."""
+"""Exception hierarchy shared across the package, and the file and JSON
+document readers that turn an undecodable or malformed input into a
+DataError."""
 
 import json
 
@@ -29,3 +30,12 @@ def json_object(text: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise DataError(f"{what} is not a JSON object")
     return doc
+
+
+def read_text(path) -> str:
+    """A data file's text; DataError when it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path} is not UTF-8 text: {e}") from None

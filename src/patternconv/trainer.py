@@ -26,8 +26,6 @@ class TrainConfig:
     schedule: ConstraintSchedule = field(default_factory=lambda: ConstraintSchedule.default())
     min_params: MinPenaltyParams = field(default_factory=MinPenaltyParams)
     harvest_precision_threshold: float = 0.3
-    binarize_tolerance: float = DEFAULT_BINARIZE_TOLERANCE
-    class_weighting: bool = True
     log_val_metrics: bool = True
     # Dropout annealing. The match band a filter must reach widens with the
     # dropout rate (a training-time "match" only needs overlap >= 0.99 * (1-p)),
@@ -174,7 +172,7 @@ def eval_filter_precision(W: np.ndarray, dataset: Dataset, padding: int = 1) -> 
 
 def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
                     vocab: FeatureVocabulary, threshold: float,
-                    tolerance: float) -> list[Pattern]:
+                    tolerance: float = DEFAULT_BINARIZE_TOLERANCE) -> list[Pattern]:
     """Binarize filters whose discrete precision clears the threshold; filters
     failing binarization (non-binary cells or invariant violations) are dropped."""
     precisions = np.asarray(precisions, dtype=np.float64)
@@ -200,7 +198,7 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
     sched = config.schedule
     rng = np.random.default_rng(config.seed)
     state = netcore.init_state(M, k, d, padding=padding, rng=rng)
-    pos_weight = _pos_weight(train_set) if config.class_weighting else 1.0
+    pos_weight = _pos_weight(train_set)
     train_w = WindowedSet.build(train_set, k, padding)
     val_w = WindowedSet.build(val_set, k, padding) if val_set is not None and len(val_set) else None
 
@@ -230,8 +228,7 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
                                      per_filter_precision=precisions.copy(),
                                      epoch_losses=tuple(epoch_records)))
         harvested.extend(harvest_filters(state.W, precisions, era, train_set.vocabulary,
-                                         config.harvest_precision_threshold,
-                                         config.binarize_tolerance))
+                                         config.harvest_precision_threshold))
         if era < sched.eras - 1:
             state = era_reset(state, precisions, sched, rng)
     return state, snapshots, harvested

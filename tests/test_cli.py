@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_legal_steps
-from patternconv import cli, corpus, curator
+from patternconv import cli, corpus, curator, netcore
 
 TINY_CONFIG = {
     "model": {"M": 8},
@@ -63,6 +63,64 @@ def test_invalid_kernel_config_exits_1(tmp_path, capsys):
     code = _run(["--config", str(path), "--out", str(tmp_path / "o"), "synth"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+# each case is a config the schema rejects, and the key path its error names
+BAD_CONFIGS = {
+    "removed_data_dataset": ({"data": {"dataset": "clips.jsonl"}}, "data.dataset"),
+    "removed_model_d": ({"model": {"d": 13}}, "model.d"),
+    "removed_class_weighting": ({"train": {"class_weighting": True}}, "train.class_weighting"),
+    "removed_check_shifts": ({"curate": {"check_shifts": False}}, "curate.check_shifts"),
+    "typo_epoch_per_era": ({"train": {"epoch_per_era": 2}}, "train.epoch_per_era"),
+    "unknown_section": ({"eval": {}}, "eval"),
+    "unknown_target": ({"train": {"targets": {"gamma": 1.0}}}, "train.targets.gamma"),
+    "string_count": ({"train": {"eras": "2"}}, "train.eras"),
+    "float_count": ({"model": {"M": 8.0}}, "model.M"),
+    "bool_count": ({"train": {"batch_size": True}}, "train.batch_size"),
+    "string_rate": ({"train": {"learning_rate": "0.1"}}, "train.learning_rate"),
+    "bool_rate": ({"data": {"p_plant": False}}, "data.p_plant"),
+    "null_count": ({"data": {"n_clips": None}}, "data.n_clips"),
+    "null_rate": ({"train": {"dropout_era_amp": None}}, "train.dropout_era_amp"),
+    "string_target": ({"train": {"targets": {"bin": "2"}}}, "train.targets.bin"),
+    "numeric_path": ({"data": {"planted_bank": 3}}, "data.planted_bank"),
+    "float_override": ({"curate": {"n_override": 2.5}}, "curate.n_override"),
+    "section_not_object": ({"model": 3}, "model"),
+    "targets_not_object": ({"train": {"targets": [1.0]}}, "train.targets"),
+    "not_object": ([], "config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_schema_violations_exit_1(tmp_path, capsys, case):
+    config, key = BAD_CONFIGS[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code = _run(["--config", str(path), "--out", str(tmp_path / "o"), "synth"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"'{key}'" in err or f"error: {key} must be" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_nulls_and_numbers_where_meant(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "data": {"planted_bank": None, "p_plant": 1},
+        "train": {"final_learning_rate": None, "dropout_base": None, "learning_rate": 1,
+                  "targets": {"bin": 3, "min": 0.25}},
+        "curate": {"n_override": 2}}))
+    cfg = cli.load_config(str(path))
+    assert cfg["train"]["targets"] == {"bin": 3, "min": 0.25}
+    assert cfg["curate"]["n_override"] == 2 and cfg["train"]["dropout_base"] is None
+
+
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = _run(["--config", str(path), "--out", str(tmp_path / "o"), "synth"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "cannot read config" in err and "utf-8" in err
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):
@@ -172,11 +230,48 @@ def _bank_not_json(tmp, vocab, data):
     return ["eval", str(path), data]
 
 
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe" + "{}\n".encode("utf-16-le"))
+    return str(path)
+
+
+def _bank_not_utf8(tmp, vocab, data):
+    return ["eval", _not_utf8(tmp / "b.json"), data]
+
+
+def _clips_not_utf8(tmp, vocab, data):
+    return ["train", _not_utf8(tmp / "clips.jsonl")]
+
+
+def _experts_not_utf8(tmp, vocab, data):
+    return ["compare", _write_bank(tmp / "b.json", vocab), _not_utf8(tmp / "experts.jsonl")]
+
+
+def _snapshot_not_utf8(tmp, vocab, data):
+    os.makedirs(tmp / "snaps")
+    _not_utf8(tmp / "snaps" / "era_000.json")
+    return ["curate", str(tmp / "snaps"), data]
+
+
+def _snapshot_without_precision(tmp, vocab, data):
+    os.makedirs(tmp / "snaps")
+    W = np.zeros((2, 3, vocab.d))
+    (tmp / "snaps" / "era_000.json").write_text(netcore.filters_to_json(W, 1, {"era": 0}))
+    return ["curate", str(tmp / "snaps"), data]
+
+
 # each case writes one unreadable input and returns the command that reads it
 UNREADABLE = {
     "missing_dataset": (_missing_dataset, "No such file"),
     "bank_without_patterns": (_bank_without_patterns, "pattern bank file missing key 'patterns'"),
     "bank_not_json": (_bank_not_json, "is not JSON"),
+    "bank_not_utf8": (_bank_not_utf8, "b.json is not UTF-8 text"),
+    "clips_not_utf8": (_clips_not_utf8, "clips.jsonl is not UTF-8 text"),
+    "experts_not_utf8": (_experts_not_utf8, "experts.jsonl is not UTF-8 text"),
+    "snapshot_not_utf8": (_snapshot_not_utf8, "era_000.json is not UTF-8 text"),
+    "snapshot_without_precision": (_snapshot_without_precision,
+                                   "era_000.json: filter snapshot file missing key "
+                                   "'per_filter_precision'"),
 }
 
 
@@ -189,6 +284,88 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys, vocab, case):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+def _edge_help_files(tmp, vocab, padding):
+    """A bank, curated with `padding`, of one pattern whose rows 0 and 2 are
+    empty and whose row 1 asks for help, and clips whose only help step is
+    the last: the pattern reaches that step only through the padding."""
+    cells = np.zeros((3, vocab.d), dtype=np.uint8)
+    cells[1, vocab.help_index] = 1
+    bank = curator.PatternBank(patterns=(curator.Pattern(cells=cells, pattern_id="edge"),),
+                               vocabulary=vocab)
+    doc = json.loads(curator.bank_to_json(bank))
+    doc["padding"] = padding
+    bank_path = tmp / "bank.json"
+    bank_path.write_text(json.dumps(doc))
+    steps = np.zeros((5, vocab.d), dtype=np.uint8)
+    steps[:4, vocab.attempt_indices[0]] = 1
+    steps[4, vocab.help_index] = 1
+    clips = tuple(corpus.Clip(clip_id=f"c{i}", steps=steps.copy(), label=bool(i % 2))
+                  for i in range(40))
+    data_path = tmp / "clips.jsonl"
+    corpus.write_dataset(corpus.Dataset(vocabulary=vocab, clips=clips), data_path)
+    return str(bank_path), str(data_path)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_eval_and_explain_match_with_the_bank_padding(tmp_path, capsys, vocab, padding):
+    """The config says padding 1 (the default) in both runs; only the bank's
+    own padding decides whether the edge pattern matches."""
+    bank_path, data_path = _edge_help_files(tmp_path, vocab, padding)
+    out = str(tmp_path / "o")
+    assert _run(["--out", out, "eval", bank_path, data_path]) == 0
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert [metrics[s]["recall"] for s in ("train", "val", "test")] == [float(padding)] * 3
+    capsys.readouterr()
+    assert _run(["--out", out, "explain", bank_path, data_path, "c1"]) == 0
+    text = capsys.readouterr().out
+    assert ("flagged" in text) == bool(padding)
+    assert ("no pattern matched" in text) == (not padding)
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+class _RecordedReads(dict):
+    """A config (or one of its sections) that records the key path of every
+    read; serialising it reads nothing."""
+
+    def __init__(self, tree, path, seen):
+        super().__init__({k: _RecordedReads(v, path + (k,), seen) if isinstance(v, dict) else v
+                          for k, v in tree.items()})
+        self._path, self._seen = path, seen
+
+    def __getitem__(self, key):
+        self._seen.add(self._path + (key,))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._seen.add(self._path + (key,))
+        return super().get(key, default)
+
+
+def test_every_config_leaf_is_read(tmp_path, tiny_config_path, monkeypatch, capsys):
+    """Guard against dead options: some command reads every leaf of
+    DEFAULT_CONFIG."""
+    seen = set()
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config",
+                        lambda *a, **kw: _RecordedReads(load(*a, **kw), (), seen))
+    out = str(tmp_path / "run")
+    base = ["--config", tiny_config_path, "--seed", "0", "--out", out]
+    data = os.path.join(out, "dataset.jsonl")
+    bank = os.path.join(out, "bank.json")
+    for argv in (["synth"], ["train", data], ["curate", os.path.join(out, "snapshots"), data],
+                 ["eval", bank, data], ["explain", bank, data, "synth-000000"]):
+        assert _run(base + argv) == 0, argv
+    capsys.readouterr()
+    assert set(_leaves(cli.DEFAULT_CONFIG)) - seen == set()
 
 
 # ---------------------------------------------------------------- end to end
@@ -217,6 +394,7 @@ def test_pipeline_end_to_end(tmp_path, tiny_config_path, capsys, vocab):
     bank_path = os.path.join(out, "bank.json")
     with open(bank_path) as fh:
         bank = curator.bank_from_json(fh.read())
+    assert bank.padding == 1
     curve = json.load(open(os.path.join(out, "kappa_curve.json")))["curve"]
     assert len(bank) <= len(curve)
 

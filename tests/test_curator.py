@@ -1,6 +1,8 @@
 """Curation semantics: binarization, exact matching, dedup, subsumption
 pruning against brute-force oracles, ranking, and bank selection."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,8 +191,7 @@ def test_prune_chain(vocab):
     assert [p.pattern_id for p in kept] == ["a"]
 
 
-def _oracle_subsumes(a: Pattern, b: Pattern, clip_length=5, padding=1,
-                     check_shifts=True) -> bool:
+def _oracle_subsumes(a: Pattern, b: Pattern, clip_length=5, padding=1) -> bool:
     """Independent re-derivation: strict containment of positives under a
     single shift whose window offset stays legal for all of b's windows."""
     k = a.cells.shape[0]
@@ -198,7 +199,6 @@ def _oracle_subsumes(a: Pattern, b: Pattern, clip_length=5, padding=1,
     pos_b = set(zip(*np.nonzero(b.cells)))
     if not pos_b:
         return False
-    shifts = range(-(k - 1), k) if check_shifts else (0,)
     rows_b = [n for n, _ in pos_b]
     C = clip_length - k + 1 + 2 * padding
     # windows where b's positive rows all land on real (unpadded) steps
@@ -206,7 +206,7 @@ def _oracle_subsumes(a: Pattern, b: Pattern, clip_length=5, padding=1,
                  if all(0 <= c - padding + n < clip_length for n in rows_b)]
     if not windows_b:
         return False
-    for s in shifts:
+    for s in range(-(k - 1), k):
         moved = {(n + s, j) for n, j in pos_a}
         if any(not 0 <= n < k for n, _ in moved):
             continue
@@ -262,25 +262,24 @@ def test_prune_generality_soundness(vocab):
                 break
 
 
-def test_prune_shift_toggle(vocab):
-    """A subset pattern shifted by one row is pruned only when shift checking
-    is on. b's positives sit on row 0, so b only matches at windows 1-4 and
-    a (same cell on row 1, matching one window earlier) stays in range."""
+def test_prune_shifted_subset(vocab):
+    """A subset pattern shifted by one row is pruned, though neither pattern
+    contains the other position by position. b's positives sit on row 0, so
+    b only matches at windows 1-4 and a (same cell on row 1, matching one
+    window earlier) stays in range."""
     a = np.zeros((3, vocab.d), dtype=np.uint8)
     a[1, vocab.submission_indices[2]] = 1
     b = np.zeros((3, vocab.d), dtype=np.uint8)
     b[0, vocab.submission_indices[2]] = 1
     b[0, sorted(vocab.attempt_related)[0]] = 1
     pats = [_pat(a, "a"), _pat(b, "b")]
-    assert len(prune_subsumed(pats, check_shifts=False)) == 2
-    assert [p.pattern_id for p in prune_subsumed(pats, check_shifts=True)] == ["a"]
+    assert [p.pattern_id for p in prune_subsumed(pats)] == ["a"]
 
 
-def _oracle_prune_ids(patterns, check_shifts=True):
+def _oracle_prune_ids(patterns):
     """The pair rule, pattern by pattern: j goes when some i subsumes it,
     unless j also subsumes i and comes first."""
-    def sub(a, b):
-        return _oracle_subsumes(a, b, check_shifts=check_shifts)
+    sub = _oracle_subsumes
     return [b.pattern_id for j, b in enumerate(patterns)
             if not any(i != j and sub(a, b) and not (sub(b, a) and j < i)
                        for i, a in enumerate(patterns))]
@@ -312,14 +311,13 @@ def _random_pool(vocab, rng, n=60):
     return [_pat(c, f"q{i:03d}") for i, c in enumerate(cells)]
 
 
-@pytest.mark.parametrize("check_shifts", [True, False])
-def test_prune_matches_pair_rule_on_random_pools(vocab, check_shifts):
+def test_prune_matches_pair_rule_on_random_pools(vocab):
     rng = np.random.default_rng(21)
     for trial in range(6):
         pool = _random_pool(vocab, rng)
         for order in (pool, pool[::-1], [pool[i] for i in rng.permutation(len(pool))]):
-            got = [p.pattern_id for p in prune_subsumed(order, check_shifts=check_shifts)]
-            assert got == _oracle_prune_ids(order, check_shifts), (trial, check_shifts)
+            got = [p.pattern_id for p in prune_subsumed(order)]
+            assert got == _oracle_prune_ids(order), trial
 
 
 def test_prune_keeps_earlier_of_shift_equal_pair(vocab):
@@ -485,3 +483,34 @@ def test_bank_json_round_trip(vocab):
     assert len(back) == 4
     for p, q in zip(bank.patterns, back.patterns):
         assert (p.cells == q.cells).all() and p.pattern_id == q.pattern_id
+
+
+def test_bank_json_records_padding(vocab):
+    """A bank keeps the padding it was curated with; a bank file written
+    before the field existed reads as padding 1, and a bad value is a data
+    error."""
+    bank = PatternBank(patterns=(), vocabulary=vocab, padding=0)
+    doc = json.loads(curator.bank_to_json(bank))
+    assert doc["padding"] == 0
+    assert curator.bank_from_json(json.dumps(doc)).padding == 0
+    del doc["padding"]
+    assert curator.bank_from_json(json.dumps(doc)).padding == 1
+    for bad in (-1, 1.0, True, "1"):
+        doc["padding"] = bad
+        with pytest.raises(DataError, match="padding"):
+            curator.bank_from_json(json.dumps(doc))
+
+
+def test_bank_predict_uses_the_bank_padding(vocab):
+    """A pattern with empty rows 0 and 2 needs the padding to reach a help
+    step at the end of the clip."""
+    cells = np.zeros((3, vocab.d), dtype=np.uint8)
+    cells[1, vocab.help_index] = 1
+    X = np.zeros((1, 5, vocab.d), dtype=np.uint8)
+    X[0, :4, vocab.attempt_indices[0]] = 1
+    X[0, 4, vocab.help_index] = 1
+    ds = _dataset_of(vocab, X)
+    got = [bank_predict_batch(PatternBank(patterns=(_pat(cells),), vocabulary=vocab,
+                                          padding=padding), ds).tolist()
+           for padding in (0, 1)]
+    assert got == [[False], [True]]

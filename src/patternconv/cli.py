@@ -7,14 +7,15 @@ import argparse
 import copy
 import hashlib
 import json
+import operator
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
-from .errors import ConfigError, DataError, NumericalError, json_object, read_text
-from .objective import MinPenaltyParams
+from .errors import (ConfigError, DataError, NumericalError, json_object, padding_field,
+                     read_text)
 from .schedule import DEFAULT_TARGETS, ConstraintSchedule
 
 DEFAULT_CONFIG = {
@@ -54,6 +55,26 @@ DEFAULT_CONFIG = {
 _NULLABLE = {("data", "planted_bank"): str, ("curate", "n_override"): int,
              ("train", "final_learning_rate"): float, ("train", "dropout_base"): float}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+# The bounds a set value must lie within, as (comparison, bound) pairs.
+_AT_LEAST_0, _AT_LEAST_1 = (">=", 0), (">=", 1)
+_UNIT, _OPEN_UNIT = (">=", 0, "<=", 1), (">", 0, "<", 1)
+_RANGES = {
+    ("model", "M"): _AT_LEAST_1, ("model", "k"): _AT_LEAST_1, ("model", "padding"): _AT_LEAST_0,
+    ("data", "clip_length"): _AT_LEAST_1, ("data", "n_clips"): _AT_LEAST_1,
+    ("data", "p_plant"): _UNIT, ("data", "p_help"): _UNIT, ("data", "p_feature"): _UNIT,
+    ("data", "p_distract"): _UNIT,
+    ("data", "label_noise"): (">=", 0, "<", 0.5), ("data", "feature_noise"): (">=", 0, "<", 0.5),
+    ("split", "test_fraction"): _OPEN_UNIT, ("split", "val_fraction"): _OPEN_UNIT,
+    ("train", "learning_rate"): _AT_LEAST_0, ("train", "final_learning_rate"): _AT_LEAST_0,
+    ("train", "batch_size"): _AT_LEAST_1, ("train", "eras"): _AT_LEAST_1,
+    ("train", "epochs_per_era"): _AT_LEAST_1, ("train", "harvest_precision_threshold"): _UNIT,
+    ("train", "dropout_base"): _UNIT, ("train", "dropout_era_amp"): _UNIT,
+    ("train", "anneal_end_fraction"): (">", 0, "<=", 1), ("train", "seed"): _AT_LEAST_0,
+    **{("train", "targets", name): _UNIT if name == "alpha" else _AT_LEAST_0
+       for name in DEFAULT_TARGETS},
+    ("curate", "n_override"): _AT_LEAST_0,
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 def _fits(value, kind: type) -> bool:
@@ -90,6 +111,19 @@ def _check_keys(override, defaults: dict, path: tuple = ()) -> None:
                                   f"not {json.dumps(value)}")
 
 
+def _check_ranges(cfg: dict) -> None:
+    """ConfigError naming the first set value outside its _RANGES bounds."""
+    for leaf, spec in _RANGES.items():
+        value = cfg
+        for key in leaf:
+            value = value.get(key)  # a target the config leaves unset is None
+        bounds = list(zip(spec[::2], spec[1::2]))
+        if value is not None and not all(_COMPARE[op](value, b) for op, b in bounds):
+            rule = " and ".join(f"{op} {b}" for op, b in bounds)
+            raise ConfigError(f"config key '{'.'.join(leaf)}' must be {rule}, "
+                              f"not {json.dumps(value)}")
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
@@ -112,6 +146,7 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         cfg = _merge(cfg, override)
     if seed is not None:
         cfg["train"]["seed"] = seed
+    _check_ranges(cfg)
     model = cfg["model"]
     if model["k"] > cfg["data"]["clip_length"] + 2 * model["padding"]:
         raise ConfigError("kernel length exceeds clip length plus padding")
@@ -153,7 +188,6 @@ def build_train_config(cfg: dict) -> trainer.TrainConfig:
         final_learning_rate=tcfg["final_learning_rate"],
         batch_size=tcfg["batch_size"],
         schedule=build_schedule(tcfg),
-        min_params=MinPenaltyParams(),
         harvest_precision_threshold=tcfg["harvest_precision_threshold"],
         dropout_base=tcfg["dropout_base"],
         dropout_era_amp=tcfg["dropout_era_amp"],
@@ -258,27 +292,33 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     os.makedirs(out, exist_ok=True)
     train_set, val_set, _ = _load_splits(cfg, dataset_path)
     vocab = train_set.vocabulary
-    model = cfg["model"]
     tcfg = cfg["train"]
 
     files = sorted(f for f in os.listdir(snapshots_dir) if f.endswith(".json"))
     if not files:
         raise DataError(f"no snapshot files in {snapshots_dir}")
     harvested = []
+    padding, first = None, None  # the padding the snapshots' model was trained with
     for fname in files:
         path = os.path.join(snapshots_dir, fname)
         W, doc = netcore.filters_from_json(read_text(path))
+        snap_padding = padding_field(doc, path)
+        if padding is None:
+            padding, first = snap_padding, path
+        elif snap_padding != padding:
+            raise DataError(f"snapshots disagree on padding: {first} has {padding}, "
+                            f"{path} has {snap_padding}")
         harvested.extend(trainer.harvest_filters(
             W, _snapshot_precisions(doc, len(W), path), doc.get("era", -1), vocab,
             tcfg["harvest_precision_threshold"]))
 
     unique = curator.dedup(harvested)
     pruned = curator.prune_subsumed(unique, clip_length=cfg["data"]["clip_length"],
-                                    padding=model["padding"])
+                                    padding=padding)
     ranked, curve = curator.cumulative_kappa_curve(pruned, train_set, val_set,
-                                                  padding=model["padding"])
+                                                  padding=padding)
     bank = curator.select_bank(curve, ranked, vocab, n_override=cfg["curate"]["n_override"],
-                               padding=model["padding"])
+                               padding=padding)
     h = config_hash(cfg)
     with open(os.path.join(out, "bank.json"), "w") as fh:
         fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
@@ -316,7 +356,9 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
     os.makedirs(out, exist_ok=True)
     bank = curator.bank_from_json(read_text(bank_path))
     experts = analysis.load_expert_patterns(expert_path, bank.vocabulary)
-    report = analysis.compare_banks(bank, experts, k=cfg["model"]["k"])
+    # experts expand to the bank's pattern length; an empty bank has none
+    k = bank.patterns[0].cells.shape[0] if bank.patterns else cfg["model"]["k"]
+    report = analysis.compare_banks(bank, experts, k=k)
     report["config_hash"] = config_hash(cfg)
     report["stats"] = analysis.pattern_stats(bank)
     with open(os.path.join(out, "comparison.json"), "w") as fh:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, step_rules
-from .errors import DataError, json_object
+from .errors import DataError, json_object, padding_field
 from .evalmetrics import confusion, kappa
 
 BANK_FORMAT_VERSION = 1
@@ -355,9 +355,7 @@ def bank_from_json(text: str) -> PatternBank:
     doc = json_object(text, "pattern bank file")
     if doc.get("format") != "patternconv-bank":
         raise DataError("not a pattern bank file")
-    padding = doc.get("padding", 1)  # banks written before the field matched with 1
-    if isinstance(padding, bool) or not isinstance(padding, int) or padding < 0:
-        raise DataError("pattern bank padding must be a non-negative integer")
+    padding = padding_field(doc, "pattern bank")
     try:
         return PatternBank(
             patterns=tuple(Pattern.from_record(r) for r in doc["patterns"]),

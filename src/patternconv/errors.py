@@ -39,3 +39,13 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as e:
             raise DataError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def padding_field(doc: dict, what: str) -> int:
+    """The zero padding a bank or filter snapshot document records; documents
+    written before the field matched with 1. DataError unless it is a
+    non-negative integer."""
+    padding = doc.get("padding", 1)
+    if isinstance(padding, bool) or not isinstance(padding, int) or padding < 0:
+        raise DataError(f"{what} padding must be a non-negative integer")
+    return padding

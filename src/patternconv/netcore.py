@@ -130,7 +130,6 @@ def thresholding_forward(f: np.ndarray, w: np.ndarray, params: ThresholdingParam
 class ForwardCache:
     X: np.ndarray                 # float64 clip windows (B, C, k·d)
     h_pre: np.ndarray             # (B, C, M)
-    drop_mask: np.ndarray | None  # (B, C, M)
     f: np.ndarray
     argmax: np.ndarray            # (B, M) window index of each pooled max
     pool_gate: np.ndarray         # (B, M) d f / d h_pre at that window
@@ -160,7 +159,6 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     h_pre = kernels.conv_forward_batch(state.W, X)
     h = np.maximum(h_pre, 0.0)
 
-    drop_mask = None
     scale = 1.0
     if training and state.dropout_rate > 0.0:
         rng = np.random.default_rng(rng)
@@ -168,8 +166,7 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
         # drawn as (B, M, C), then viewed as (B, C, M): the draw order fixes
         # which uniform masks which feature-map cell for a given seed
         B, C, M = h.shape
-        drop_mask = ((rng.random((B, M, C)) < keep).astype(np.float64) / keep).transpose(0, 2, 1)
-        h = h * drop_mask
+        h = h * ((rng.random((B, M, C)) < keep).astype(np.float64) / keep).transpose(0, 2, 1)
         scale = 1.0 / keep
 
     f, arg = maxpool(h, axis=1)
@@ -181,9 +178,8 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     y_trad = sigmoid(f @ state.fc_trad)
     y_pre = (1.0 - state.alpha) * y_trad + state.alpha * y_thresh
     y = np.minimum(y_pre, 1.0)
-    cache = ForwardCache(X=X, h_pre=h_pre, drop_mask=drop_mask, f=f, argmax=arg,
-                         pool_gate=gate, w=w, a=a, s=s, y_trad=y_trad, y_thresh=y_thresh,
-                         y_preclip=y_pre)
+    cache = ForwardCache(X=X, h_pre=h_pre, f=f, argmax=arg, pool_gate=gate, w=w, a=a, s=s,
+                         y_trad=y_trad, y_thresh=y_thresh, y_preclip=y_pre)
     return y, cache
 
 

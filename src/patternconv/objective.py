@@ -59,96 +59,50 @@ def bce_grad(y: float | np.ndarray, label) -> float | np.ndarray:
     return g * ((y > BCE_CLAMP) & (y < 1.0 - BCE_CLAMP))
 
 
-def l_bin(W: np.ndarray) -> float:
-    """Sum of |W^2 - W|: zero exactly on binary weights."""
-    return float(np.abs(W * W - W).sum())
-
-
-def l_bin_grad(W: np.ndarray) -> np.ndarray:
-    return np.sign(W * W - W) * (2.0 * W - 1.0)
-
-
-def l_min(W: np.ndarray, params: MinPenaltyParams) -> float:
-    """Penalty on per-step weight mass above the onset."""
-    mass = W.sum(axis=2)
-    return float(np.maximum(params.rate ** (params.onset - mass) - params.bias, 0.0).sum())
-
-
-def l_min_grad(W: np.ndarray, params: MinPenaltyParams) -> np.ndarray:
-    mass = W.sum(axis=2)
-    inner = params.rate ** (params.onset - mass)
-    active = inner - params.bias > 0
-    dmass = np.where(active, -np.log(params.rate) * inner, 0.0)
-    return np.broadcast_to(dmass[:, :, None], W.shape).copy()
-
-
-def l_sub(W: np.ndarray, submission_indices) -> float:
-    """Penalty on steps whose summed submission-type weight exceeds 1."""
-    s = W[:, :, list(submission_indices)].sum(axis=2)
-    return float(np.maximum(s - 1.0, 0.0).sum())
-
-
-def l_sub_grad(W: np.ndarray, submission_indices) -> np.ndarray:
-    idx = list(submission_indices)
-    s = W[:, :, idx].sum(axis=2)
-    g = np.zeros_like(W)
-    g[:, :, idx] = (s > 1.0).astype(np.float64)[:, :, None]
-    return g
-
-
-def l_poss(W: np.ndarray, S_h, S_a) -> float:
-    """Penalty on steps mixing help- and attempt-related weight."""
-    h_idx, a_idx = sorted(S_h), sorted(S_a)
+def _step_sums(W: np.ndarray, vocab: FeatureVocabulary, min_params: MinPenaltyParams):
+    """The per-step sums every term reads, (M, k) each: the min-penalty power
+    term of the step mass, the submission sum, and the help and attempt means."""
+    h_idx, a_idx = sorted(vocab.help_related), sorted(vocab.attempt_related)
+    inner = min_params.rate ** (min_params.onset - W.sum(axis=2))
+    s = W[:, :, list(vocab.submission_indices)].sum(axis=2)
     u = W[:, :, h_idx].sum(axis=2) / len(h_idx)
     v = W[:, :, a_idx].sum(axis=2) / len(a_idx)
-    return float(np.minimum(u * u, v * v).sum())
-
-
-def l_poss_grad(W: np.ndarray, S_h, S_a) -> np.ndarray:
-    h_idx, a_idx = sorted(S_h), sorted(S_a)
-    u = W[:, :, h_idx].sum(axis=2) / len(h_idx)
-    v = W[:, :, a_idx].sum(axis=2) / len(a_idx)
-    g = np.zeros_like(W)
-    h_side = u * u <= v * v  # ties take the help side
-    g[:, :, h_idx] = np.where(h_side, 2.0 * u / len(h_idx), 0.0)[:, :, None]
-    g[:, :, a_idx] = np.where(~h_side, 2.0 * v / len(a_idx), 0.0)[:, :, None]
-    return g
-
-
-def regularizer_value(W: np.ndarray, weights: LossWeights, vocab: FeatureVocabulary,
-                      min_params: MinPenaltyParams) -> float:
-    total = 0.0
-    if weights.bin:
-        total += weights.bin * l_bin(W)
-    if weights.min:
-        total += weights.min * l_min(W, min_params)
-    if weights.sub:
-        total += weights.sub * l_sub(W, vocab.submission_indices)
-    if weights.poss:
-        total += weights.poss * l_poss(W, vocab.help_related, vocab.attempt_related)
-    return total
+    return inner, s, u, v
 
 
 def regularizer_terms(W: np.ndarray, vocab: FeatureVocabulary,
-                      min_params: MinPenaltyParams) -> dict:
-    """Unscaled per-term values, for logging."""
+                      min_params: MinPenaltyParams = MinPenaltyParams()) -> dict:
+    """Unscaled term values. bin: sum of |W^2 - W|, zero exactly on binary
+    weights. min: ReLU(rate^(onset - mass) - bias) per step. sub: the summed
+    submission-type weight above 1 per step. poss: per step, the smaller
+    square of the help and attempt means."""
+    inner, s, u, v = _step_sums(W, vocab, min_params)
     return {
-        "bin": l_bin(W),
-        "min": l_min(W, min_params),
-        "sub": l_sub(W, vocab.submission_indices),
-        "poss": l_poss(W, vocab.help_related, vocab.attempt_related),
+        "bin": float(np.abs(W * W - W).sum()),
+        "min": float(np.maximum(inner - min_params.bias, 0.0).sum()),
+        "sub": float(np.maximum(s - 1.0, 0.0).sum()),
+        "poss": float(np.minimum(u * u, v * v).sum()),
     }
 
 
+def regularizer_value(W: np.ndarray, weights: LossWeights, vocab: FeatureVocabulary,
+                      min_params: MinPenaltyParams = MinPenaltyParams()) -> float:
+    terms = regularizer_terms(W, vocab, min_params)
+    return sum(getattr(weights, name) * value for name, value in terms.items())
+
+
 def regularizer_grad(W: np.ndarray, weights: LossWeights, vocab: FeatureVocabulary,
-                     min_params: MinPenaltyParams) -> np.ndarray:
+                     min_params: MinPenaltyParams = MinPenaltyParams()) -> np.ndarray:
+    """d(regularizer_value)/dW, the terms added in the order bin, min, sub, poss."""
+    inner, s, u, v = _step_sums(W, vocab, min_params)
+    sub_idx = list(vocab.submission_indices)
+    h_idx, a_idx = sorted(vocab.help_related), sorted(vocab.attempt_related)
     g = np.zeros_like(W)
-    if weights.bin:
-        g += weights.bin * l_bin_grad(W)
-    if weights.min:
-        g += weights.min * l_min_grad(W, min_params)
-    if weights.sub:
-        g += weights.sub * l_sub_grad(W, vocab.submission_indices)
-    if weights.poss:
-        g += weights.poss * l_poss_grad(W, vocab.help_related, vocab.attempt_related)
+    g += weights.bin * (np.sign(W * W - W) * (2.0 * W - 1.0))
+    dmass = np.where(inner - min_params.bias > 0, -np.log(min_params.rate) * inner, 0.0)
+    g += weights.min * dmass[:, :, None]
+    g[:, :, sub_idx] += weights.sub * (s > 1.0)[:, :, None]
+    h_side = u * u <= v * v  # ties take the help side
+    g[:, :, h_idx] += weights.poss * np.where(h_side, 2.0 * u / len(h_idx), 0.0)[:, :, None]
+    g[:, :, a_idx] += weights.poss * np.where(~h_side, 2.0 * v / len(a_idx), 0.0)[:, :, None]
     return g

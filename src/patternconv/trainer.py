@@ -14,7 +14,7 @@ from .curator import (DEFAULT_BINARIZE_TOLERANCE, Pattern, binarize_filters,
                       match_precision)
 from .errors import DataError, NumericalError
 from .netcore import ModelState, backward_batch, forward_batch
-from .objective import LossWeights, MinPenaltyParams
+from .objective import LossWeights
 from .schedule import ConstraintSchedule, era_reset, weights_at
 
 
@@ -24,7 +24,6 @@ class TrainConfig:
     final_learning_rate: float | None = 0.015
     batch_size: int = 64
     schedule: ConstraintSchedule = field(default_factory=lambda: ConstraintSchedule.default())
-    min_params: MinPenaltyParams = field(default_factory=MinPenaltyParams)
     harvest_precision_threshold: float = 0.3
     log_val_metrics: bool = True
     # Dropout annealing. The match band a filter must reach widens with the
@@ -75,12 +74,6 @@ class WindowedSet:
         return self.X.shape[0]
 
 
-def _pos_weight(dataset: Dataset) -> float:
-    n_pos = sum(c.label for c in dataset.clips)
-    n_neg = len(dataset) - n_pos
-    return n_neg / n_pos if n_pos else 1.0
-
-
 def anneal_at(config: TrainConfig, epoch_in_era: int, era: int):
     """(dropout_rate, learning_rate) for an epoch, or (None, lr) when dropout
     annealing is disabled. Both decay linearly, finishing at
@@ -106,8 +99,8 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     """One pass over shuffled mini-batches of the windowed training set;
     mutates `state` in place.
 
-    Per batch: dropout forward, positively-weighted mean BCE plus scaled
-    regularizers, analytic backward, SGD step, clamp W to [0, 1].
+    Per batch: dropout forward, positively-weighted mean BCE, analytic
+    backward plus the scaled regularizer gradients, SGD step, clamp W to [0, 1].
     Returns the epoch loss record.
     """
     lr = config.learning_rate if learning_rate is None else learning_rate
@@ -129,15 +122,14 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
 
         clip_w = np.where(labels == 1.0, pos_weight, 1.0)
         batch_bce = float((clip_w * objective.bce(y, labels)).mean())
-        reg_value = objective.regularizer_value(state.W, weights, vocab, config.min_params)
-        loss = batch_bce + reg_value
-        if not math.isfinite(loss):
-            term = "bce" if not math.isfinite(batch_bce) else "regularizers"
-            raise NumericalError(f"non-finite loss ({term}) at batch starting {start}")
+        # W is clamped to [0, 1], so the regularizers are finite whenever W
+        # is, and a non-finite W already makes the BCE non-finite
+        if not math.isfinite(batch_bce):
+            raise NumericalError(f"non-finite loss (bce) at batch starting {start}")
 
         d_y = clip_w * objective.bce_grad(y, labels) / len(idx)
         grads = backward_batch(state, cache, d_y)
-        dW = grads["W"] + objective.regularizer_grad(state.W, weights, vocab, config.min_params)
+        dW = grads["W"] + objective.regularizer_grad(state.W, weights, vocab)
 
         state.W -= lr * dW
         np.clip(state.W, 0.0, 1.0, out=state.W)
@@ -153,7 +145,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
         "bce": bce_sum / max(n_batches, 1),
         "alpha": alpha,
         "gamma": {"bin": weights.bin, "min": weights.min, "sub": weights.sub, "poss": weights.poss},
-        "reg_terms": objective.regularizer_terms(state.W, vocab, config.min_params),
+        "reg_terms": objective.regularizer_terms(state.W, vocab),
         "grad_norm_conv": grad_norm_conv / max(n_batches, 1),
         "grad_norm_fc": grad_norm_fc / max(n_batches, 1),
         "frozen": freeze,
@@ -198,8 +190,9 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
     sched = config.schedule
     rng = np.random.default_rng(config.seed)
     state = netcore.init_state(M, k, d, padding=padding, rng=rng)
-    pos_weight = _pos_weight(train_set)
     train_w = WindowedSet.build(train_set, k, padding)
+    n_pos = int(train_w.labels.sum())
+    pos_weight = (len(train_w) - n_pos) / n_pos if n_pos else 1.0
     val_w = WindowedSet.build(val_set, k, padding) if val_set is not None and len(val_set) else None
 
     snapshots: list[EraSnapshot] = []

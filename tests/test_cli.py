@@ -114,6 +114,33 @@ def test_config_accepts_nulls_and_numbers_where_meant(tmp_path):
     assert cfg["curate"]["n_override"] == 2 and cfg["train"]["dropout_base"] is None
 
 
+# each case is a config value the code could not run with, the command that
+# failed on it, and the key path its error names
+OUT_OF_RANGE = {
+    "negative_padding": ({"model": {"padding": -1}}, "synth", "model.padding"),
+    "no_filters": ({"model": {"M": 0}}, "train", "model.M"),
+    "negative_clip_count": ({"data": {"n_clips": -5}}, "synth", "data.n_clips"),
+    "empty_batch": ({"train": {"batch_size": 0}}, "train", "train.batch_size"),
+    "test_fraction_above_one": ({"split": {"test_fraction": 2}}, "train",
+                                "split.test_fraction"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_config_values_out_of_range_exit_1(tmp_path, capsys, vocab, case):
+    config, command, key = OUT_OF_RANGE[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    argv = {"synth": ["synth"],
+            "train": ["train", _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)]}[command]
+    code = _run(["--config", str(path), "--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config key '{key}' must be" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_utf8_config_exits_1(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -322,6 +349,84 @@ def test_eval_and_explain_match_with_the_bank_padding(tmp_path, capsys, vocab, p
     text = capsys.readouterr().out
     assert ("flagged" in text) == bool(padding)
     assert ("no pattern matched" in text) == (not padding)
+
+
+def _snapshot_files(snaps, vocab, paddings):
+    """One two-filter era snapshot per padding; None leaves the field out."""
+    os.makedirs(snaps)
+    W = np.zeros((2, 3, vocab.d))
+    for era, padding in enumerate(paddings):
+        doc = json.loads(netcore.filters_to_json(
+            W, 1, {"era": era, "per_filter_precision": [None, None]}))
+        if padding is None:
+            del doc["padding"]
+        else:
+            doc["padding"] = padding
+        (snaps / f"era_{era:03d}.json").write_text(json.dumps(doc))
+    return str(snaps)
+
+
+@pytest.mark.parametrize("paddings,expect", [((0, 0), 0), ((None, 1), 1), ((1, 0), None),
+                                             ((None, 0), None)],
+                         ids=["both_0", "missing_and_1", "1_and_0", "missing_and_0"])
+def test_curate_takes_the_snapshot_padding(tmp_path, capsys, vocab, paddings, expect):
+    """The bank records the snapshots' padding, a snapshot without the field
+    reads as 1, and snapshots that disagree exit 2 naming both files."""
+    snaps = _snapshot_files(tmp_path / "snaps", vocab, paddings)
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)
+    out = tmp_path / "o"
+    code = _run(["--out", str(out), "curate", snaps, data])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expect is None:
+        assert code == 2
+        assert "disagree on padding" in err and "era_000.json" in err and "era_001.json" in err
+    else:
+        assert code == 0
+        assert curator.bank_from_json((out / "bank.json").read_text()).padding == expect
+
+
+def test_curate_of_a_padding_0_run_under_the_default_config(tmp_path, capsys):
+    """Train with model.padding 0, curate without a config: the bank takes the
+    padding from the snapshots, not from the config's default of 1."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "model": {"M": 8, "padding": 0}}))
+    out = str(tmp_path / "run")
+    data = os.path.join(out, "dataset.jsonl")
+    train = ["--config", str(config), "--seed", "0", "--out", out]
+    assert _run(train + ["synth"]) == 0
+    assert _run(train + ["train", data]) == 0
+    assert _run(["--seed", "0", "--out", out, "curate", os.path.join(out, "snapshots"),
+                 data]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "bank.json")) as fh:
+        assert curator.bank_from_json(fh.read()).padding == 0
+
+
+def test_compare_expands_experts_to_the_bank_pattern_length(tmp_path, capsys, vocab):
+    """A bank of 4-step patterns under the default config (k 3): a 3-step
+    expert is padded to 4 steps and a 4-step expert is kept as it is."""
+    experts = tmp_path / "experts.jsonl"
+    experts.write_text(
+        '{"name":"three","steps":[["help"],["incorrect"],["correct"]]}\n'
+        '{"name":"four","steps":[["help"],["help"],["incorrect"],["correct"]]}\n')
+    out = tmp_path / "o"
+    code = _run(["--out", str(out), "compare", _write_bank(tmp_path / "b.json", vocab, k=4),
+                 str(experts)])
+    assert code == 0, capsys.readouterr().err
+    comparison = json.loads((out / "comparison.json").read_text())
+    assert comparison["expanded_experts"] == ["three/pad-front", "three/pad-back", "four"]
+    assert [r["distance"] for r in comparison["per_expert_nearest"]] == [4, 2, 3]
+
+
+def test_compare_with_an_empty_bank_expands_to_the_config_k(tmp_path, capsys, vocab):
+    bank = _write_bank(tmp_path / "b.json", vocab, edit=lambda d: d["patterns"].clear())
+    experts = os.path.join(FIXTURES, "expert_patterns.jsonl")
+    out = tmp_path / "o"
+    assert _run(["--out", str(out), "compare", bank, experts]) == 0
+    comparison = json.loads((out / "comparison.json").read_text())
+    assert len(comparison["expanded_experts"]) == 5
+    assert comparison["per_expert_nearest"] == []
 
 
 def _leaves(tree, path=()):

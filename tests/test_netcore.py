@@ -210,9 +210,9 @@ def test_dropout_only_in_training(vocab):
     st_ = _state(M=8, d=vocab.d, seed=7)
     st_.dropout_rate = 0.5
     y_eval, cache = forward_batch(st_, X)
-    assert cache.drop_mask is None
+    assert set(np.unique(cache.pool_gate)) <= {0.0, 1.0}  # no dropout scale
     y_tr, cache_tr = forward_batch(st_, X, training=True, rng=np.random.default_rng(1))
-    assert cache_tr.drop_mask is not None
+    assert (cache_tr.pool_gate == 2.0).any()
     assert not np.allclose(y_eval, y_tr)
 
 
@@ -221,9 +221,14 @@ def test_dropout_inverted_scaling(vocab):
     st_.dropout_rate = 0.25
     X = random_legal_clip_batch(vocab, 4, 5, np.random.default_rng(2)).astype(np.float64)
     _, cache = forward_batch(st_, X, training=True, rng=np.random.default_rng(3))
-    mask = cache.drop_mask
-    kept = mask[mask > 0]
-    assert np.allclose(kept, 1.0 / 0.75)
+    kept = cache.pool_gate[cache.pool_gate > 0]
+    assert kept.size and np.allclose(kept, 1.0 / 0.75)
+    # a kept window's activation is scaled up by the same factor
+    _, plain = forward_batch(st_, X)
+    h = np.maximum(plain.h_pre, 0.0)
+    pooled = h[np.arange(4)[:, None], cache.argmax, np.arange(2)[None, :]]
+    np.testing.assert_allclose(cache.f[cache.pool_gate > 0],
+                               pooled[cache.pool_gate > 0] / 0.75)
 
 
 # ----------------------------------------------------------------- gradients

@@ -8,14 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patternconv import objective
-from patternconv.corpus import FeatureVocabulary
 from patternconv.objective import (LossWeights, MinPenaltyParams, bce, bce_grad,
-                                   l_bin, l_bin_grad, l_min, l_min_grad, l_poss,
-                                   l_poss_grad, l_sub, l_sub_grad,
-                                   regularizer_grad, regularizer_value)
+                                   regularizer_grad, regularizer_terms, regularizer_value)
 
 MP = MinPenaltyParams()  # r=0.5, onset=3, bias=1
+TERMS = ("bin", "min", "sub", "poss")
+
+
+def _term(name, W, vocab):
+    """One unscaled term's value."""
+    return regularizer_terms(W, vocab)[name]
+
+
+def _grad(name, W, vocab):
+    """One term's gradient: regularizer_grad with only that weight set to 1."""
+    return regularizer_grad(W, LossWeights(**{name: 1.0}), vocab)
 
 
 # ----------------------------------------------------------------------- bce
@@ -32,70 +39,75 @@ def test_bce_clamps_extremes():
     assert bce_grad(0.0, 1) == 0.0  # clamp zone carries no gradient
 
 
-# --------------------------------------------------------------------- l_bin
+# ---------------------------------------------------------------- bin term
 
-def test_l_bin_values():
-    assert l_bin(np.array([[[0.0, 1.0]]])) == 0.0
-    assert l_bin(np.array([[[0.5, 0.0]]])) == pytest.approx(0.25)
-    assert l_bin(np.full((2, 1, 2), 0.9)) == pytest.approx(0.36)
+def test_l_bin_values(vocab):
+    W = np.zeros((1, 1, vocab.d))
+    W[0, 0, :2] = [0.0, 1.0]
+    assert _term("bin", W, vocab) == 0.0
+    W[0, 0, :2] = [0.5, 0.0]
+    assert _term("bin", W, vocab) == pytest.approx(0.25)
+    W = np.zeros((2, 1, vocab.d))
+    W[:, :, :2] = 0.9
+    assert _term("bin", W, vocab) == pytest.approx(0.36)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 1000))
-def test_l_bin_permutation_invariant(seed):
+def test_l_bin_permutation_invariant(vocab, seed):
     rng = np.random.default_rng(seed)
-    W = rng.random((3, 3, 5))
-    shuffled = W[rng.permutation(3)][:, rng.permutation(3)][:, :, rng.permutation(5)]
-    assert l_bin(shuffled) == pytest.approx(l_bin(W))
+    W = rng.random((3, 3, vocab.d))
+    shuffled = W[rng.permutation(3)][:, rng.permutation(3)][:, :, rng.permutation(vocab.d)]
+    assert _term("bin", shuffled, vocab) == pytest.approx(_term("bin", W, vocab))
 
 
-# --------------------------------------------------------------------- l_min
+# ---------------------------------------------------------------- min term
 
-def test_l_min_values():
-    W = np.zeros((1, 3, 13))
+def test_l_min_values(vocab):
+    W = np.zeros((1, 3, vocab.d))
     W[0, 0, :3] = 1.0          # mass 3 -> onset, 0
     W[0, 1, :5] = 1.0          # mass 5 -> 0.5^-2 - 1 = 3
-    assert l_min(W, MP) == pytest.approx(3.0)
-    assert l_min(np.zeros((1, 1, 13)), MP) == 0.0
+    assert _term("min", W, vocab) == pytest.approx(3.0)
+    assert _term("min", np.zeros((1, 1, vocab.d)), vocab) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 1000), bump=st.floats(0.01, 1.0))
-def test_l_min_monotone_in_step_mass(seed, bump):
+def test_l_min_monotone_in_step_mass(vocab, seed, bump):
     rng = np.random.default_rng(seed)
-    W = rng.random((2, 3, 5)) * 2
+    W = rng.random((2, 3, vocab.d)) * 2
     W2 = W.copy()
     W2[1, 2, 0] += bump
-    assert l_min(W2, MP) >= l_min(W, MP) - 1e-12
+    assert _term("min", W2, vocab) >= _term("min", W, vocab) - 1e-12
 
 
-# --------------------------------------------------------------------- l_sub
+# ---------------------------------------------------------------- sub term
 
 def test_l_sub_values(vocab):
     W = np.zeros((1, 3, vocab.d))
     for n, idx in enumerate(vocab.submission_indices):
         W[0, n, idx] = 1.0
-    assert l_sub(W, vocab.submission_indices) == 0.0
+    assert _term("sub", W, vocab) == 0.0
     W[0, 0, vocab.submission_indices[2]] = 1.0  # help + incorrect
-    assert l_sub(W, vocab.submission_indices) == pytest.approx(1.0)
+    assert _term("sub", W, vocab) == pytest.approx(1.0)
     W2 = np.zeros((1, 1, vocab.d))
     W2[0, 0, list(vocab.submission_indices)] = 0.4
-    assert l_sub(W2, vocab.submission_indices) == pytest.approx(0.2)
+    assert _term("sub", W2, vocab) == pytest.approx(0.2)
 
 
-# -------------------------------------------------------------------- l_poss
+# --------------------------------------------------------------- poss term
 
 def test_l_poss_values(vocab):
     h = sorted(vocab.help_related)
     a = sorted(vocab.attempt_related)
     W = np.zeros((1, 1, vocab.d))
     W[0, 0, a[0]] = 1.0  # one-sided -> 0
-    assert l_poss(W, vocab.help_related, vocab.attempt_related) == 0.0
+    assert _term("poss", W, vocab) == 0.0
     W[0, 0, h[0]] = 1.0  # one unit on each side -> (1/5)^2
-    assert l_poss(W, vocab.help_related, vocab.attempt_related) == pytest.approx(0.04)
+    assert _term("poss", W, vocab) == pytest.approx(0.04)
     W2 = np.zeros((1, 1, vocab.d))
     W2[0, 0, h] = 1.0
-    assert l_poss(W2, vocab.help_related, vocab.attempt_related) == 0.0
+    assert _term("poss", W2, vocab) == 0.0
 
 
 def test_l_poss_is_per_step_sum(vocab):
@@ -107,7 +119,7 @@ def test_l_poss_is_per_step_sum(vocab):
     W[1, 2, h[:2]] = 1.0
     W[1, 2, a[0]] = 1.0
     expect = (1 / 5) ** 2 + min((2 / 5) ** 2, (1 / 5) ** 2)
-    assert l_poss(W, vocab.help_related, vocab.attempt_related) == pytest.approx(expect)
+    assert _term("poss", W, vocab) == pytest.approx(expect)
 
 
 # ----------------------------------------------------------- composite loss
@@ -142,7 +154,7 @@ def test_regularizers_nonnegative(vocab):
     rng = np.random.default_rng(3)
     for _ in range(20):
         W = rng.random((2, 3, vocab.d)) * 1.5
-        terms = objective.regularizer_terms(W, vocab, MP)
+        terms = regularizer_terms(W, vocab, MP)
         assert all(v >= 0 for v in terms.values())
 
 
@@ -158,32 +170,27 @@ def _fd(fn, W, h=1e-6):
     return g
 
 
-@pytest.mark.parametrize("name", ["bin", "min", "sub", "poss"])
+@pytest.mark.parametrize("name", TERMS)
 def test_regularizer_gradients_match_fd(vocab, name):
     rng = np.random.default_rng(17)
-    fns = {
-        "bin": (l_bin, l_bin_grad, ()),
-        "min": (lambda W: l_min(W, MP), lambda W: l_min_grad(W, MP), ()),
-        "sub": (lambda W: l_sub(W, vocab.submission_indices),
-                lambda W: l_sub_grad(W, vocab.submission_indices), ()),
-        "poss": (lambda W: l_poss(W, vocab.help_related, vocab.attempt_related),
-                 lambda W: l_poss_grad(W, vocab.help_related, vocab.attempt_related), ()),
-    }
-    val, grad, _ = fns[name]
     for _ in range(5):
         W = rng.random((2, 3, vocab.d)) * 1.4 + 0.01
-        g, fd = grad(W), _fd(val, W)
+        g, fd = _grad(name, W, vocab), _fd(lambda W: _term(name, W, vocab), W)
         mask = np.abs(g) > 1e-8
+        assert mask.any()
         np.testing.assert_allclose(g[mask], fd[mask], rtol=1e-4, atol=1e-7)
 
 
 def test_weighted_gradient_is_weighted_sum(vocab):
+    """Value and gradient are linear in the weights: the four-weight call
+    equals the weighted sum of single-weight calls."""
     rng = np.random.default_rng(19)
     W = rng.random((2, 3, vocab.d))
     w = LossWeights(bin=0.5, min=0.2, sub=1.5, poss=0.7)
-    expect = (0.5 * l_bin_grad(W) + 0.2 * l_min_grad(W, MP)
-              + 1.5 * l_sub_grad(W, vocab.submission_indices)
-              + 0.7 * l_poss_grad(W, vocab.help_related, vocab.attempt_related))
+    terms = regularizer_terms(W, vocab)
+    assert regularizer_value(W, w, vocab) == pytest.approx(
+        sum(getattr(w, name) * terms[name] for name in TERMS))
+    expect = sum(getattr(w, name) * _grad(name, W, vocab) for name in TERMS)
     np.testing.assert_allclose(regularizer_grad(W, w, vocab, MP), expect)
 
 

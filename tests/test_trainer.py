@@ -6,7 +6,7 @@ import pytest
 
 from patternconv import corpus, netcore, trainer
 from patternconv.curator import Pattern
-from patternconv.errors import DataError
+from patternconv.errors import DataError, NumericalError
 from patternconv.objective import LossWeights
 from patternconv.schedule import ConstraintSchedule, RampSpec
 from patternconv.trainer import (TrainConfig, WindowedSet, anneal_at,
@@ -71,6 +71,18 @@ def test_weights_stay_clamped(vocab, planted):
         train_epoch(st_, windows, LossWeights(bin=2.0), 0.5, False, cfg,
                     np.random.default_rng(1))
     assert st_.W.min() >= 0.0 and st_.W.max() <= 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_nan_weight_raises_numerical_error(vocab, planted, alpha):
+    """A NaN in W makes the batch BCE non-finite through either head, so the
+    BCE check alone catches it; the regularizers need no check of their own."""
+    windows = WindowedSet.build(_dataset(vocab, planted), 3, 1)
+    st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
+    st_.W[1, 2, 3] = np.nan
+    with pytest.raises(NumericalError, match="non-finite loss"):
+        train_epoch(st_, windows, LossWeights(bin=1.0, min=1.0, sub=1.0, poss=1.0), alpha,
+                    False, _small_config(), np.random.default_rng(1))
 
 
 # ------------------------------------------------------- filter precision

@@ -7,10 +7,11 @@ Run with defaults (benchmark-sized shapes) or adjust via flags:
 
     python benchmarks/bench_kernels.py --clips 2000 --filters 64 --repeats 20
 
-The convolution is one matrix multiply each way, and matching is the same
-window product thresholded at each pattern's cell count. Matching is timed on
-the whole batch and on a single clip, the shape of `discrete_match` and
-`explain`. The curation pools default to 300 and 1,359 unique patterns; 1,359
+`clip_windows` pads the clips and cuts them into the windows that both the
+convolution and matching read. The convolution is one matrix multiply each
+way, and matching is the same window product thresholded at each pattern's
+cell count. Window building and matching are timed on the whole batch and on
+a single clip, the shape of `explain` and of synth's rejection sampling. The curation pools default to 300 and 1,359 unique patterns; 1,359
 is the unique count of the source paper's funnel.
 """
 
@@ -85,8 +86,8 @@ def main(argv=None):
     B, M, L, d, k = (args.clips, args.filters, args.clip_length,
                      args.features, args.kernel)
     X = (rng.random((B, L, d)) < 0.25).astype(np.uint8)
-    Xw = kernels.clip_windows(X, k, 1).astype(np.float64)
-    Xp = kernels.pad_clips(X, 1)
+    Xu = kernels.clip_windows(X, k, 1)
+    Xw = Xu.astype(np.float64)
     W = rng.random((M, k, d))
     cells = (rng.random((M, k, d)) < 0.2).astype(np.uint8)
     dh = rng.standard_normal((B, Xw.shape[1], M))
@@ -95,10 +96,13 @@ def main(argv=None):
     print(f"{'kernel':<20} {'clips':>9} {'time':>12}")
     for name, fn, a in [("conv_forward", kernels.conv_forward_batch, (W, Xw)),
                         ("conv_backward", kernels.conv_backward_batch, (dh, Xw, k)),
-                        ("match_first_window", kernels.match_first_window, (cells, Xp)),
-                        ("match_first_window", kernels.match_first_window, (cells, Xp[:1]))]:
+                        ("clip_windows", kernels.clip_windows, (X, k, 1)),
+                        ("clip_windows", kernels.clip_windows, (X[:1], k, 1)),
+                        ("match_first_window", kernels.match_first_window, (cells, Xu)),
+                        ("match_first_window", kernels.match_first_window, (cells, Xu[:1]))]:
         t = _time(fn, *a, repeats=args.repeats)
-        print(f"{name:<20} {a[1].shape[0]:>9} {t * 1e3:>10.3f}ms")
+        clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
+        print(f"{name:<20} {clips:>9} {t * 1e3:>10.3f}ms")
 
     bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
 

@@ -163,8 +163,8 @@ class Explanation:
     bullet_text: str
 
 
-def _matrix_block(pattern: Pattern, clip_steps: np.ndarray, window: int,
-                  vocab: FeatureVocabulary, padding: int) -> str:
+def _matrix_block(pattern: Pattern, window: int, vocab: FeatureVocabulary,
+                  padding: int) -> str:
     """Plain-text grid: features as rows, the matched clip window as columns,
     required cells marked '#' (all verifiably present in the clip)."""
     k = pattern.cells.shape[0]
@@ -187,7 +187,7 @@ def explain(clip, bank: PatternBank, vocabulary: FeatureVocabulary,
     if vocabulary.feature_names != bank.vocabulary.feature_names:
         raise DataError("bank vocabulary does not match the clip vocabulary")
     steps = clip.steps
-    first = match_matrix(bank.patterns, steps[None], padding)[:, 0] if bank.patterns else np.zeros(0, int) - 1
+    first = match_matrix(bank.patterns, steps[None], padding)[:, 0]
     matched = [(p, int(w)) for p, w in zip(bank.patterns, first) if w >= 0]
     matched.sort(key=lambda pw: (-(pw[0].precision_train or 0.0), pw[0].pattern_id))
 
@@ -206,7 +206,7 @@ def explain(clip, bank: PatternBank, vocabulary: FeatureVocabulary,
         blocks.append({"pattern_id": pattern.pattern_id, "window": window,
                        "precision_train": pattern.precision_train,
                        "requirements": requirements})
-        matrices.append(_matrix_block(pattern, steps, window, vocabulary, padding))
+        matrices.append(_matrix_block(pattern, window, vocabulary, padding))
         by_step: dict[int, list[str]] = {}
         for r in requirements:
             by_step.setdefault(r["step_index"], []).append(r["feature"])

@@ -196,10 +196,20 @@ def build_train_config(cfg: dict) -> trainer.TrainConfig:
     )
 
 
+def _parse(parse, path: str):
+    """parse(text) of the bank, model or snapshot file at path; a DataError
+    names the file."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+
+
 def _planted(cfg: dict, vocab: corpus.FeatureVocabulary) -> list[curator.Pattern]:
     path = cfg["data"]["planted_bank"]
     if path:
-        return list(curator.bank_from_json(read_text(path)).patterns)
+        return list(_parse(curator.bank_from_json, path).patterns)
     return default_planted_patterns(vocab)
 
 
@@ -301,7 +311,10 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     padding, first = None, None  # the padding the snapshots' model was trained with
     for fname in files:
         path = os.path.join(snapshots_dir, fname)
-        W, doc = netcore.filters_from_json(read_text(path))
+        W, doc = _parse(netcore.filters_from_json, path)
+        if W.shape[2] != vocab.d:
+            raise DataError(f"{path}: filters have {W.shape[2]} features, the clips "
+                            f"have {vocab.d}")
         snap_padding = padding_field(doc, path)
         if padding is None:
             padding, first = snap_padding, path
@@ -329,19 +342,19 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     return 0
 
 
-def _load_predictor(path: str):
-    text = read_text(path)
-    doc = json_object(text, path)
-    if doc.get("format") == "patternconv-bank":
+def _predictor(text: str):
+    """The pattern bank or model a predictor file holds."""
+    form = json_object(text, "predictor file").get("format")
+    if form == "patternconv-bank":
         return curator.bank_from_json(text)
-    if doc.get("format") == "patternconv-model":
+    if form == "patternconv-model":
         return netcore.state_from_json(text)
-    raise DataError(f"{path}: neither a bank nor a model file")
+    raise DataError("neither a bank nor a model file")
 
 
 def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int:
     os.makedirs(out, exist_ok=True)
-    predictor = _load_predictor(predictor_path)
+    predictor = _parse(_predictor, predictor_path)
     train_set, val_set, test_set = _load_splits(cfg, dataset_path)
     rows = {name: evalmetrics.evaluate(predictor, ds)
             for name, ds in (("train", train_set), ("val", val_set), ("test", test_set))}
@@ -354,7 +367,7 @@ def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int
 
 def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
     os.makedirs(out, exist_ok=True)
-    bank = curator.bank_from_json(read_text(bank_path))
+    bank = _parse(curator.bank_from_json, bank_path)
     experts = analysis.load_expert_patterns(expert_path, bank.vocabulary)
     # experts expand to the bank's pattern length; an empty bank has none
     k = bank.patterns[0].cells.shape[0] if bank.patterns else cfg["model"]["k"]
@@ -374,7 +387,7 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
 
 
 def cmd_explain(cfg: dict, out: str, bank_path: str, clip_path: str, clip_id: str) -> int:
-    bank = curator.bank_from_json(read_text(bank_path))
+    bank = _parse(curator.bank_from_json, bank_path)
     dataset = corpus.load_dataset(clip_path)
     clip = next((c for c in dataset.clips if c.clip_id == clip_id), None)
     if clip is None:

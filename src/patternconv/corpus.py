@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from . import kernels
+from .errors import DataError, check_version
 
 CLIP_FORMAT_NAME = "patternconv-clips"
 CLIP_FORMAT_VERSION = 1
@@ -189,7 +190,7 @@ class Dataset:
         return len(self.clips)
 
 
-def _is_binary(values: np.ndarray) -> bool:
+def is_binary(values: np.ndarray) -> bool:
     """Every value is 0 or 1. Tested before narrowing to uint8, which would
     wrap 256 to 0 and truncate 1.7 to 1."""
     kind = values.dtype.kind
@@ -220,7 +221,7 @@ def _parse_clip_record(rec, vocab: FeatureVocabulary) -> tuple[str, np.ndarray, 
     if steps.shape[1] != vocab.d:
         raise DataError(f"clip '{clip_id}': feature count {steps.shape[1]} does not match "
                         f"vocabulary d={vocab.d}")
-    if not _is_binary(steps):
+    if not is_binary(steps):
         raise DataError(f"clip '{clip_id}': non-binary feature value")
     if rec["label"] not in (0, 1, True, False):
         raise DataError(f"clip '{clip_id}': label must be 0 or 1")
@@ -251,6 +252,7 @@ def load_dataset(path) -> Dataset:
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno + 1}: malformed record: {e}") from None
             if isinstance(rec, dict) and rec.get("format") == CLIP_FORMAT_NAME:
+                check_version(rec, CLIP_FORMAT_VERSION, f"{path}:{lineno + 1}: clip file header")
                 file_vocab = FeatureVocabulary.from_record(rec)
                 if vocab is not None and file_vocab != vocab:
                     raise DataError(f"{path}:{lineno + 1}: vocabulary header differs "
@@ -387,9 +389,9 @@ def synth_generate(
 ) -> Dataset:
     """Generate a planted-pattern dataset with recoverable ground truth.
 
-    `planted` is a list of curator.Pattern. Unstamped clips are rejection-
-    sampled until they match no planted pattern, so before noise the label is
-    exactly planted-match status.
+    `planted` is a list of curator.Pattern of one shape. Unstamped clips are
+    rejection-sampled until they match no planted pattern, so before noise the
+    label is exactly planted-match status.
 
     `p_distract` is the fraction of negative clips that receive a near-miss
     distractor: a planted pattern with one required cell removed, stamped at a
@@ -397,13 +399,14 @@ def synth_generate(
     keep any strictly-more-general variant of a planted pattern from being a
     usable classifier, so recovery of a pattern requires recovering it exactly.
     """
-    from .curator import discrete_match
-
     if not (0 <= label_noise < 0.5) or not (0 <= feature_noise < 0.5):
         raise DataError("noise fractions must lie in [0, 0.5)")
-    for pat in planted:
-        if pat.cells.shape[0] > clip_length:
-            raise DataError(f"planted pattern '{pat.pattern_id}' is wider than the clip length")
+    if len({pat.cells.shape for pat in planted}) > 1:
+        raise DataError("planted patterns must share one (steps, features) shape")
+    cells = np.stack([pat.cells for pat in planted]) if planted else None
+    if planted and cells.shape[1] > clip_length:
+        raise DataError(f"planted pattern '{planted[0].pattern_id}' is wider than the "
+                        "clip length")
 
     rng = np.random.default_rng(seed)
     clips = []
@@ -415,17 +418,17 @@ def synth_generate(
                 for _ in range(clip_length)
             ])
             if stamped:
-                pat = planted[rng.integers(len(planted))]
-                window = int(rng.integers(clip_length - pat.cells.shape[0] + 1))
-                _stamp(steps, pat.cells, window, vocabulary, rng)
+                pat = cells[rng.integers(len(cells))]
+                window = int(rng.integers(clip_length - pat.shape[0] + 1))
+                _stamp(steps, pat, window, vocabulary, rng)
                 break
-            if not any(discrete_match(p, steps, padding=match_padding)[0] for p in planted):
+            if not planted or not _matches_any(cells, steps, match_padding):
                 break
         else:
             raise DataError("could not generate a non-matching background clip")
 
         if not stamped and planted and rng.random() < p_distract:
-            _stamp_distractor(steps, planted, vocabulary, rng, match_padding)
+            _stamp_distractor(steps, cells, vocabulary, rng, match_padding)
 
         label = stamped
         if label_noise and rng.random() < label_noise:
@@ -439,27 +442,30 @@ def synth_generate(
     return Dataset(vocabulary=vocabulary, clips=tuple(clips))
 
 
-def _stamp_distractor(steps: np.ndarray, planted, vocab: FeatureVocabulary,
+def _matches_any(cells: np.ndarray, steps: np.ndarray, padding: int) -> bool:
+    """Whether any of the patterns (P, k, d) matches the clip steps (L, d)."""
+    windows = kernels.clip_windows(steps[None], cells.shape[1], padding)
+    return bool((kernels.match_first_window(cells, windows) >= 0).any())
+
+
+def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVocabulary,
                       rng: np.random.Generator, match_padding: int,
                       max_tries: int = 50) -> bool:
-    """Stamp a drop-one-cell variant of a random planted pattern into `steps`.
+    """Stamp a drop-one-cell variant of a random planted pattern (P, k, d)
+    into `steps`.
 
     Retries until the clip still matches no full planted pattern and remains
     legal; leaves `steps` unchanged if no legal placement is found.
     """
-    from .curator import discrete_match
-
     for _ in range(max_tries):
         trial = steps.copy()
-        pat = planted[rng.integers(len(planted))]
-        positions = np.argwhere(pat.cells == 1)
+        cells = planted[rng.integers(len(planted))].copy()
+        positions = np.argwhere(cells == 1)
         drop = positions[rng.integers(len(positions))]
-        cells = pat.cells.copy()
         cells[drop[0], drop[1]] = 0
-        window = int(rng.integers(trial.shape[0] - pat.cells.shape[0] + 1))
+        window = int(rng.integers(trial.shape[0] - cells.shape[0] + 1))
         _stamp(trial, cells, window, vocab, rng)
-        if not any(discrete_match(p, trial, padding=match_padding)[0] for p in planted) \
-                and check_steps(trial, vocab) is None:
+        if not _matches_any(planted, trial, match_padding) and check_steps(trial, vocab) is None:
             steps[...] = trial
             return True
     return False

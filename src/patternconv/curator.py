@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, step_rules
-from .errors import DataError, json_object, padding_field
+from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, is_binary, step_rules
+from .errors import DataError, check_version, json_object, padding_field
 from .evalmetrics import confusion, kappa
 
 BANK_FORMAT_VERSION = 1
@@ -50,16 +50,6 @@ class Pattern:
             "source_era": self.source_era,
             "low_support": self.low_support,
         }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "Pattern":
-        return cls(
-            cells=np.asarray(rec["cells"], dtype=np.uint8),
-            pattern_id=rec["pattern_id"],
-            precision_train=rec.get("precision_train"),
-            source_era=rec.get("source_era", -1),
-            low_support=rec.get("low_support", False),
-        )
 
 
 @dataclass(frozen=True)
@@ -130,34 +120,33 @@ def binarize(W_filter: np.ndarray, vocab: FeatureVocabulary,
     return Pattern(cells=cells[0], pattern_id=pattern_id, source_era=source_era), None
 
 
-def discrete_match(pattern: Pattern, clip, padding: int = 1) -> tuple[bool, int | None]:
-    """Exact matching: a window matches when every 1-cell is 1 in the clip.
+def discrete_match(pattern, clip, padding: int = 1) -> tuple[bool, int | None]:
+    """`match_matrix` of one pattern (or its cells) on one clip (or its steps).
 
     Zero padding lets patterns with empty edge rows act as shorter patterns at
     clip edges. Returns (matched, first window index in padded coordinates).
     """
     steps = clip.steps if hasattr(clip, "steps") else np.asarray(clip)
-    cells = pattern.cells if isinstance(pattern, Pattern) else np.asarray(pattern, dtype=np.uint8)
-    if steps.shape[1] != cells.shape[1]:
-        raise DataError("pattern width does not match the clip feature width")
-    Xp = kernels.pad_clips(steps[None].astype(np.uint8), padding)
-    first = kernels.match_first_window(cells[None], Xp)[0, 0]
-    return (first >= 0), (int(first) if first >= 0 else None)
+    first = int(match_matrix([pattern], steps[None], padding)[0, 0])
+    return first >= 0, (first if first >= 0 else None)
 
 
 def match_matrix(patterns, dataset_or_steps, padding: int = 1) -> np.ndarray:
-    """(n_patterns, n_clips) first-window matrix, -1 when no match."""
+    """(n_patterns, n_clips) first-window matrix, -1 when no match, of
+    patterns (Patterns or (k, d) cells) of one shape over a dataset or its
+    (n_clips, L, d) steps."""
     if isinstance(dataset_or_steps, Dataset):
         X = dataset_or_steps.steps_array()
     else:
         X = np.asarray(dataset_or_steps)
-    cells = np.stack([p.cells for p in patterns]) if patterns else np.zeros((0, 1, X.shape[2]), np.uint8)
-    return kernels.match_first_window(cells, kernels.pad_clips(X.astype(np.uint8), padding))
+    if not len(patterns):
+        return np.full((0, len(X)), -1, dtype=np.int64)
+    cells = np.stack([getattr(p, "cells", p) for p in patterns])
+    return kernels.match_first_window(
+        cells, kernels.clip_windows(X.astype(np.uint8), cells.shape[1], padding))
 
 
 def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
-    if not bank.patterns:
-        return np.zeros(len(dataset), dtype=bool)
     return (match_matrix(bank.patterns, dataset, bank.padding) >= 0).any(axis=0)
 
 
@@ -282,8 +271,6 @@ def match_precision(hits: np.ndarray, labels: np.ndarray):
 def pattern_precisions(patterns, dataset: Dataset, padding: int = 1):
     """Per-pattern (precision, matched-count) on a dataset; precision is NaN
     for patterns matching nothing."""
-    if not patterns:
-        return np.zeros(0), np.zeros(0, dtype=int)
     return match_precision(match_matrix(patterns, dataset, padding) >= 0, dataset.labels())
 
 
@@ -313,13 +300,11 @@ def cumulative_kappa_curve(patterns, ranking_set: Dataset, eval_set: Dataset,
     ranked = rank_by_precision(patterns, ranking_set, padding)
     labels = eval_set.labels()
     curve = []
-    if ranked:
-        hits = match_matrix(ranked, eval_set, padding) >= 0
-        any_hit = np.zeros(len(eval_set), dtype=bool)
-        for n, row in enumerate(hits, start=1):
-            any_hit |= row
-            kap = kappa(confusion(any_hit.astype(float), labels))
-            curve.append((n, kap if kap is not None else 0.0))
+    any_hit = np.zeros(len(eval_set), dtype=bool)
+    for n, row in enumerate(match_matrix(ranked, eval_set, padding) >= 0, start=1):
+        any_hit |= row
+        kap = kappa(confusion(any_hit.astype(float), labels))
+        curve.append((n, kap if kap is not None else 0.0))
     return ranked, curve
 
 
@@ -355,12 +340,23 @@ def bank_from_json(text: str) -> PatternBank:
     doc = json_object(text, "pattern bank file")
     if doc.get("format") != "patternconv-bank":
         raise DataError("not a pattern bank file")
+    check_version(doc, BANK_FORMAT_VERSION, "pattern bank file")
     padding = padding_field(doc, "pattern bank")
     try:
-        return PatternBank(
-            patterns=tuple(Pattern.from_record(r) for r in doc["patterns"]),
-            vocabulary=FeatureVocabulary.from_record(doc["vocabulary"]),
-            padding=padding,
-        )
+        vocabulary = FeatureVocabulary.from_record(doc["vocabulary"])
+        records = doc["patterns"]
+        cells = [np.array(rec["cells"]) for rec in records]
+        shape = cells[0].shape[:1] + (vocabulary.d,) if cells else None
+        if any(c.shape != shape or not is_binary(c) for c in cells):
+            raise DataError("pattern bank cells must be 0/1 arrays of one "
+                            f"(steps, {vocabulary.d}) shape")
+        patterns = tuple(Pattern(cells=c.astype(np.uint8), pattern_id=rec["pattern_id"],
+                                 precision_train=rec.get("precision_train"),
+                                 source_era=rec.get("source_era", -1),
+                                 low_support=rec.get("low_support", False))
+                         for c, rec in zip(cells, records))
     except KeyError as e:
         raise DataError(f"pattern bank file missing key {e}") from None
+    except (TypeError, ValueError):  # a record that is not an object, or ragged cells
+        raise DataError("pattern bank patterns must be objects with rectangular cells") from None
+    return PatternBank(patterns=patterns, vocabulary=vocabulary, padding=padding)

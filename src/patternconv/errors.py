@@ -49,3 +49,12 @@ def padding_field(doc: dict, what: str) -> int:
     if isinstance(padding, bool) or not isinstance(padding, int) or padding < 0:
         raise DataError(f"{what} padding must be a non-negative integer")
     return padding
+
+
+def check_version(doc: dict, version: int, what: str) -> None:
+    """DataError unless a document's format version is `version`; documents
+    written before the field was checked read as version 1."""
+    found = doc.get("version", 1)
+    if type(found) is not int or found != version:
+        raise DataError(f"{what} has format version {json.dumps(found)}, "
+                        f"this reader reads version {version}")

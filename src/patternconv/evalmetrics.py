@@ -102,20 +102,15 @@ def report(scores, labels, threshold: float = 0.5) -> MetricsReport:
 
 
 def evaluate(predictor, dataset) -> MetricsReport:
-    """One-pass metrics for a scored or discrete predictor over a dataset.
-
-    `predictor` may be a score vector aligned with the dataset, a PatternBank
-    (discrete: scores in {0, 1}), or a ModelState (continuous scores).
-    """
+    """One-pass metrics of a PatternBank (discrete: scores in {0, 1}) or a
+    ModelState (continuous scores) over a dataset."""
     from .curator import PatternBank, bank_predict_batch
-    from .netcore import ModelState, forward_batch
+    from .netcore import forward_batch
 
     if isinstance(predictor, PatternBank):
         scores = bank_predict_batch(predictor, dataset).astype(np.float64)
-    elif isinstance(predictor, ModelState):
-        scores, _ = forward_batch(predictor, dataset.steps_array().astype(np.float64))
     else:
-        scores = np.asarray(predictor, dtype=np.float64)
+        scores, _ = forward_batch(predictor, dataset.steps_array().astype(np.float64))
     return report(scores, dataset.labels())
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .errors import DataError, json_object
+from .errors import DataError, check_version, json_object, padding_field
 
 MODEL_FORMAT_VERSION = 1
 
@@ -242,23 +242,39 @@ def state_to_json(state: ModelState) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _filters(doc: dict, what: str) -> np.ndarray:
+    """The (M, k, d) filters W of a model or snapshot document; DataError
+    unless M, k and d are positive integers and W lists M·k·d numbers."""
+    M, k, d = shape = doc["M"], doc["k"], doc["d"]
+    try:
+        W = np.array(doc["W"], dtype=np.float64)
+    except (TypeError, ValueError):
+        W = None
+    if not all(type(n) is int and n > 0 for n in shape) or W is None or W.shape != (M * k * d,):
+        raise DataError(f"{what} W must list M·k·d numbers for positive integers "
+                        f"M, k, d = {M}, {k}, {d}")
+    return W.reshape(shape)
+
+
 def state_from_json(text: str) -> ModelState:
     doc = json_object(text, "model file")
     if doc.get("format") != "patternconv-model":
         raise DataError("not a model file")
+    check_version(doc, MODEL_FORMAT_VERSION, "model file")
     try:
-        M, k, d = doc["M"], doc["k"], doc["d"]
         return ModelState(
-            W=np.array(doc["W"], dtype=np.float64).reshape(M, k, d),
+            W=_filters(doc, "model file"),
             fc_trad=np.array(doc["fc_trad"], dtype=np.float64),
             fc_frozen=bool(doc["fc_frozen"]),
             thresh=ThresholdingParams(**doc["thresh"]),
             alpha=float(doc["alpha"]),
             dropout_rate=float(doc["dropout_rate"]),
-            padding=int(doc["padding"]),
+            padding=padding_field(doc, "model file"),
         )
     except KeyError as e:
         raise DataError(f"model file missing key {e}") from None
+    except (TypeError, ValueError) as e:  # a field of the wrong type, or unknown thresh keys
+        raise DataError(f"model file has a malformed field: {e}") from None
 
 
 def filters_to_json(W: np.ndarray, padding: int = DEFAULT_PADDING, extra: dict | None = None) -> str:
@@ -281,8 +297,8 @@ def filters_from_json(text: str) -> tuple[np.ndarray, dict]:
     doc = json_object(text, "filter snapshot file")
     if doc.get("format") != "patternconv-filters":
         raise DataError("not a filter snapshot file")
+    check_version(doc, MODEL_FORMAT_VERSION, "filter snapshot file")
     try:
-        W = np.array(doc["W"], dtype=np.float64).reshape(doc["M"], doc["k"], doc["d"])
+        return _filters(doc, "filter snapshot file"), doc
     except KeyError as e:
         raise DataError(f"filter snapshot file missing key {e}") from None
-    return W, doc

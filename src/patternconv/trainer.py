@@ -58,8 +58,9 @@ class EraSnapshot:
 
 @dataclass(frozen=True)
 class WindowedSet:
-    """A dataset's clip windows, built once: the input that training batches
-    and the per-epoch val forward pass slice instead of re-stacking clips."""
+    """A dataset's clip windows, built once: the input that training batches,
+    the per-epoch val forward pass and per-era filter precision read instead
+    of re-stacking clips."""
 
     X: np.ndarray        # (N, C, k·d) uint8, from kernels.clip_windows
     labels: np.ndarray   # (N,) bool
@@ -153,13 +154,11 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     return record
 
 
-def eval_filter_precision(W: np.ndarray, dataset: Dataset, padding: int = 1) -> np.ndarray:
-    """Precision of each rounded filter under discrete matching; NaN when a
-    filter matches no clip."""
-    cells = (W >= 0.5).astype(np.uint8)
-    X = dataset.steps_array().astype(np.uint8)
-    first = kernels.match_first_window(cells, kernels.pad_clips(X, padding))
-    return match_precision(first >= 0, dataset.labels())[0]
+def eval_filter_precision(W: np.ndarray, windowed: WindowedSet) -> np.ndarray:
+    """Precision of each rounded filter under discrete matching on a windowed
+    set; NaN when a filter matches no clip."""
+    first = kernels.match_first_window((W >= 0.5).astype(np.uint8), windowed.X)
+    return match_precision(first >= 0, windowed.labels)[0]
 
 
 def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
@@ -216,7 +215,7 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
                 log(record)
             epoch_records.append(record)
 
-        precisions = eval_filter_precision(state.W, train_set, padding)
+        precisions = eval_filter_precision(state.W, train_w)
         snapshots.append(EraSnapshot(era=era, W=state.W.copy(),
                                      per_filter_precision=precisions.copy(),
                                      epoch_losses=tuple(epoch_records)))

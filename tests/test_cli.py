@@ -313,6 +313,148 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys, vocab, case):
     assert "Traceback" not in err
 
 
+def _add_pattern(steps, features):
+    def edit(doc):
+        doc["patterns"].append({"pattern_id": "q",
+                                "cells": np.zeros((steps, features), int).tolist()})
+    return edit
+
+
+def _snapshot(snaps, W, edit=None):
+    """An era snapshot of filters W, each with precision 0.9 so that curate
+    harvests it, in a new directory; `edit` changes the document first."""
+    os.makedirs(snaps)
+    doc = json.loads(netcore.filters_to_json(W, 1, {"era": 0,
+                                                    "per_filter_precision": [0.9] * len(W)}))
+    if edit:
+        edit(doc)
+    (snaps / "era_000.json").write_text(json.dumps(doc))
+    return str(snaps)
+
+
+def _model(path, vocab, edit=None):
+    doc = json.loads(netcore.state_to_json(netcore.init_state(4, 3, vocab.d, rng=0)))
+    if edit:
+        edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _bank_of_mixed_step_counts(tmp, vocab, data):
+    return ["eval", _write_bank(tmp / "b.json", vocab, edit=_add_pattern(4, vocab.d)), data]
+
+
+def _bank_of_10_features(tmp, vocab, data):
+    def edit(doc):
+        doc["patterns"].clear()
+        _add_pattern(3, 10)(doc)
+    return ["eval", _write_bank(tmp / "b.json", vocab, edit=edit), data]
+
+
+def _snapshot_of_wrong_size(tmp, vocab, data):
+    def edit(doc):
+        doc["M"] = 3
+    return ["curate", _snapshot(tmp / "snaps", np.ones((2, 3, vocab.d)), edit), data]
+
+
+def _snapshot_of_10_features(tmp, vocab, data):
+    return ["curate", _snapshot(tmp / "snaps", np.ones((2, 3, 10))), data]
+
+
+def _model_with_unknown_thresh_key(tmp, vocab, data):
+    def edit(doc):
+        doc["thresh"]["sharpness"] = 1.0
+    return ["eval", _model(tmp / "m.json", vocab, edit), data]
+
+
+def _model_with_negative_padding(tmp, vocab, data):
+    def edit(doc):
+        doc["padding"] = -1
+    return ["eval", _model(tmp / "m.json", vocab, edit), data]
+
+
+# each case writes a bank, model or snapshot that parses but cannot be used,
+# and the message that names the fault
+UNUSABLE = {
+    "bank_of_mixed_step_counts": (_bank_of_mixed_step_counts,
+                                  "b.json: pattern bank cells must be 0/1 arrays of one "
+                                  "(steps, 13) shape"),
+    "bank_of_10_features": (_bank_of_10_features, "b.json: pattern bank cells must be"),
+    "snapshot_of_wrong_size": (_snapshot_of_wrong_size,
+                               "era_000.json: filter snapshot file W must list M·k·d numbers "
+                               "for positive integers M, k, d = 3, 3, 13"),
+    "snapshot_of_10_features": (_snapshot_of_10_features,
+                                "era_000.json: filters have 10 features, the clips have 13"),
+    "model_with_unknown_thresh_key": (_model_with_unknown_thresh_key,
+                                      "m.json: model file has a malformed field"),
+    "model_with_negative_padding": (_model_with_negative_padding,
+                                    "m.json: model file padding must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE))
+def test_unusable_documents_exit_2(tmp_path, capsys, vocab, case):
+    build, message = UNUSABLE[case]
+    argv = build(tmp_path, vocab, _write_clips(tmp_path / "d.jsonl", vocab, 40, 5))
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _set_version(version):
+    def edit(doc):
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+    return edit
+
+
+def _versioned_clips(tmp, vocab, edit):
+    path = tmp / "v.jsonl"
+    _write_clips(path, vocab, 40, 5)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return ["eval", _write_bank(tmp / "b.json", vocab), str(path)], "v.jsonl:1: clip file header"
+
+
+def _versioned_bank(tmp, vocab, edit):
+    return (["eval", _write_bank(tmp / "v.json", vocab, edit=edit),
+             _write_clips(tmp / "d.jsonl", vocab, 40, 5)], "v.json: pattern bank file")
+
+
+def _versioned_model(tmp, vocab, edit):
+    return (["eval", _model(tmp / "v.json", vocab, edit),
+             _write_clips(tmp / "d.jsonl", vocab, 40, 5)], "v.json: model file")
+
+
+def _versioned_snapshot(tmp, vocab, edit):
+    snaps = _snapshot(tmp / "snaps", np.zeros((2, 3, vocab.d)), edit)
+    return (["curate", snaps, _write_clips(tmp / "d.jsonl", vocab, 40, 5)],
+            "era_000.json: filter snapshot file")
+
+
+@pytest.mark.parametrize("version,code", [(99, 2), ("1", 2), (None, 0)],
+                         ids=["99", "string_1", "missing"])
+@pytest.mark.parametrize("build", [_versioned_clips, _versioned_bank, _versioned_model,
+                                   _versioned_snapshot],
+                         ids=["clips", "bank", "model", "snapshot"])
+def test_readers_check_the_format_version(tmp_path, capsys, vocab, build, version, code):
+    """Every format is at version 1. A file without the field reads as 1; any
+    other version exits 2 and names the file."""
+    argv, where = build(tmp_path, vocab, _set_version(version))
+    assert _run(["--out", str(tmp_path / "o")] + argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert f"{where} has format version {json.dumps(version)}, this reader reads " \
+               "version 1" in err
+
+
 def _edge_help_files(tmp, vocab, padding):
     """A bank, curated with `padding`, of one pattern whose rows 0 and 2 are
     empty and whose row 1 asks for help, and clips whose only help step is

@@ -1,5 +1,6 @@
 """Data model, loading/validation, splits, and the synthetic generator."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -254,6 +255,28 @@ def test_synth_rejects_wide_pattern(vocab):
     wide = Pattern(cells=np.ones((7, vocab.d), dtype=np.uint8), pattern_id="wide")
     with pytest.raises(DataError, match="wider than the clip length"):
         corpus.synth_generate(vocab, [wide], 10, 0.0, 0.0, seed=0)
+
+
+def test_synth_rejects_planted_patterns_of_mixed_shape(vocab, planted):
+    four = Pattern(cells=np.zeros((4, vocab.d), dtype=np.uint8), pattern_id="four")
+    with pytest.raises(DataError, match="must share one"):
+        corpus.synth_generate(vocab, [planted[0], four], 10, 0.0, 0.0, seed=0)
+
+
+# sha256 of the written 300-clip dataset per seed, from before synth matched
+# all planted patterns in one call: testing a candidate draws no random number
+SYNTH_DIGESTS = {
+    0: "f048343842f5e2bbc748370f5d825bafa7ac167d3ab251c255e56901f86fe38f",
+    1: "18f62f3e55a1944a991f964bc4075c6610c241f783a2044c29d4961d74bf6edf",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_DIGESTS))
+def test_synth_output_is_frozen(tmp_path, vocab, planted, seed):
+    ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=seed, p_distract=0.7)
+    corpus.write_dataset(ds, tmp_path / "d.jsonl")
+    digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
+    assert digest == SYNTH_DIGESTS[seed]
 
 
 def test_synth_distractors_do_not_flip_labels(vocab, planted):

@@ -116,7 +116,7 @@ def test_evaluate_labels_as_predictor(vocab):
     labels[0], labels[1] = True, False
     ds = Dataset(vocabulary=vocab, clips=tuple(
         Clip(clip_id=str(i), steps=x, label=bool(l)) for i, (x, l) in enumerate(zip(X, labels))))
-    rep = evaluate(labels.astype(float), ds)
+    rep = report(labels.astype(float), ds.labels())
     assert rep.accuracy == 1.0 and rep.kappa == pytest.approx(1.0)
 
 
@@ -127,7 +127,7 @@ def test_evaluate_constant_negative_on_imbalanced(vocab):
     labels[:6] = True
     ds = Dataset(vocabulary=vocab, clips=tuple(
         Clip(clip_id=str(i), steps=x, label=bool(l)) for i, (x, l) in enumerate(zip(X, labels))))
-    rep = evaluate(np.zeros(100), ds)
+    rep = report(np.zeros(100), ds.labels())
     assert rep.accuracy == pytest.approx(0.94)
     assert rep.kappa == pytest.approx(0.0)
     assert rep.recall == pytest.approx(0.0)

@@ -9,17 +9,25 @@ import pytest
 
 from conftest import random_legal_clip_batch, random_legal_pattern
 from patternconv import kernels
-from patternconv.corpus import FeatureVocabulary
+from patternconv.errors import DataError
 
 
-def _brute_first_window(cells, Xp):
+def _padded(X, padding):
+    """Clips (B, L, d) with `padding` zero steps at either end."""
+    B, L, d = X.shape
+    Xp = np.zeros((B, L + 2 * padding, d), dtype=X.dtype)
+    Xp[:, padding:padding + L] = X
+    return Xp
+
+
+def _brute_first_window(cells, X, padding):
     P, k, d = cells.shape
-    B, Lp, _ = Xp.shape
-    C = Lp - k + 1
-    out = np.full((P, B), -1, dtype=np.int64)
+    Xp = _padded(X, padding)
+    C = Xp.shape[1] - k + 1
+    out = np.full((P, len(X)), -1, dtype=np.int64)
     for p in range(P):
         req = list(zip(*np.nonzero(cells[p])))
-        for b in range(B):
+        for b in range(len(X)):
             for c in range(C):
                 if all(Xp[b, c + n, j] for n, j in req):
                     out[p, b] = c
@@ -27,13 +35,26 @@ def _brute_first_window(cells, Xp):
     return out
 
 
-def test_pad_clips_shape_and_content():
-    X = np.ones((2, 5, 3), dtype=np.uint8)
-    Xp = kernels.pad_clips(X, 1)
-    assert Xp.shape == (2, 7, 3)
-    assert Xp[:, 0].sum() == 0 and Xp[:, -1].sum() == 0
-    assert (Xp[:, 1:-1] == X).all()
-    assert kernels.pad_clips(X, 0) is X
+@pytest.mark.parametrize("B", [1, 7])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_clip_windows_against_slices(k, padding, B):
+    rng = np.random.default_rng(100 * k + 10 * padding + B)
+    X = rng.integers(0, 256, (B, 5, 3), dtype=np.uint8)
+    Xw = kernels.clip_windows(X, k, padding)
+    C = 5 + 2 * padding - k + 1
+    assert Xw.shape == (B, C, k * 3) and Xw.dtype == np.uint8
+    Xp = _padded(X, padding)
+    for c in range(C):
+        assert (Xw[:, c] == Xp[:, c:c + k].reshape(B, -1)).all()
+
+
+def test_clip_windows_rejects_clips_shorter_than_the_kernel():
+    assert kernels.clip_windows(np.ones((2, 1, 3)), 3, 1).shape == (2, 1, 9)
+    with pytest.raises(DataError, match="clip too short for the kernel"):
+        kernels.clip_windows(np.ones((2, 1, 3)), 4, 1)
+    with pytest.raises(DataError, match="clip too short for the kernel"):
+        kernels.clip_windows(np.ones((2, 2, 3)), 3, 0)
 
 
 @pytest.mark.parametrize("padding", [0, 1, 2])
@@ -54,25 +75,38 @@ def test_match_first_window_against_brute_force(vocab, k, padding):
     edge_start[-1, early] = 1
     cells = np.stack([random_legal_pattern(vocab, k, rng).cells for _ in range(15)]
                      + [np.zeros((k, vocab.d), np.uint8), edge_end, edge_start])
-    Xp = kernels.pad_clips(X, padding)
-    got = kernels.match_first_window(cells, Xp)
+    Xw = kernels.clip_windows(X, k, padding)
+    got = kernels.match_first_window(cells, Xw)
     assert got.dtype == np.int64 and got.shape == (len(cells), len(X))
-    assert (got == _brute_first_window(cells, Xp)).all()
+    assert (got == _brute_first_window(cells, X, padding)).all()
     assert (got[-3] == 0).all()  # the all-zero pattern matches the first window
-    one = kernels.match_first_window(cells, Xp[:1])
+    one = kernels.match_first_window(cells, Xw[:1])
     assert (one == got[:, :1]).all()
+    # the conv's float64 windows match the same way
+    assert (kernels.match_first_window(cells, Xw.astype(np.float64)) == got).all()
 
 
 def test_match_empty_inputs():
     out = kernels.match_first_window(np.zeros((0, 3, 5), np.uint8),
-                                     np.zeros((4, 7, 5), np.uint8))
+                                     np.zeros((4, 5, 15), np.uint8))
     assert out.shape == (0, 4)
+    out = kernels.match_first_window(np.ones((2, 3, 5), np.uint8),
+                                     np.zeros((0, 5, 15), np.uint8))
+    assert out.shape == (2, 0)
+
+
+def test_match_rejects_a_pattern_of_another_width():
+    X = kernels.clip_windows(np.zeros((4, 5, 5), np.uint8), 3, 1)
+    with pytest.raises(DataError, match="does not fit windows of 15 cells"):
+        kernels.match_first_window(np.ones((1, 3, 4), np.uint8), X)
+    with pytest.raises(DataError, match="does not fit windows of 15 cells"):
+        kernels.match_first_window(np.ones((1, 2, 5), np.uint8), X)
 
 
 def test_conv_forward_matches_direct_sum(vocab):
     rng = np.random.default_rng(7)
     X = random_legal_clip_batch(vocab, 6, 5, rng)
-    Xp = kernels.pad_clips(X, 1)
+    Xp = _padded(X, 1)
     Xw = kernels.clip_windows(X, 3, 1).astype(np.float64)
     W = rng.random((4, 3, vocab.d))
     h = kernels.conv_forward_batch(W, Xw)
@@ -98,4 +132,6 @@ def test_bench_kernels_script_runs(capsys):
     out = capsys.readouterr().out
     for name in ("conv_forward", "conv_backward", "prune_subsumed", "harvest_filters"):
         assert name in out
-    assert out.count("match_first_window") == 2  # batch and single clip
+    for name in ("match_first_window", "clip_windows"):
+        rows = [line.split() for line in out.splitlines() if line.startswith(name)]
+        assert [row[1] for row in rows] == ["8", "1"]  # the batch and a single clip

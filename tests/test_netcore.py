@@ -88,8 +88,9 @@ def test_pooling_ties_route_to_lowest_window(vocab, monkeypatch):
     st_.fc_trad[:] = [0.3, -0.2, 0.1]
     y, cache = forward_batch(st_, X)
 
-    Xp = kernels.pad_clips(X, 1)
-    direct = np.einsum("mkd,bckd->bcm", st_.W, kernels.windows(Xp, 3).astype(np.float64))
+    Xw = kernels.clip_windows(X, 3, 1).astype(np.float64)
+    assert (forward_batch(st_, Xw, windowed=True)[1].h_pre == cache.h_pre).all()
+    direct = np.einsum("mkd,bckd->bcm", st_.W, Xw.reshape(4, 5, 3, vocab.d))
     assert (cache.h_pre == direct).all()
     assert (cache.h_pre[:, 1:4] == 3.0).all() and (cache.h_pre[:, [0, 4]] == 2.0).all()
     assert (cache.argmax == 1).all()

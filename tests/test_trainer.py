@@ -95,26 +95,26 @@ def test_filter_precision_fixture(vocab, planted):
     W = pat.cells[None].astype(np.float64)
     hits = [c for c in ds.clips if bool(
         trainer.kernels.match_first_window(pat.cells[None],
-            trainer.kernels.pad_clips(c.steps[None], 1))[0, 0] >= 0)]
+            trainer.kernels.clip_windows(c.steps[None], 3, 1))[0, 0] >= 0)]
     assert len(hits) >= 10
     chosen = hits[:10]
     relabeled = corpus.Dataset(vocabulary=vocab, clips=tuple(
         corpus.Clip(clip_id=c.clip_id, steps=c.steps, label=i < 3)
         for i, c in enumerate(chosen)))
-    prec = eval_filter_precision(W, relabeled)
+    prec = eval_filter_precision(W, WindowedSet.build(relabeled, 3, 1))
     assert prec[0] == pytest.approx(0.3)
 
 
 def test_filter_precision_no_match_is_nan(vocab, planted):
     ds = _dataset(vocab, planted, n=50)
     W = np.ones((1, 3, vocab.d))  # demands everything: matches nothing
-    assert np.isnan(eval_filter_precision(W, ds)[0])
+    assert np.isnan(eval_filter_precision(W, WindowedSet.build(ds, 3, 1))[0])
 
 
 def test_filter_precision_pure_positive(vocab, planted):
     ds = _dataset(vocab, [planted[0]], n=400, seed=4)
     W = planted[0].cells[None].astype(np.float64)
-    assert eval_filter_precision(W, ds)[0] == 1.0
+    assert eval_filter_precision(W, WindowedSet.build(ds, 3, 1))[0] == 1.0
 
 
 # ----------------------------------------------------------------- harvest

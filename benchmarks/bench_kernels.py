@@ -12,7 +12,9 @@ convolution and matching read. The convolution is one matrix multiply each
 way, and matching is the same window product thresholded at each pattern's
 cell count. Window building and matching are timed on the whole batch and on
 a single clip, the shape of `explain` and of synth's rejection sampling. The curation pools default to 300 and 1,359 unique patterns; 1,359
-is the unique count of the source paper's funnel.
+is the unique count of the source paper's funnel. `evalmetrics.auc` is timed
+on tie-heavy scores of the batch and of 100,000 clips, the clip count of a
+paper-scale run.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import time
 
 import numpy as np
 
-from patternconv import curator, kernels, trainer
+from patternconv import curator, evalmetrics, kernels, trainer
 from patternconv.corpus import FeatureVocabulary
 
 
@@ -103,6 +105,11 @@ def main(argv=None):
         t = _time(fn, *a, repeats=args.repeats)
         clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
         print(f"{name:<20} {clips:>9} {t * 1e3:>10.3f}ms")
+    for n in (B, 100_000):
+        scores = rng.integers(0, 1000, n) / 1000
+        labels = rng.random(n) < 0.2
+        t = _time(evalmetrics.auc, scores, labels, repeats=args.repeats)
+        print(f"{'auc':<20} {n:>9} {t * 1e3:>10.3f}ms")
 
     bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import FeatureVocabulary
 from .curator import Pattern, PatternBank, match_matrix
-from .errors import DataError, read_text
+from .errors import DataError, atomic_write, read_text
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,10 @@ class ExpertPattern:
 
 
 def expert_from_names(name: str, step_names, vocab: FeatureVocabulary) -> ExpertPattern:
+    if not isinstance(step_names, list) or not all(
+            isinstance(step, list) and all(isinstance(n, str) for n in step)
+            for step in step_names):
+        raise DataError(f"expert pattern '{name}': steps must be lists of feature names")
     index = {n: i for i, n in enumerate(vocab.feature_names)}
     steps = []
     for step in step_names:
@@ -46,14 +50,18 @@ def load_expert_patterns(path, vocab: FeatureVocabulary) -> list[ExpertPattern]:
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise DataError("expert pattern is not a JSON object")
             out.append(expert_from_names(rec["name"], rec["steps"], vocab))
         except (json.JSONDecodeError, KeyError) as e:
             raise DataError(f"{path}:{lineno + 1}: malformed expert pattern: {e}") from None
+        except DataError as e:
+            raise DataError(f"{path}:{lineno + 1}: {e}") from None
     return out
 
 
 def write_expert_patterns(patterns, vocab: FeatureVocabulary, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for p in patterns:
             rec = {"name": p.name,
                    "steps": [sorted(vocab.feature_names[i] for i in s) for s in p.steps]}

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
-from .errors import (ConfigError, DataError, NumericalError, json_object, padding_field,
-                     read_text)
+from .errors import (ConfigError, DataError, NumericalError, atomic_write, json_object,
+                     padding_field, read_text)
 from .schedule import DEFAULT_TARGETS, ConstraintSchedule
 
 DEFAULT_CONFIG = {
@@ -229,7 +229,7 @@ def cmd_synth(cfg: dict, out: str) -> int:
                          meta={"config_hash": h})
     bank = curator.PatternBank(patterns=tuple(planted), vocabulary=vocab,
                                padding=cfg["model"]["padding"])
-    with open(os.path.join(out, "planted_bank.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "planted_bank.json")) as fh:
         fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
     print(f"wrote {len(dataset)} clips (positive rate {dataset.positive_rate:.3f}) to {out}")
     return 0
@@ -250,7 +250,7 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     h = config_hash(cfg)
 
     log_path = os.path.join(out, "training_log.jsonl")
-    with open(log_path, "w") as log_fh:
+    with atomic_write(log_path) as log_fh:
         def log(rec):
             log_fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
@@ -267,24 +267,28 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
                                      for p in snap.per_filter_precision],
             "config_hash": h,
         }
-        with open(os.path.join(snap_dir, f"era_{snap.era:03d}.json"), "w") as fh:
+        with atomic_write(os.path.join(snap_dir, f"era_{snap.era:03d}.json")) as fh:
             fh.write(netcore.filters_to_json(snap.W, model["padding"], extra))
 
-    with open(os.path.join(out, "model.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "model.json")) as fh:
         fh.write(netcore.state_to_json(state))
     bank = curator.PatternBank(patterns=tuple(harvested), vocabulary=train_set.vocabulary,
                                padding=model["padding"])
-    with open(os.path.join(out, "harvested.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "harvested.json")) as fh:
         fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "manifest.json")) as fh:
         json.dump({"config_hash": h, "config": cfg, "eras": len(snapshots),
                    "harvested": len(harvested)}, fh, indent=2)
     print(f"trained {len(snapshots)} eras; harvested {len(harvested)} filters")
     return 0
 
 
-def _snapshot_precisions(doc: dict, M: int, path: str) -> np.ndarray:
-    """A snapshot's per-filter precisions, null read as NaN."""
+def _snapshot_fields(doc: dict, M: int, path: str) -> tuple[int, np.ndarray]:
+    """A snapshot's era (-1 when it has none) and per-filter precisions, null
+    read as NaN."""
+    era = doc.get("era", -1)
+    if "era" in doc and (type(era) is not int or era < 0):
+        raise DataError(f"{path}: era must be a non-negative integer, not {json.dumps(era)}")
     if "per_filter_precision" not in doc:
         raise DataError(f"{path}: filter snapshot file missing key 'per_filter_precision'")
     try:
@@ -292,10 +296,10 @@ def _snapshot_precisions(doc: dict, M: int, path: str) -> np.ndarray:
                         dtype=np.float64)
     except (TypeError, ValueError):
         prec = None
-    if prec is None or prec.shape != (M,):
-        raise DataError(f"{path}: per_filter_precision must list a number or null "
-                        f"for each of the {M} filters")
-    return prec
+    if prec is None or prec.shape != (M,) or ((prec < 0) | (prec > 1)).any():
+        raise DataError(f"{path}: per_filter_precision must list a number in [0, 1] "
+                        f"or null for each of the {M} filters")
+    return era, prec
 
 
 def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> int:
@@ -321,9 +325,9 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
         elif snap_padding != padding:
             raise DataError(f"snapshots disagree on padding: {first} has {padding}, "
                             f"{path} has {snap_padding}")
-        harvested.extend(trainer.harvest_filters(
-            W, _snapshot_precisions(doc, len(W), path), doc.get("era", -1), vocab,
-            tcfg["harvest_precision_threshold"]))
+        era, precisions = _snapshot_fields(doc, len(W), path)
+        harvested.extend(trainer.harvest_filters(W, precisions, era, vocab,
+                                                 tcfg["harvest_precision_threshold"]))
 
     unique = curator.dedup(harvested)
     pruned = curator.prune_subsumed(unique, clip_length=cfg["data"]["clip_length"],
@@ -333,9 +337,9 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     bank = curator.select_bank(curve, ranked, vocab, n_override=cfg["curate"]["n_override"],
                                padding=padding)
     h = config_hash(cfg)
-    with open(os.path.join(out, "bank.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "bank.json")) as fh:
         fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
-    with open(os.path.join(out, "kappa_curve.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "kappa_curve.json")) as fh:
         json.dump({"config_hash": h, "curve": curve}, fh)
     print(f"harvested {len(harvested)} -> unique {len(unique)} -> "
           f"non-redundant {len(pruned)} -> selected {len(bank)}")
@@ -359,7 +363,7 @@ def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int
     rows = {name: evalmetrics.evaluate(predictor, ds)
             for name, ds in (("train", train_set), ("val", val_set), ("test", test_set))}
     print(evalmetrics.render_table(rows))
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "metrics.json")) as fh:
         json.dump({"config_hash": config_hash(cfg),
                    **{name: json.loads(rep.to_json()) for name, rep in rows.items()}}, fh)
     return 0
@@ -374,7 +378,7 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
     report = analysis.compare_banks(bank, experts, k=k)
     report["config_hash"] = config_hash(cfg)
     report["stats"] = analysis.pattern_stats(bank)
-    with open(os.path.join(out, "comparison.json"), "w") as fh:
+    with atomic_write(os.path.join(out, "comparison.json")) as fh:
         json.dump(report, fh, indent=2)
     mean = report["all_pairs"]["mean"]
     print(f"compared {len(bank)} learned patterns with "
@@ -389,9 +393,10 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
 def cmd_explain(cfg: dict, out: str, bank_path: str, clip_path: str, clip_id: str) -> int:
     bank = _parse(curator.bank_from_json, bank_path)
     dataset = corpus.load_dataset(clip_path)
-    clip = next((c for c in dataset.clips if c.clip_id == clip_id), None)
-    if clip is None:
+    if clip_id not in dataset.clip_ids:
         raise DataError(f"clip '{clip_id}' not found in {clip_path}")
+    i = dataset.clip_ids.index(clip_id)
+    clip = corpus.Clip(clip_id, dataset.steps_array()[i], bool(dataset.labels()[i]))
     exp = analysis.explain(clip, bank, bank.vocabulary, padding=bank.padding)
     print(exp.bullet_text)
     print()

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .errors import DataError, check_version
+from .errors import DataError, atomic_write, check_version
 
 CLIP_FORMAT_NAME = "patternconv-clips"
 CLIP_FORMAT_VERSION = 1
@@ -160,34 +161,39 @@ class Clip:
     def length(self) -> int:
         return self.steps.shape[0]
 
-    def to_record(self) -> dict:
-        return {
-            "clip_id": self.clip_id,
-            "label": int(self.label),
-            "steps": self.steps.astype(int).tolist(),
-        }
 
-
-@dataclass(frozen=True)
 class Dataset:
-    vocabulary: FeatureVocabulary
-    clips: tuple[Clip, ...]
+    """Clips of one length as read-only arrays, steps (N, L, d) uint8 and labels (N,) bool."""
+
+    def __init__(self, vocabulary: FeatureVocabulary, clips=None, *, steps=None,
+                 labels=None, clip_ids=()):
+        if clips is not None:
+            steps = np.stack([c.steps for c in clips]) if clips else np.zeros((0, 0, vocabulary.d))
+            labels, clip_ids = [c.label for c in clips], [c.clip_id for c in clips]
+        self.vocabulary = vocabulary
+        self._steps = np.asarray(steps).astype(np.uint8, copy=False)
+        self._labels = np.asarray(labels, dtype=bool)
+        self._steps.setflags(write=False)
+        self._labels.setflags(write=False)
+        self.clip_ids = tuple(clip_ids)
+
+    @cached_property
+    def clips(self) -> tuple[Clip, ...]:
+        return tuple(map(Clip, self.clip_ids, self._steps, self._labels.tolist()))
 
     @property
     def positive_rate(self) -> float:
-        if not self.clips:
-            return 0.0
-        return sum(c.label for c in self.clips) / len(self.clips)
+        return np.count_nonzero(self._labels) / len(self) if len(self) else 0.0
 
     def labels(self) -> np.ndarray:
-        return np.array([c.label for c in self.clips], dtype=bool)
+        return self._labels
 
     def steps_array(self) -> np.ndarray:
-        """All clips stacked as (n_clips, L, d). Requires uniform length."""
-        return np.stack([c.steps for c in self.clips]) if self.clips else np.zeros((0, 0, self.vocabulary.d), dtype=np.uint8)
+        """All clips' steps as (n_clips, L, d) uint8."""
+        return self._steps
 
     def __len__(self) -> int:
-        return len(self.clips)
+        return len(self._steps)
 
 
 def is_binary(values: np.ndarray) -> bool:
@@ -234,8 +240,8 @@ _CHECK_ROWS = 1 << 13  # rows per block of the load-time rule check, to bound it
 def load_dataset(path) -> Dataset:
     """Load a line-delimited clip file, rejecting the whole file on any
     violation. Every clip must have the same number of steps."""
-    clips = []
-    X = None  # (lines in the file, L, d): each clip's steps are a view of one row
+    clip_ids, labels = [], []
+    X = None  # (lines in the file, L, d): the clips' steps fill its first rows
     vocab = None
     with open(path, encoding="utf-8") as fh:
         try:  # the first pass decodes the whole file
@@ -267,18 +273,20 @@ def load_dataset(path) -> Dataset:
             elif len(steps) != X.shape[1]:
                 raise DataError(f"clip '{clip_id}': {len(steps)} steps, where earlier "
                                 f"clips have {X.shape[1]}")
-            X[len(clips)] = steps
-            clips.append(Clip(clip_id=clip_id, steps=X[len(clips)], label=label))
+            X[len(clip_ids)] = steps
+            clip_ids.append(clip_id)
+            labels.append(label)
     if vocab is None:
         raise DataError(f"{path}: no vocabulary header")
-    if clips:
-        rows = X[:len(clips)].reshape(-1, vocab.d)
-        for start in range(0, len(rows), _CHECK_ROWS):
-            bad = _step_violation(rows[start:start + _CHECK_ROWS], vocab)
-            if bad is not None:
-                clip, n = divmod(start + bad[0], X.shape[1])
-                raise DataError(f"clip '{clips[clip].clip_id}': step {n}: {bad[1]}")
-    return Dataset(vocabulary=vocab, clips=tuple(clips))
+    if not clip_ids:
+        return Dataset(vocabulary=vocab, clips=())
+    rows = X[:len(clip_ids)].reshape(-1, vocab.d)
+    for start in range(0, len(rows), _CHECK_ROWS):
+        bad = _step_violation(rows[start:start + _CHECK_ROWS], vocab)
+        if bad is not None:
+            clip, n = divmod(start + bad[0], X.shape[1])
+            raise DataError(f"clip '{clip_ids[clip]}': step {n}: {bad[1]}")
+    return Dataset(vocabulary=vocab, steps=X[:len(clip_ids)], labels=labels, clip_ids=clip_ids)
 
 
 def write_dataset(dataset: Dataset, path, meta: dict | None = None) -> None:
@@ -287,10 +295,12 @@ def write_dataset(dataset: Dataset, path, meta: dict | None = None) -> None:
     header = dataset.vocabulary.to_record()
     if meta:
         header.update(meta)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for clip in dataset.clips:
-            fh.write(json.dumps(clip.to_record(), separators=(",", ":")) + "\n")
+        # row by row: a whole-array tolist() would hold every step as Python ints
+        for clip_id, label, steps in zip(dataset.clip_ids, dataset.labels(), dataset.steps_array()):
+            rec = {"clip_id": clip_id, "label": int(label), "steps": steps.tolist()}
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def stratified_split(
@@ -302,29 +312,27 @@ def stratified_split(
     """Deterministic stratified (train, val, test) split."""
     if not (0 < test_fraction < 1) or not (0 < val_fraction_of_remainder < 1):
         raise DataError("split fractions must lie in (0, 1)")
-    pos = [c for c in dataset.clips if c.label]
-    neg = [c for c in dataset.clips if not c.label]
-    if not pos or not neg:
+    labels = dataset.labels()
+    pos, neg = np.flatnonzero(labels), np.flatnonzero(~labels)
+    if not pos.size or not neg.size:
         raise DataError("stratified split needs at least one clip of each class")
 
     rng = np.random.default_rng(seed)
 
-    def carve(group: list[Clip]) -> tuple[list[Clip], list[Clip], list[Clip]]:
-        order = rng.permutation(len(group))
-        shuffled = [group[i] for i in order]
+    def carve(group: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        shuffled = group[rng.permutation(len(group))]
         n_test = round(test_fraction * len(group))
         test = shuffled[:n_test]
         rest = shuffled[n_test:]
         n_val = round(val_fraction_of_remainder * len(rest))
         return rest[n_val:], rest[:n_val], test
 
-    train_p, val_p, test_p = carve(pos)
-    train_n, val_n, test_n = carve(neg)
-    train, val, test = train_p + train_n, val_p + val_n, test_p + test_n
-    if not train or not val or not test:
+    parts = [np.concatenate(p) for p in zip(carve(pos), carve(neg))]
+    if not all(p.size for p in parts):
         raise DataError("split fractions leave an empty split")
-    mk = lambda clips: Dataset(vocabulary=dataset.vocabulary, clips=tuple(clips))
-    return mk(train), mk(val), mk(test)
+    return tuple(Dataset(vocabulary=dataset.vocabulary, steps=dataset.steps_array()[p],
+                         labels=labels[p], clip_ids=[dataset.clip_ids[i] for i in p])
+                 for p in parts)
 
 
 def _random_legal_step(vocab: FeatureVocabulary, rng: np.random.Generator,
@@ -409,7 +417,8 @@ def synth_generate(
                         "clip length")
 
     rng = np.random.default_rng(seed)
-    clips = []
+    X = np.empty((n_clips, clip_length, vocabulary.d), dtype=np.uint8)
+    labels = np.empty(n_clips, dtype=bool)
     for i in range(n_clips):
         stamped = bool(planted) and rng.random() < p_plant
         for _ in range(200):
@@ -438,8 +447,9 @@ def synth_generate(
         reason = check_steps(steps, vocabulary)
         if reason is not None:  # pragma: no cover - generator guarantee
             raise DataError(f"generated clip violates invariants: {reason}")
-        clips.append(Clip(clip_id=f"synth-{i:06d}", steps=steps, label=label))
-    return Dataset(vocabulary=vocabulary, clips=tuple(clips))
+        X[i], labels[i] = steps, label
+    return Dataset(vocabulary=vocabulary, steps=X, labels=labels,
+                   clip_ids=[f"synth-{i:06d}" for i in range(n_clips)])
 
 
 def _matches_any(cells: np.ndarray, steps: np.ndarray, padding: int) -> bool:

@@ -143,7 +143,7 @@ def match_matrix(patterns, dataset_or_steps, padding: int = 1) -> np.ndarray:
         return np.full((0, len(X)), -1, dtype=np.int64)
     cells = np.stack([getattr(p, "cells", p) for p in patterns])
     return kernels.match_first_window(
-        cells, kernels.clip_windows(X.astype(np.uint8), cells.shape[1], padding))
+        cells, kernels.clip_windows(X.astype(np.uint8, copy=False), cells.shape[1], padding))
 
 
 def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:

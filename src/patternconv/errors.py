@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package, and the file and JSON
+"""Exception hierarchy shared across the package, the file and JSON
 document readers that turn an undecodable or malformed input into a
-DataError."""
+DataError, and the atomic writer of output files."""
 
 import json
+import os
+from contextlib import contextmanager
 
 
 class PatternConvError(Exception):
@@ -58,3 +60,20 @@ def check_version(doc: dict, version: int, what: str) -> None:
     if type(found) is not int or found != version:
         raise DataError(f"{what} has format version {json.dumps(found)}, "
                         f"this reader reads version {version}")
+
+
+@contextmanager
+def atomic_write(path):
+    """A text file handle whose contents replace `path` only when the block
+    completes: it writes a temporary file in the same directory and moves it
+    into place with os.replace. A run that fails or is killed mid-write
+    leaves any earlier file at `path` whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -81,13 +81,17 @@ def auc(scores, labels) -> float | None:
     """Mann-Whitney AUC: P(random positive outscores random negative), ties 1/2."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
-    pos = scores[labels]
-    neg = scores[~labels]
-    if pos.size == 0 or neg.size == 0:
+    n_pos = np.count_nonzero(labels)
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
         return None
-    greater = (pos[:, None] > neg[None, :]).sum()
-    equal = (pos[:, None] == neg[None, :]).sum()
-    return float((greater + 0.5 * equal) / (pos.size * neg.size))
+    # positives and negatives per distinct score, in ascending score order
+    values, inverse = np.unique(scores, return_inverse=True)
+    pos = np.bincount(inverse[labels], minlength=len(values))
+    neg = np.bincount(inverse[~labels], minlength=len(values))
+    greater = (pos * (np.cumsum(neg) - neg)).sum()
+    equal = (pos * neg).sum()
+    return float((greater + 0.5 * equal) / (n_pos * n_neg))
 
 
 def report(scores, labels, threshold: float = 0.5) -> MetricsReport:
@@ -108,9 +112,9 @@ def evaluate(predictor, dataset) -> MetricsReport:
     from .netcore import forward_batch
 
     if isinstance(predictor, PatternBank):
-        scores = bank_predict_batch(predictor, dataset).astype(np.float64)
+        scores = bank_predict_batch(predictor, dataset)
     else:
-        scores, _ = forward_batch(predictor, dataset.steps_array().astype(np.float64))
+        scores, _ = forward_batch(predictor, dataset.steps_array())
     return report(scores, dataset.labels())
 
 

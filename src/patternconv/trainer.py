@@ -68,7 +68,7 @@ class WindowedSet:
 
     @classmethod
     def build(cls, dataset: Dataset, k: int, padding: int) -> "WindowedSet":
-        X = kernels.clip_windows(dataset.steps_array().astype(np.uint8), k, padding)
+        X = kernels.clip_windows(dataset.steps_array(), k, padding)
         return cls(X=X, labels=dataset.labels(), vocabulary=dataset.vocabulary)
 
     def __len__(self) -> int:

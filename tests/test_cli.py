@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import random_legal_steps
-from patternconv import cli, corpus, curator, netcore
+from patternconv import analysis, cli, corpus, curator, netcore
+from patternconv.errors import DataError
 
 TINY_CONFIG = {
     "model": {"M": 8},
@@ -403,6 +404,57 @@ def test_unusable_documents_exit_2(tmp_path, capsys, vocab, case):
     assert "Traceback" not in err
 
 
+def _expert_line(line):
+    """A compare of an expert file whose second line is `line`."""
+    def build(tmp, vocab, data):
+        path = tmp / "experts.jsonl"
+        path.write_text('{"name":"ok","steps":[["help"],["incorrect"]]}\n' + line + "\n")
+        return ["compare", _write_bank(tmp / "b.json", vocab), str(path)]
+    return build
+
+
+def _snapshot_field(key, value):
+    """A curate of a snapshot whose `key` is `value`."""
+    def build(tmp, vocab, data):
+        return ["curate", _snapshot(tmp / "snaps", np.zeros((2, 3, vocab.d)),
+                                    lambda doc: doc.update({key: value})), data]
+    return build
+
+
+_STEPS_NOT_NAMES = "experts.jsonl:2: expert pattern 'x': steps must be lists of feature names"
+_ERA = "era_000.json: era must be a non-negative integer"
+_PRECISION = "era_000.json: per_filter_precision must list a number in [0, 1]"
+# each case writes an expert file or snapshot with a malformed field, and the
+# message that names the file (and the line of an expert file)
+MALFORMED_FIELDS = {
+    "expert_list": (_expert_line("[1, 2]"), "experts.jsonl:2: expert pattern is not a JSON object"),
+    "expert_string": (_expert_line('"str"'), "experts.jsonl:2: expert pattern is not a JSON object"),
+    "expert_steps_number": (_expert_line('{"name":"x","steps":5}'), _STEPS_NOT_NAMES),
+    "expert_feature_not_a_name": (_expert_line('{"name":"x","steps":[["help",["a"]],["help"]]}'),
+                                  _STEPS_NOT_NAMES),
+    "expert_step_a_name": (_expert_line('{"name":"x","steps":["incorrect",["help"]]}'),
+                           _STEPS_NOT_NAMES),
+    "snapshot_era_string": (_snapshot_field("era", "x"), _ERA),
+    "snapshot_era_fraction": (_snapshot_field("era", 3.5), _ERA),
+    "snapshot_era_bool": (_snapshot_field("era", True), _ERA),
+    "snapshot_precision_above_one": (_snapshot_field("per_filter_precision", [2.0, 0.5]),
+                                     _PRECISION),
+    "snapshot_precision_negative": (_snapshot_field("per_filter_precision", [0.5, -1]),
+                                    _PRECISION),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_expert_and_snapshot_fields_exit_2(tmp_path, capsys, vocab, case):
+    build, message = MALFORMED_FIELDS[case]
+    argv = build(tmp_path, vocab, _write_clips(tmp_path / "d.jsonl", vocab, 40, 5))
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
 def _set_version(version):
     def edit(doc):
         if version is None:
@@ -691,6 +743,45 @@ def test_explain_unknown_clip_exits_2(tmp_path, tiny_config_path, capsys):
     with open(bank_path, "w") as fh:
         fh.write(curator.bank_to_json(bank))
     assert _run(base + ["explain", bank_path, dataset_path, "no-such-clip"]) == 2
+
+
+def test_explain_finds_clips_past_the_first(tmp_path, tiny_config_path, capsys):
+    out = str(tmp_path / "run")
+    base = ["--config", tiny_config_path, "--seed", "0", "--out", out]
+    assert _run(base + ["synth"]) == 0
+    dataset_path = os.path.join(out, "dataset.jsonl")
+    bank_path = os.path.join(out, "planted_bank.json")
+    bank = curator.bank_from_json(open(bank_path).read())
+    ds = corpus.load_dataset(dataset_path)
+    capsys.readouterr()
+    for i in (len(ds) // 2, len(ds) - 1):  # the middle clip and the last
+        clip = ds.clips[i]
+        assert _run(base + ["explain", bank_path, dataset_path, clip.clip_id]) == 0
+        exp = analysis.explain(clip, bank, bank.vocabulary, padding=bank.padding)
+        assert capsys.readouterr().out == f"{exp.bullet_text}\n\n{exp.matrix_text}\n"
+
+
+def test_failed_curate_keeps_the_earlier_outputs(tmp_path, tiny_config_path, capsys,
+                                                 monkeypatch):
+    """Outputs are replaced only once written whole: a curate that fails while
+    writing leaves the earlier bank.json and no temporary file."""
+    out = tmp_path / "run"
+    base = ["--config", tiny_config_path, "--seed", "0", "--out", str(out)]
+    dataset_path = str(out / "dataset.jsonl")
+    curate = base + ["curate", str(out / "snapshots"), dataset_path]
+    assert _run(base + ["synth"]) == 0
+    assert _run(base + ["train", dataset_path]) == 0
+    assert _run(curate) == 0
+    files = sorted(os.listdir(out))
+    bank = (out / "bank.json").read_bytes()
+
+    def fail(*args, **kwargs):
+        raise DataError("cannot encode the bank")
+    monkeypatch.setattr(curator, "bank_to_json", fail)
+    assert _run(curate) == 2
+    assert "cannot encode the bank" in capsys.readouterr().err
+    assert (out / "bank.json").read_bytes() == bank
+    assert sorted(os.listdir(out)) == files
 
 
 def test_eval_rejects_unknown_predictor_format(tmp_path, tiny_config_path, capsys):

@@ -112,6 +112,40 @@ def test_round_trip_is_byte_identical(tmp_path, vocab):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_loaders_writer_and_splits_build_no_clip_views(tmp_path, vocab, planted):
+    """The array form is filled directly; `clips` is built only on first use."""
+    ds = corpus.synth_generate(vocab, planted, 100, 0.0, 0.0, seed=0)
+    corpus.write_dataset(ds, tmp_path / "d.jsonl")
+    loaded = corpus.load_dataset(tmp_path / "d.jsonl")
+    parts = corpus.stratified_split(loaded, 0.25, 0.2, seed=0)
+    for part in (ds, loaded) + parts:
+        assert "clips" not in vars(part)
+    assert loaded.clips is loaded.clips and "clips" in vars(loaded)
+
+
+def test_steps_and_labels_are_stored_read_only(tmp_path, vocab):
+    corpus.write_dataset(_tiny_dataset(vocab), tmp_path / "d.jsonl")
+    ds = corpus.load_dataset(tmp_path / "d.jsonl")
+    assert ds.steps_array() is ds.steps_array() and ds.labels() is ds.labels()
+    assert ds.steps_array().dtype == np.uint8 and ds.labels().dtype == bool
+    assert not ds.steps_array().flags.writeable and not ds.labels().flags.writeable
+    with pytest.raises(ValueError):
+        ds.steps_array()[0, 0, 0] = 1
+
+
+def test_clip_and_array_forms_agree(vocab):
+    by_clips = _tiny_dataset(vocab, n=12, n_pos=5)
+    by_arrays = Dataset(vocabulary=vocab, steps=by_clips.steps_array().copy(),
+                        labels=by_clips.labels().copy(), clip_ids=by_clips.clip_ids)
+    assert len(by_arrays) == len(by_clips) == 12
+    assert by_arrays.positive_rate == by_clips.positive_rate == 5 / 12
+    for a, b in zip(by_arrays.clips, by_clips.clips):
+        assert (a.clip_id, a.label) == (b.clip_id, b.label)
+        assert np.array_equal(a.steps, b.steps) and a.steps.dtype == np.uint8
+    empty = Dataset(vocabulary=vocab, clips=())
+    assert len(empty) == 0 and empty.positive_rate == 0.0 and empty.clips == ()
+
+
 def test_positive_rate_counted_on_load(tmp_path, vocab):
     ds = _tiny_dataset(vocab, n=20, n_pos=2)
     path = tmp_path / "d.jsonl"
@@ -214,6 +248,26 @@ def test_stratified_split_deterministic_and_partition(vocab):
     assert ids(a) == ids(b)
     all_ids = sorted(cid for part in a for cid in (c.clip_id for c in part.clips))
     assert all_ids == sorted(c.clip_id for c in ds.clips)
+
+
+# sha256 of the JSON list of the train, val and test clip ids of the 300-clip
+# synth, from before splits were index arrays
+SPLIT_DIGESTS = {
+    0: "99c63ce4ac408ebdce9e2a2125ab8e925f992e32f6e0a25c6c7014d0ea3c113a",
+    1: "c22682eda5a2618dedced6815e182c1093d40e96b1e547d8163c34049231bd7e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPLIT_DIGESTS))
+def test_stratified_split_is_frozen(vocab, planted, seed):
+    ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=seed, p_distract=0.7)
+    parts = corpus.stratified_split(ds, 0.25, 0.2, seed=seed)
+    ids = json.dumps([list(part.clip_ids) for part in parts])
+    assert hashlib.sha256(ids.encode()).hexdigest() == SPLIT_DIGESTS[seed]
+    for part in parts:
+        rows = [ds.clip_ids.index(cid) for cid in part.clip_ids]
+        assert np.array_equal(part.steps_array(), ds.steps_array()[rows])
+        assert np.array_equal(part.labels(), ds.labels()[rows])
 
 
 def test_stratified_split_rejects_degenerate_fraction(vocab):

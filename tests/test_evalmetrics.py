@@ -95,6 +95,23 @@ def test_auc_monotone_transform_invariant(seed):
     assert auc(scores, labels) == pytest.approx(auc(np.exp(3 * scores), labels))
 
 
+def test_auc_equals_the_pairwise_definition():
+    """The per-score counts give exactly the all-pairs Mann-Whitney value on
+    tie-heavy scores."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(2, 200))
+        scores = rng.integers(0, rng.integers(1, 30), n) / 7
+        labels = rng.random(n) < rng.random()
+        pos, neg = scores[labels], scores[~labels]
+        if not pos.size or not neg.size:
+            assert auc(scores, labels) is None
+            continue
+        greater = (pos[:, None] > neg[None, :]).sum()
+        equal = (pos[:, None] == neg[None, :]).sum()
+        assert auc(scores, labels) == float((greater + 0.5 * equal) / (pos.size * neg.size))
+
+
 # -------------------------------------------------- derived metrics / report
 
 def test_accuracy_precision_recall():

@@ -135,3 +135,5 @@ def test_bench_kernels_script_runs(capsys):
     for name in ("match_first_window", "clip_windows"):
         rows = [line.split() for line in out.splitlines() if line.startswith(name)]
         assert [row[1] for row in rows] == ["8", "1"]  # the batch and a single clip
+    rows = [line.split() for line in out.splitlines() if line.startswith("auc")]
+    assert [row[1] for row in rows] == ["8", "100000"]

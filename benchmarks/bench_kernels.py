@@ -14,15 +14,21 @@ cell count. Window building and matching are timed on the whole batch and on
 a single clip, the shape of `explain` and of synth's rejection sampling. The curation pools default to 300 and 1,359 unique patterns; 1,359
 is the unique count of the source paper's funnel. `evalmetrics.auc` is timed
 on tie-heavy scores of the batch and of 100,000 clips, the clip count of a
-paper-scale run.
+paper-scale run. `corpus.load_dataset` is timed on a file of the batch's
+clip count (legal unplanted synth clips) in the canonical form that
+`write_dataset` writes, and on the same clips with spaces after the
+separators, which the loader parses line by line as JSON.
 """
 
 import argparse
+import json
+import os
+import tempfile
 import time
 
 import numpy as np
 
-from patternconv import curator, evalmetrics, kernels, trainer
+from patternconv import corpus, curator, evalmetrics, kernels, trainer
 from patternconv.corpus import FeatureVocabulary
 
 
@@ -50,6 +56,19 @@ def pattern_pool(n: int, k: int, vocab: FeatureVocabulary, rng) -> np.ndarray:
             seen.add(cells.tobytes())
             pool.append(cells)
     return np.stack(pool)
+
+
+def bench_load(n: int, L: int, repeats: int) -> None:
+    ds = corpus.synth_generate(FeatureVocabulary.default(), [], n, 0.0, 0.0, seed=n,
+                               clip_length=L)
+    with tempfile.TemporaryDirectory() as tmp:
+        canonical, spaced = os.path.join(tmp, "canonical.jsonl"), os.path.join(tmp, "json.jsonl")
+        corpus.write_dataset(ds, canonical)
+        with open(canonical) as src, open(spaced, "w") as dst:
+            dst.writelines(json.dumps(json.loads(line)) + "\n" for line in src)
+        for form, path in (("canonical", canonical), ("json", spaced)):
+            t = _time(corpus.load_dataset, path, repeats=repeats)
+            print(f"{'load_dataset':<20} {n:>9} {t * 1e3:>10.3f}ms  {form}")
 
 
 def bench_curation(sizes, k: int, repeats: int) -> None:
@@ -110,6 +129,7 @@ def main(argv=None):
         labels = rng.random(n) < 0.2
         t = _time(evalmetrics.auc, scores, labels, repeats=args.repeats)
         print(f"{'auc':<20} {n:>9} {t * 1e3:>10.3f}ms")
+    bench_load(B, L, args.repeats)
 
     bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,16 +97,19 @@ class FeatureVocabulary:
     @classmethod
     def from_record(cls, rec: dict) -> "FeatureVocabulary":
         try:
-            return cls(
-                feature_names=tuple(rec["feature_names"]),
-                submission_indices=tuple(rec["submission_indices"]),
-                help_related=frozenset(rec["help_related"]),
-                attempt_related=frozenset(rec["attempt_related"]),
-            )
+            names, *indices = (rec[key] for key in ("feature_names", "submission_indices",
+                                                     "help_related", "attempt_related"))
         except KeyError as e:
             raise DataError(f"vocabulary header missing key {e}") from None
-        except TypeError:  # a field that is not a list of names or indices
-            raise DataError("vocabulary header fields must be lists") from None
+        if not all(type(field) is list for field in (names, *indices)):
+            raise DataError("vocabulary header fields must be lists")
+        if not (all(type(n) is str for n in names)
+                and all(type(i) is int for field in indices for i in field)):
+            raise DataError("vocabulary header must list feature names and integer indices")
+        sub, help_related, attempt_related = indices
+        return cls(feature_names=tuple(names), submission_indices=tuple(sub),
+                   help_related=frozenset(help_related),
+                   attempt_related=frozenset(attempt_related))
 
 
 def step_rules(rows: np.ndarray, vocab: FeatureVocabulary):
@@ -236,46 +240,115 @@ def _parse_clip_record(rec, vocab: FeatureVocabulary) -> tuple[str, np.ndarray, 
 
 _CHECK_ROWS = 1 << 13  # rows per block of the load-time rule check, to bound its temporaries
 
+# A clip line as write_dataset writes it: an id without escapes, a 0/1 label
+# and the steps as lists of 0/1 digits, all without spaces. The steps text
+# must also fit the (L, d) template, which _ClipReader checks per block.
+_CANONICAL_CLIP = re.compile(r'\{"clip_id":"([^"\\\x00-\x1f]*)","label":([01]),'
+                             r'"steps":(\[[\[\],01]*\])\}')
+_BLOCK_LINES = 1 << 9  # canonical lines decoded together; larger blocks held more memory, saved no time
+
+
+class _ClipReader:
+    """The clips of one file, in file order. Canonical lines are queued and
+    decoded a block at a time; every other line, and any queued line that
+    does not fit the template, goes through json.loads. Queued lines are
+    decoded before the next JSON line is read, so the first faulty line
+    raises the same DataError either way."""
+
+    def __init__(self, path, n_lines: int):
+        self.path, self.n_lines = path, n_lines
+        self.vocab = None
+        self.X = None  # (lines in the file, L, d): the clips' steps fill its first rows
+        self.clip_ids, self.labels = [], []
+        self.queued = []  # (line number, match) of canonical lines not yet decoded
+
+    def _allocate(self, L: int) -> None:
+        d = self.vocab.d
+        self.X = np.empty((self.n_lines, L, d), dtype=np.uint8)
+        row = "[" + ",".join("0" * d) + "]"
+        self.template = np.frombuffer(("[" + ",".join([row] * L) + "]").encode(), np.uint8)
+        self.digit = self.template == ord("0")
+
+    def add(self, lineno: int, line: str) -> None:
+        m = _CANONICAL_CLIP.fullmatch(line)
+        if m is not None and self.vocab is not None:
+            size = m.end(3) - m.start(3)
+            if self.X is None:
+                L, rest = divmod(size - 1, 2 * self.vocab.d + 2)
+                if L > 0 and not rest:
+                    self._allocate(L)
+            if self.X is not None and size == self.template.size:
+                self.queued.append((lineno, m))
+                if len(self.queued) == _BLOCK_LINES:
+                    self.decode()
+                return
+        self.decode()
+        self._add_json(lineno, line)
+
+    def decode(self) -> None:
+        """Decode the queued lines with one frombuffer, up to the first that
+        does not fit the template; the rest go through json.loads."""
+        queued, self.queued = self.queued, []
+        if not queued:
+            return
+        text = "".join(m[3] for _, m in queued).encode("ascii")
+        rows = np.frombuffer(text, np.uint8).reshape(len(queued), -1)
+        # a line fits when it differs from the template only by 1s for 0s:
+        # "1" ^ "0" is 1, and any other byte differs by more
+        fits = ((rows ^ self.template) <= self.digit).all(axis=1)
+        n = len(queued) if fits.all() else int(fits.argmin())
+        start = len(self.clip_ids)
+        self.X[start:start + n] = (rows[:n, self.digit] - ord("0")).reshape(n, *self.X.shape[1:])
+        self.clip_ids.extend(m[1] for _, m in queued[:n])
+        self.labels.extend(m[2] == "1" for _, m in queued[:n])
+        for lineno, m in queued[n:]:
+            self._add_json(lineno, m.string)
+
+    def _add_json(self, lineno: int, line: str) -> None:
+        path = self.path
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno + 1}: malformed record: {e}") from None
+        if isinstance(rec, dict) and rec.get("format") == CLIP_FORMAT_NAME:
+            check_version(rec, CLIP_FORMAT_VERSION, f"{path}:{lineno + 1}: clip file header")
+            file_vocab = FeatureVocabulary.from_record(rec)
+            if self.vocab is not None and file_vocab != self.vocab:
+                raise DataError(f"{path}:{lineno + 1}: vocabulary header differs "
+                                "from an earlier one")
+            self.vocab = file_vocab
+            return
+        if self.vocab is None:
+            raise DataError(f"{path}: clip record before vocabulary header")
+        clip_id, steps, label = _parse_clip_record(rec, self.vocab)
+        if self.X is None:
+            self._allocate(len(steps))
+        elif len(steps) != self.X.shape[1]:
+            raise DataError(f"clip '{clip_id}': {len(steps)} steps, where earlier "
+                            f"clips have {self.X.shape[1]}")
+        self.X[len(self.clip_ids)] = steps
+        self.clip_ids.append(clip_id)
+        self.labels.append(label)
+
 
 def load_dataset(path) -> Dataset:
     """Load a line-delimited clip file, rejecting the whole file on any
-    violation. Every clip must have the same number of steps."""
-    clip_ids, labels = [], []
-    X = None  # (lines in the file, L, d): the clips' steps fill its first rows
-    vocab = None
+    violation. Every clip must have the same number of steps. Lines in
+    write_dataset's canonical form are decoded in blocks, any other line is
+    parsed as JSON; both accept the same clips and raise the same errors."""
     with open(path, encoding="utf-8") as fh:
         try:  # the first pass decodes the whole file
             n_lines = sum(1 for _ in fh)
         except UnicodeDecodeError as e:
             raise DataError(f"{path} is not UTF-8 text: {e}") from None
         fh.seek(0)
+        reader = _ClipReader(path, n_lines)
         for lineno, line in enumerate(fh):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno + 1}: malformed record: {e}") from None
-            if isinstance(rec, dict) and rec.get("format") == CLIP_FORMAT_NAME:
-                check_version(rec, CLIP_FORMAT_VERSION, f"{path}:{lineno + 1}: clip file header")
-                file_vocab = FeatureVocabulary.from_record(rec)
-                if vocab is not None and file_vocab != vocab:
-                    raise DataError(f"{path}:{lineno + 1}: vocabulary header differs "
-                                    "from an earlier one")
-                vocab = file_vocab
-                continue
-            if vocab is None:
-                raise DataError(f"{path}: clip record before vocabulary header")
-            clip_id, steps, label = _parse_clip_record(rec, vocab)
-            if X is None:
-                X = np.empty((n_lines, len(steps), vocab.d), dtype=np.uint8)
-            elif len(steps) != X.shape[1]:
-                raise DataError(f"clip '{clip_id}': {len(steps)} steps, where earlier "
-                                f"clips have {X.shape[1]}")
-            X[len(clip_ids)] = steps
-            clip_ids.append(clip_id)
-            labels.append(label)
+            if line:
+                reader.add(lineno, line)
+        reader.decode()
+    vocab, X, clip_ids = reader.vocab, reader.X, reader.clip_ids
     if vocab is None:
         raise DataError(f"{path}: no vocabulary header")
     if not clip_ids:
@@ -286,7 +359,8 @@ def load_dataset(path) -> Dataset:
         if bad is not None:
             clip, n = divmod(start + bad[0], X.shape[1])
             raise DataError(f"clip '{clip_ids[clip]}': step {n}: {bad[1]}")
-    return Dataset(vocabulary=vocab, steps=X[:len(clip_ids)], labels=labels, clip_ids=clip_ids)
+    return Dataset(vocabulary=vocab, steps=X[:len(clip_ids)], labels=reader.labels,
+                   clip_ids=clip_ids)
 
 
 def write_dataset(dataset: Dataset, path, meta: dict | None = None) -> None:

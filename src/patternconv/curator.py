@@ -336,6 +336,23 @@ def bank_to_json(bank: PatternBank, extra: dict | None = None) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _check_pattern_fields(p: Pattern) -> None:
+    """DataError unless a loaded pattern's id is a string, its precision null
+    or a number in [0, 1], its era an integer and its low-support flag a bool."""
+    prec = p.precision_train
+    if type(p.pattern_id) is not str:
+        fault = "pattern_id must be a string"
+    elif prec is not None and (type(prec) not in (int, float) or not 0 <= prec <= 1):
+        fault = "precision_train must be null or a number in [0, 1]"
+    elif type(p.source_era) is not int:
+        fault = "source_era must be an integer"
+    elif type(p.low_support) is not bool:
+        fault = "low_support must be true or false"
+    else:
+        return
+    raise DataError(f"pattern bank pattern {json.dumps(p.pattern_id)}: {fault}")
+
+
 def bank_from_json(text: str) -> PatternBank:
     doc = json_object(text, "pattern bank file")
     if doc.get("format") != "patternconv-bank":
@@ -355,6 +372,8 @@ def bank_from_json(text: str) -> PatternBank:
                                  source_era=rec.get("source_era", -1),
                                  low_support=rec.get("low_support", False))
                          for c, rec in zip(cells, records))
+        for p in patterns:
+            _check_pattern_fields(p)
     except KeyError as e:
         raise DataError(f"pattern bank file missing key {e}") from None
     except (TypeError, ValueError):  # a record that is not an object, or ragged cells

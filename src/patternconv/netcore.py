@@ -4,6 +4,7 @@ traditional head, the alpha blend, and exact analytic gradients."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,6 +34,9 @@ class ThresholdingParams:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.steepness, self.offset, self.temperature,
+                                       self.epsilon))):
+            raise DataError("thresholding params must be finite")
         if self.steepness <= 0 or self.temperature <= 0 or self.epsilon <= 0:
             raise DataError("thresholding params must be positive")
         if not (0 < self.offset <= 1):
@@ -244,7 +248,7 @@ def state_to_json(state: ModelState) -> str:
 
 def _filters(doc: dict, what: str) -> np.ndarray:
     """The (M, k, d) filters W of a model or snapshot document; DataError
-    unless M, k and d are positive integers and W lists M·k·d numbers."""
+    unless M, k and d are positive integers and W lists M·k·d finite numbers."""
     M, k, d = shape = doc["M"], doc["k"], doc["d"]
     try:
         W = np.array(doc["W"], dtype=np.float64)
@@ -253,6 +257,8 @@ def _filters(doc: dict, what: str) -> np.ndarray:
     if not all(type(n) is int and n > 0 for n in shape) or W is None or W.shape != (M * k * d,):
         raise DataError(f"{what} W must list M·k·d numbers for positive integers "
                         f"M, k, d = {M}, {k}, {d}")
+    if not np.isfinite(W).all():
+        raise DataError(f"{what} W must hold finite numbers")
     return W.reshape(shape)
 
 
@@ -262,7 +268,7 @@ def state_from_json(text: str) -> ModelState:
         raise DataError("not a model file")
     check_version(doc, MODEL_FORMAT_VERSION, "model file")
     try:
-        return ModelState(
+        state = ModelState(
             W=_filters(doc, "model file"),
             fc_trad=np.array(doc["fc_trad"], dtype=np.float64),
             fc_frozen=bool(doc["fc_frozen"]),
@@ -275,6 +281,9 @@ def state_from_json(text: str) -> ModelState:
         raise DataError(f"model file missing key {e}") from None
     except (TypeError, ValueError) as e:  # a field of the wrong type, or unknown thresh keys
         raise DataError(f"model file has a malformed field: {e}") from None
+    if not (np.isfinite(state.fc_trad).all() and math.isfinite(state.dropout_rate)):
+        raise DataError("model file fc_trad and dropout_rate must be finite numbers")
+    return state
 
 
 def filters_to_json(W: np.ndarray, padding: int = DEFAULT_PADDING, extra: dict | None = None) -> str:

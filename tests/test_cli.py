@@ -455,6 +455,87 @@ def test_malformed_expert_and_snapshot_fields_exit_2(tmp_path, capsys, vocab, ca
     assert "Traceback" not in err
 
 
+def _set_field(path, value):
+    """An edit that sets the document field at `path` (keys and indices)."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _non_finite_model(path, value):
+    def build(tmp, vocab, data):
+        return ["eval", _model(tmp / "m.json", vocab, _set_field(path, value)), data]
+    return build
+
+
+def _non_finite_snapshot(tmp, vocab, data):
+    return ["curate", _snapshot(tmp / "snaps", np.zeros((2, 3, vocab.d)),
+                                _set_field(("W", 4), float("nan"))), data]
+
+
+_NAN, _INF = float("nan"), float("inf")
+# each case writes a model or snapshot holding a JSON NaN or Infinity, and
+# the message that names the file
+NON_FINITE = {
+    "model_W": (_non_finite_model(("W", 0), _NAN), "m.json: model file W must hold finite numbers"),
+    "model_fc_trad": (_non_finite_model(("fc_trad", 1), -_INF),
+                      "m.json: model file fc_trad and dropout_rate must be finite numbers"),
+    "model_dropout_rate": (_non_finite_model(("dropout_rate",), _NAN),
+                           "m.json: model file fc_trad and dropout_rate must be finite numbers"),
+    "model_temperature": (_non_finite_model(("thresh", "temperature"), _NAN),
+                          "m.json: thresholding params must be finite"),
+    "model_steepness": (_non_finite_model(("thresh", "steepness"), _INF),
+                        "m.json: thresholding params must be finite"),
+    "model_alpha": (_non_finite_model(("alpha",), _NAN), "m.json: alpha must lie in [0, 1]"),
+    "snapshot_W": (_non_finite_snapshot,
+                   "era_000.json: filter snapshot file W must hold finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_model_and_snapshot_numbers_exit_2(tmp_path, capsys, vocab, case):
+    build, message = NON_FINITE[case]
+    argv = build(tmp_path, vocab, _write_clips(tmp_path / "d.jsonl", vocab, 40, 5))
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+# each case sets one field of the bank's pattern "p", and the fault named
+BAD_PATTERN_FIELDS = {
+    "pattern_id_number": ("pattern_id", 5, "pattern 5: pattern_id must be a string"),
+    "pattern_id_list": ("pattern_id", [1], "pattern [1]: pattern_id must be a string"),
+    "precision_string": ("precision_train", "x",
+                         'pattern "p": precision_train must be null or a number in [0, 1]'),
+    "precision_above_one": ("precision_train", 1.5, 'pattern "p": precision_train must be'),
+    "precision_nan": ("precision_train", float("nan"), 'pattern "p": precision_train must be'),
+    "precision_bool": ("precision_train", True, 'pattern "p": precision_train must be'),
+    "source_era_fraction": ("source_era", 1.5, 'pattern "p": source_era must be an integer'),
+    "low_support_number": ("low_support", 1, 'pattern "p": low_support must be true or false'),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "explain", "compare"])
+@pytest.mark.parametrize("case", sorted(BAD_PATTERN_FIELDS))
+def test_bank_pattern_fields_are_checked_at_load(tmp_path, capsys, vocab, command, case):
+    key, value, fault = BAD_PATTERN_FIELDS[case]
+    bank = _write_bank(tmp_path / "b.json", vocab, edit=_set_field(("patterns", 0, key), value))
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)
+    experts = tmp_path / "experts.jsonl"
+    experts.write_text('{"name":"e","steps":[["help"],["incorrect"]]}\n')
+    argv = {"eval": ["eval", bank, data], "explain": ["explain", bank, data, "c0"],
+            "compare": ["compare", bank, str(experts)]}[command]
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"b.json: pattern bank {fault}" in err
+    assert "Traceback" not in err
+
+
 def _set_version(version):
     def edit(doc):
         if version is None:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,11 +216,155 @@ def test_load_rejects_header_field_that_is_not_a_list(tmp_path, vocab):
         corpus.load_dataset(path)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("feature_names", "abcdefghijklm", "must be lists"),
+    ("feature_names", [{}] * 13, "must list feature names and integer indices"),
+    ("help_related", [3.0, 4, 5, 6, 7], "must list feature names and integer indices"),
+    ("attempt_related", [8, 9, 10, 11, True], "must list feature names and integer indices"),
+], ids=["names_string", "names_objects", "index_float", "index_bool"])
+def test_load_rejects_header_of_other_than_names_and_indices(tmp_path, vocab, key, value,
+                                                             message):
+    header = vocab.to_record()
+    header[key] = value
+    path = tmp_path / "hdr.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(DataError, match=message):
+        corpus.load_dataset(path)
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "junk.jsonl"
     path.write_text("{not json\n")
     with pytest.raises(DataError, match="malformed record"):
         corpus.load_dataset(path)
+
+
+
+def test_written_lines_take_the_canonical_path(tmp_path, vocab, planted, monkeypatch):
+    """Every clip line write_dataset writes is decoded without json.loads,
+    across block boundaries."""
+    ds = corpus.synth_generate(vocab, planted, 50, 0.1, 0.0, seed=0)
+    path = tmp_path / "d.jsonl"
+    corpus.write_dataset(ds, path, meta={"config_hash": "abc"})
+
+    def json_path(rec, vocab):
+        raise AssertionError(f"clip {rec['clip_id']} was parsed as JSON")
+
+    monkeypatch.setattr(corpus, "_parse_clip_record", json_path)
+    monkeypatch.setattr(corpus, "_BLOCK_LINES", 7)
+    loaded = corpus.load_dataset(path)
+    assert loaded.clip_ids == ds.clip_ids
+    assert np.array_equal(loaded.labels(), ds.labels())
+    assert np.array_equal(loaded.steps_array(), ds.steps_array())
+
+
+def _reference_load(path, vocab):
+    """The clip lines after the header of `path`, parsed one at a time with
+    json.loads, the step rules checked once every clip is read."""
+    ids, labels, steps = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{path}:{lineno}: malformed record: {e}") from None
+            clip_id, clip_steps, label = corpus._parse_clip_record(rec, vocab)
+            if steps and len(clip_steps) != len(steps[0]):
+                raise DataError(f"clip '{clip_id}': {len(clip_steps)} steps, where earlier "
+                                f"clips have {len(steps[0])}")
+            ids.append(clip_id)
+            labels.append(label)
+            steps.append(clip_steps)
+    for clip_id, clip_steps in zip(ids, steps):
+        reason = check_steps(clip_steps, vocab)
+        if reason is not None:
+            raise DataError(f"clip '{clip_id}': {reason}")
+    return tuple(ids), np.array(labels, dtype=bool), np.array(steps, dtype=np.uint8)
+
+
+def _canonical(rec):
+    return json.dumps(rec, separators=(",", ":"), ensure_ascii=False)
+
+
+def _with_step(rec, step):
+    return {**rec, "steps": rec["steps"][:1] + [step] + rec["steps"][2:]}
+
+
+def _two_submissions(rec):
+    step = list(rec["steps"][1])
+    step[0] = step[1] = 1
+    return _with_step(rec, step)
+
+
+def _swap_digit_and_comma(rec):
+    """Canonical text of the template's length whose second step starts
+    "ab," in place of "a,b": a number with a leading zero, or 10 or 11."""
+    text = _canonical(rec)
+    at = text.index("],[") + 3
+    return text[:at] + text[at] + text[at + 2] + "," + text[at + 3:]
+
+
+# ways to write a clip record as a line: the canonical form, other valid
+# forms of the same clip, and faulty lines
+LINE_FORMS = {
+    "canonical": _canonical,
+    "unicode_id": lambda rec: _canonical({**rec, "clip_id": rec["clip_id"] + "é"}),
+    "spaced": json.dumps,
+    "escaped_id": lambda rec: json.dumps({**rec, "clip_id": rec["clip_id"] + '"é'}),
+    "backslash_id": lambda rec: _canonical({**rec, "clip_id": rec["clip_id"] + "\\"}),
+    "raw_tab_id": lambda rec: _canonical(rec).replace('",', '\t",', 1),
+    "key_order": lambda rec: _canonical({"label": rec["label"], "steps": rec["steps"],
+                                         "clip_id": rec["clip_id"]}),
+    "extra_key": lambda rec: _canonical({**rec, "note": 1}),
+    "bool_label": lambda rec: _canonical({**rec, "label": bool(rec["label"])}),
+    "float_value": lambda rec: _canonical(_with_step(rec, [1.0 * v for v in rec["steps"][1]])),
+    "blank_before": lambda rec: "  \n" + _canonical(rec),
+    "digit_2": lambda rec: _canonical(_with_step(rec, [2] + rec["steps"][1][1:])),
+    "label_2": lambda rec: _canonical({**rec, "label": 2}),
+    "short": lambda rec: _canonical({**rec, "steps": rec["steps"][:-1]}),
+    "long": lambda rec: _canonical({**rec, "steps": rec["steps"] + rec["steps"][:1]}),
+    "ragged": lambda rec: _canonical(_with_step(rec, rec["steps"][1][:-1])),
+    "missing_label": lambda rec: _canonical({k: v for k, v in rec.items() if k != "label"}),
+    "truncated": lambda rec: _canonical(rec)[:-9],
+    "swapped": _swap_digit_and_comma,
+    "two_submissions": lambda rec: _canonical(_two_submissions(rec)),
+}
+
+
+@pytest.mark.parametrize("block_lines", [2, 1 << 9])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(forms=st.lists(st.sampled_from(sorted(LINE_FORMS)), min_size=1, max_size=12),
+       seed=st.integers(0, 1000))
+def test_load_agrees_with_a_json_parse_of_each_line(vocab, block_lines, forms, seed):
+    """Files mixing canonical, other valid and faulty lines load to the
+    arrays of a JSON-only parse, or fail with its first error."""
+    rng = np.random.default_rng(seed)
+    lines = [json.dumps(vocab.to_record(), separators=(",", ":"))]
+    for i, form in enumerate(forms):
+        rec = {"clip_id": f"c{i}", "label": int(rng.random() < 0.5),
+               "steps": random_legal_steps(vocab, 5, rng).tolist()}
+        lines.append(LINE_FORMS[form](rec))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clips.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            want = _reference_load(path, vocab)
+        except DataError as e:
+            want = str(e)
+        with mock.patch.object(corpus, "_BLOCK_LINES", block_lines):
+            try:
+                ds = corpus.load_dataset(path)
+                got = ds.clip_ids, ds.labels(), ds.steps_array()
+            except DataError as e:
+                got = str(e)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 # -------------------------------------------------------------------- splits

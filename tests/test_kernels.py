@@ -137,3 +137,5 @@ def test_bench_kernels_script_runs(capsys):
         assert [row[1] for row in rows] == ["8", "1"]  # the batch and a single clip
     rows = [line.split() for line in out.splitlines() if line.startswith("auc")]
     assert [row[1] for row in rows] == ["8", "100000"]
+    rows = [line.split() for line in out.splitlines() if line.startswith("load_dataset")]
+    assert [(row[1], row[3]) for row in rows] == [("8", "canonical"), ("8", "json")]

@@ -17,7 +17,11 @@ on tie-heavy scores of the batch and of 100,000 clips, the clip count of a
 paper-scale run. `corpus.load_dataset` is timed on a file of the batch's
 clip count (legal unplanted synth clips) in the canonical form that
 `write_dataset` writes, and on the same clips with spaces after the
-separators, which the loader parses line by line as JSON.
+separators, which the loader parses line by line as JSON. One training step
+(forward with dropout, backward, the regularizer gradient, then the SGD step
+and clamp) is timed at the training batch size of 64 clips, or the batch if
+smaller, with alpha 1 as after the first era, and `regularizer_grad` alone
+with every loss weight 0 and with every weight at its schedule target.
 """
 
 import argparse
@@ -28,8 +32,10 @@ import time
 
 import numpy as np
 
-from patternconv import corpus, curator, evalmetrics, kernels, trainer
+from patternconv import corpus, curator, evalmetrics, kernels, netcore, objective, trainer
 from patternconv.corpus import FeatureVocabulary
+from patternconv.objective import LossWeights
+from patternconv.schedule import DEFAULT_TARGETS
 
 
 def _time(fn, *args, repeats=10):
@@ -69,6 +75,30 @@ def bench_load(n: int, L: int, repeats: int) -> None:
         for form, path in (("canonical", canonical), ("json", spaced)):
             t = _time(corpus.load_dataset, path, repeats=repeats)
             print(f"{'load_dataset':<20} {n:>9} {t * 1e3:>10.3f}ms  {form}")
+
+
+def bench_step(X: np.ndarray, M: int, k: int, repeats: int) -> None:
+    vocab = FeatureVocabulary.default()
+    B = min(trainer.TrainConfig().batch_size, len(X))
+    rng = np.random.default_rng(1)
+    state = netcore.init_state(M, k, vocab.d, rng=rng, alpha=1.0, fc_frozen=True)
+    Xw = kernels.clip_windows(X[:B], k, state.padding)
+    labels = (rng.random(B) < 0.2).astype(np.float64)
+    on = LossWeights(**{name: DEFAULT_TARGETS[name] for name in ("bin", "min", "sub", "poss")})
+
+    def step():
+        y, cache = netcore.forward_batch(state, Xw, training=True, rng=rng, windowed=True)
+        dW = netcore.backward_batch(state, cache, objective.bce_grad(y, labels) / B)["W"]
+        dW += objective.regularizer_grad(state.W, on, vocab)
+        dW *= 0.05
+        state.W -= dW
+        np.clip(state.W, 0.0, 1.0, out=state.W)
+
+    t = _time(step, repeats=repeats)
+    print(f"{'train step':<20} {B:>9} {t * 1e3:>10.3f}ms")
+    for name, weights in (("off", LossWeights()), ("on", on)):
+        t = _time(objective.regularizer_grad, state.W, weights, vocab, repeats=repeats)
+        print(f"{'regularizer_grad':<20} {'':>9} {t * 1e3:>10.3f}ms  {M} filters, weights {name}")
 
 
 def bench_curation(sizes, k: int, repeats: int) -> None:
@@ -130,6 +160,7 @@ def main(argv=None):
         t = _time(evalmetrics.auc, scores, labels, repeats=args.repeats)
         print(f"{'auc':<20} {n:>9} {t * 1e3:>10.3f}ms")
     bench_load(B, L, args.repeats)
+    bench_step(X, M, k, args.repeats)
 
     bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
 

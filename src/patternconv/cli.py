@@ -148,6 +148,10 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         cfg["train"]["seed"] = seed
     _check_ranges(cfg)
     model = cfg["model"]
+    if model["padding"] > model["k"] - 1:
+        # a window past k - 1 padding steps holds no clip step
+        raise ConfigError(f"config key 'model.padding' must be <= model.k - 1 = "
+                          f"{model['k'] - 1}, not {model['padding']}")
     if model["k"] > cfg["data"]["clip_length"] + 2 * model["padding"]:
         raise ConfigError("kernel length exceeds clip length plus padding")
     return cfg
@@ -319,7 +323,7 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
         if W.shape[2] != vocab.d:
             raise DataError(f"{path}: filters have {W.shape[2]} features, the clips "
                             f"have {vocab.d}")
-        snap_padding = padding_field(doc, path)
+        snap_padding = padding_field(doc, path, W.shape[1])
         if padding is None:
             padding, first = snap_padding, path
         elif snap_padding != padding:

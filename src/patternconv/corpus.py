@@ -59,6 +59,24 @@ class FeatureVocabulary:
     def attempt_indices(self) -> tuple[int, ...]:
         return self.submission_indices[1:]
 
+    @cached_property
+    def column_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The submission columns in their given order, then the help-related
+        and attempt-related columns ascending, as index arrays built once per
+        vocabulary."""
+        return tuple(np.array(cols, dtype=np.intp) for cols in
+                     (self.submission_indices, sorted(self.help_related),
+                      sorted(self.attempt_related)))
+
+    @cached_property
+    def column_group(self) -> np.ndarray:
+        """(d,) the group of each feature column: 0 submission, 1 help-related,
+        2 attempt-related (the groups partition the columns)."""
+        group = np.empty(self.d, dtype=np.intp)
+        for g, cols in enumerate(self.column_groups):
+            group[cols] = g
+        return group
+
     @classmethod
     def default(cls) -> "FeatureVocabulary":
         """3 submission types + 5 help-related + 5 attempt-related, d = 13."""
@@ -116,9 +134,10 @@ def step_rules(rows: np.ndarray, vocab: FeatureVocabulary):
     """Per-row rule quantities of binary step or pattern rows (..., d): the
     number of submission types set, whether any help-related feature is set,
     and whether any attempt-related feature is set."""
-    n_sub = rows[..., list(vocab.submission_indices)].sum(axis=-1, dtype=np.uint8)
-    help_on = rows[..., sorted(vocab.help_related)].any(axis=-1)
-    attempt_on = rows[..., sorted(vocab.attempt_related)].any(axis=-1)
+    sub, help_related, attempt_related = vocab.column_groups
+    n_sub = rows[..., sub].sum(axis=-1, dtype=np.uint8)
+    help_on = rows[..., help_related].any(axis=-1)
+    attempt_on = rows[..., attempt_related].any(axis=-1)
     return n_sub, help_on, attempt_on
 
 

@@ -358,7 +358,6 @@ def bank_from_json(text: str) -> PatternBank:
     if doc.get("format") != "patternconv-bank":
         raise DataError("not a pattern bank file")
     check_version(doc, BANK_FORMAT_VERSION, "pattern bank file")
-    padding = padding_field(doc, "pattern bank")
     try:
         vocabulary = FeatureVocabulary.from_record(doc["vocabulary"])
         records = doc["patterns"]
@@ -367,6 +366,7 @@ def bank_from_json(text: str) -> PatternBank:
         if any(c.shape != shape or not is_binary(c) for c in cells):
             raise DataError("pattern bank cells must be 0/1 arrays of one "
                             f"(steps, {vocabulary.d}) shape")
+        padding = padding_field(doc, "pattern bank", shape[0] if cells else None)
         patterns = tuple(Pattern(cells=c.astype(np.uint8), pattern_id=rec["pattern_id"],
                                  precision_train=rec.get("precision_train"),
                                  source_era=rec.get("source_era", -1),

@@ -43,13 +43,18 @@ def read_text(path) -> str:
             raise DataError(f"{path} is not UTF-8 text: {e}") from None
 
 
-def padding_field(doc: dict, what: str) -> int:
-    """The zero padding a bank or filter snapshot document records; documents
-    written before the field matched with 1. DataError unless it is a
-    non-negative integer."""
+def padding_field(doc: dict, what: str, k: int | None) -> int:
+    """The zero padding a bank, model or filter snapshot document records;
+    documents written before the field matched with 1. DataError unless it is
+    a non-negative integer, and, for patterns or filters of k steps, at most
+    k - 1: a window past that holds no clip step, so more padding only adds
+    all-zero windows (a bank without patterns has no k)."""
     padding = doc.get("padding", 1)
     if isinstance(padding, bool) or not isinstance(padding, int) or padding < 0:
         raise DataError(f"{what} padding must be a non-negative integer")
+    if "padding" in doc and k is not None and padding > k - 1:
+        raise DataError(f"{what} padding {padding} is above k - 1 = {k - 1}: "
+                        "it only adds windows that hold no clip step")
     return padding
 
 

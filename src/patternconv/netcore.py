@@ -23,7 +23,14 @@ DEFAULT_PADDING = 1
 
 
 def sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+    """0.5 * (1 + tanh(x / 2)), computed in place on one temporary for arrays."""
+    z = 0.5 * np.asarray(x, dtype=np.float64)
+    if z.ndim == 0:
+        return 0.5 * (1.0 + np.tanh(z))
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 @dataclass(frozen=True)
@@ -123,9 +130,13 @@ def thresholding_forward(f: np.ndarray, w: np.ndarray, params: ThresholdingParam
     low-temperature softmax weights.
     """
     z = f * w
-    a = sigmoid(params.steepness * (z - params.offset))
-    e = np.exp((a - a.max(axis=-1, keepdims=True)) / params.temperature)
-    s = e / e.sum(axis=-1, keepdims=True)
+    z -= params.offset
+    z *= params.steepness
+    a = sigmoid(z)
+    s = a - a.max(axis=-1, keepdims=True)
+    s /= params.temperature
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     y = (a * s).sum(axis=-1)
     return y, a, s
 
@@ -140,7 +151,7 @@ class ForwardCache:
     w: np.ndarray
     a: np.ndarray
     s: np.ndarray
-    y_trad: np.ndarray
+    y_trad: np.ndarray | None    # None when alpha is 1: the head is out of the blend
     y_thresh: np.ndarray
     y_preclip: np.ndarray
 
@@ -167,11 +178,15 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     if training and state.dropout_rate > 0.0:
         rng = np.random.default_rng(rng)
         keep = 1.0 - state.dropout_rate
-        # drawn as (B, M, C), then viewed as (B, C, M): the draw order fixes
-        # which uniform masks which feature-map cell for a given seed
+        # drawn as (B, M, C), then applied as (B, C, M): the draw order fixes
+        # which uniform masks which feature-map cell for a given seed. Zeroing
+        # the dropped cells and then scaling gives the bits of h * (mask / keep);
+        # scaling the pooled max instead would not, because rounding can tie
+        # windows that were not tied.
         B, C, M = h.shape
-        h = h * ((rng.random((B, M, C)) < keep).astype(np.float64) / keep).transpose(0, 2, 1)
+        h *= np.ascontiguousarray((rng.random((B, M, C)) < keep).transpose(0, 2, 1))
         scale = 1.0 / keep
+        h *= scale
 
     f, arg = maxpool(h, axis=1)
     # the pooled max is positive exactly where ReLU passed and dropout kept its
@@ -179,8 +194,12 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     gate = np.where(f > 0.0, scale, 0.0)
     w = thresholding_weights(state.W, state.thresh.epsilon)
     y_thresh, a, s = thresholding_forward(f, w, state.thresh)
-    y_trad = sigmoid(f @ state.fc_trad)
-    y_pre = (1.0 - state.alpha) * y_trad + state.alpha * y_thresh
+    if state.alpha == 1.0:
+        # (1 - alpha) * y_trad + alpha * y_thresh is exactly y_thresh
+        y_trad, y_pre = None, y_thresh
+    else:
+        y_trad = sigmoid(f @ state.fc_trad)
+        y_pre = (1.0 - state.alpha) * y_trad + state.alpha * y_thresh
     y = np.minimum(y_pre, 1.0)
     cache = ForwardCache(X=X, h_pre=h_pre, f=f, argmax=arg, pool_gate=gate, w=w, a=a, s=s,
                          y_trad=y_trad, y_thresh=y_thresh, y_preclip=y_pre)
@@ -197,28 +216,43 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
     t, tau = state.thresh.steepness, state.thresh.temperature
     d_y = np.asarray(d_y, dtype=np.float64) * (cache.y_preclip < 1.0)
 
-    dy_trad = (1.0 - state.alpha) * d_y
-    dy_thresh = state.alpha * d_y
-
-    # traditional head
-    du = dy_trad * cache.y_trad * (1.0 - cache.y_trad)
-    dfc = cache.f.T @ du if not state.fc_frozen else np.zeros_like(state.fc_trad)
-    df = du[:, None] * state.fc_trad[None, :]
-
     # thresholding head: y = sum a_i s_i, s = softmax(a / tau)
-    da = dy_thresh[:, None] * (cache.s + cache.s * (cache.a - cache.y_thresh[:, None]) / tau)
-    dz = da * t * cache.a * (1.0 - cache.a)
-    df += dz * cache.w[None, :]
+    dy_thresh = d_y if cache.y_trad is None else state.alpha * d_y
+    # dz = dy_thresh * (s + s * (a - y_thresh) / tau) * t * a * (1 - a), in place
+    dz = cache.a - cache.y_thresh[:, None]
+    dz *= cache.s
+    dz /= tau
+    dz += cache.s
+    dz *= dy_thresh[:, None]
+    dz *= t
+    dz *= cache.a
+    dz *= 1.0 - cache.a
     dw = (dz * cache.f).sum(axis=0)
+    dz *= cache.w[None, :]
+
+    # traditional head. With alpha 1 (no y_trad) its share of d_y is zero, so
+    # the pooled gradient is the thresholding head's alone and fc_trad's is zero
+    if cache.y_trad is None:
+        df = dz
+        dfc = np.zeros_like(state.fc_trad)
+    else:
+        du = (1.0 - state.alpha) * d_y * cache.y_trad * (1.0 - cache.y_trad)
+        dfc = cache.f.T @ du if not state.fc_frozen else np.zeros_like(state.fc_trad)
+        df = du[:, None] * state.fc_trad[None, :]
+        df += dz
 
     # w_p = 1 / (sum |W_p| + eps)  =>  dw_p/dW = -sign(W) * w_p^2
     dW = (-dw * cache.w**2)[:, None, None] * np.sign(state.W)
 
     # max pool routes each pooled gradient, through dropout and ReLU, to the
-    # window it came from
-    B, _, M = cache.h_pre.shape
+    # window it came from: flat index (b·C + argmax)·M + m of the (B, C, M) maps
+    B, C, M = cache.h_pre.shape
     dh = np.zeros_like(cache.h_pre)
-    dh[np.arange(B)[:, None], cache.argmax, np.arange(M)] = df * cache.pool_gate
+    at = cache.argmax * M
+    at += np.arange(0, B * C * M, C * M)[:, None]
+    at += np.arange(M)
+    df *= cache.pool_gate
+    dh.reshape(-1)[at] = df
     dW += kernels.conv_backward_batch(dh, cache.X, state.k)
     return {"W": dW, "fc_trad": dfc}
 
@@ -268,14 +302,15 @@ def state_from_json(text: str) -> ModelState:
         raise DataError("not a model file")
     check_version(doc, MODEL_FORMAT_VERSION, "model file")
     try:
+        W = _filters(doc, "model file")
         state = ModelState(
-            W=_filters(doc, "model file"),
+            W=W,
             fc_trad=np.array(doc["fc_trad"], dtype=np.float64),
             fc_frozen=bool(doc["fc_frozen"]),
             thresh=ThresholdingParams(**doc["thresh"]),
             alpha=float(doc["alpha"]),
             dropout_rate=float(doc["dropout_rate"]),
-            padding=padding_field(doc, "model file"),
+            padding=padding_field(doc, "model file", W.shape[1]),
         )
     except KeyError as e:
         raise DataError(f"model file missing key {e}") from None

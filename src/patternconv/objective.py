@@ -59,15 +59,20 @@ def bce_grad(y: float | np.ndarray, label) -> float | np.ndarray:
     return g * ((y > BCE_CLAMP) & (y < 1.0 - BCE_CLAMP))
 
 
-def _step_sums(W: np.ndarray, vocab: FeatureVocabulary, min_params: MinPenaltyParams):
-    """The per-step sums every term reads, (M, k) each: the min-penalty power
-    term of the step mass, the submission sum, and the help and attempt means."""
-    h_idx, a_idx = sorted(vocab.help_related), sorted(vocab.attempt_related)
-    inner = min_params.rate ** (min_params.onset - W.sum(axis=2))
-    s = W[:, :, list(vocab.submission_indices)].sum(axis=2)
-    u = W[:, :, h_idx].sum(axis=2) / len(h_idx)
-    v = W[:, :, a_idx].sum(axis=2) / len(a_idx)
-    return inner, s, u, v
+def _mass_power(W: np.ndarray, min_params: MinPenaltyParams) -> np.ndarray:
+    """(M, k) the min-penalty power term rate^(onset - mass) of each step."""
+    return min_params.rate ** (min_params.onset - W.sum(axis=2))
+
+
+def _submission_sum(W: np.ndarray, vocab: FeatureVocabulary) -> np.ndarray:
+    """(M, k) the summed submission-type weight of each step."""
+    return W[:, :, vocab.column_groups[0]].sum(axis=2)
+
+
+def _help_attempt_means(W: np.ndarray, vocab: FeatureVocabulary):
+    """(M, k) each: the mean help-related and attempt-related weight of each step."""
+    _, h_idx, a_idx = vocab.column_groups
+    return W[:, :, h_idx].sum(axis=2) / len(h_idx), W[:, :, a_idx].sum(axis=2) / len(a_idx)
 
 
 def regularizer_terms(W: np.ndarray, vocab: FeatureVocabulary,
@@ -76,11 +81,11 @@ def regularizer_terms(W: np.ndarray, vocab: FeatureVocabulary,
     weights. min: ReLU(rate^(onset - mass) - bias) per step. sub: the summed
     submission-type weight above 1 per step. poss: per step, the smaller
     square of the help and attempt means."""
-    inner, s, u, v = _step_sums(W, vocab, min_params)
+    u, v = _help_attempt_means(W, vocab)
     return {
         "bin": float(np.abs(W * W - W).sum()),
-        "min": float(np.maximum(inner - min_params.bias, 0.0).sum()),
-        "sub": float(np.maximum(s - 1.0, 0.0).sum()),
+        "min": float(np.maximum(_mass_power(W, min_params) - min_params.bias, 0.0).sum()),
+        "sub": float(np.maximum(_submission_sum(W, vocab) - 1.0, 0.0).sum()),
         "poss": float(np.minimum(u * u, v * v).sum()),
     }
 
@@ -93,16 +98,37 @@ def regularizer_value(W: np.ndarray, weights: LossWeights, vocab: FeatureVocabul
 
 def regularizer_grad(W: np.ndarray, weights: LossWeights, vocab: FeatureVocabulary,
                      min_params: MinPenaltyParams = MinPenaltyParams()) -> np.ndarray:
-    """d(regularizer_value)/dW, the terms added in the order bin, min, sub, poss."""
-    inner, s, u, v = _step_sums(W, vocab, min_params)
-    sub_idx = list(vocab.submission_indices)
-    h_idx, a_idx = sorted(vocab.help_related), sorted(vocab.attempt_related)
+    """d(regularizer_value)/dW, the terms added in the order bin, min, then the
+    column-group terms sub and poss.
+
+    A term whose weight is 0 is skipped: for finite W it would add an exact
+    ±0.0 to a gradient that starts at +0.0 and so never holds -0.0, which
+    changes no bit. Every column belongs to exactly one group (submission, help-related,
+    attempt-related), so the sub and poss terms are one (M, k, 3) per-step
+    table gathered to the columns and added once.
+    """
     g = np.zeros_like(W)
-    g += weights.bin * (np.sign(W * W - W) * (2.0 * W - 1.0))
-    dmass = np.where(inner - min_params.bias > 0, -np.log(min_params.rate) * inner, 0.0)
-    g += weights.min * dmass[:, :, None]
-    g[:, :, sub_idx] += weights.sub * (s > 1.0)[:, :, None]
-    h_side = u * u <= v * v  # ties take the help side
-    g[:, :, h_idx] += weights.poss * np.where(h_side, 2.0 * u / len(h_idx), 0.0)[:, :, None]
-    g[:, :, a_idx] += weights.poss * np.where(~h_side, 2.0 * v / len(a_idx), 0.0)[:, :, None]
+    if weights.bin:
+        t = W * W
+        t -= W
+        np.sign(t, out=t)
+        t *= 2.0 * W - 1.0
+        t *= weights.bin
+        g += t
+    if weights.min:
+        inner = _mass_power(W, min_params)
+        dmass = np.where(inner - min_params.bias > 0, -np.log(min_params.rate) * inner, 0.0)
+        dmass *= weights.min
+        g += dmass[:, :, None]
+    if weights.sub or weights.poss:
+        table = np.zeros(W.shape[:2] + (3,))
+        if weights.sub:
+            table[:, :, 0] = weights.sub * (_submission_sum(W, vocab) > 1.0)
+        if weights.poss:
+            u, v = _help_attempt_means(W, vocab)
+            _, h_idx, a_idx = vocab.column_groups
+            h_side = u * u <= v * v  # ties take the help side
+            table[:, :, 1] = weights.poss * np.where(h_side, 2.0 * u / len(h_idx), 0.0)
+            table[:, :, 2] = weights.poss * np.where(h_side, 0.0, 2.0 * v / len(a_idx))
+        g += table[:, :, vocab.column_group]
     return g

@@ -109,6 +109,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     state.alpha = alpha
     state.fc_frozen = freeze
     labels_all = train_set.labels.astype(np.float64)
+    clip_w_all = np.where(train_set.labels, pos_weight, 1.0)
     order = rng.permutation(len(train_set))
 
     bce_sum = 0.0
@@ -117,11 +118,10 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     n_batches = 0
     for start in range(0, len(order), config.batch_size):
         idx = order[start:start + config.batch_size]
-        labels = labels_all[idx]
+        labels, clip_w = labels_all[idx], clip_w_all[idx]
         y, cache = forward_batch(state, train_set.X[idx], training=True, rng=rng,
                                  windowed=True)
 
-        clip_w = np.where(labels == 1.0, pos_weight, 1.0)
         batch_bce = float((clip_w * objective.bce(y, labels)).mean())
         # W is clamped to [0, 1], so the regularizers are finite whenever W
         # is, and a non-finite W already makes the BCE non-finite
@@ -130,16 +130,18 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
 
         d_y = clip_w * objective.bce_grad(y, labels) / len(idx)
         grads = backward_batch(state, cache, d_y)
-        dW = grads["W"] + objective.regularizer_grad(state.W, weights, vocab)
+        dW = grads["W"]
+        dW += objective.regularizer_grad(state.W, weights, vocab)
+        grad_norm_conv += float(np.linalg.norm(dW))
+        grad_norm_fc += float(np.linalg.norm(grads["fc_trad"]))
 
-        state.W -= lr * dW
+        dW *= lr
+        state.W -= dW
         np.clip(state.W, 0.0, 1.0, out=state.W)
         if not freeze:
             state.fc_trad -= lr * grads["fc_trad"]
 
         bce_sum += batch_bce
-        grad_norm_conv += float(np.linalg.norm(dW))
-        grad_norm_fc += float(np.linalg.norm(grads["fc_trad"]))
         n_batches += 1
 
     record = {

@@ -119,6 +119,7 @@ def test_config_accepts_nulls_and_numbers_where_meant(tmp_path):
 # failed on it, and the key path its error names
 OUT_OF_RANGE = {
     "negative_padding": ({"model": {"padding": -1}}, "synth", "model.padding"),
+    "padding_above_k_minus_1": ({"model": {"k": 3, "padding": 3}}, "train", "model.padding"),
     "no_filters": ({"model": {"M": 0}}, "train", "model.M"),
     "negative_clip_count": ({"data": {"n_clips": -5}}, "synth", "data.n_clips"),
     "empty_batch": ({"train": {"batch_size": 0}}, "train", "train.batch_size"),
@@ -374,6 +375,25 @@ def _model_with_negative_padding(tmp, vocab, data):
     return ["eval", _model(tmp / "m.json", vocab, edit), data]
 
 
+_HUGE = 10**12  # windows of this padding would need petabytes
+
+
+def _bank_with_huge_padding(command):
+    def build(tmp, vocab, data):
+        bank = _write_bank(tmp / "b.json", vocab, edit=_set_field(("padding",), _HUGE))
+        return {"eval": ["eval", bank, data], "explain": ["explain", bank, data, "c0"]}[command]
+    return build
+
+
+def _model_with_huge_padding(tmp, vocab, data):
+    return ["eval", _model(tmp / "m.json", vocab, _set_field(("padding",), _HUGE)), data]
+
+
+def _snapshot_with_huge_padding(tmp, vocab, data):
+    return ["curate", _snapshot(tmp / "snaps", np.ones((2, 3, vocab.d)),
+                                _set_field(("padding",), _HUGE)), data]
+
+
 # each case writes a bank, model or snapshot that parses but cannot be used,
 # and the message that names the fault
 UNUSABLE = {
@@ -390,6 +410,14 @@ UNUSABLE = {
                                       "m.json: model file has a malformed field"),
     "model_with_negative_padding": (_model_with_negative_padding,
                                     "m.json: model file padding must be a non-negative integer"),
+    "bank_with_huge_padding_eval": (_bank_with_huge_padding("eval"),
+                                    f"b.json: pattern bank padding {_HUGE} is above k - 1 = 2"),
+    "bank_with_huge_padding_explain": (_bank_with_huge_padding("explain"),
+                                       f"b.json: pattern bank padding {_HUGE} is above k - 1"),
+    "model_with_huge_padding": (_model_with_huge_padding,
+                                f"m.json: model file padding {_HUGE} is above k - 1 = 2"),
+    "snapshot_with_huge_padding": (_snapshot_with_huge_padding,
+                                   f"era_000.json padding {_HUGE} is above k - 1 = 2"),
 }
 
 

@@ -139,3 +139,8 @@ def test_bench_kernels_script_runs(capsys):
     assert [row[1] for row in rows] == ["8", "100000"]
     rows = [line.split() for line in out.splitlines() if line.startswith("load_dataset")]
     assert [(row[1], row[3]) for row in rows] == [("8", "canonical"), ("8", "json")]
+    rows = [line.split() for line in out.splitlines() if line.startswith("train step")]
+    assert [row[2] for row in rows] == ["8"]  # the batch, below the batch size of 64
+    rows = [line.split() for line in out.splitlines() if line.startswith("regularizer_grad")]
+    assert [row[2:] for row in rows] == [["4", "filters,", "weights", "off"],
+                                         ["4", "filters,", "weights", "on"]]

@@ -30,6 +30,14 @@ import os
 import tempfile
 import time
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":
+    # One BLAS/OpenMP thread unless the caller sets one, set before numpy is
+    # imported: with threads free the GEMM rows swing by up to 9x between runs
+    # on a 2-CPU host.
+    for var in THREAD_VARS:
+        os.environ.setdefault(var, "1")
+
 import numpy as np
 
 from patternconv import corpus, curator, evalmetrics, kernels, netcore, objective, trainer
@@ -144,6 +152,7 @@ def main(argv=None):
     dh = rng.standard_normal((B, Xw.shape[1], M))
 
     print(f"B={B} M={M} L={L} d={d} k={k}")
+    print("threads: " + " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS))
     print(f"{'kernel':<20} {'clips':>9} {'time':>12}")
     for name, fn, a in [("conv_forward", kernels.conv_forward_batch, (W, Xw)),
                         ("conv_backward", kernels.conv_backward_batch, (dh, Xw, k)),

@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import FeatureVocabulary
 from .curator import Pattern, PatternBank, match_matrix
-from .errors import DataError, atomic_write, read_text
+from .errors import STRING, DataError, atomic_write, fields, json_object, list_of, read_text
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class ExpertPattern:
 
 
 def expert_from_names(name: str, step_names, vocab: FeatureVocabulary) -> ExpertPattern:
-    if not isinstance(step_names, list) or not all(
-            isinstance(step, list) and all(isinstance(n, str) for n in step)
-            for step in step_names):
-        raise DataError(f"expert pattern '{name}': steps must be lists of feature names")
     index = {n: i for i, n in enumerate(vocab.feature_names)}
     steps = []
     for step in step_names:
@@ -41,20 +37,20 @@ def expert_from_names(name: str, step_names, vocab: FeatureVocabulary) -> Expert
     return ExpertPattern(name=name, steps=tuple(steps))
 
 
+_STEP = list_of(STRING, "a list of feature names")
+_EXPERT = {"name": STRING, "steps": list_of(_STEP, "a list of lists of feature names")}
+
+
 def load_expert_patterns(path, vocab: FeatureVocabulary) -> list[ExpertPattern]:
     """Line-delimited records with `name` and `steps` (arrays of feature names)."""
     out = []
     for lineno, line in enumerate(read_text(path).splitlines()):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
+        what = f"{path}:{lineno + 1}: expert pattern"
+        name, steps = fields(json_object(line, what), _EXPERT, what).values()
         try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise DataError("expert pattern is not a JSON object")
-            out.append(expert_from_names(rec["name"], rec["steps"], vocab))
-        except (json.JSONDecodeError, KeyError) as e:
-            raise DataError(f"{path}:{lineno + 1}: malformed expert pattern: {e}") from None
+            out.append(expert_from_names(name, steps, vocab))
         except DataError as e:
             raise DataError(f"{path}:{lineno + 1}: {e}") from None
     return out

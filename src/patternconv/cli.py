@@ -7,15 +7,15 @@ import argparse
 import copy
 import hashlib
 import json
-import operator
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
-from .errors import (ConfigError, DataError, NumericalError, atomic_write, json_object,
-                     padding_field, read_text)
+from .errors import (INTEGER, LIST, OBJECT, STRING, ConfigError, DataError, NumericalError,
+                     atomic_write, fields, float_array, json_object, nullable, padding_field,
+                     read_text, within)
 from .schedule import DEFAULT_TARGETS, ConstraintSchedule
 
 DEFAULT_CONFIG = {
@@ -48,112 +48,66 @@ DEFAULT_CONFIG = {
     "curate": {"n_override": None},
 }
 
-# The type a set value must have where the default alone does not say it:
-# these leaves may also be null (null planted_bank plants the default
-# patterns, null n_override selects by kappa, null final_learning_rate keeps
-# the rate flat and null dropout_base keeps the model's flat dropout).
-_NULLABLE = {("data", "planted_bank"): str, ("curate", "n_override"): int,
-             ("train", "final_learning_rate"): float, ("train", "dropout_base"): float}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-# The bounds a set value must lie within, as (comparison, bound) pairs.
-_AT_LEAST_0, _AT_LEAST_1 = (">=", 0), (">=", 1)
-_UNIT, _OPEN_UNIT = (">=", 0, "<=", 1), (">", 0, "<", 1)
-_RANGES = {
-    ("model", "M"): _AT_LEAST_1, ("model", "k"): _AT_LEAST_1, ("model", "padding"): _AT_LEAST_0,
-    ("data", "clip_length"): _AT_LEAST_1, ("data", "n_clips"): _AT_LEAST_1,
-    ("data", "p_plant"): _UNIT, ("data", "p_help"): _UNIT, ("data", "p_feature"): _UNIT,
-    ("data", "p_distract"): _UNIT,
-    ("data", "label_noise"): (">=", 0, "<", 0.5), ("data", "feature_noise"): (">=", 0, "<", 0.5),
-    ("split", "test_fraction"): _OPEN_UNIT, ("split", "val_fraction"): _OPEN_UNIT,
-    ("train", "learning_rate"): _AT_LEAST_0, ("train", "final_learning_rate"): _AT_LEAST_0,
-    ("train", "batch_size"): _AT_LEAST_1, ("train", "eras"): _AT_LEAST_1,
-    ("train", "epochs_per_era"): _AT_LEAST_1, ("train", "harvest_precision_threshold"): _UNIT,
-    ("train", "dropout_base"): _UNIT, ("train", "dropout_era_amp"): _UNIT,
-    ("train", "anneal_end_fraction"): (">", 0, "<=", 1), ("train", "seed"): _AT_LEAST_0,
-    **{("train", "targets", name): _UNIT if name == "alpha" else _AT_LEAST_0
-       for name in DEFAULT_TARGETS},
-    ("curate", "n_override"): _AT_LEAST_0,
+_COUNT, _INDEX = within("[1, inf)", INTEGER), within("[0, inf)", INTEGER)
+_UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
+# The rule of every key a config may set, in the shape of DEFAULT_CONFIG. A
+# null planted_bank plants the default patterns, a null n_override selects by
+# kappa, a null final_learning_rate keeps the rate flat and a null
+# dropout_base keeps the model's flat dropout. Every target is optional.
+_SCHEMA = {
+    "model": {"M": _COUNT, "k": _COUNT, "padding": _INDEX},
+    "data": {"clip_length": _COUNT, "n_clips": _COUNT, "p_plant": _UNIT, "label_noise": _NOISE,
+             "feature_noise": _NOISE, "p_help": _UNIT, "p_feature": _UNIT, "p_distract": _UNIT,
+             "planted_bank": nullable(STRING)},
+    "split": {"test_fraction": within("(0, 1)"), "val_fraction": within("(0, 1)")},
+    "train": {
+        "learning_rate": _RATE, "final_learning_rate": nullable(_RATE), "batch_size": _COUNT,
+        "eras": _COUNT, "epochs_per_era": _COUNT,
+        "targets": {name: _UNIT if name == "alpha" else _RATE for name in DEFAULT_TARGETS},
+        "harvest_precision_threshold": _UNIT, "dropout_base": nullable(_UNIT),
+        "dropout_era_amp": _UNIT, "anneal_end_fraction": within("(0, 1]"), "seed": _INDEX,
+    },
+    "curate": {"n_override": nullable(_INDEX)},
 }
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
-def _fits(value, kind: type) -> bool:
-    """JSON type check: no leaf takes a bool, and a float leaf takes any
-    number."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
-
-
-def _check_keys(override, defaults: dict, path: tuple = ()) -> None:
-    """ConfigError naming the first key of `override` that is not in
-    `defaults` or whose value has the wrong type."""
-    where = ".".join(path) or "config"
-    if not isinstance(override, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    for key, value in override.items():
-        leaf = path + (key,)
-        name = ".".join(leaf)
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{name}'")
-        if leaf == ("train", "targets"):
-            _check_keys(value, DEFAULT_TARGETS, leaf)
-        elif isinstance(defaults[key], dict):
-            _check_keys(value, defaults[key], leaf)
-        elif value is None and leaf in _NULLABLE:
-            continue
-        else:
-            kind = _NULLABLE.get(leaf, type(defaults[key]))
-            if not _fits(value, kind):
-                raise ConfigError(f"config key '{name}' must be {_TYPE_NAMES[kind]}, "
-                                  f"not {json.dumps(value)}")
-
-
-def _check_ranges(cfg: dict) -> None:
-    """ConfigError naming the first set value outside its _RANGES bounds."""
-    for leaf, spec in _RANGES.items():
-        value = cfg
-        for key in leaf:
-            value = value.get(key)  # a target the config leaves unset is None
-        bounds = list(zip(spec[::2], spec[1::2]))
-        if value is not None and not all(_COMPARE[op](value, b) for op, b in bounds):
-            rule = " and ".join(f"{op} {b}" for op, b in bounds)
-            raise ConfigError(f"config key '{'.'.join(leaf)}' must be {rule}, "
-                              f"not {json.dumps(value)}")
-
-
-def _merge(base: dict, override: dict) -> dict:
+def _merged(override, base: dict, schema: dict = _SCHEMA, path: str = "") -> dict:
+    """`base` deep-merged with `override`; ConfigError naming the first key of
+    `override` that `schema` does not list or whose value breaks its rule."""
     out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
+    for key, value in override.items():
+        name = path + key
+        if key not in schema:
+            raise ConfigError(f"unknown config key '{name}'")
+        section = isinstance(schema[key], dict)
+        fields({name: value}, {name: OBJECT if section else schema[key]}, "config key",
+               ConfigError)
+        out[key] = _merged(value, base[key], schema[key], name + ".") if section else value
     return out
 
 
 def load_config(path: str | None, seed: int | None = None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = copy.deepcopy(DEFAULT_CONFIG)  # every default passes its _SCHEMA rule
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 override = json.load(fh)
         except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
             raise ConfigError(f"cannot read config {path}: {e}") from None
-        _check_keys(override, DEFAULT_CONFIG)
-        cfg = _merge(cfg, override)
+        if not isinstance(override, dict):
+            raise ConfigError("config must be a JSON object")
+        cfg = _merged(override, cfg)
     if seed is not None:
-        cfg["train"]["seed"] = seed
-    _check_ranges(cfg)
+        cfg = _merged({"train": {"seed": seed}}, cfg)
     model = cfg["model"]
     if model["padding"] > model["k"] - 1:
         # a window past k - 1 padding steps holds no clip step
         raise ConfigError(f"config key 'model.padding' must be <= model.k - 1 = "
                           f"{model['k'] - 1}, not {model['padding']}")
-    if model["k"] > cfg["data"]["clip_length"] + 2 * model["padding"]:
-        raise ConfigError("kernel length exceeds clip length plus padding")
+    longest = cfg["data"]["clip_length"] + 2 * model["padding"]
+    if model["k"] > longest:
+        raise ConfigError(f"config key 'model.k' must be <= data.clip_length + 2 * "
+                          f"model.padding = {longest}, not {model['k']}")
     return cfg
 
 
@@ -287,23 +241,7 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     return 0
 
 
-def _snapshot_fields(doc: dict, M: int, path: str) -> tuple[int, np.ndarray]:
-    """A snapshot's era (-1 when it has none) and per-filter precisions, null
-    read as NaN."""
-    era = doc.get("era", -1)
-    if "era" in doc and (type(era) is not int or era < 0):
-        raise DataError(f"{path}: era must be a non-negative integer, not {json.dumps(era)}")
-    if "per_filter_precision" not in doc:
-        raise DataError(f"{path}: filter snapshot file missing key 'per_filter_precision'")
-    try:
-        prec = np.array([np.nan if p is None else p for p in doc["per_filter_precision"]],
-                        dtype=np.float64)
-    except (TypeError, ValueError):
-        prec = None
-    if prec is None or prec.shape != (M,) or ((prec < 0) | (prec > 1)).any():
-        raise DataError(f"{path}: per_filter_precision must list a number in [0, 1] "
-                        f"or null for each of the {M} filters")
-    return era, prec
+_SNAPSHOT = {"era": (*_INDEX, -1), "per_filter_precision": LIST}
 
 
 def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> int:
@@ -319,17 +257,21 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     padding, first = None, None  # the padding the snapshots' model was trained with
     for fname in files:
         path = os.path.join(snapshots_dir, fname)
+        what = f"{path}: filter snapshot file"
         W, doc = _parse(netcore.filters_from_json, path)
         if W.shape[2] != vocab.d:
             raise DataError(f"{path}: filters have {W.shape[2]} features, the clips "
                             f"have {vocab.d}")
-        snap_padding = padding_field(doc, path, W.shape[1])
+        snap_padding = padding_field(doc, what, W.shape[1])
         if padding is None:
             padding, first = snap_padding, path
         elif snap_padding != padding:
             raise DataError(f"snapshots disagree on padding: {first} has {padding}, "
                             f"{path} has {snap_padding}")
-        era, precisions = _snapshot_fields(doc, len(W), path)
+        era, precisions = fields(doc, _SNAPSHOT, what).values()
+        precisions = float_array(precisions, len(W), what, "per_filter_precision",
+                                 ok=lambda p: ~((p < 0) | (p > 1)),
+                                 rule="numbers in [0, 1] or nulls")
         harvested.extend(trainer.harvest_filters(W, precisions, era, vocab,
                                                  tcfg["harvest_precision_threshold"]))
 
@@ -360,10 +302,21 @@ def _predictor(text: str):
     raise DataError("neither a bank nor a model file")
 
 
+def _same_vocabulary(bank: curator.PatternBank, bank_path: str,
+                     vocab: corpus.FeatureVocabulary, clip_path: str) -> None:
+    """DataError unless a bank's features are the clip file's: a bank matched
+    on other columns flags and explains clips by the wrong features."""
+    if bank.vocabulary != vocab:
+        raise DataError(f"{bank_path}: the bank's vocabulary differs from the vocabulary "
+                        f"header of {clip_path}")
+
+
 def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int:
     os.makedirs(out, exist_ok=True)
     predictor = _parse(_predictor, predictor_path)
     train_set, val_set, test_set = _load_splits(cfg, dataset_path)
+    if isinstance(predictor, curator.PatternBank):
+        _same_vocabulary(predictor, predictor_path, train_set.vocabulary, dataset_path)
     rows = {name: evalmetrics.evaluate(predictor, ds)
             for name, ds in (("train", train_set), ("val", val_set), ("test", test_set))}
     print(evalmetrics.render_table(rows))
@@ -397,11 +350,12 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
 def cmd_explain(cfg: dict, out: str, bank_path: str, clip_path: str, clip_id: str) -> int:
     bank = _parse(curator.bank_from_json, bank_path)
     dataset = corpus.load_dataset(clip_path)
+    _same_vocabulary(bank, bank_path, dataset.vocabulary, clip_path)
     if clip_id not in dataset.clip_ids:
         raise DataError(f"clip '{clip_id}' not found in {clip_path}")
     i = dataset.clip_ids.index(clip_id)
     clip = corpus.Clip(clip_id, dataset.steps_array()[i], bool(dataset.labels()[i]))
-    exp = analysis.explain(clip, bank, bank.vocabulary, padding=bank.padding)
+    exp = analysis.explain(clip, bank, dataset.vocabulary, padding=bank.padding)
     print(exp.bullet_text)
     print()
     print(exp.matrix_text)

@@ -10,12 +10,17 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import DataError, atomic_write, check_version
+from .errors import INTEGER, STRING, DataError, atomic_write, check_version, fields, list_of
 
 CLIP_FORMAT_NAME = "patternconv-clips"
 CLIP_FORMAT_VERSION = 1
 
 DEFAULT_CLIP_LENGTH = 5
+
+_INDICES = list_of(INTEGER, "a list of integers")
+_VOCABULARY = {"feature_names": list_of(STRING, "a list of strings"),
+               "submission_indices": _INDICES, "help_related": _INDICES,
+               "attempt_related": _INDICES}
 
 
 @dataclass(frozen=True)
@@ -113,18 +118,9 @@ class FeatureVocabulary:
         }
 
     @classmethod
-    def from_record(cls, rec: dict) -> "FeatureVocabulary":
-        try:
-            names, *indices = (rec[key] for key in ("feature_names", "submission_indices",
-                                                     "help_related", "attempt_related"))
-        except KeyError as e:
-            raise DataError(f"vocabulary header missing key {e}") from None
-        if not all(type(field) is list for field in (names, *indices)):
-            raise DataError("vocabulary header fields must be lists")
-        if not (all(type(n) is str for n in names)
-                and all(type(i) is int for field in indices for i in field)):
-            raise DataError("vocabulary header must list feature names and integer indices")
-        sub, help_related, attempt_related = indices
+    def from_record(cls, rec: dict, what: str) -> "FeatureVocabulary":
+        """The vocabulary a clip file header or a bank records, named `what`."""
+        names, sub, help_related, attempt_related = fields(rec, _VOCABULARY, what).values()
         return cls(feature_names=tuple(names), submission_indices=tuple(sub),
                    help_related=frozenset(help_related),
                    attempt_related=frozenset(attempt_related))
@@ -330,8 +326,9 @@ class _ClipReader:
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{lineno + 1}: malformed record: {e}") from None
         if isinstance(rec, dict) and rec.get("format") == CLIP_FORMAT_NAME:
-            check_version(rec, CLIP_FORMAT_VERSION, f"{path}:{lineno + 1}: clip file header")
-            file_vocab = FeatureVocabulary.from_record(rec)
+            header = f"{path}:{lineno + 1}: clip file header"
+            check_version(rec, CLIP_FORMAT_VERSION, header)
+            file_vocab = FeatureVocabulary.from_record(rec, header)
             if self.vocab is not None and file_vocab != self.vocab:
                 raise DataError(f"{path}:{lineno + 1}: vocabulary header differs "
                                 "from an earlier one")

@@ -10,7 +10,8 @@ import numpy as np
 
 from . import kernels
 from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, is_binary, step_rules
-from .errors import DataError, check_version, json_object, padding_field
+from .errors import (BOOL, INTEGER, LIST, OBJECT, STRING, DataError, check_version, field_error,
+                     fields, json_object, list_of, nullable, padding_field, within)
 from .evalmetrics import confusion, kappa
 
 BANK_FORMAT_VERSION = 1
@@ -336,21 +337,10 @@ def bank_to_json(bank: PatternBank, extra: dict | None = None) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _check_pattern_fields(p: Pattern) -> None:
-    """DataError unless a loaded pattern's id is a string, its precision null
-    or a number in [0, 1], its era an integer and its low-support flag a bool."""
-    prec = p.precision_train
-    if type(p.pattern_id) is not str:
-        fault = "pattern_id must be a string"
-    elif prec is not None and (type(prec) not in (int, float) or not 0 <= prec <= 1):
-        fault = "precision_train must be null or a number in [0, 1]"
-    elif type(p.source_era) is not int:
-        fault = "source_era must be an integer"
-    elif type(p.low_support) is not bool:
-        fault = "low_support must be true or false"
-    else:
-        return
-    raise DataError(f"pattern bank pattern {json.dumps(p.pattern_id)}: {fault}")
+_BANK = {"vocabulary": OBJECT, "patterns": list_of(OBJECT, "a list of JSON objects")}
+_PATTERN = {"pattern_id": STRING, "cells": LIST,
+            "precision_train": (*nullable(within("[0, 1]")), None),
+            "source_era": (*INTEGER, -1), "low_support": (*BOOL, False)}
 
 
 def bank_from_json(text: str) -> PatternBank:
@@ -358,24 +348,23 @@ def bank_from_json(text: str) -> PatternBank:
     if doc.get("format") != "patternconv-bank":
         raise DataError("not a pattern bank file")
     check_version(doc, BANK_FORMAT_VERSION, "pattern bank file")
-    try:
-        vocabulary = FeatureVocabulary.from_record(doc["vocabulary"])
-        records = doc["patterns"]
-        cells = [np.array(rec["cells"]) for rec in records]
-        shape = cells[0].shape[:1] + (vocabulary.d,) if cells else None
-        if any(c.shape != shape or not is_binary(c) for c in cells):
-            raise DataError("pattern bank cells must be 0/1 arrays of one "
-                            f"(steps, {vocabulary.d}) shape")
-        padding = padding_field(doc, "pattern bank", shape[0] if cells else None)
-        patterns = tuple(Pattern(cells=c.astype(np.uint8), pattern_id=rec["pattern_id"],
-                                 precision_train=rec.get("precision_train"),
-                                 source_era=rec.get("source_era", -1),
-                                 low_support=rec.get("low_support", False))
-                         for c, rec in zip(cells, records))
-        for p in patterns:
-            _check_pattern_fields(p)
-    except KeyError as e:
-        raise DataError(f"pattern bank file missing key {e}") from None
-    except (TypeError, ValueError):  # a record that is not an object, or ragged cells
-        raise DataError("pattern bank patterns must be objects with rectangular cells") from None
-    return PatternBank(patterns=patterns, vocabulary=vocabulary, padding=padding)
+    vocab_record, records = fields(doc, _BANK, "pattern bank file").values()
+    vocabulary = FeatureVocabulary.from_record(vocab_record, "pattern bank file vocabulary")
+    patterns = []
+    for i, rec in enumerate(records):
+        what = f"pattern bank pattern {i}"
+        pattern_id, cells, precision, era, low_support = fields(rec, _PATTERN, what).values()
+        try:
+            c = np.array(cells)
+        except ValueError:  # ragged rows
+            c = None
+        shape = patterns[0].cells.shape if patterns else (len(cells), vocabulary.d)
+        if c is None or c.shape != shape or not is_binary(c):
+            raise field_error(what, "cells", f"a 0/1 array of one (steps, {vocabulary.d}) "
+                              "shape for every pattern", cells)
+        patterns.append(Pattern(cells=c.astype(np.uint8), pattern_id=pattern_id,
+                                precision_train=precision, source_era=era,
+                                low_support=low_support))
+    padding = padding_field(doc, "pattern bank file",
+                            patterns[0].cells.shape[0] if patterns else None)
+    return PatternBank(patterns=tuple(patterns), vocabulary=vocabulary, padding=padding)

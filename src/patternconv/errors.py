@@ -1,10 +1,15 @@
 """Exception hierarchy shared across the package, the file and JSON
 document readers that turn an undecodable or malformed input into a
-DataError, and the atomic writer of output files."""
+DataError, the field checker every reader declares its fields to, and the
+atomic writer of output files."""
 
 import json
+import math
+import operator
 import os
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class PatternConvError(Exception):
@@ -43,18 +48,83 @@ def read_text(path) -> str:
             raise DataError(f"{path} is not UTF-8 text: {e}") from None
 
 
+# The shared field rules, each a (test, rule) pair; bool is not an integer.
+INTEGER = (lambda value: type(value) is int, "an integer")
+NUMBER = (lambda value: type(value) is int or type(value) is float and math.isfinite(value),
+          "a finite number")
+BOOL = (lambda value: type(value) is bool, "true or false")
+STRING = (lambda value: type(value) is str, "a string")
+LIST = (lambda value: type(value) is list, "a list")
+OBJECT = (lambda value: type(value) is dict, "a JSON object")
+
+
+def within(interval: str, entry: tuple = NUMBER) -> tuple:
+    """The rule of `entry` on a value in an interval written as the rule
+    reads, such as "[0, 0.5)" or "[1, inf)"."""
+    test, rule = entry
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = operator.gt if interval[0] == "(" else operator.ge
+    below = operator.lt if interval[-1] == ")" else operator.le
+    return ((lambda value: test(value) and above(value, low) and below(value, high)),
+            f"{rule} in {interval}")
+
+
+def nullable(entry: tuple) -> tuple:
+    test, rule = entry
+    return (lambda value: value is None or test(value)), f"null or {rule}"
+
+
+def list_of(entry: tuple, rule: str) -> tuple:
+    test = entry[0]
+    return (lambda value: type(value) is list and all(map(test, value))), rule
+
+
+def field_error(what: str, key: str, rule: str, value, error=DataError) -> Exception:
+    """The error for a field that breaks its rule, with the value's JSON cut
+    short."""
+    shown = json.dumps(value)
+    shown = shown if len(shown) <= 40 else shown[:37] + "..."
+    return error(f"{what} '{key}' must be {rule}, not {shown}")
+
+
+def fields(doc: dict, spec: dict, what: str, error=DataError) -> dict:
+    """The values of the keys of `spec` in `doc`, in spec order. A spec entry
+    is (test, rule) or (test, rule, default); a missing key without a default
+    or a value that fails its test raises an error naming the key."""
+    out = {}
+    for key, (test, rule, *default) in spec.items():
+        if key in doc:
+            if not test(doc[key]):
+                raise field_error(what, key, rule, doc[key], error)
+            out[key] = doc[key]
+        elif default:
+            out[key] = default[0]
+        else:
+            raise error(f"{what} missing key '{key}'")
+    return out
+
+
+def float_array(values: list, n: int, what: str, key: str, ok=np.isfinite,
+                rule: str = "finite numbers") -> np.ndarray:
+    """An array field as (n,) float64 by one numpy conversion (null reads as
+    NaN); DataError unless it holds n values and `ok` holds for each."""
+    try:
+        array = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != (n,) or not ok(array).all():
+        raise field_error(what, key, f"a list of {n} {rule}", values)
+    return array
+
+
 def padding_field(doc: dict, what: str, k: int | None) -> int:
-    """The zero padding a bank, model or filter snapshot document records;
-    documents written before the field matched with 1. DataError unless it is
-    a non-negative integer, and, for patterns or filters of k steps, at most
-    k - 1: a window past that holds no clip step, so more padding only adds
-    all-zero windows (a bank without patterns has no k)."""
-    padding = doc.get("padding", 1)
-    if isinstance(padding, bool) or not isinstance(padding, int) or padding < 0:
-        raise DataError(f"{what} padding must be a non-negative integer")
+    """The zero padding a bank, model or filter snapshot records (documents
+    written before the field matched with 1); when set, at most k - 1 for
+    patterns or filters of k steps, since a window past that holds no clip
+    step (a bank without patterns has no k)."""
+    padding = fields(doc, {"padding": (*within("[0, inf)", INTEGER), 1)}, what)["padding"]
     if "padding" in doc and k is not None and padding > k - 1:
-        raise DataError(f"{what} padding {padding} is above k - 1 = {k - 1}: "
-                        "it only adds windows that hold no clip step")
+        raise field_error(what, "padding", f"<= k - 1 = {k - 1}", padding)
     return padding
 
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .errors import DataError, check_version, json_object, padding_field
+from .errors import (BOOL, INTEGER, LIST, NUMBER, DataError, check_version, fields, float_array,
+                     json_object, padding_field, within)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -280,20 +281,22 @@ def state_to_json(state: ModelState) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+_SIZE = within("[1, inf)", INTEGER)
+_FILTERS = {"M": _SIZE, "k": _SIZE, "d": _SIZE, "W": LIST}
+_THRESH = {"steepness": (*within("(0, inf)"), DEFAULT_STEEPNESS),
+           "offset": (*within("(0, 1]"), DEFAULT_OFFSET),
+           "temperature": (*within("(0, inf)"), DEFAULT_TEMPERATURE),
+           "epsilon": (*within("(0, inf)"), DEFAULT_EPSILON)}
+_MODEL = {"fc_trad": LIST, "fc_frozen": BOOL,
+          "thresh": (lambda t: type(t) is dict and t.keys() <= _THRESH.keys(),
+                     "an object of " + ", ".join(_THRESH)),
+          "alpha": within("[0, 1]"), "dropout_rate": NUMBER}
+
+
 def _filters(doc: dict, what: str) -> np.ndarray:
-    """The (M, k, d) filters W of a model or snapshot document; DataError
-    unless M, k and d are positive integers and W lists M·k·d finite numbers."""
-    M, k, d = shape = doc["M"], doc["k"], doc["d"]
-    try:
-        W = np.array(doc["W"], dtype=np.float64)
-    except (TypeError, ValueError):
-        W = None
-    if not all(type(n) is int and n > 0 for n in shape) or W is None or W.shape != (M * k * d,):
-        raise DataError(f"{what} W must list M·k·d numbers for positive integers "
-                        f"M, k, d = {M}, {k}, {d}")
-    if not np.isfinite(W).all():
-        raise DataError(f"{what} W must hold finite numbers")
-    return W.reshape(shape)
+    """The (M, k, d) filters W of a model or snapshot document."""
+    M, k, d, W = fields(doc, _FILTERS, what).values()
+    return float_array(W, M * k * d, what, "W").reshape(M, k, d)
 
 
 def state_from_json(text: str) -> ModelState:
@@ -301,24 +304,17 @@ def state_from_json(text: str) -> ModelState:
     if doc.get("format") != "patternconv-model":
         raise DataError("not a model file")
     check_version(doc, MODEL_FORMAT_VERSION, "model file")
-    try:
-        W = _filters(doc, "model file")
-        state = ModelState(
-            W=W,
-            fc_trad=np.array(doc["fc_trad"], dtype=np.float64),
-            fc_frozen=bool(doc["fc_frozen"]),
-            thresh=ThresholdingParams(**doc["thresh"]),
-            alpha=float(doc["alpha"]),
-            dropout_rate=float(doc["dropout_rate"]),
-            padding=padding_field(doc, "model file", W.shape[1]),
-        )
-    except KeyError as e:
-        raise DataError(f"model file missing key {e}") from None
-    except (TypeError, ValueError) as e:  # a field of the wrong type, or unknown thresh keys
-        raise DataError(f"model file has a malformed field: {e}") from None
-    if not (np.isfinite(state.fc_trad).all() and math.isfinite(state.dropout_rate)):
-        raise DataError("model file fc_trad and dropout_rate must be finite numbers")
-    return state
+    W = _filters(doc, "model file")
+    fc_trad, fc_frozen, thresh, alpha, dropout_rate = fields(doc, _MODEL, "model file").values()
+    return ModelState(
+        W=W,
+        fc_trad=float_array(fc_trad, len(W), "model file", "fc_trad"),
+        fc_frozen=fc_frozen,
+        thresh=ThresholdingParams(**fields(thresh, _THRESH, "model file thresh")),
+        alpha=float(alpha),
+        dropout_rate=float(dropout_rate),
+        padding=padding_field(doc, "model file", W.shape[1]),
+    )
 
 
 def filters_to_json(W: np.ndarray, padding: int = DEFAULT_PADDING, extra: dict | None = None) -> str:
@@ -342,7 +338,4 @@ def filters_from_json(text: str) -> tuple[np.ndarray, dict]:
     if doc.get("format") != "patternconv-filters":
         raise DataError("not a filter snapshot file")
     check_version(doc, MODEL_FORMAT_VERSION, "filter snapshot file")
-    try:
-        return _filters(doc, "filter snapshot file"), doc
-    except KeyError as e:
-        raise DataError(f"filter snapshot file missing key {e}") from None
+    return _filters(doc, "filter snapshot file"), doc

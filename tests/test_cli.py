@@ -2,6 +2,7 @@
 synth -> train -> curate -> eval -> compare -> explain run on a tiny config."""
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -11,6 +12,7 @@ import pytest
 from conftest import random_legal_steps
 from patternconv import analysis, cli, corpus, curator, netcore
 from patternconv.errors import DataError
+from patternconv.schedule import DEFAULT_TARGETS
 
 TINY_CONFIG = {
     "model": {"M": 8},
@@ -125,6 +127,7 @@ OUT_OF_RANGE = {
     "empty_batch": ({"train": {"batch_size": 0}}, "train", "train.batch_size"),
     "test_fraction_above_one": ({"split": {"test_fraction": 2}}, "train",
                                 "split.test_fraction"),
+    "kernel_longer_than_padded_clip": ({"model": {"k": 7, "padding": 0}}, "synth", "model.k"),
 }
 
 
@@ -141,6 +144,24 @@ def test_config_values_out_of_range_exit_1(tmp_path, capsys, vocab, case):
     assert f"config key '{key}' must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_schema_has_the_shape_of_the_default_config():
+    """_SCHEMA lists the keys of DEFAULT_CONFIG at every level, with the
+    schedule's targets under train.targets, and every default passes its own
+    rule."""
+    defaults = copy.deepcopy(cli.DEFAULT_CONFIG)
+    defaults["train"]["targets"] = dict(DEFAULT_TARGETS)
+
+    def walk(schema, default, path):
+        assert schema.keys() == default.keys(), path
+        for key, entry in schema.items():
+            if isinstance(entry, dict):
+                walk(entry, default[key], path + (key,))
+            else:
+                test, rule = entry
+                assert test(default[key]), (path + (key,), rule)
+    walk(cli._SCHEMA, defaults, ())
 
 
 def test_non_utf8_config_exits_1(tmp_path, capsys):
@@ -378,6 +399,12 @@ def _model_with_negative_padding(tmp, vocab, data):
 _HUGE = 10**12  # windows of this padding would need petabytes
 
 
+def _model_with(key, value):
+    def build(tmp, vocab, data):
+        return ["eval", _model(tmp / "m.json", vocab, _set_field((key,), value)), data]
+    return build
+
+
 def _bank_with_huge_padding(command):
     def build(tmp, vocab, data):
         bank = _write_bank(tmp / "b.json", vocab, edit=_set_field(("padding",), _HUGE))
@@ -398,26 +425,40 @@ def _snapshot_with_huge_padding(tmp, vocab, data):
 # and the message that names the fault
 UNUSABLE = {
     "bank_of_mixed_step_counts": (_bank_of_mixed_step_counts,
-                                  "b.json: pattern bank cells must be 0/1 arrays of one "
-                                  "(steps, 13) shape"),
-    "bank_of_10_features": (_bank_of_10_features, "b.json: pattern bank cells must be"),
+                                  "b.json: pattern bank pattern 1 'cells' must be a 0/1 array "
+                                  "of one (steps, 13) shape for every pattern, not [["),
+    "bank_of_10_features": (_bank_of_10_features,
+                            "b.json: pattern bank pattern 0 'cells' must be a 0/1 array"),
     "snapshot_of_wrong_size": (_snapshot_of_wrong_size,
-                               "era_000.json: filter snapshot file W must list M·k·d numbers "
-                               "for positive integers M, k, d = 3, 3, 13"),
+                               "era_000.json: filter snapshot file 'W' must be a list of 117 "
+                               "finite numbers, not [1.0, "),
     "snapshot_of_10_features": (_snapshot_of_10_features,
                                 "era_000.json: filters have 10 features, the clips have 13"),
     "model_with_unknown_thresh_key": (_model_with_unknown_thresh_key,
-                                      "m.json: model file has a malformed field"),
+                                      "m.json: model file 'thresh' must be an object of "
+                                      "steepness, offset, temperature, epsilon, not {"),
     "model_with_negative_padding": (_model_with_negative_padding,
-                                    "m.json: model file padding must be a non-negative integer"),
+                                    "m.json: model file 'padding' must be an integer in [0, inf), "
+                                    "not -1"),
     "bank_with_huge_padding_eval": (_bank_with_huge_padding("eval"),
-                                    f"b.json: pattern bank padding {_HUGE} is above k - 1 = 2"),
+                                    "b.json: pattern bank file 'padding' must be <= k - 1 = 2, "
+                                    f"not {_HUGE}"),
     "bank_with_huge_padding_explain": (_bank_with_huge_padding("explain"),
-                                       f"b.json: pattern bank padding {_HUGE} is above k - 1"),
+                                       "b.json: pattern bank file 'padding' must be <= k - 1"),
     "model_with_huge_padding": (_model_with_huge_padding,
-                                f"m.json: model file padding {_HUGE} is above k - 1 = 2"),
+                                f"m.json: model file 'padding' must be <= k - 1 = 2, not {_HUGE}"),
     "snapshot_with_huge_padding": (_snapshot_with_huge_padding,
-                                   f"era_000.json padding {_HUGE} is above k - 1 = 2"),
+                                   "era_000.json: filter snapshot file 'padding' must be "
+                                   f"<= k - 1 = 2, not {_HUGE}"),
+    "model_with_string_alpha": (_model_with("alpha", "0.5"),
+                                "m.json: model file 'alpha' must be a finite number in [0, 1], "
+                                'not "0.5"'),
+    "model_with_string_fc_frozen": (_model_with("fc_frozen", "no"),
+                                    "m.json: model file 'fc_frozen' must be true or false, "
+                                    'not "no"'),
+    "model_with_bool_dropout_rate": (_model_with("dropout_rate", True),
+                                     "m.json: model file 'dropout_rate' must be a finite "
+                                     "number, not true"),
 }
 
 
@@ -449,9 +490,11 @@ def _snapshot_field(key, value):
     return build
 
 
-_STEPS_NOT_NAMES = "experts.jsonl:2: expert pattern 'x': steps must be lists of feature names"
-_ERA = "era_000.json: era must be a non-negative integer"
-_PRECISION = "era_000.json: per_filter_precision must list a number in [0, 1]"
+_STEPS_NOT_NAMES = ("experts.jsonl:2: expert pattern 'steps' must be a list of lists of "
+                    "feature names, not ")
+_ERA = "era_000.json: filter snapshot file 'era' must be an integer in [0, inf), not "
+_PRECISION = ("era_000.json: filter snapshot file 'per_filter_precision' must be a list of 2 "
+              "numbers in [0, 1] or nulls, not ")
 # each case writes an expert file or snapshot with a malformed field, and the
 # message that names the file (and the line of an expert file)
 MALFORMED_FIELDS = {
@@ -507,18 +550,23 @@ _NAN, _INF = float("nan"), float("inf")
 # each case writes a model or snapshot holding a JSON NaN or Infinity, and
 # the message that names the file
 NON_FINITE = {
-    "model_W": (_non_finite_model(("W", 0), _NAN), "m.json: model file W must hold finite numbers"),
+    "model_W": (_non_finite_model(("W", 0), _NAN),
+                "m.json: model file 'W' must be a list of 156 finite numbers, not [NaN, "),
     "model_fc_trad": (_non_finite_model(("fc_trad", 1), -_INF),
-                      "m.json: model file fc_trad and dropout_rate must be finite numbers"),
+                      "m.json: model file 'fc_trad' must be a list of 4 finite numbers, not ["),
     "model_dropout_rate": (_non_finite_model(("dropout_rate",), _NAN),
-                           "m.json: model file fc_trad and dropout_rate must be finite numbers"),
+                           "m.json: model file 'dropout_rate' must be a finite number, not NaN"),
     "model_temperature": (_non_finite_model(("thresh", "temperature"), _NAN),
-                          "m.json: thresholding params must be finite"),
+                          "m.json: model file thresh 'temperature' must be a finite number "
+                          "in (0, inf), not NaN"),
     "model_steepness": (_non_finite_model(("thresh", "steepness"), _INF),
-                        "m.json: thresholding params must be finite"),
-    "model_alpha": (_non_finite_model(("alpha",), _NAN), "m.json: alpha must lie in [0, 1]"),
+                        "m.json: model file thresh 'steepness' must be a finite number in "
+                        "(0, inf), not Infinity"),
+    "model_alpha": (_non_finite_model(("alpha",), _NAN),
+                    "m.json: model file 'alpha' must be a finite number in [0, 1], not NaN"),
     "snapshot_W": (_non_finite_snapshot,
-                   "era_000.json: filter snapshot file W must hold finite numbers"),
+                   "era_000.json: filter snapshot file 'W' must be a list of 78 finite numbers, "
+                   "not [0.0, "),
 }
 
 
@@ -535,15 +583,24 @@ def test_non_finite_model_and_snapshot_numbers_exit_2(tmp_path, capsys, vocab, c
 
 # each case sets one field of the bank's pattern "p", and the fault named
 BAD_PATTERN_FIELDS = {
-    "pattern_id_number": ("pattern_id", 5, "pattern 5: pattern_id must be a string"),
-    "pattern_id_list": ("pattern_id", [1], "pattern [1]: pattern_id must be a string"),
+    "pattern_id_number": ("pattern_id", 5, "pattern 0 'pattern_id' must be a string, not 5"),
+    "pattern_id_list": ("pattern_id", [1], "pattern 0 'pattern_id' must be a string, not [1]"),
     "precision_string": ("precision_train", "x",
-                         'pattern "p": precision_train must be null or a number in [0, 1]'),
-    "precision_above_one": ("precision_train", 1.5, 'pattern "p": precision_train must be'),
-    "precision_nan": ("precision_train", float("nan"), 'pattern "p": precision_train must be'),
-    "precision_bool": ("precision_train", True, 'pattern "p": precision_train must be'),
-    "source_era_fraction": ("source_era", 1.5, 'pattern "p": source_era must be an integer'),
-    "low_support_number": ("low_support", 1, 'pattern "p": low_support must be true or false'),
+                         "pattern 0 'precision_train' must be null or a finite number in [0, 1], "
+                         'not "x"'),
+    "precision_above_one": ("precision_train", 1.5,
+                            "pattern 0 'precision_train' must be null or a finite number in "
+                            "[0, 1], not 1.5"),
+    "precision_nan": ("precision_train", float("nan"),
+                      "pattern 0 'precision_train' must be null or a finite number in [0, 1], "
+                      "not NaN"),
+    "precision_bool": ("precision_train", True,
+                       "pattern 0 'precision_train' must be null or a finite number in [0, 1], "
+                       "not true"),
+    "source_era_fraction": ("source_era", 1.5,
+                            "pattern 0 'source_era' must be an integer, not 1.5"),
+    "low_support_number": ("low_support", 1,
+                           "pattern 0 'low_support' must be true or false, not 1"),
 }
 
 
@@ -561,6 +618,25 @@ def test_bank_pattern_fields_are_checked_at_load(tmp_path, capsys, vocab, comman
     err = capsys.readouterr().err
     assert code == 2
     assert f"b.json: pattern bank {fault}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_bank_vocabulary_must_match_the_clip_file(tmp_path, capsys, vocab, command):
+    """A clip file whose header swaps two help-related feature names: a bank
+    of the default vocabulary would flag and explain its clips by the wrong
+    features, so the command exits 2 naming both files."""
+    names = list(vocab.feature_names)
+    i, j = names.index("bottom_out_search"), names.index("repeated_help")
+    names[i], names[j] = names[j], names[i]
+    data = _write_clips(tmp_path / "d.jsonl",
+                        dataclasses.replace(vocab, feature_names=tuple(names)), 40, 5)
+    bank = _write_bank(tmp_path / "b.json", vocab)
+    argv = {"eval": ["eval", bank, data], "explain": ["explain", bank, data, "c0"]}[command]
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bank}: the bank's vocabulary differs from the vocabulary header of {data}" in err
     assert "Traceback" not in err
 
 

@@ -212,15 +212,16 @@ def test_load_rejects_header_field_that_is_not_a_list(tmp_path, vocab):
     header["feature_names"] = 5
     path = tmp_path / "hdr.jsonl"
     path.write_text(json.dumps(header) + "\n")
-    with pytest.raises(DataError, match="must be lists"):
+    with pytest.raises(DataError, match="hdr.jsonl:1: clip file header 'feature_names' must be "
+                                         "a list of strings, not 5"):
         corpus.load_dataset(path)
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("feature_names", "abcdefghijklm", "must be lists"),
-    ("feature_names", [{}] * 13, "must list feature names and integer indices"),
-    ("help_related", [3.0, 4, 5, 6, 7], "must list feature names and integer indices"),
-    ("attempt_related", [8, 9, 10, 11, True], "must list feature names and integer indices"),
+    ("feature_names", "abcdefghijklm", "'feature_names' must be a list of strings"),
+    ("feature_names", [{}] * 13, "'feature_names' must be a list of strings"),
+    ("help_related", [3.0, 4, 5, 6, 7], r"'help_related' must be a list of integers, not \[3.0"),
+    ("attempt_related", [8, 9, 10, 11, True], "'attempt_related' must be a list of integers"),
 ], ids=["names_string", "names_objects", "index_float", "index_bool"])
 def test_load_rejects_header_of_other_than_names_and_indices(tmp_path, vocab, key, value,
                                                              message):

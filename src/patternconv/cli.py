@@ -92,7 +92,8 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 override = json.load(fh)
-        except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
+        # ValueError: not JSON, or not UTF-8; RecursionError: nested too deeply
+        except (OSError, ValueError, RecursionError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
         if not isinstance(override, dict):
             raise ConfigError("config must be a JSON object")
@@ -293,12 +294,13 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
 
 
 def _predictor(text: str):
-    """The pattern bank or model a predictor file holds."""
-    form = json_object(text, "predictor file").get("format")
+    """The pattern bank or model a predictor file holds, parsed once."""
+    doc = json_object(text, "predictor file")
+    form = doc.get("format")
     if form == "patternconv-bank":
-        return curator.bank_from_json(text)
+        return curator.bank_from_json(doc)
     if form == "patternconv-model":
-        return netcore.state_from_json(text)
+        return netcore.state_from_json(doc)
     raise DataError("neither a bank nor a model file")
 
 

@@ -253,7 +253,19 @@ def _parse_clip_record(rec, vocab: FeatureVocabulary) -> tuple[str, np.ndarray, 
     return str(clip_id), steps.astype(np.uint8), bool(rec["label"])
 
 
-_CHECK_ROWS = 1 << 13  # rows per block of the load-time rule check, to bound its temporaries
+_CHECK_ROWS = 1 << 13  # rows per block of the clip-set rule check, to bound its temporaries
+
+
+def _clip_violation(X: np.ndarray, vocab: FeatureVocabulary) -> tuple[int, int, str] | None:
+    """(clip, step, reason) of the first step of the binary clips X (N, L, d)
+    that breaks a step rule, or None when all are legal."""
+    rows = X.reshape(-1, vocab.d)
+    for start in range(0, len(rows), _CHECK_ROWS):
+        bad = _step_violation(rows[start:start + _CHECK_ROWS], vocab)
+        if bad is not None:
+            return (*divmod(start + bad[0], X.shape[1]), bad[1])
+    return None
+
 
 # A clip line as write_dataset writes it: an id without escapes, a 0/1 label
 # and the steps as lists of 0/1 digits, all without spaces. The steps text
@@ -323,7 +335,7 @@ class _ClipReader:
         path = self.path
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
             raise DataError(f"{path}:{lineno + 1}: malformed record: {e}") from None
         if isinstance(rec, dict) and rec.get("format") == CLIP_FORMAT_NAME:
             header = f"{path}:{lineno + 1}: clip file header"
@@ -369,12 +381,9 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{path}: no vocabulary header")
     if not clip_ids:
         return Dataset(vocabulary=vocab, clips=())
-    rows = X[:len(clip_ids)].reshape(-1, vocab.d)
-    for start in range(0, len(rows), _CHECK_ROWS):
-        bad = _step_violation(rows[start:start + _CHECK_ROWS], vocab)
-        if bad is not None:
-            clip, n = divmod(start + bad[0], X.shape[1])
-            raise DataError(f"clip '{clip_ids[clip]}': step {n}: {bad[1]}")
+    bad = _clip_violation(X[:len(clip_ids)], vocab)
+    if bad is not None:
+        raise DataError(f"clip '{clip_ids[bad[0]]}': step {bad[1]}: {bad[2]}")
     return Dataset(vocabulary=vocab, steps=X[:len(clip_ids)], labels=reader.labels,
                    clip_ids=clip_ids)
 
@@ -427,42 +436,41 @@ def stratified_split(
 
 def _random_legal_step(vocab: FeatureVocabulary, rng: np.random.Generator,
                        p_help: float, p_feature: float) -> np.ndarray:
+    _, help_related, attempt_related = vocab.column_groups
     row = np.zeros(vocab.d, dtype=np.uint8)
     if rng.random() < p_help:
         row[vocab.help_index] = 1
-        active_set = sorted(vocab.help_related)
+        active = help_related
     else:
-        row[rng.choice(vocab.attempt_indices)] = 1
-        active_set = sorted(vocab.attempt_related)
-    for j in active_set:
-        if rng.random() < p_feature:
-            row[j] = 1
+        # indexing by integers(n) draws what choice() of n items draws
+        row[vocab.attempt_indices[rng.integers(len(vocab.attempt_indices))]] = 1
+        active = attempt_related
+    # one draw per feature, in ascending column order
+    row[active[rng.random(len(active)) < p_feature]] = 1
     return row
 
 
 def _stamp(steps: np.ndarray, cells: np.ndarray, window: int, vocab: FeatureVocabulary,
            rng: np.random.Generator) -> None:
     """Overlay a pattern's required cells at `window`, re-enforcing step invariants."""
-    sub = list(vocab.submission_indices)
-    h = sorted(vocab.help_related)
-    a = sorted(vocab.attempt_related)
+    sub, h, a = vocab.column_groups
+    group = vocab.column_group
     for n in range(cells.shape[0]):
         req = np.flatnonzero(cells[n])
         if req.size == 0:
             continue
         row = steps[window + n]
-        req_sub = [j for j in req if j in vocab.submission_indices]
-        req_h = [j for j in req if j in vocab.help_related]
-        req_a = [j for j in req if j in vocab.attempt_related]
-        if req_sub:
+        req_group = group[req]
+        req_sub = req[req_group == 0]
+        if req_sub.size:
             row[sub] = 0
             row[req_sub[0]] = 1
-        elif req_h and row[vocab.help_index] == 0:
+        elif (req_group == 1).any() and row[vocab.help_index] == 0:
             row[sub] = 0
             row[vocab.help_index] = 1
-        elif req_a and row[vocab.help_index] == 1:
+        elif (req_group == 2).any() and row[vocab.help_index] == 1:
             row[sub] = 0
-            row[rng.choice(vocab.attempt_indices)] = 1
+            row[vocab.attempt_indices[rng.integers(len(vocab.attempt_indices))]] = 1
         row[req] = 1
         # drop context features now on the wrong side of the help/attempt divide
         if row[vocab.help_index] == 1:
@@ -511,11 +519,10 @@ def synth_generate(
     labels = np.empty(n_clips, dtype=bool)
     for i in range(n_clips):
         stamped = bool(planted) and rng.random() < p_plant
+        steps = X[i]
         for _ in range(200):
-            steps = np.stack([
-                _random_legal_step(vocabulary, rng, p_help, p_feature)
-                for _ in range(clip_length)
-            ])
+            for n in range(clip_length):
+                steps[n] = _random_legal_step(vocabulary, rng, p_help, p_feature)
             if stamped:
                 pat = cells[rng.integers(len(cells))]
                 window = int(rng.integers(clip_length - pat.shape[0] + 1))
@@ -534,18 +541,19 @@ def synth_generate(
             label = not label
         if feature_noise:
             _apply_feature_noise(steps, vocabulary, feature_noise, rng)
-        reason = check_steps(steps, vocabulary)
-        if reason is not None:  # pragma: no cover - generator guarantee
-            raise DataError(f"generated clip violates invariants: {reason}")
-        X[i], labels[i] = steps, label
-    return Dataset(vocabulary=vocabulary, steps=X, labels=labels,
-                   clip_ids=[f"synth-{i:06d}" for i in range(n_clips)])
+        labels[i] = label
+    clip_ids = [f"synth-{i:06d}" for i in range(n_clips)]
+    bad = _clip_violation(X, vocabulary)
+    if bad is not None:  # pragma: no cover - generator guarantee
+        raise DataError(f"generated clip '{clip_ids[bad[0]]}' violates invariants: "
+                        f"step {bad[1]}: {bad[2]}")
+    return Dataset(vocabulary=vocabulary, steps=X, labels=labels, clip_ids=clip_ids)
 
 
 def _matches_any(cells: np.ndarray, steps: np.ndarray, padding: int) -> bool:
     """Whether any of the patterns (P, k, d) matches the clip steps (L, d)."""
     windows = kernels.clip_windows(steps[None], cells.shape[1], padding)
-    return bool((kernels.match_first_window(cells, windows) >= 0).any())
+    return bool(kernels.match_hits(cells, windows).any())
 
 
 def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVocabulary,
@@ -574,9 +582,7 @@ def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVoca
 def _apply_feature_noise(steps: np.ndarray, vocab: FeatureVocabulary,
                          rate: float, rng: np.random.Generator) -> None:
     """Flip non-submission bits at `rate`, keeping each step legal."""
-    for n in range(steps.shape[0]):
-        row = steps[n]
-        active = sorted(vocab.help_related if row[vocab.help_index] else vocab.attempt_related)
-        for j in active:
-            if rng.random() < rate:
-                row[j] ^= 1
+    _, help_related, attempt_related = vocab.column_groups
+    for row in steps:
+        active = help_related if row[vocab.help_index] else attempt_related
+        row[active[rng.random(len(active)) < rate]] ^= 1

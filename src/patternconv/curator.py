@@ -343,7 +343,8 @@ _PATTERN = {"pattern_id": STRING, "cells": LIST,
             "source_era": (*INTEGER, -1), "low_support": (*BOOL, False)}
 
 
-def bank_from_json(text: str) -> PatternBank:
+def bank_from_json(text: str | dict) -> PatternBank:
+    """The bank a bank file's text, or its parsed document, holds."""
     doc = json_object(text, "pattern bank file")
     if doc.get("format") != "patternconv-bank":
         raise DataError("not a pattern bank file")

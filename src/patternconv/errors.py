@@ -28,11 +28,14 @@ class NumericalError(PatternConvError):
     """Non-finite loss or other numerical failure (CLI exit code 3)."""
 
 
-def json_object(text: str, what: str) -> dict:
-    """Parse a document that must be one JSON object; DataError otherwise."""
+def json_object(text: str | dict, what: str) -> dict:
+    """Parse a document that must be one JSON object; DataError otherwise. A
+    document parsed already (a dict) is returned as it is."""
+    if type(text) is dict:
+        return text
     try:
         doc = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
         raise DataError(f"{what} is not JSON: {e}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{what} is not a JSON object")

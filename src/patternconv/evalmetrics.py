@@ -108,13 +108,18 @@ def report(scores, labels, threshold: float = 0.5) -> MetricsReport:
 def evaluate(predictor, dataset) -> MetricsReport:
     """One-pass metrics of a PatternBank (discrete: scores in {0, 1}) or a
     ModelState (continuous scores) over a dataset."""
+    from . import kernels, netcore
     from .curator import PatternBank, bank_predict_batch
-    from .netcore import forward_batch
 
     if isinstance(predictor, PatternBank):
         scores = bank_predict_batch(predictor, dataset)
     else:
-        scores, _ = forward_batch(predictor, dataset.steps_array())
+        # windowed a chunk at a time, so memory is bounded by the chunk, not by N
+        X = dataset.steps_array()
+        scores = np.concatenate([
+            netcore.predict(predictor, kernels.clip_windows(X[part], predictor.k,
+                                                            predictor.padding))
+            for part in netcore.predict_chunks(len(X))])
     return report(scores, dataset.labels())
 
 

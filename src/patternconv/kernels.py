@@ -53,20 +53,24 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return (dh.reshape(-1, M).T @ X.reshape(-1, kd)).reshape(M, k, kd // k)
 
 
-def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """First matching window index per (pattern, clip), -1 when none: (P, B).
-
-    A pattern (k, d) matches one of the binary clip windows X (B, C, k·d) from
-    `clip_windows` when every 1-cell is 1 in the window; 0-cells are
-    unconstrained.
-    """
+def match_hits(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(B, C, P) whether each of the patterns (P, k, d) matches each of the
+    binary clip windows X (B, C, k·d) from `clip_windows`: every 1-cell is 1
+    in the window; 0-cells are unconstrained."""
     cells = np.asarray(cells, dtype=np.uint8)
-    (P, k, d), (B, C, kd) = cells.shape, X.shape
+    (P, k, d), kd = cells.shape, X.shape[2]
     if k * d != kd:
         raise DataError(f"a {k}x{d} pattern does not fit windows of {kd} cells")
     # float32 counts are exact: each is an integer no larger than k·d < 2**24
     counts = _window_product(X.astype(np.float32), cells.astype(np.float32))
-    hit = counts >= cells.reshape(P, kd).sum(axis=1) - 0.5
+    return counts >= cells.reshape(P, kd).sum(axis=1) - 0.5
+
+
+def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """First matching window index per (pattern, clip), -1 when none: (P, B),
+    for the patterns (P, k, d) and clip windows X (B, C, k·d) of `match_hits`."""
+    hit = match_hits(cells, X)
+    B, C, P = hit.shape
     first = np.full((B, P), -1, dtype=np.int64)
     for c in range(C - 1, -1, -1):  # an earlier hit overwrites a later one
         np.copyto(first, c, where=hit[:, c])

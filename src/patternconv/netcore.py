@@ -194,17 +194,56 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     # window, and a kept window's mask value is the dropout scale
     gate = np.where(f > 0.0, scale, 0.0)
     w = thresholding_weights(state.W, state.thresh.epsilon)
+    y_thresh, a, s, y_trad, y_pre = _heads(state, f, w)
+    cache = ForwardCache(X=X, h_pre=h_pre, f=f, argmax=arg, pool_gate=gate, w=w, a=a, s=s,
+                         y_trad=y_trad, y_thresh=y_thresh, y_preclip=y_pre)
+    return np.minimum(y_pre, 1.0), cache
+
+
+def _heads(state: ModelState, f: np.ndarray, w: np.ndarray):
+    """The thresholding head, the traditional head and their alpha blend on
+    pooled activations f (B, M): (y_thresh, a, s, y_trad, y_preclip)."""
     y_thresh, a, s = thresholding_forward(f, w, state.thresh)
     if state.alpha == 1.0:
         # (1 - alpha) * y_trad + alpha * y_thresh is exactly y_thresh
-        y_trad, y_pre = None, y_thresh
-    else:
-        y_trad = sigmoid(f @ state.fc_trad)
-        y_pre = (1.0 - state.alpha) * y_trad + state.alpha * y_thresh
-    y = np.minimum(y_pre, 1.0)
-    cache = ForwardCache(X=X, h_pre=h_pre, f=f, argmax=arg, pool_gate=gate, w=w, a=a, s=s,
-                         y_trad=y_trad, y_thresh=y_thresh, y_preclip=y_pre)
-    return y, cache
+        return y_thresh, a, s, None, y_thresh
+    y_trad = sigmoid(f @ state.fc_trad)
+    return y_thresh, a, s, y_trad, (1.0 - state.alpha) * y_trad + state.alpha * y_thresh
+
+
+# Clips per chunk of `predict`: a chunk's (chunk, C, M) float64 maps stay
+# near the size of a core's cache (about 330 KB at C 5 and M 64).
+_PREDICT_CHUNK = 128
+# A matrix product of 15 rows or fewer takes another BLAS path whose last
+# bits can differ, so a chunk holds at least 16 clips (each gives C >= 1 rows).
+_MIN_CHUNK = 16
+
+
+def predict_chunks(n: int) -> list[slice]:
+    """The clip slices `predict` computes one at a time over n clips: chunks
+    of _PREDICT_CHUNK clips, with a tail of fewer than _MIN_CHUNK clips joined
+    to the chunk before it."""
+    ends = [*range(_PREDICT_CHUNK, n - _MIN_CHUNK + 1, _PREDICT_CHUNK), n]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+
+def predict(state: ModelState, windows: np.ndarray) -> np.ndarray:
+    """y (N,) of clip windows (N, C, k·d) from `kernels.clip_windows`: the
+    bits of `forward_batch(state, windows, windowed=True)[0]`, computed chunk
+    by chunk without the pool argmax, the pool gate or the cache."""
+    windows = np.asarray(windows)
+    width = state.k * state.d
+    if windows.ndim != 3 or windows.shape[2] != width:
+        raise DataError(f"window width {windows.shape[-1]} != k·d {width} for model "
+                        f"k {state.k}, d {state.d}")
+    w = thresholding_weights(state.W, state.thresh.epsilon)
+    y = np.empty(len(windows))
+    for part in predict_chunks(len(windows)):
+        h = kernels.conv_forward_batch(state.W, windows[part].astype(np.float64))
+        np.maximum(h, 0.0, out=h)
+        y_pre = _heads(state, h.max(axis=1), w)[4]
+        np.minimum(y_pre, 1.0, out=y[part])
+    return y
 
 
 def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> dict:
@@ -299,7 +338,8 @@ def _filters(doc: dict, what: str) -> np.ndarray:
     return float_array(W, M * k * d, what, "W").reshape(M, k, d)
 
 
-def state_from_json(text: str) -> ModelState:
+def state_from_json(text: str | dict) -> ModelState:
+    """The model a model file's text, or its parsed document, holds."""
     doc = json_object(text, "model file")
     if doc.get("format") != "patternconv-model":
         raise DataError("not a model file")

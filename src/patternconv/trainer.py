@@ -211,8 +211,8 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
                           dropout_rate=state.dropout_rate)
             if config.log_val_metrics and val_w is not None:
                 from .evalmetrics import confusion, kappa
-                y_val, _ = forward_batch(state, val_w.X, windowed=True)
-                record["val_kappa"] = kappa(confusion(y_val, val_w.labels))
+                record["val_kappa"] = kappa(confusion(netcore.predict(state, val_w.X),
+                                                      val_w.labels))
             if log is not None:
                 log(record)
             epoch_records.append(record)

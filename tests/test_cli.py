@@ -526,6 +526,66 @@ def test_malformed_expert_and_snapshot_fields_exit_2(tmp_path, capsys, vocab, ca
     assert "Traceback" not in err
 
 
+_DEEP = '{"a":' + "[" * 100_000 + "]" * 100_000 + "}"  # past any recursion limit
+
+
+def _deep_predictor(tmp, vocab, data):
+    (tmp / "b.json").write_text(_DEEP)
+    return ["eval", str(tmp / "b.json"), data]
+
+
+def _deep_snapshot(tmp, vocab, data):
+    os.makedirs(tmp / "snaps")
+    (tmp / "snaps" / "era_000.json").write_text(_DEEP)
+    return ["curate", str(tmp / "snaps"), data]
+
+
+def _deep_clip_line(tmp, vocab, data):
+    header = json.dumps(vocab.to_record(), separators=(",", ":"))
+    (tmp / "clips.jsonl").write_text(header + "\n" + _DEEP + "\n")
+    return ["train", str(tmp / "clips.jsonl")]
+
+
+def _deep_config(tmp, vocab, data):
+    (tmp / "c.json").write_text(_DEEP)
+    return ["--config", str(tmp / "c.json"), "synth"]
+
+
+# each case writes a document nested deeper than the parser can follow and
+# returns the command that reads it, its exit code and the message naming it
+DEEPLY_NESTED = {
+    "predictor": (_deep_predictor, 2, "b.json: predictor file is not JSON"),
+    "snapshot": (_deep_snapshot, 2, "era_000.json: filter snapshot file is not JSON"),
+    "clip_line": (_deep_clip_line, 2, "clips.jsonl:2: malformed record"),
+    "expert_file": (_expert_line(_DEEP), 2, "experts.jsonl:2: expert pattern is not JSON"),
+    "config": (_deep_config, 1, "c.json: maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEPLY_NESTED))
+def test_deeply_nested_json_exits_with_a_code(tmp_path, capsys, vocab, case):
+    build, expect, message = DEEPLY_NESTED[case]
+    argv = build(tmp_path, vocab, _write_clips(tmp_path / "d.jsonl", vocab, 40, 5))
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == expect
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", [curator.PatternBank, netcore.ModelState])
+def test_eval_parses_the_predictor_file_once(tmp_path, monkeypatch, vocab, kind):
+    if kind is curator.PatternBank:
+        _write_bank(tmp_path / "b.json", vocab)
+        text = (tmp_path / "b.json").read_text()
+    else:
+        text = netcore.state_to_json(netcore.init_state(4, 3, vocab.d, rng=0))
+    loads, calls = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or loads(s, *a, **k))
+    assert isinstance(cli._predictor(text), kind)
+    assert calls == [text]
+
+
 def _set_field(path, value):
     """An edit that sets the document field at `path` (keys and indices)."""
     def edit(doc):

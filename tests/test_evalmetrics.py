@@ -1,5 +1,7 @@
 """Metric oracles: hand-computed confusion/kappa/AUC fixtures and invariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from patternconv.errors import DataError
 from patternconv.evalmetrics import (Confusion, accuracy, auc, confusion,
                                      evaluate, kappa, precision, recall, report,
                                      render_table)
+from patternconv.netcore import forward_batch, init_state
 
 
 # ----------------------------------------------------------------- confusion
@@ -163,6 +166,35 @@ def test_evaluate_bank_matches_independent_tally(vocab):
     c = confusion(pred.astype(float), labels)
     assert rep.accuracy == pytest.approx(accuracy(c))
     assert rep.kappa == pytest.approx(kappa(c))
+
+
+def _model_and_clips(vocab, n):
+    rng = np.random.default_rng(3)
+    X = random_legal_clip_batch(vocab, n, 5, rng)
+    ds = Dataset(vocabulary=vocab, steps=X, labels=rng.random(n) < 0.3,
+                 clip_ids=[str(i) for i in range(n)])
+    state = init_state(64, 3, vocab.d, rng=rng)
+    state.W *= 0.3  # pooled activations near the thresholding offset
+    return state, ds
+
+
+def test_evaluate_model_reports_the_forward_scores(vocab):
+    state, ds = _model_and_clips(vocab, 300)
+    y, _ = forward_batch(state, ds.steps_array())
+    assert evaluate(state, ds) == report(y, ds.labels())
+
+
+def test_evaluate_model_memory_is_bounded_by_the_chunk(vocab):
+    """A model's float64 maps over 20,000 clips would take about 50 MB each;
+    evaluate windows and scores one chunk of clips at a time."""
+    state, ds = _model_and_clips(vocab, 20_000)
+    tracemalloc.start()
+    try:
+        evaluate(state, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_render_table_handles_none():

@@ -5,8 +5,11 @@ temporaries, skip terms whose weight is zero and skip the traditional head
 when alpha is 1. The references below are the straightforward formulas, one
 fresh array per operation, every term computed: a training run is
 reproducible from its seed only while the step stays byte-identical to them.
+The y-only `predict` is pinned to `forward_batch`, and `synth_generate` to
+digests of the datasets it generates.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -248,3 +251,43 @@ def test_train_epoch_matches_reference_bits(vocab, planted, alpha, freeze):
                                                np.random.default_rng(4), 2.5, 0.05)
     assert _bits(state.W) == _bits(ref.W) and _bits(state.fc_trad) == _bits(ref.fc_trad)
     assert (rec["bce"], rec["grad_norm_conv"], rec["grad_norm_fc"]) == (bce, norm_conv, norm_fc)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("n", [300, 128, 129], ids=["val_split", "one_chunk", "short_tail"])
+def test_predict_matches_forward_bits(vocab, alpha, n):
+    """predict's chunks give forward_batch's y bit for bit; a tail too short
+    for a product of 16 rows joins the chunk before it."""
+    state, Xw, _ = _batch(vocab, n, B=n, M=64)
+    state.alpha = alpha
+    sizes = [part.stop - part.start for part in netcore.predict_chunks(n)]
+    assert sum(sizes) == n and min(sizes) >= 16
+    y, _ = netcore.forward_batch(state, Xw, windowed=True)
+    assert _bits(netcore.predict(state, Xw)) == _bits(y)
+
+
+# sha256 of the steps and then the labels of synth_generate on the default
+# config's data section. They were recorded when the generator drew one
+# random number per call, so any change to what it draws, or in which
+# order, fails here.
+SYNTH_DIGESTS = {
+    (0, 0.0): "aab6ed1ab731e123c16e1bc8f7ae0453e5f969ce96e2fc738837f7e489b75c94",
+    (1, 0.0): "34fd9b54a7c56816529302369d08831fa1371d3f6eaf41d29190c3bb7120e569",
+    (0, 0.1): "782f6a34dec2d227b7c0582ec3ed8b66c4ba6547cae1c91215035ba2068f8ba5",
+}
+
+
+@pytest.mark.parametrize("seed,noise", sorted(SYNTH_DIGESTS))
+def test_synth_matches_recorded_digest(vocab, planted, seed, noise):
+    """`noise` is both the feature and the label noise."""
+    from patternconv import cli, corpus
+
+    data = cli.DEFAULT_CONFIG["data"]
+    ds = corpus.synth_generate(
+        vocab, planted, data["n_clips"], noise, noise, seed=seed,
+        clip_length=data["clip_length"], p_plant=data["p_plant"], p_help=data["p_help"],
+        p_feature=data["p_feature"], p_distract=data["p_distract"],
+        match_padding=cli.DEFAULT_CONFIG["model"]["padding"])
+    digest = hashlib.sha256(ds.steps_array().tobytes())
+    digest.update(ds.labels().tobytes())
+    assert digest.hexdigest() == SYNTH_DIGESTS[seed, noise]

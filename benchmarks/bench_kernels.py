@@ -124,8 +124,8 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         W = np.abs(W - rng.random(W.shape) * 0.04)
         W[rng.random(len(W)) < 0.25, 0, 0] = 0.5
         prec = rng.random(len(W))
-        t = _time(trainer.harvest_filters, W, prec, 0, vocab, 0.3, 0.05, repeats=repeats)
-        got = len(trainer.harvest_filters(W, prec, 0, vocab, 0.3, 0.05))
+        t = _time(trainer.harvest_filters, W, prec, 0, vocab, 0.3, repeats=repeats)
+        got = len(trainer.harvest_filters(W, prec, 0, vocab, 0.3))
         print(f"{'harvest_filters':<20} {len(W):>9} {t * 1e3:>10.2f}ms {got:>7}")
 
 

@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
-from .errors import (INTEGER, LIST, OBJECT, STRING, ConfigError, DataError, NumericalError,
-                     atomic_write, fields, float_array, json_object, nullable, padding_field,
-                     read_text, within)
+from .errors import (INTEGER, OBJECT, STRING, ConfigError, DataError, NumericalError,
+                     atomic_write, fields, json_object, nullable, read_text, within)
 from .schedule import DEFAULT_TARGETS, ConstraintSchedule
 
 DEFAULT_CONFIG = {
@@ -165,17 +164,28 @@ def _parse(parse, path: str):
         raise DataError(f"{path}: {e}") from None
 
 
-def _planted(cfg: dict, vocab: corpus.FeatureVocabulary) -> list[curator.Pattern]:
+def _planted(cfg: dict, vocab: corpus.FeatureVocabulary,
+             clip_path: str) -> list[curator.Pattern]:
+    """The patterns synth plants: a planted bank's must be legal and over the
+    vocabulary of the clips it writes to clip_path."""
     path = cfg["data"]["planted_bank"]
-    if path:
-        return list(_parse(curator.bank_from_json, path).patterns)
-    return default_planted_patterns(vocab)
+    if not path:
+        return default_planted_patterns(vocab)
+    bank = _parse(curator.bank_from_json, path)
+    _same_vocabulary(bank, path, vocab, clip_path)
+    for pat in bank.patterns:
+        fault = curator.pattern_violation(pat.cells, vocab)
+        if fault:
+            raise DataError(f"{path}: planted pattern '{pat.pattern_id}' violates "
+                            f"invariants: {fault}")
+    return list(bank.patterns)
 
 
 def cmd_synth(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     vocab = corpus.FeatureVocabulary.default()
-    planted = _planted(cfg, vocab)
+    clip_path = os.path.join(out, "dataset.jsonl")
+    planted = _planted(cfg, vocab, clip_path)
     data = cfg["data"]
     dataset = corpus.synth_generate(
         vocab, planted, data["n_clips"], data["label_noise"], data["feature_noise"],
@@ -184,8 +194,7 @@ def cmd_synth(cfg: dict, out: str) -> int:
         p_distract=data["p_distract"], match_padding=cfg["model"]["padding"],
     )
     h = config_hash(cfg)
-    corpus.write_dataset(dataset, os.path.join(out, "dataset.jsonl"),
-                         meta={"config_hash": h})
+    corpus.write_dataset(dataset, clip_path, meta={"config_hash": h})
     bank = curator.PatternBank(patterns=tuple(planted), vocabulary=vocab,
                                padding=cfg["model"]["padding"])
     with atomic_write(os.path.join(out, "planted_bank.json")) as fh:
@@ -220,14 +229,8 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     for snap in snapshots:
-        extra = {
-            "era": snap.era,
-            "per_filter_precision": [None if np.isnan(p) else float(p)
-                                     for p in snap.per_filter_precision],
-            "config_hash": h,
-        }
         with atomic_write(os.path.join(snap_dir, f"era_{snap.era:03d}.json")) as fh:
-            fh.write(netcore.filters_to_json(snap.W, model["padding"], extra))
+            fh.write(netcore.filters_to_json(snap, {"config_hash": h}))
 
     with atomic_write(os.path.join(out, "model.json")) as fh:
         fh.write(netcore.state_to_json(state))
@@ -242,9 +245,6 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     return 0
 
 
-_SNAPSHOT = {"era": (*_INDEX, -1), "per_filter_precision": LIST}
-
-
 def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> int:
     os.makedirs(out, exist_ok=True)
     train_set, val_set, _ = _load_splits(cfg, dataset_path)
@@ -255,26 +255,22 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     if not files:
         raise DataError(f"no snapshot files in {snapshots_dir}")
     harvested = []
-    padding, first = None, None  # the padding the snapshots' model was trained with
+    shape = None  # (k, padding) of the first snapshot, which every other must share
     for fname in files:
         path = os.path.join(snapshots_dir, fname)
-        what = f"{path}: filter snapshot file"
-        W, doc = _parse(netcore.filters_from_json, path)
-        if W.shape[2] != vocab.d:
-            raise DataError(f"{path}: filters have {W.shape[2]} features, the clips "
-                            f"have {vocab.d}")
-        snap_padding = padding_field(doc, what, W.shape[1])
-        if padding is None:
-            padding, first = snap_padding, path
-        elif snap_padding != padding:
-            raise DataError(f"snapshots disagree on padding: {first} has {padding}, "
-                            f"{path} has {snap_padding}")
-        era, precisions = fields(doc, _SNAPSHOT, what).values()
-        precisions = float_array(precisions, len(W), what, "per_filter_precision",
-                                 ok=lambda p: ~((p < 0) | (p > 1)),
-                                 rule="numbers in [0, 1] or nulls")
-        harvested.extend(trainer.harvest_filters(W, precisions, era, vocab,
-                                                 tcfg["harvest_precision_threshold"]))
+        snap = _parse(netcore.filters_from_json, path)
+        _, k, d = snap.W.shape
+        if d != vocab.d:
+            raise DataError(f"{path}: filters have {d} features, the clips have {vocab.d}")
+        if shape is None:
+            shape, first = (k, snap.padding), path
+        for name, want, got in zip(("k", "padding"), shape, (k, snap.padding)):
+            if got != want:
+                raise DataError(f"snapshots disagree on {name}: {first} has {want}, "
+                                f"{path} has {got}")
+        harvested.extend(trainer.harvest_filters(snap.W, snap.per_filter_precision, snap.era,
+                                                 vocab, tcfg["harvest_precision_threshold"]))
+    padding = shape[1]  # the padding the snapshots' model was trained with
 
     unique = curator.dedup(harvested)
     pruned = curator.prune_subsumed(unique, clip_length=cfg["data"]["clip_length"],
@@ -307,7 +303,8 @@ def _predictor(text: str):
 def _same_vocabulary(bank: curator.PatternBank, bank_path: str,
                      vocab: corpus.FeatureVocabulary, clip_path: str) -> None:
     """DataError unless a bank's features are the clip file's: a bank matched
-    on other columns flags and explains clips by the wrong features."""
+    or planted on other columns flags, explains or plants by the wrong
+    features."""
     if bank.vocabulary != vocab:
         raise DataError(f"{bank_path}: the bank's vocabulary differs from the vocabulary "
                         f"header of {clip_path}")

@@ -16,6 +16,7 @@ CLIP_FORMAT_NAME = "patternconv-clips"
 CLIP_FORMAT_VERSION = 1
 
 DEFAULT_CLIP_LENGTH = 5
+_DISTRACTOR_TRIES = 50  # placements a near-miss distractor gets before synth gives up
 
 _INDICES = list_of(INTEGER, "a list of integers")
 _VOCABULARY = {"feature_names": list_of(STRING, "a list of strings"),
@@ -495,7 +496,7 @@ def synth_generate(
 ) -> Dataset:
     """Generate a planted-pattern dataset with recoverable ground truth.
 
-    `planted` is a list of curator.Pattern of one shape. Unstamped clips are
+    `planted` is a list of legal curator.Pattern of one shape. Unstamped clips are
     rejection-sampled until they match no planted pattern, so before noise the
     label is exactly planted-match status.
 
@@ -557,15 +558,15 @@ def _matches_any(cells: np.ndarray, steps: np.ndarray, padding: int) -> bool:
 
 
 def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVocabulary,
-                      rng: np.random.Generator, match_padding: int,
-                      max_tries: int = 50) -> bool:
+                      rng: np.random.Generator, match_padding: int) -> bool:
     """Stamp a drop-one-cell variant of a random planted pattern (P, k, d)
     into `steps`.
 
-    Retries until the clip still matches no full planted pattern and remains
-    legal; leaves `steps` unchanged if no legal placement is found.
+    Retries until the clip still matches no full planted pattern; leaves
+    `steps` unchanged if none is found. The variant of a legal pattern breaks
+    no step rule and `_stamp` keeps them, so the clip stays legal.
     """
-    for _ in range(max_tries):
+    for _ in range(_DISTRACTOR_TRIES):
         trial = steps.copy()
         cells = planted[rng.integers(len(planted))].copy()
         positions = np.argwhere(cells == 1)
@@ -573,7 +574,7 @@ def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVoca
         cells[drop[0], drop[1]] = 0
         window = int(rng.integers(trial.shape[0] - cells.shape[0] + 1))
         _stamp(trial, cells, window, vocab, rng)
-        if not _matches_any(planted, trial, match_padding) and check_steps(trial, vocab) is None:
+        if not _matches_any(planted, trial, match_padding):
             steps[...] = trial
             return True
     return False

@@ -15,7 +15,7 @@ from .errors import (BOOL, INTEGER, LIST, OBJECT, STRING, DataError, check_versi
 from .evalmetrics import confusion, kappa
 
 BANK_FORMAT_VERSION = 1
-DEFAULT_BINARIZE_TOLERANCE = 0.05
+BINARIZE_TOLERANCE = 0.05  # a filter binarizes when every weight is this close to 0 or 1
 LOW_SUPPORT_MATCHES = 3
 
 
@@ -98,8 +98,7 @@ def pattern_violation(cells: np.ndarray, vocab: FeatureVocabulary) -> str | None
     return _reason(code[0], step[0])
 
 
-def binarize_filters(W: np.ndarray, vocab: FeatureVocabulary,
-                     tolerance: float = DEFAULT_BINARIZE_TOLERANCE):
+def binarize_filters(W: np.ndarray, vocab: FeatureVocabulary):
     """Round continuous filters (M, k, d) at 0.5 in one pass. Returns the
     cells (M, k, d) uint8 and, per filter, the first rejection (-1 when the
     filter binarizes, else an index into _REASONS) and its step."""
@@ -107,15 +106,14 @@ def binarize_filters(W: np.ndarray, vocab: FeatureVocabulary,
     cells = (W >= 0.5).astype(np.uint8)
     code, step = _violations(cells, vocab)
     dist = np.minimum(np.abs(W), np.abs(W - 1.0))
-    code[(dist > tolerance).any(axis=(1, 2))] = _NON_BINARY
+    code[(dist > BINARIZE_TOLERANCE).any(axis=(1, 2))] = _NON_BINARY
     return cells, code, step
 
 
-def binarize(W_filter: np.ndarray, vocab: FeatureVocabulary,
-             tolerance: float = DEFAULT_BINARIZE_TOLERANCE,
-             pattern_id: str = "", source_era: int = -1) -> tuple[Pattern | None, str | None]:
+def binarize(W_filter: np.ndarray, vocab: FeatureVocabulary, pattern_id: str = "",
+             source_era: int = -1) -> tuple[Pattern | None, str | None]:
     """Round a continuous filter at 0.5; returns (pattern, None) or (None, reason)."""
-    cells, code, step = binarize_filters(np.asarray(W_filter)[None], vocab, tolerance)
+    cells, code, step = binarize_filters(np.asarray(W_filter)[None], vocab)
     if code[0] >= 0:
         return None, _reason(code[0], step[0])
     return Pattern(cells=cells[0], pattern_id=pattern_id, source_era=source_era), None

@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import DataError
 
+POSITIVE_THRESHOLD = 0.5  # a score at or above it is a positive prediction
+
 
 @dataclass(frozen=True)
 class Confusion:
@@ -34,13 +36,13 @@ class MetricsReport:
         return json.dumps(asdict(self), separators=(",", ":"))
 
 
-def confusion(scores, labels, threshold: float = 0.5) -> Confusion:
-    """Counts with the >= threshold positive rule."""
+def confusion(scores, labels) -> Confusion:
+    """Counts with the >= POSITIVE_THRESHOLD positive rule."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must have the same length")
-    pred = scores >= threshold
+    pred = scores >= POSITIVE_THRESHOLD
     return Confusion(
         tp=int((pred & labels).sum()),
         fp=int((pred & ~labels).sum()),
@@ -94,8 +96,8 @@ def auc(scores, labels) -> float | None:
     return float((greater + 0.5 * equal) / (n_pos * n_neg))
 
 
-def report(scores, labels, threshold: float = 0.5) -> MetricsReport:
-    c = confusion(scores, labels, threshold)
+def report(scores, labels) -> MetricsReport:
+    c = confusion(scores, labels)
     return MetricsReport(
         accuracy=accuracy(c),
         auc=auc(scores, labels),
@@ -108,18 +110,13 @@ def report(scores, labels, threshold: float = 0.5) -> MetricsReport:
 def evaluate(predictor, dataset) -> MetricsReport:
     """One-pass metrics of a PatternBank (discrete: scores in {0, 1}) or a
     ModelState (continuous scores) over a dataset."""
-    from . import kernels, netcore
     from .curator import PatternBank, bank_predict_batch
+    from .netcore import predict
 
     if isinstance(predictor, PatternBank):
         scores = bank_predict_batch(predictor, dataset)
     else:
-        # windowed a chunk at a time, so memory is bounded by the chunk, not by N
-        X = dataset.steps_array()
-        scores = np.concatenate([
-            netcore.predict(predictor, kernels.clip_windows(X[part], predictor.k,
-                                                            predictor.padding))
-            for part in netcore.predict_chunks(len(X))])
+        scores = predict(predictor, dataset.steps_array())
     return report(scores, dataset.labels())
 
 

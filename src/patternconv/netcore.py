@@ -219,7 +219,7 @@ _PREDICT_CHUNK = 128
 _MIN_CHUNK = 16
 
 
-def predict_chunks(n: int) -> list[slice]:
+def _predict_chunks(n: int) -> list[slice]:
     """The clip slices `predict` computes one at a time over n clips: chunks
     of _PREDICT_CHUNK clips, with a tail of fewer than _MIN_CHUNK clips joined
     to the chunk before it."""
@@ -227,19 +227,18 @@ def predict_chunks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
 
 
-def predict(state: ModelState, windows: np.ndarray) -> np.ndarray:
-    """y (N,) of clip windows (N, C, k·d) from `kernels.clip_windows`: the
-    bits of `forward_batch(state, windows, windowed=True)[0]`, computed chunk
-    by chunk without the pool argmax, the pool gate or the cache."""
-    windows = np.asarray(windows)
-    width = state.k * state.d
-    if windows.ndim != 3 or windows.shape[2] != width:
-        raise DataError(f"window width {windows.shape[-1]} != k·d {width} for model "
-                        f"k {state.k}, d {state.d}")
+def predict(state: ModelState, X: np.ndarray) -> np.ndarray:
+    """y (N,) of clip steps (N, L, d): the bits of `forward_batch(state, X)[0]`,
+    windowed and computed chunk by chunk without the pool argmax, the pool
+    gate or the cache, so its memory is bounded by the chunk, not by N."""
+    X = np.asarray(X)
+    if X.ndim != 3 or X.shape[2] != state.d:
+        raise DataError(f"input width {X.shape[-1]} != {state.d} for model d {state.d}")
     w = thresholding_weights(state.W, state.thresh.epsilon)
-    y = np.empty(len(windows))
-    for part in predict_chunks(len(windows)):
-        h = kernels.conv_forward_batch(state.W, windows[part].astype(np.float64))
+    y = np.empty(len(X))
+    for part in _predict_chunks(len(X)):
+        windows = kernels.clip_windows(X[part], state.k, state.padding)
+        h = kernels.conv_forward_batch(state.W, windows.astype(np.float64))
         np.maximum(h, 0.0, out=h)
         y_pre = _heads(state, h.max(axis=1), w)[4]
         np.minimum(y_pre, 1.0, out=y[part])
@@ -330,6 +329,7 @@ _MODEL = {"fc_trad": LIST, "fc_frozen": BOOL,
           "thresh": (lambda t: type(t) is dict and t.keys() <= _THRESH.keys(),
                      "an object of " + ", ".join(_THRESH)),
           "alpha": within("[0, 1]"), "dropout_rate": NUMBER}
+_SNAPSHOT = {"era": (*within("[0, inf)", INTEGER), -1), "per_filter_precision": LIST}
 
 
 def _filters(doc: dict, what: str) -> np.ndarray:
@@ -357,25 +357,51 @@ def state_from_json(text: str | dict) -> ModelState:
     )
 
 
-def filters_to_json(W: np.ndarray, padding: int = DEFAULT_PADDING, extra: dict | None = None) -> str:
-    """Filter-only export: the era snapshot format consumed by curation."""
+@dataclass(frozen=True)
+class EraSnapshot:
+    """An era's filters, their precision on the training clips (NaN where a
+    filter matched none) and the padding they were trained with."""
+
+    era: int
+    W: np.ndarray                      # (M, k, d)
+    per_filter_precision: np.ndarray   # (M,)
+    padding: int = DEFAULT_PADDING
+
+    def __post_init__(self):
+        self.W.setflags(write=False)
+        self.per_filter_precision.setflags(write=False)
+
+
+def filters_to_json(snap: EraSnapshot, extra: dict | None = None) -> str:
+    """The era snapshot file of `snap`, with the keys of `extra` last."""
     doc = {
         "format": "patternconv-filters",
         "version": MODEL_FORMAT_VERSION,
-        "M": int(W.shape[0]),
-        "k": int(W.shape[1]),
-        "d": int(W.shape[2]),
-        "padding": int(padding),
-        "W": W.ravel().tolist(),
+        "M": int(snap.W.shape[0]),
+        "k": int(snap.W.shape[1]),
+        "d": int(snap.W.shape[2]),
+        "padding": int(snap.padding),
+        "W": snap.W.ravel().tolist(),
+        "era": snap.era,
+        "per_filter_precision": [None if p != p else p
+                                 for p in snap.per_filter_precision.tolist()],
     }
     if extra:
         doc.update(extra)
     return json.dumps(doc, separators=(",", ":"))
 
 
-def filters_from_json(text: str) -> tuple[np.ndarray, dict]:
-    doc = json_object(text, "filter snapshot file")
+def filters_from_json(text: str) -> EraSnapshot:
+    """The era snapshot a filter snapshot file's text holds. A file without
+    `era` reads as era -1, one without `padding` as padding 1."""
+    what = "filter snapshot file"
+    doc = json_object(text, what)
     if doc.get("format") != "patternconv-filters":
         raise DataError("not a filter snapshot file")
-    check_version(doc, MODEL_FORMAT_VERSION, "filter snapshot file")
-    return _filters(doc, "filter snapshot file"), doc
+    check_version(doc, MODEL_FORMAT_VERSION, what)
+    W = _filters(doc, what)
+    padding = padding_field(doc, what, W.shape[1])
+    era, precisions = fields(doc, _SNAPSHOT, what).values()
+    precisions = float_array(precisions, len(W), what, "per_filter_precision",
+                             ok=lambda p: ~((p < 0) | (p > 1)), rule="numbers in [0, 1] or nulls")
+    return EraSnapshot(era=era, W=W, per_filter_precision=precisions, padding=padding)

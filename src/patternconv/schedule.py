@@ -18,7 +18,7 @@ DEFAULT_STAGGER = {"alpha": 0.0, "poss": 0.10, "sub": 0.20, "min": 0.30, "bin": 
 DEFAULT_TARGETS = {"alpha": 1.0, "poss": 1.0, "sub": 1.0, "min": 0.5, "bin": 2.0}
 DEFAULT_RAMP_END_FRACTION = 0.90
 
-DEFAULT_FREEZE_ALPHA_THRESHOLD = 0.1
+FREEZE_ALPHA_THRESHOLD = 0.1  # the traditional head freezes once alpha passes it
 DEFAULT_REINIT_PRECISION_THRESHOLD = 0.3
 
 
@@ -49,7 +49,6 @@ class ConstraintSchedule:
     bin: RampSpec
     eras: int = 1
     epochs_per_era: int = 200
-    freeze_alpha_threshold: float = DEFAULT_FREEZE_ALPHA_THRESHOLD
     reinit_precision_threshold: float = DEFAULT_REINIT_PRECISION_THRESHOLD
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ def weights_at(schedule: ConstraintSchedule, epoch_in_era: int, era: int):
         poss=value_at(schedule.poss, epoch_in_era),
     )
     alpha = value_at(schedule.alpha, era * schedule.epochs_per_era + epoch_in_era)
-    freeze = alpha > schedule.freeze_alpha_threshold
+    freeze = alpha > FREEZE_ALPHA_THRESHOLD
     return weights, alpha, freeze
 
 

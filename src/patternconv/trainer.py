@@ -10,10 +10,10 @@ import numpy as np
 
 from . import kernels, netcore, objective
 from .corpus import Dataset, FeatureVocabulary
-from .curator import (DEFAULT_BINARIZE_TOLERANCE, Pattern, binarize_filters,
-                      match_precision)
+from .curator import Pattern, binarize_filters, match_precision
 from .errors import DataError, NumericalError
-from .netcore import ModelState, backward_batch, forward_batch
+from .evalmetrics import confusion, kappa
+from .netcore import EraSnapshot, ModelState, backward_batch, forward_batch
 from .objective import LossWeights
 from .schedule import ConstraintSchedule, era_reset, weights_at
 
@@ -45,22 +45,9 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class EraSnapshot:
-    era: int
-    W: np.ndarray
-    per_filter_precision: np.ndarray
-    epoch_losses: tuple
-
-    def __post_init__(self):
-        self.W.setflags(write=False)
-        self.per_filter_precision.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class WindowedSet:
-    """A dataset's clip windows, built once: the input that training batches,
-    the per-epoch val forward pass and per-era filter precision read instead
-    of re-stacking clips."""
+    """A dataset's clip windows, built once: the input that training batches
+    and per-era filter precision read instead of re-stacking clips."""
 
     X: np.ndarray        # (N, C, k·d) uint8, from kernels.clip_windows
     labels: np.ndarray   # (N,) bool
@@ -164,13 +151,12 @@ def eval_filter_precision(W: np.ndarray, windowed: WindowedSet) -> np.ndarray:
 
 
 def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
-                    vocab: FeatureVocabulary, threshold: float,
-                    tolerance: float = DEFAULT_BINARIZE_TOLERANCE) -> list[Pattern]:
+                    vocab: FeatureVocabulary, threshold: float) -> list[Pattern]:
     """Binarize filters whose discrete precision clears the threshold; filters
     failing binarization (non-binary cells or invariant violations) are dropped."""
     precisions = np.asarray(precisions, dtype=np.float64)
     candidates = np.flatnonzero(precisions > threshold)  # NaN never clears it
-    cells, code, _ = binarize_filters(np.asarray(W)[candidates], vocab, tolerance)
+    cells, code, _ = binarize_filters(np.asarray(W)[candidates], vocab)
     return [Pattern(cells=cells[i], pattern_id=f"e{era:03d}f{m:04d}",
                     precision_train=float(precisions[m]), source_era=era)
             for i, m in enumerate(candidates) if code[i] < 0]
@@ -194,12 +180,11 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
     train_w = WindowedSet.build(train_set, k, padding)
     n_pos = int(train_w.labels.sum())
     pos_weight = (len(train_w) - n_pos) / n_pos if n_pos else 1.0
-    val_w = WindowedSet.build(val_set, k, padding) if val_set is not None and len(val_set) else None
+    val = (val_set.steps_array(), val_set.labels()) if val_set else None  # None or no clips
 
     snapshots: list[EraSnapshot] = []
     harvested: list[Pattern] = []
     for era in range(sched.eras):
-        epoch_records = []
         for epoch in range(sched.epochs_per_era):
             weights, alpha, freeze = weights_at(sched, epoch, era)
             dropout, lr = anneal_at(config, epoch, era)
@@ -209,18 +194,14 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
                                  rng, pos_weight, learning_rate=lr)
             record.update(era=era, epoch=epoch, learning_rate=lr,
                           dropout_rate=state.dropout_rate)
-            if config.log_val_metrics and val_w is not None:
-                from .evalmetrics import confusion, kappa
-                record["val_kappa"] = kappa(confusion(netcore.predict(state, val_w.X),
-                                                      val_w.labels))
+            if config.log_val_metrics and val is not None:
+                record["val_kappa"] = kappa(confusion(netcore.predict(state, val[0]), val[1]))
             if log is not None:
                 log(record)
-            epoch_records.append(record)
 
         precisions = eval_filter_precision(state.W, train_w)
         snapshots.append(EraSnapshot(era=era, W=state.W.copy(),
-                                     per_filter_precision=precisions.copy(),
-                                     epoch_losses=tuple(epoch_records)))
+                                     per_filter_precision=precisions.copy(), padding=padding))
         harvested.extend(harvest_filters(state.W, precisions, era, train_set.vocabulary,
                                          config.harvest_precision_threshold))
         if era < sched.eras - 1:

@@ -304,10 +304,8 @@ def _snapshot_not_utf8(tmp, vocab, data):
 
 
 def _snapshot_without_precision(tmp, vocab, data):
-    os.makedirs(tmp / "snaps")
-    W = np.zeros((2, 3, vocab.d))
-    (tmp / "snaps" / "era_000.json").write_text(netcore.filters_to_json(W, 1, {"era": 0}))
-    return ["curate", str(tmp / "snaps"), data]
+    return ["curate", _snapshot(tmp / "snaps", np.zeros((2, 3, vocab.d)),
+                                lambda doc: doc.pop("per_filter_precision")), data]
 
 
 # each case writes one unreadable input and returns the command that reads it
@@ -347,8 +345,8 @@ def _snapshot(snaps, W, edit=None):
     """An era snapshot of filters W, each with precision 0.9 so that curate
     harvests it, in a new directory; `edit` changes the document first."""
     os.makedirs(snaps)
-    doc = json.loads(netcore.filters_to_json(W, 1, {"era": 0,
-                                                    "per_filter_precision": [0.9] * len(W)}))
+    snap = netcore.EraSnapshot(era=0, W=W, per_filter_precision=np.full(len(W), 0.9))
+    doc = json.loads(netcore.filters_to_json(snap))
     if edit:
         edit(doc)
     (snaps / "era_000.json").write_text(json.dumps(doc))
@@ -795,8 +793,8 @@ def _snapshot_files(snaps, vocab, paddings):
     os.makedirs(snaps)
     W = np.zeros((2, 3, vocab.d))
     for era, padding in enumerate(paddings):
-        doc = json.loads(netcore.filters_to_json(
-            W, 1, {"era": era, "per_filter_precision": [None, None]}))
+        snap = netcore.EraSnapshot(era=era, W=W, per_filter_precision=np.full(2, np.nan))
+        doc = json.loads(netcore.filters_to_json(snap))
         if padding is None:
             del doc["padding"]
         else:
@@ -823,6 +821,77 @@ def test_curate_takes_the_snapshot_padding(tmp_path, capsys, vocab, paddings, ex
     else:
         assert code == 0
         assert curator.bank_from_json((out / "bank.json").read_text()).padding == expect
+
+
+def test_curate_rejects_snapshots_of_different_k(tmp_path, capsys, vocab, planted):
+    """Harvested patterns of 3 and 2 steps cannot be pruned or ranked
+    together, so snapshots that disagree on k exit 2 naming both files."""
+    snaps = tmp_path / "snaps"
+    os.makedirs(snaps)
+    for era, cells in enumerate((planted[0].cells, planted[1].cells[:2])):
+        snap = netcore.EraSnapshot(era=era, W=cells[None].astype(np.float64),
+                                   per_filter_precision=np.array([0.9]))
+        (snaps / f"era_{era:03d}.json").write_text(netcore.filters_to_json(snap))
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)
+    code = _run(["--out", str(tmp_path / "o"), "curate", str(snaps), data])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"snapshots disagree on k: {snaps / 'era_000.json'} has 3, "
+            f"{snaps / 'era_001.json'} has 2") in err
+    assert "Traceback" not in err
+
+
+def _synth_with_bank(tmp, bank, p_plant):
+    config = tmp / "c.json"
+    config.write_text(json.dumps({"data": {"planted_bank": bank, "n_clips": 40,
+                                           "p_plant": p_plant}}))
+    return _run(["--config", str(config), "--out", str(tmp / "o"), "synth"])
+
+
+def test_synth_plants_the_bank_it_wrote(tmp_path, capsys):
+    """The planted bank synth writes passes its own checks and plants the
+    same clips as the default patterns it holds."""
+    first = tmp_path / "first"
+    os.makedirs(first)
+    assert _synth_with_bank(first, None, 0.2) == 0
+    assert _synth_with_bank(tmp_path, str(first / "o" / "planted_bank.json"), 0.2) == 0
+    capsys.readouterr()
+    again = corpus.load_dataset(tmp_path / "o" / "dataset.jsonl")
+    want = corpus.load_dataset(first / "o" / "dataset.jsonl")
+    assert (again.steps_array() == want.steps_array()).all()
+    assert (again.labels() == want.labels()).all() and want.labels().any()
+
+
+def test_synth_rejects_a_planted_bank_of_another_vocabulary(tmp_path, capsys, vocab):
+    """A bank whose feature names are swapped would be planted by column
+    index on the wrong features, so synth exits 2 naming the bank."""
+    names = list(vocab.feature_names)
+    i, j = names.index("bottom_out_search"), names.index("repeated_help")
+    names[i], names[j] = names[j], names[i]
+    other = dataclasses.replace(vocab, feature_names=tuple(names))
+    bank = _write_bank(tmp_path / "b.json", other)
+    code = _synth_with_bank(tmp_path, bank, 1.0)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"{bank}: the bank's vocabulary differs from the vocabulary header of "
+            f"{tmp_path / 'o' / 'dataset.jsonl'}") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p_plant", [1.0, 0.0])
+def test_synth_rejects_an_illegal_planted_pattern(tmp_path, capsys, vocab, p_plant):
+    """A planted pattern with two submissions in one step exits 2 naming the
+    bank and the pattern, whether or not a clip would be stamped with it."""
+    def two_submissions(doc):
+        doc["patterns"][0]["cells"][1][vocab.attempt_indices[0]] = 1
+        doc["patterns"][0]["cells"][1][vocab.attempt_indices[1]] = 1
+    bank = _write_bank(tmp_path / "b.json", vocab, edit=two_submissions)
+    code = _synth_with_bank(tmp_path, bank, p_plant)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"{bank}: planted pattern 'p' violates invariants: step 1: "
+            "submission invariant") in err
+    assert "Traceback" not in err
 
 
 def test_curate_of_a_padding_0_run_under_the_default_config(tmp_path, capsys):

@@ -386,7 +386,7 @@ def test_binarize_matches_per_filter_oracle(vocab):
     reasons = set()
     for w in W:
         pat, reason = binarize(w, vocab)
-        want_cells, want_reason = _binarize_oracle(w, vocab, curator.DEFAULT_BINARIZE_TOLERANCE)
+        want_cells, want_reason = _binarize_oracle(w, vocab, curator.BINARIZE_TOLERANCE)
         assert reason == want_reason
         assert (pat is None) == (want_cells is None)
         if pat is not None:
@@ -398,7 +398,7 @@ def test_binarize_matches_per_filter_oracle(vocab):
 
 def test_harvest_batch_equals_per_filter_loop(vocab):
     W, prec = _filter_pool(vocab, np.random.default_rng(24))
-    got = trainer.harvest_filters(W, prec, era=7, vocab=vocab, threshold=0.3, tolerance=0.05)
+    got = trainer.harvest_filters(W, prec, era=7, vocab=vocab, threshold=0.3)
     want = []
     for m, (w, p) in enumerate(zip(W, prec)):
         if not np.isnan(p) and p > 0.3:

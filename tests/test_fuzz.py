@@ -37,8 +37,8 @@ def _valid_files() -> dict:
         "clips.jsonl": clip_text,
         "bank.json": curator.bank_to_json(bank),
         "model.json": netcore.state_to_json(netcore.init_state(4, 3, vocab.d, rng=0)),
-        "snaps/era_000.json": netcore.filters_to_json(
-            W, 1, {"era": 0, "per_filter_precision": [0.9, None, 0.5]}),
+        "snaps/era_000.json": netcore.filters_to_json(netcore.EraSnapshot(
+            era=0, W=W, per_filter_precision=np.array([0.9, np.nan, 0.5]))),
         "experts.jsonl": '{"name":"e","steps":[["help"],["incorrect","similar_answer"]]}\n',
         "config.json": json.dumps({"split": {"test_fraction": 0.3, "val_fraction": 0.3},
                                    "curate": {"n_override": 2}}),

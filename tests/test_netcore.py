@@ -320,9 +320,15 @@ def test_state_json_round_trip():
 
 
 def test_filters_json_round_trip():
+    """W, the era, the padding and NaN precisions (written as null) survive."""
     W = np.random.default_rng(0).random((4, 3, 13))
-    W2, doc = netcore.filters_from_json(netcore.filters_to_json(W, extra={"era": 7}))
-    assert (W2 == W).all() and doc["era"] == 7
+    precision = np.array([0.5, np.nan, 1.0, 0.0])
+    snap = netcore.EraSnapshot(era=7, W=W, per_filter_precision=precision, padding=2)
+    text = netcore.filters_to_json(snap, {"config_hash": "abc"})
+    assert json.loads(text)["per_filter_precision"] == [0.5, None, 1.0, 0.0]
+    back = netcore.filters_from_json(text)
+    assert (back.W == W).all() and back.era == 7 and back.padding == 2
+    assert np.array_equal(back.per_filter_precision, precision, equal_nan=True)
 
 
 @pytest.mark.parametrize("load", [netcore.state_from_json, netcore.filters_from_json])
@@ -331,8 +337,9 @@ def test_malformed_model_and_snapshot_files_raise_data_error(load):
         load('{"W": [0.5,')
     with pytest.raises(DataError, match="is not a JSON object"):
         load("[1, 2]")
+    W = _state().W
     text = (netcore.state_to_json(_state()) if load is netcore.state_from_json
-            else netcore.filters_to_json(_state().W))
+            else netcore.filters_to_json(netcore.EraSnapshot(0, W, np.full(len(W), np.nan))))
     doc = json.loads(text)
     del doc["W"]
     with pytest.raises(DataError, match="missing key 'W'"):

@@ -156,7 +156,8 @@ def _batch(vocab, seed, B=64, M=16, k=3, L=5):
     state = netcore.init_state(M, k, vocab.d, rng=rng)
     state.W[:] = _weights_in_unit_box(rng, state.W.shape)
     state.dropout_rate = 0.3
-    Xw = kernels.clip_windows(random_legal_clip_batch(vocab, B, L, rng), k, state.padding)
+    X = random_legal_clip_batch(vocab, B, L, rng)
+    Xw = kernels.clip_windows(X, k, state.padding)
     # half the filters are jittered copies of batch windows, so that their
     # pooled activations reach the thresholding offset and the head's
     # sigmoid and softmax are not saturated at exact 0 or 1
@@ -167,7 +168,7 @@ def _batch(vocab, seed, B=64, M=16, k=3, L=5):
     # BCE-like gradients of both signs, with exact zeros
     d_y = rng.standard_normal(B) / B
     d_y[rng.random(B) < 0.2] = 0.0
-    return state, Xw, d_y
+    return state, X, Xw, d_y
 
 
 def _bits(a) -> bytes:
@@ -181,7 +182,7 @@ def _bits(a) -> bytes:
 @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_matches_reference_bits(vocab, training, alpha, frozen, seed):
-    state, Xw, d_y = _batch(vocab, seed)
+    state, _, Xw, d_y = _batch(vocab, seed)
     state.alpha, state.fc_frozen = alpha, frozen
     y_ref, c_ref = _ref_forward(state, Xw, training, np.random.default_rng(seed + 10))
     y, cache = netcore.forward_batch(state, Xw, training=training,
@@ -256,14 +257,15 @@ def test_train_epoch_matches_reference_bits(vocab, planted, alpha, freeze):
 @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("n", [300, 128, 129], ids=["val_split", "one_chunk", "short_tail"])
 def test_predict_matches_forward_bits(vocab, alpha, n):
-    """predict's chunks give forward_batch's y bit for bit; a tail too short
-    for a product of 16 rows joins the chunk before it."""
-    state, Xw, _ = _batch(vocab, n, B=n, M=64)
+    """predict windows and scores clips a chunk at a time and gives
+    forward_batch's y bit for bit; a tail too short for a product of 16 rows
+    joins the chunk before it."""
+    state, X, Xw, _ = _batch(vocab, n, B=n, M=64)
     state.alpha = alpha
-    sizes = [part.stop - part.start for part in netcore.predict_chunks(n)]
+    sizes = [part.stop - part.start for part in netcore._predict_chunks(n)]
     assert sum(sizes) == n and min(sizes) >= 16
     y, _ = netcore.forward_batch(state, Xw, windowed=True)
-    assert _bits(netcore.predict(state, Xw)) == _bits(y)
+    assert _bits(netcore.predict(state, X)) == _bits(y)
 
 
 # sha256 of the steps and then the labels of synth_generate on the default

@@ -126,7 +126,7 @@ def test_harvest_respects_threshold_and_binarization(vocab, planted):
         planted[2].cells.astype(np.float64),          # below threshold
     ])
     prec = np.array([0.9, 0.9, 0.2])
-    got = harvest_filters(W, prec, era=1, vocab=vocab, threshold=0.3, tolerance=0.05)
+    got = harvest_filters(W, prec, era=1, vocab=vocab, threshold=0.3)
     assert len(got) == 1
     assert (got[0].cells == planted[0].cells).all()
     assert got[0].source_era == 1 and got[0].precision_train == pytest.approx(0.9)

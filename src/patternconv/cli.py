@@ -4,7 +4,7 @@ driven by a single JSON config file with reproducible seeds."""
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,57 +17,55 @@ from .errors import (INTEGER, OBJECT, STRING, ConfigError, DataError, NumericalE
                      atomic_write, fields, json_object, nullable, read_text, within)
 from .schedule import DEFAULT_TARGETS, ConstraintSchedule
 
-DEFAULT_CONFIG = {
-    "model": {"M": 64, "k": 3, "padding": 1},
-    "data": {
-        "clip_length": 5,
-        "n_clips": 2000,
-        "p_plant": 0.06,
-        "label_noise": 0.0,
-        "feature_noise": 0.0,
-        "p_help": 0.3,
-        "p_feature": 0.10,
-        "p_distract": 0.7,
-        "planted_bank": None,
-    },
-    "split": {"test_fraction": 0.25, "val_fraction": 0.2},
-    "train": {
-        "learning_rate": 0.05,
-        "final_learning_rate": 0.015,
-        "batch_size": 64,
-        "eras": 5,
-        "epochs_per_era": 50,
-        "targets": {},
-        "harvest_precision_threshold": 0.3,
-        "dropout_base": 0.35,
-        "dropout_era_amp": 0.45,
-        "anneal_end_fraction": 0.9,
-        "seed": 0,
-    },
-    "curate": {"n_override": None},
-}
-
 _COUNT, _INDEX = within("[1, inf)", INTEGER), within("[0, inf)", INTEGER)
 _UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
-# The rule of every key a config may set, in the shape of DEFAULT_CONFIG. A
-# null planted_bank plants the default patterns, a null n_override selects by
-# kappa, a null final_learning_rate keeps the rate flat and a null
-# dropout_base keeps the model's flat dropout. Every target is optional.
+# Every key a config may set, with its rule and default as errors.fields reads
+# them. A null planted_bank plants the default patterns, a null n_override
+# selects by kappa, a null final_learning_rate keeps the rate flat and a null
+# dropout_base keeps the model's flat dropout. The targets have no default
+# here, because ConstraintSchedule.default fills in each one a config leaves
+# out; a zero target would give its ramp a growth rate of 0.
 _SCHEMA = {
-    "model": {"M": _COUNT, "k": _COUNT, "padding": _INDEX},
-    "data": {"clip_length": _COUNT, "n_clips": _COUNT, "p_plant": _UNIT, "label_noise": _NOISE,
-             "feature_noise": _NOISE, "p_help": _UNIT, "p_feature": _UNIT, "p_distract": _UNIT,
-             "planted_bank": nullable(STRING)},
-    "split": {"test_fraction": within("(0, 1)"), "val_fraction": within("(0, 1)")},
-    "train": {
-        "learning_rate": _RATE, "final_learning_rate": nullable(_RATE), "batch_size": _COUNT,
-        "eras": _COUNT, "epochs_per_era": _COUNT,
-        "targets": {name: _UNIT if name == "alpha" else _RATE for name in DEFAULT_TARGETS},
-        "harvest_precision_threshold": _UNIT, "dropout_base": nullable(_UNIT),
-        "dropout_era_amp": _UNIT, "anneal_end_fraction": within("(0, 1]"), "seed": _INDEX,
+    "model": {"M": (*_COUNT, 64), "k": (*_COUNT, 3), "padding": (*_INDEX, 1)},
+    "data": {
+        "clip_length": (*_COUNT, 5),
+        "n_clips": (*_COUNT, 2000),
+        "p_plant": (*_UNIT, 0.06),
+        "label_noise": (*_NOISE, 0.0),
+        "feature_noise": (*_NOISE, 0.0),
+        "p_help": (*_UNIT, 0.3),
+        "p_feature": (*_UNIT, 0.10),
+        "p_distract": (*_UNIT, 0.7),
+        "planted_bank": (*nullable(STRING), None),
     },
-    "curate": {"n_override": nullable(_INDEX)},
+    "split": {"test_fraction": (*within("(0, 1)"), 0.25),
+              "val_fraction": (*within("(0, 1)"), 0.2)},
+    "train": {
+        "learning_rate": (*_RATE, 0.05),
+        "final_learning_rate": (*nullable(_RATE), 0.015),
+        "batch_size": (*_COUNT, 64),
+        "eras": (*_COUNT, 5),
+        "epochs_per_era": (*_COUNT, 50),
+        "targets": {name: within("(0, 1]") if name == "alpha" else within("(0, inf)")
+                    for name in DEFAULT_TARGETS},
+        "harvest_precision_threshold": (*_UNIT, 0.3),
+        "dropout_base": (*nullable(_UNIT), 0.35),
+        "dropout_era_amp": (*_UNIT, 0.45),
+        "anneal_end_fraction": (*within("(0, 1]"), 0.9),
+        "seed": (*_INDEX, 0),
+    },
+    "curate": {"n_override": (*nullable(_INDEX), None)},
 }
+
+
+def _defaults(schema: dict) -> dict:
+    """A fresh config tree of the defaults in `schema`; keys without one are
+    left out."""
+    return {key: _defaults(entry) if isinstance(entry, dict) else entry[2]
+            for key, entry in schema.items() if isinstance(entry, dict) or len(entry) > 2}
+
+
+DEFAULT_CONFIG = _defaults(_SCHEMA)
 
 
 def _merged(override, base: dict, schema: dict = _SCHEMA, path: str = "") -> dict:
@@ -86,7 +84,7 @@ def _merged(override, base: dict, schema: dict = _SCHEMA, path: str = "") -> dic
 
 
 def load_config(path: str | None, seed: int | None = None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)  # every default passes its _SCHEMA rule
+    cfg = _defaults(_SCHEMA)  # every default passes its own rule
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -134,24 +132,20 @@ def default_planted_patterns(vocab: corpus.FeatureVocabulary) -> list[curator.Pa
     ]
 
 
-def build_schedule(tcfg: dict) -> ConstraintSchedule:
-    return ConstraintSchedule.default(eras=tcfg["eras"], epochs_per_era=tcfg["epochs_per_era"],
-                                      targets=tcfg["targets"])
-
-
 def build_train_config(cfg: dict) -> trainer.TrainConfig:
+    """The schedule from eras, epochs_per_era and targets; every other train
+    key is the TrainConfig field of its name."""
     tcfg = cfg["train"]
+    schedule_keys = ("eras", "epochs_per_era", "targets")
     return trainer.TrainConfig(
-        learning_rate=tcfg["learning_rate"],
-        final_learning_rate=tcfg["final_learning_rate"],
-        batch_size=tcfg["batch_size"],
-        schedule=build_schedule(tcfg),
-        harvest_precision_threshold=tcfg["harvest_precision_threshold"],
-        dropout_base=tcfg["dropout_base"],
-        dropout_era_amp=tcfg["dropout_era_amp"],
-        anneal_end_fraction=tcfg["anneal_end_fraction"],
-        seed=tcfg["seed"],
-    )
+        schedule=ConstraintSchedule.default(**{key: tcfg[key] for key in schedule_keys}),
+        **{key: tcfg[key] for key in tcfg if key not in schedule_keys})
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file atomically."""
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 def _parse(parse, path: str):
@@ -186,19 +180,15 @@ def cmd_synth(cfg: dict, out: str) -> int:
     vocab = corpus.FeatureVocabulary.default()
     clip_path = os.path.join(out, "dataset.jsonl")
     planted = _planted(cfg, vocab, clip_path)
-    data = cfg["data"]
+    data = cfg["data"]  # every key but planted_bank is a synth_generate parameter
     dataset = corpus.synth_generate(
-        vocab, planted, data["n_clips"], data["label_noise"], data["feature_noise"],
-        seed=cfg["train"]["seed"], clip_length=data["clip_length"],
-        p_plant=data["p_plant"], p_help=data["p_help"], p_feature=data["p_feature"],
-        p_distract=data["p_distract"], match_padding=cfg["model"]["padding"],
-    )
+        vocab, planted, seed=cfg["train"]["seed"], match_padding=cfg["model"]["padding"],
+        **{key: data[key] for key in data if key != "planted_bank"})
     h = config_hash(cfg)
     corpus.write_dataset(dataset, clip_path, meta={"config_hash": h})
     bank = curator.PatternBank(patterns=tuple(planted), vocabulary=vocab,
                                padding=cfg["model"]["padding"])
-    with atomic_write(os.path.join(out, "planted_bank.json")) as fh:
-        fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
+    _write(os.path.join(out, "planted_bank.json"), curator.bank_to_json(bank, {"config_hash": h}))
     print(f"wrote {len(dataset)} clips (positive rate {dataset.positive_rate:.3f}) to {out}")
     return 0
 
@@ -229,18 +219,16 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     snap_dir = os.path.join(out, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     for snap in snapshots:
-        with atomic_write(os.path.join(snap_dir, f"era_{snap.era:03d}.json")) as fh:
-            fh.write(netcore.filters_to_json(snap, {"config_hash": h}))
+        _write(os.path.join(snap_dir, f"era_{snap.era:03d}.json"),
+               netcore.filters_to_json(snap, {"config_hash": h}))
 
-    with atomic_write(os.path.join(out, "model.json")) as fh:
-        fh.write(netcore.state_to_json(state))
+    _write(os.path.join(out, "model.json"), netcore.state_to_json(state))
     bank = curator.PatternBank(patterns=tuple(harvested), vocabulary=train_set.vocabulary,
                                padding=model["padding"])
-    with atomic_write(os.path.join(out, "harvested.json")) as fh:
-        fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
-    with atomic_write(os.path.join(out, "manifest.json")) as fh:
-        json.dump({"config_hash": h, "config": cfg, "eras": len(snapshots),
-                   "harvested": len(harvested)}, fh, indent=2)
+    _write(os.path.join(out, "harvested.json"), curator.bank_to_json(bank, {"config_hash": h}))
+    _write(os.path.join(out, "manifest.json"),
+           json.dumps({"config_hash": h, "config": cfg, "eras": len(snapshots),
+                       "harvested": len(harvested)}, indent=2))
     print(f"trained {len(snapshots)} eras; harvested {len(harvested)} filters")
     return 0
 
@@ -273,17 +261,15 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     padding = shape[1]  # the padding the snapshots' model was trained with
 
     unique = curator.dedup(harvested)
-    pruned = curator.prune_subsumed(unique, clip_length=cfg["data"]["clip_length"],
+    pruned = curator.prune_subsumed(unique, clip_length=train_set.steps_array().shape[1],
                                     padding=padding)
     ranked, curve = curator.cumulative_kappa_curve(pruned, train_set, val_set,
                                                   padding=padding)
     bank = curator.select_bank(curve, ranked, vocab, n_override=cfg["curate"]["n_override"],
                                padding=padding)
     h = config_hash(cfg)
-    with atomic_write(os.path.join(out, "bank.json")) as fh:
-        fh.write(curator.bank_to_json(bank, extra={"config_hash": h}))
-    with atomic_write(os.path.join(out, "kappa_curve.json")) as fh:
-        json.dump({"config_hash": h, "curve": curve}, fh)
+    _write(os.path.join(out, "bank.json"), curator.bank_to_json(bank, {"config_hash": h}))
+    _write(os.path.join(out, "kappa_curve.json"), json.dumps({"config_hash": h, "curve": curve}))
     print(f"harvested {len(harvested)} -> unique {len(unique)} -> "
           f"non-redundant {len(pruned)} -> selected {len(bank)}")
     return 0
@@ -319,9 +305,9 @@ def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int
     rows = {name: evalmetrics.evaluate(predictor, ds)
             for name, ds in (("train", train_set), ("val", val_set), ("test", test_set))}
     print(evalmetrics.render_table(rows))
-    with atomic_write(os.path.join(out, "metrics.json")) as fh:
-        json.dump({"config_hash": config_hash(cfg),
-                   **{name: json.loads(rep.to_json()) for name, rep in rows.items()}}, fh)
+    _write(os.path.join(out, "metrics.json"),
+           json.dumps({"config_hash": config_hash(cfg),
+                       **{name: dataclasses.asdict(rep) for name, rep in rows.items()}}))
     return 0
 
 
@@ -334,8 +320,7 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
     report = analysis.compare_banks(bank, experts, k=k)
     report["config_hash"] = config_hash(cfg)
     report["stats"] = analysis.pattern_stats(bank)
-    with atomic_write(os.path.join(out, "comparison.json")) as fh:
-        json.dump(report, fh, indent=2)
+    _write(os.path.join(out, "comparison.json"), json.dumps(report, indent=2))
     mean = report["all_pairs"]["mean"]
     print(f"compared {len(bank)} learned patterns with "
           f"{len(report['expanded_experts'])} expanded expert patterns; "
@@ -420,6 +405,9 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # numpy's message names the shape it could not allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

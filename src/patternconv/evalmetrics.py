@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +30,6 @@ class MetricsReport:
     kappa: float | None
     precision: float | None
     recall: float | None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 def confusion(scores, labels) -> Confusion:

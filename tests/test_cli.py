@@ -3,6 +3,7 @@ synth -> train -> curate -> eval -> compare -> explain run on a tiny config."""
 
 import copy
 import dataclasses
+import inspect
 import json
 import os
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import random_legal_steps
-from patternconv import analysis, cli, corpus, curator, netcore
+from patternconv import analysis, cli, corpus, curator, netcore, trainer
 from patternconv.errors import DataError
-from patternconv.schedule import DEFAULT_TARGETS
+from patternconv.schedule import DEFAULT_TARGETS, ConstraintSchedule
 
 TINY_CONFIG = {
     "model": {"M": 8},
@@ -128,6 +129,8 @@ OUT_OF_RANGE = {
     "test_fraction_above_one": ({"split": {"test_fraction": 2}}, "train",
                                 "split.test_fraction"),
     "kernel_longer_than_padded_clip": ({"model": {"k": 7, "padding": 0}}, "synth", "model.k"),
+    "zero_ramp_target": ({"train": {"targets": {"bin": 0}}}, "train", "train.targets.bin"),
+    "zero_alpha_target": ({"train": {"targets": {"alpha": 0}}}, "train", "train.targets.alpha"),
 }
 
 
@@ -146,11 +149,34 @@ def test_config_values_out_of_range_exit_1(tmp_path, capsys, vocab, case):
     assert not (tmp_path / "o").exists()
 
 
+# each case is a config whose arrays are far past any address space, so numpy
+# refuses them at once without touching memory, and the command it fails in
+OVERSIZED = {
+    "clips": ({"data": {"n_clips": 10 ** 13}}, "synth"),   # 591 TiB of clip steps
+    "filters": ({"model": {"M": 10 ** 12}}, "train"),     # 284 TiB of filter weights
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_config_exits_1_out_of_memory(tmp_path, capsys, vocab, case):
+    config, command = OVERSIZED[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    argv = {"synth": ["synth"],
+            "train": ["train", _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)]}[command]
+    code = _run(["--config", str(path), "--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: out of memory: Unable to allocate" in err and "shape" in err
+    assert "Traceback" not in err
+
+
 def test_schema_has_the_shape_of_the_default_config():
     """_SCHEMA lists the keys of DEFAULT_CONFIG at every level, with the
-    schedule's targets under train.targets, and every default passes its own
-    rule."""
+    schedule's targets under train.targets, and every default, a schedule
+    target's included, passes its own rule."""
     defaults = copy.deepcopy(cli.DEFAULT_CONFIG)
+    assert defaults["train"]["targets"] == {}
     defaults["train"]["targets"] = dict(DEFAULT_TARGETS)
 
     def walk(schema, default, path):
@@ -159,9 +185,25 @@ def test_schema_has_the_shape_of_the_default_config():
             if isinstance(entry, dict):
                 walk(entry, default[key], path + (key,))
             else:
-                test, rule = entry
+                test, rule, *_ = entry
                 assert test(default[key]), (path + (key,), rule)
     walk(cli._SCHEMA, defaults, ())
+
+
+def test_cli_defaults_are_the_acceptance_configuration():
+    """DEFAULT_CONFIG trains, synthesizes and splits as the planted benchmark
+    of tests/test_acceptance.py does, so a default CLI run is that run."""
+    cfg = cli.DEFAULT_CONFIG
+    assert cli.build_train_config(cfg) == trainer.TrainConfig(
+        schedule=ConstraintSchedule.default(eras=5, epochs_per_era=50))
+    params = inspect.signature(corpus.synth_generate).parameters
+    assert cfg["data"] == {
+        **{key: params[key].default for key in ("clip_length", "p_plant", "p_help")},
+        "n_clips": 2000, "label_noise": 0.0, "feature_noise": 0.0, "p_feature": 0.10,
+        "p_distract": 0.7, "planted_bank": None}
+    assert cfg["split"] == {"test_fraction": 0.25, "val_fraction": 0.2}
+    assert cfg["model"] == {"M": 64, "k": 3, "padding": netcore.DEFAULT_PADDING}
+    assert params["match_padding"].default == netcore.DEFAULT_PADDING
 
 
 def test_non_utf8_config_exits_1(tmp_path, capsys):
@@ -839,6 +881,33 @@ def test_curate_rejects_snapshots_of_different_k(tmp_path, capsys, vocab, plante
     assert (f"snapshots disagree on k: {snaps / 'era_000.json'} has 3, "
             f"{snaps / 'era_001.json'} has 2") in err
     assert "Traceback" not in err
+
+
+def test_curate_prunes_by_the_length_of_its_clips(tmp_path, capsys, vocab):
+    """Pruning reads the clip length from the clips curate loads, not from
+    the synth setting data.clip_length. On 2-step clips [[help], [], [correct]]
+    has no window, so [[], [help], []] does not subsume it; on 5-step clips
+    it would."""
+    snaps = tmp_path / "snaps"
+    os.makedirs(snaps)
+    help_, correct = (vocab.feature_names.index(name) for name in ("help", "correct"))
+    W = np.zeros((2, 3, vocab.d))
+    W[0, 1, help_] = W[1, 0, help_] = W[1, 2, correct] = 1.0
+    snap = netcore.EraSnapshot(era=0, W=W, per_filter_precision=np.full(2, 0.9))
+    (snaps / "era_000.json").write_text(netcore.filters_to_json(snap))
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 2)
+    runs = []
+    for clip_length in (5, 2):
+        config = tmp_path / f"c{clip_length}.json"
+        config.write_text(json.dumps({"data": {"clip_length": clip_length}}))
+        out = tmp_path / f"o{clip_length}"
+        assert _run(["--config", str(config), "--out", str(out), "curate", str(snaps),
+                     data]) == 0
+        bank = json.loads((out / "bank.json").read_text())
+        del bank["config_hash"]
+        runs.append((capsys.readouterr().out, bank))
+    assert "non-redundant 2 " in runs[0][0]
+    assert runs[0] == runs[1]
 
 
 def _synth_with_bank(tmp, bank, p_plant):

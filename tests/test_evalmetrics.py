@@ -205,6 +205,7 @@ def test_render_table_handles_none():
 
 def test_report_json_round_trip():
     import json
+    from dataclasses import asdict
     rep = report(np.array([0.9, 0.1]), np.array([True, False]))
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(asdict(rep)))
     assert doc["accuracy"] == 1.0 and doc["kappa"] == 1.0

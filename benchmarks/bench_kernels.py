@@ -7,11 +7,14 @@ Run with defaults (benchmark-sized shapes) or adjust via flags:
 
     python benchmarks/bench_kernels.py --clips 2000 --filters 64 --repeats 20
 
-`clip_windows` pads the clips and cuts them into the windows that both the
-convolution and matching read. The convolution is one matrix multiply each
-way, and matching is the same window product thresholded at each pattern's
-cell count. Window building and matching are timed on the whole batch and on
-a single clip, the shape of `explain` and of synth's rejection sampling. The curation pools default to 300 and 1,359 unique patterns; 1,359
+`clip_windows` pads the clips once and views them as the windows that both
+the convolution and matching read. The convolution is one matrix multiply
+each way, and matching is a float32 window product with the patterns,
+thresholded at each pattern's cell count. Window building and matching are
+timed on the whole batch and on a single clip, the shape of `explain` and of
+synth's rejection sampling. `bank_predict_batch`, the bank scoring of
+`eval`, is timed over the batch for banks of 7, 8, 131 and 132 sparse random
+patterns. The curation pools default to 300 and 1,359 unique patterns; 1,359
 is the unique count of the source paper's funnel. `evalmetrics.auc` is timed
 on tie-heavy scores of the batch and of 100,000 clips, the clip count of a
 paper-scale run. `corpus.load_dataset` is timed on a file of the batch's
@@ -44,6 +47,11 @@ from patternconv import corpus, curator, evalmetrics, kernels, netcore, objectiv
 from patternconv.corpus import FeatureVocabulary
 from patternconv.objective import LossWeights
 from patternconv.schedule import DEFAULT_TARGETS
+
+
+# banks on either side of a multiple of 4 patterns, the width the match
+# GEMM's pattern matrix is padded to; 132 is the source paper's selected bank
+BANK_SIZES = (7, 8, 131, 132)
 
 
 def _time(fn, *args, repeats=10):
@@ -163,6 +171,15 @@ def main(argv=None):
         t = _time(fn, *a, repeats=args.repeats)
         clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
         print(f"{name:<20} {clips:>9} {t * 1e3:>10.3f}ms")
+    vocab = FeatureVocabulary.default()
+    ds = corpus.Dataset(vocabulary=vocab, steps=X, labels=np.zeros(B, bool))
+    bank_cells = (rng.random((max(BANK_SIZES), k, d)) < 0.08).astype(np.uint8)
+    for n in BANK_SIZES:
+        bank = curator.PatternBank(patterns=tuple(
+            curator.Pattern(cells=c, pattern_id=f"p{i}") for i, c in enumerate(bank_cells[:n])),
+            vocabulary=vocab)
+        t = _time(curator.bank_predict_batch, bank, ds, repeats=args.repeats)
+        print(f"{'bank_predict_batch':<20} {B:>9} {t * 1e3:>10.3f}ms  {n} patterns")
     for n in (B, 100_000):
         scores = rng.integers(0, 1000, n) / 1000
         labels = rng.random(n) < 0.2

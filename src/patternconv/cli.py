@@ -14,8 +14,9 @@ import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
 from .errors import (INTEGER, OBJECT, STRING, ConfigError, DataError, NumericalError,
-                     atomic_write, fields, json_object, nullable, read_text, within)
-from .schedule import DEFAULT_TARGETS, ConstraintSchedule
+                     atomic_write, field_error, fields, json_object, nullable, read_text,
+                     within)
+from .schedule import DEFAULT_TARGETS, ConstraintSchedule, ramp_windows
 
 _COUNT, _INDEX = within("[1, inf)", INTEGER), within("[0, inf)", INTEGER)
 _UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
@@ -24,7 +25,8 @@ _UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
 # selects by kappa, a null final_learning_rate keeps the rate flat and a null
 # dropout_base keeps the model's flat dropout. The targets have no default
 # here, because ConstraintSchedule.default fills in each one a config leaves
-# out; a zero target would give its ramp a growth rate of 0.
+# out; a zero target, or one so small that target / ramp span underflows,
+# would give its ramp a growth rate of 0.
 _SCHEMA = {
     "model": {"M": (*_COUNT, 64), "k": (*_COUNT, 3), "padding": (*_INDEX, 1)},
     "data": {
@@ -102,10 +104,13 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         # a window past k - 1 padding steps holds no clip step
         raise ConfigError(f"config key 'model.padding' must be <= model.k - 1 = "
                           f"{model['k'] - 1}, not {model['padding']}")
-    longest = cfg["data"]["clip_length"] + 2 * model["padding"]
-    if model["k"] > longest:
-        raise ConfigError(f"config key 'model.k' must be <= data.clip_length + 2 * "
-                          f"model.padding = {longest}, not {model['k']}")
+    train = cfg["train"]
+    for name, (_, span) in ramp_windows(train["epochs_per_era"]).items():
+        target = train["targets"].get(name)
+        if target is not None and target / span == 0:  # the ramp's growth rate underflows
+            raise field_error("config key", f"train.targets.{name}",
+                              f"large enough that target / {span:g} ramp epochs is above 0",
+                              target, ConfigError)
     return cfg
 
 
@@ -176,6 +181,12 @@ def _planted(cfg: dict, vocab: corpus.FeatureVocabulary,
 
 
 def cmd_synth(cfg: dict, out: str) -> int:
+    # data.clip_length steers synth alone; other commands window the clips they load
+    model = cfg["model"]
+    longest = cfg["data"]["clip_length"] + 2 * model["padding"]
+    if model["k"] > longest:
+        raise ConfigError(f"config key 'model.k' must be <= data.clip_length + 2 * "
+                          f"model.padding = {longest}, not {model['k']}")
     os.makedirs(out, exist_ok=True)
     vocab = corpus.FeatureVocabulary.default()
     clip_path = os.path.join(out, "dataset.jsonl")

@@ -146,7 +146,13 @@ def match_matrix(patterns, dataset_or_steps, padding: int = 1) -> np.ndarray:
 
 
 def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
-    return (match_matrix(bank.patterns, dataset, bank.padding) >= 0).any(axis=0)
+    """(n_clips,) whether any of the bank's patterns matches each clip."""
+    X = dataset.steps_array()
+    if not bank.patterns:
+        return np.zeros(len(X), dtype=bool)
+    cells = np.stack([p.cells for p in bank.patterns])
+    hits = kernels.match_hits(cells, kernels.clip_windows(X, cells.shape[1], bank.padding))
+    return hits.any(axis=(1, 2))
 
 
 def dedup(patterns) -> list[Pattern]:

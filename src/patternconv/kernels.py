@@ -1,10 +1,13 @@
 """Hot numeric kernels: window convolution and discrete pattern matching.
 
-`clip_windows` is the one window builder (im2col): the convolution's forward
-and backward passes and discrete first-window matching all read its windows
-of the zero-padded clips, each as a single 2-D matrix multiply. A binary
-pattern matches a window when the window holds all of its 1-cells, that is,
-when the window-times-pattern count reaches the pattern's cell count.
+`clip_windows` is the one window builder (im2col): a read-only strided view
+of one zero-padded copy of the clips, in which window c is the run of k·d
+values that starts at padded step c. The convolution's forward and backward
+passes and discrete matching all read these windows, each as a single 2-D
+matrix multiply. A binary pattern matches a window when the window holds all
+of its 1-cells, that is, when the window-times-pattern count reaches the
+pattern's cell count; the float32 pattern matrix of that product is padded
+with zero rows to a multiple of 4 patterns.
 """
 
 from __future__ import annotations
@@ -17,33 +20,29 @@ USE_NUMBA = False  # the only kernel path is numpy; perfbench/run.py stamps runs
 
 
 def clip_windows(X: np.ndarray, k: int, padding: int) -> np.ndarray:
-    """Flattened length-k windows of zero-padded clips (B, L, d): a (B, C, k·d)
-    copy in the dtype of X, with C = L + 2·padding - k + 1."""
+    """Flattened length-k windows of zero-padded clips (B, L, d): a read-only
+    (B, C, k·d) view in the dtype of X, with C = L + 2·padding - k + 1, of one
+    zero-padded copy of the clips."""
     B, L, d = X.shape
     C = L + 2 * padding - k + 1
     if C < 1:
         raise DataError("clip too short for the kernel even with padding")
-    out = np.zeros((B, C, k * d), dtype=X.dtype)
-    flat = X.reshape(B, L * d)
-    # window c holds clip steps c - padding ... c - padding + k - 1; the ones
-    # inside the clip, lo ... hi - 1, are one contiguous run of values in both
-    for c in range(C):
-        lo, hi = max(0, c - padding), min(L, c - padding + k)
-        if lo < hi:
-            out[:, c, (lo - c + padding) * d:(hi - c + padding) * d] = flat[:, lo * d:hi * d]
+    padded = np.zeros((B, L + 2 * padding, d), dtype=X.dtype)
+    padded[:, padding:padding + L] = X
+    # window c is the run of k·d values that starts at padded step c. A plain
+    # ndarray over the buffer costs less per call than as_strided or
+    # sliding_window_view, which shows on one clip. The windows overlap, so a
+    # write to one would change its neighbours: the view is read-only.
+    out = np.ndarray((B, C, k * d), dtype=X.dtype, buffer=padded, strides=padded.strides)
+    out.flags.writeable = False
     return out
-
-
-def _window_product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """(B, C, M) products of flattened windows X (B, C, k·d) with filters W (M, k, d)."""
-    B, C, kd = X.shape
-    return (X.reshape(-1, kd) @ W.reshape(len(W), kd).T).reshape(B, C, len(W))
 
 
 def conv_forward_batch(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Pre-activation feature maps (B, C, M) of filters W (M, k, d) over float64
     clip windows X (B, C, k·d)."""
-    return _window_product(X, W)
+    B, C, kd = X.shape
+    return (X.reshape(-1, kd) @ W.reshape(len(W), kd).T).reshape(B, C, len(W))
 
 
 def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
@@ -58,12 +57,16 @@ def match_hits(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     binary clip windows X (B, C, k·d) from `clip_windows`: every 1-cell is 1
     in the window; 0-cells are unconstrained."""
     cells = np.asarray(cells, dtype=np.uint8)
-    (P, k, d), kd = cells.shape, X.shape[2]
+    (P, k, d), (B, C, kd) = cells.shape, X.shape
     if k * d != kd:
         raise DataError(f"a {k}x{d} pattern does not fit windows of {kd} cells")
-    # float32 counts are exact: each is an integer no larger than k·d < 2**24
-    counts = _window_product(X.astype(np.float32), cells.astype(np.float32))
-    return counts >= cells.reshape(P, kd).sum(axis=1) - 0.5
+    # float32 counts are exact: each is an integer no larger than k·d < 2**24.
+    # Zero rows pad the pattern matrix to a multiple of 4, a width the sgemm
+    # runs faster on than on the odd counts a bank has; they are cut off again.
+    rows = np.zeros((-(-P // 4) * 4, kd), dtype=np.float32)
+    rows[:P] = cells.reshape(P, kd)
+    counts = X.astype(np.float32).reshape(-1, kd) @ rows.T
+    return (counts[:, :P] >= cells.reshape(P, kd).sum(axis=1) - 0.5).reshape(B, C, P)
 
 
 def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:

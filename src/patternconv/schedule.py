@@ -69,14 +69,21 @@ class ConstraintSchedule:
         tg = dict(DEFAULT_TARGETS)
         if targets:
             tg.update(targets)
-        end = DEFAULT_RAMP_END_FRACTION * epochs_per_era
-        ramps = {}
-        for name, frac in DEFAULT_STAGGER.items():
-            start = int(round(frac * epochs_per_era))
-            span = max(end - start, 1.0)
-            ramps[name] = RampSpec(start_epoch=start, growth_rate=tg[name] / span,
-                                   target=tg[name])
+        ramps = {name: RampSpec(start_epoch=start, growth_rate=tg[name] / span,
+                                target=tg[name])
+                 for name, (start, span) in ramp_windows(epochs_per_era).items()}
         return cls(eras=eras, epochs_per_era=epochs_per_era, **ramps)
+
+
+def ramp_windows(epochs_per_era: int) -> dict[str, tuple[int, float]]:
+    """(start epoch, epochs to reach the target) of each default ramp in an
+    era of this length."""
+    end = DEFAULT_RAMP_END_FRACTION * epochs_per_era
+    windows = {}
+    for name, frac in DEFAULT_STAGGER.items():
+        start = int(round(frac * epochs_per_era))
+        windows[name] = (start, max(end - start, 1.0))
+    return windows
 
 
 def weights_at(schedule: ConstraintSchedule, epoch_in_era: int, era: int):

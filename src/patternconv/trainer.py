@@ -55,7 +55,9 @@ class WindowedSet:
 
     @classmethod
     def build(cls, dataset: Dataset, k: int, padding: int) -> "WindowedSet":
-        X = kernels.clip_windows(dataset.steps_array(), k, padding)
+        # a contiguous copy of the windows view: each step's batch gather from
+        # it takes about half the time
+        X = np.ascontiguousarray(kernels.clip_windows(dataset.steps_array(), k, padding))
         return cls(X=X, labels=dataset.labels(), vocabulary=dataset.vocabulary)
 
     def __len__(self) -> int:

@@ -61,3 +61,28 @@ def random_legal_pattern(vocab: FeatureVocabulary, k: int, rng: np.random.Genera
                     cells[n, j] = 1
         if cells.sum() > 0:
             return Pattern(cells=cells, pattern_id=f"rand-{rng.integers(1 << 30)}")
+
+
+def padded_clips(X: np.ndarray, padding: int) -> np.ndarray:
+    """Clips (B, L, d) with `padding` zero steps at either end."""
+    B, L, d = X.shape
+    Xp = np.zeros((B, L + 2 * padding, d), dtype=X.dtype)
+    Xp[:, padding:padding + L] = X
+    return Xp
+
+
+def brute_first_window(cells: np.ndarray, X: np.ndarray, padding: int) -> np.ndarray:
+    """(P, B) first window of the padded clips X (B, L, d) that holds every
+    1-cell of each pattern (P, k, d), -1 when none: a scan of each window."""
+    P, k, d = cells.shape
+    Xp = padded_clips(X, padding)
+    C = Xp.shape[1] - k + 1
+    out = np.full((P, len(X)), -1, dtype=np.int64)
+    for p in range(P):
+        req = list(zip(*np.nonzero(cells[p])))
+        for b in range(len(X)):
+            for c in range(C):
+                if all(Xp[b, c + n, j] for n, j in req):
+                    out[p, b] = c
+                    break
+    return out

@@ -131,6 +131,8 @@ OUT_OF_RANGE = {
     "kernel_longer_than_padded_clip": ({"model": {"k": 7, "padding": 0}}, "synth", "model.k"),
     "zero_ramp_target": ({"train": {"targets": {"bin": 0}}}, "train", "train.targets.bin"),
     "zero_alpha_target": ({"train": {"targets": {"alpha": 0}}}, "train", "train.targets.alpha"),
+    "underflowing_ramp_target": ({"train": {"targets": {"bin": 5e-324}}}, "train",
+                                 "train.targets.bin"),
 }
 
 
@@ -147,6 +149,19 @@ def test_config_values_out_of_range_exit_1(tmp_path, capsys, vocab, case):
     assert f"config key '{key}' must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_kernel_is_checked_against_the_clips_train_loads(tmp_path, capsys, vocab):
+    """data.clip_length steers synth alone: train fits a 7-step kernel to the
+    10-step clips it loads, and clips shorter than the kernel exit 2."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": {"M": 4, "k": 7, "padding": 0},
+                                "train": {"eras": 1, "epochs_per_era": 2}}))
+    argv = ["--config", str(path), "--out", str(tmp_path / "o"), "train"]
+    assert _run(argv + [_write_clips(tmp_path / "long.jsonl", vocab, 40, 10)]) == 0
+    assert _run(argv + [_write_clips(tmp_path / "short.jsonl", vocab, 40, 5)]) == 2
+    err = capsys.readouterr().err
+    assert "clip too short for the kernel" in err and "Traceback" not in err
 
 
 # each case is a config whose arrays are far past any address space, so numpy

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_legal_clip_batch, random_legal_pattern
+from conftest import brute_first_window, random_legal_clip_batch, random_legal_pattern
 from patternconv import corpus, curator, trainer
 from patternconv.corpus import Clip, Dataset
 from patternconv.curator import (Pattern, PatternBank, bank_predict_batch,
@@ -106,6 +106,8 @@ def test_bank_predict_empty(vocab):
     X = np.zeros((1, 5, vocab.d), dtype=np.uint8)
     assert match_matrix(bank.patterns, X).shape == (0, 1)
     assert bank_predict_batch(bank, _dataset_of(vocab, X)).tolist() == [False]
+    # an empty bank windows nothing, so clips shorter than any kernel pass too
+    assert bank_predict_batch(bank, _dataset_of(vocab, X[:, :1])).tolist() == [False]
 
 
 def test_bank_predict_single(vocab):
@@ -126,6 +128,23 @@ def test_bank_predict_brute_force_oracle(vocab):
     for i, x in enumerate(X):
         expect = any(discrete_match(p, x, padding=1)[0] for p in pats)
         assert got[i] == expect
+
+
+@pytest.mark.parametrize("n_patterns", [1, 3, 4, 7, 8])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_bank_predict_against_brute_force(vocab, n_patterns, padding):
+    """Banks on both sides of the multiple of 4 the pattern matrix is padded
+    to predict a clip exactly when a window scan finds some pattern in it."""
+    rng = np.random.default_rng(20 + n_patterns + padding)
+    pats = [random_legal_pattern(vocab, 3, rng) for _ in range(n_patterns)]
+    X = random_legal_clip_batch(vocab, 80, 5, rng)
+    X[:20, 1:4] = pats[-1].cells  # plant the last pattern in a quarter of the clips
+    bank = PatternBank(patterns=tuple(pats), vocabulary=vocab, padding=padding)
+    got = bank_predict_batch(bank, _dataset_of(vocab, X))
+    want = (brute_first_window(np.stack([p.cells for p in pats]), X, padding) >= 0).any(axis=0)
+    assert got.dtype == bool and (got == want).all() and got[:20].all()
+    none = Dataset(vocabulary=vocab, steps=X[:0], labels=[])  # an empty split
+    assert bank_predict_batch(bank, none).shape == (0,)
 
 
 def test_bank_predict_monotone(vocab):

@@ -115,6 +115,16 @@ def test_auc_equals_the_pairwise_definition():
         assert auc(scores, labels) == float((greater + 0.5 * equal) / (pos.size * neg.size))
 
 
+def test_auc_of_bool_scores_equals_their_float_auc():
+    """A bank's bool scores are counted in their own dtype, with the same
+    result as the same scores as float64: with ties, and all scores equal."""
+    rng = np.random.default_rng(1)
+    labels = rng.random(200) < 0.3
+    for scores in (rng.random(200) < 0.4, np.zeros(200, bool), np.ones(200, bool)):
+        assert auc(scores, labels) == auc(scores.astype(np.float64), labels)
+    assert auc(np.ones(200, bool), labels) == 0.5
+
+
 # -------------------------------------------------- derived metrics / report
 
 def test_accuracy_precision_recall():

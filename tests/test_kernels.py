@@ -7,31 +7,23 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_legal_clip_batch, random_legal_pattern
+from conftest import (brute_first_window, padded_clips, random_legal_clip_batch,
+                      random_legal_pattern)
 from patternconv import kernels
 from patternconv.errors import DataError
 
 
-def _padded(X, padding):
-    """Clips (B, L, d) with `padding` zero steps at either end."""
-    B, L, d = X.shape
-    Xp = np.zeros((B, L + 2 * padding, d), dtype=X.dtype)
-    Xp[:, padding:padding + L] = X
-    return Xp
-
-
-def _brute_first_window(cells, X, padding):
+def _brute_hits(cells, X, padding):
+    """(B, C, P) whether each padded window holds every 1-cell of each pattern."""
     P, k, d = cells.shape
-    Xp = _padded(X, padding)
+    Xp = padded_clips(X, padding)
     C = Xp.shape[1] - k + 1
-    out = np.full((P, len(X)), -1, dtype=np.int64)
+    out = np.zeros((len(X), C, P), dtype=bool)
     for p in range(P):
         req = list(zip(*np.nonzero(cells[p])))
         for b in range(len(X)):
             for c in range(C):
-                if all(Xp[b, c + n, j] for n, j in req):
-                    out[p, b] = c
-                    break
+                out[b, c, p] = all(Xp[b, c + n, j] for n, j in req)
     return out
 
 
@@ -44,7 +36,8 @@ def test_clip_windows_against_slices(k, padding, B):
     Xw = kernels.clip_windows(X, k, padding)
     C = 5 + 2 * padding - k + 1
     assert Xw.shape == (B, C, k * 3) and Xw.dtype == np.uint8
-    Xp = _padded(X, padding)
+    assert not Xw.flags.writeable  # a view: its windows share values
+    Xp = padded_clips(X, padding)
     for c in range(C):
         assert (Xw[:, c] == Xp[:, c:c + k].reshape(B, -1)).all()
 
@@ -78,12 +71,18 @@ def test_match_first_window_against_brute_force(vocab, k, padding):
     Xw = kernels.clip_windows(X, k, padding)
     got = kernels.match_first_window(cells, Xw)
     assert got.dtype == np.int64 and got.shape == (len(cells), len(X))
-    assert (got == _brute_first_window(cells, X, padding)).all()
+    assert (got == brute_first_window(cells, X, padding)).all()
     assert (got[-3] == 0).all()  # the all-zero pattern matches the first window
     one = kernels.match_first_window(cells, Xw[:1])
     assert (one == got[:, :1]).all()
     # the conv's float64 windows match the same way
     assert (kernels.match_first_window(cells, Xw.astype(np.float64)) == got).all()
+    # counts on both sides of each multiple of 4, the width the pattern
+    # matrix is padded to
+    hits = _brute_hits(cells, X, padding)
+    for n in (1, 3, 4, 5, 7, 8, 17):
+        assert (kernels.match_first_window(cells[-n:], Xw) == got[-n:]).all()
+        assert (kernels.match_hits(cells[-n:], Xw) == hits[:, :, -n:]).all()
 
 
 def test_match_empty_inputs():
@@ -106,7 +105,7 @@ def test_match_rejects_a_pattern_of_another_width():
 def test_conv_forward_matches_direct_sum(vocab):
     rng = np.random.default_rng(7)
     X = random_legal_clip_batch(vocab, 6, 5, rng)
-    Xp = _padded(X, 1)
+    Xp = padded_clips(X, 1)
     Xw = kernels.clip_windows(X, 3, 1).astype(np.float64)
     W = rng.random((4, 3, vocab.d))
     h = kernels.conv_forward_batch(W, Xw)
@@ -135,6 +134,9 @@ def test_bench_kernels_script_runs(capsys):
     for name in ("match_first_window", "clip_windows"):
         rows = [line.split() for line in out.splitlines() if line.startswith(name)]
         assert [row[1] for row in rows] == ["8", "1"]  # the batch and a single clip
+    rows = [line.split() for line in out.splitlines() if line.startswith("bank_predict_batch")]
+    assert [(row[1], row[3]) for row in rows] == [("8", "7"), ("8", "8"), ("8", "131"),
+                                                  ("8", "132")]
     rows = [line.split() for line in out.splitlines() if line.startswith("auc")]
     assert [row[1] for row in rows] == ["8", "100000"]
     rows = [line.split() for line in out.splitlines() if line.startswith("load_dataset")]

@@ -4,7 +4,7 @@ annealing schedules, era protocol structure, and reproducibility."""
 import numpy as np
 import pytest
 
-from patternconv import corpus, netcore, trainer
+from patternconv import corpus, kernels, netcore, trainer
 from patternconv.curator import Pattern
 from patternconv.errors import DataError, NumericalError
 from patternconv.objective import LossWeights
@@ -25,6 +25,15 @@ def _dataset(vocab, planted, n=120, seed=0):
 
 
 # --------------------------------------------------------------- train_epoch
+
+def test_windowed_set_holds_a_contiguous_copy_of_the_windows(vocab, planted):
+    """Training gathers each batch from WindowedSet.X; the kernels' windows
+    are a read-only strided view, so the set keeps a C-contiguous copy."""
+    ds = _dataset(vocab, planted)
+    windows = WindowedSet.build(ds, 3, 1)
+    assert windows.X.flags.c_contiguous
+    assert (windows.X == kernels.clip_windows(ds.steps_array(), 3, 1)).all()
+
 
 def test_zero_learning_rate_leaves_params(vocab, planted):
     ds = _dataset(vocab, planted)

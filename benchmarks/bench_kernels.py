@@ -10,13 +10,17 @@ Run with defaults (benchmark-sized shapes) or adjust via flags:
 `clip_windows` pads the clips once and views them as the windows that both
 the convolution and matching read. The convolution is one matrix multiply
 each way, and matching is a float32 window product with the patterns,
-thresholded at each pattern's cell count. Window building and matching are
-timed on the whole batch and on a single clip, the shape of `explain` and of
-synth's rejection sampling. `bank_predict_batch`, the bank scoring of
-`eval`, is timed over the batch for banks of 7, 8, 131 and 132 sparse random
-patterns. The curation pools default to 300 and 1,359 unique patterns; 1,359
-is the unique count of the source paper's funnel. `evalmetrics.auc` is timed
-on tie-heavy scores of the batch and of 100,000 clips, the clip count of a
+thresholded at each pattern's cell count, one block of window rows at a
+time. Window building and matching are timed on the whole batch and on a
+single clip, the shape of `explain` and of synth's rejection sampling.
+`bank_predict_batch`, the bank scoring of `eval`, is timed over the batch
+for banks of 7, 8, 131 and 132 sparse random patterns, each row with the
+tracemalloc peak of one call: matching runs in blocks of about 4,096 window
+rows, so the peak is the one zero-padded uint8 copy of the clips that their
+windows view, (L + 2·padding)·d bytes a clip, plus a few MB for a block. The
+curation pools default to 300 and 1,359 unique patterns; 1,359 is the
+unique count of the source paper's funnel. `evalmetrics.auc` is timed on
+tie-heavy scores of the batch and of 100,000 clips, the clip count of a
 paper-scale run. `corpus.load_dataset` is timed on a file of the batch's
 clip count (legal unplanted synth clips) in the canonical form that
 `write_dataset` writes, and on the same clips with spaces after the
@@ -32,6 +36,7 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 if __name__ == "__main__":
@@ -179,7 +184,14 @@ def main(argv=None):
             curator.Pattern(cells=c, pattern_id=f"p{i}") for i, c in enumerate(bank_cells[:n])),
             vocabulary=vocab)
         t = _time(curator.bank_predict_batch, bank, ds, repeats=args.repeats)
-        print(f"{'bank_predict_batch':<20} {B:>9} {t * 1e3:>10.3f}ms  {n} patterns")
+        tracemalloc.start()  # after the timing, which it would slow
+        try:
+            curator.bank_predict_batch(bank, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"{'bank_predict_batch':<20} {B:>9} {t * 1e3:>10.3f}ms  {n} patterns"
+              f"  {peak / 1e6:.2f}MB peak")
     for n in (B, 100_000):
         scores = rng.integers(0, 1000, n) / 1000
         labels = rng.random(n) < 0.2

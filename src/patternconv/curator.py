@@ -151,8 +151,7 @@ def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
     if not bank.patterns:
         return np.zeros(len(X), dtype=bool)
     cells = np.stack([p.cells for p in bank.patterns])
-    hits = kernels.match_hits(cells, kernels.clip_windows(X, cells.shape[1], bank.padding))
-    return hits.any(axis=(1, 2))
+    return kernels.match_any(cells, kernels.clip_windows(X, cells.shape[1], bank.padding))
 
 
 def dedup(patterns) -> list[Pattern]:

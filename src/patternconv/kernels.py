@@ -3,11 +3,16 @@
 `clip_windows` is the one window builder (im2col): a read-only strided view
 of one zero-padded copy of the clips, in which window c is the run of k·d
 values that starts at padded step c. The convolution's forward and backward
-passes and discrete matching all read these windows, each as a single 2-D
-matrix multiply. A binary pattern matches a window when the window holds all
-of its 1-cells, that is, when the window-times-pattern count reaches the
-pattern's cell count; the float32 pattern matrix of that product is padded
-with zero rows to a multiple of 4 patterns.
+passes and discrete matching all read these windows, each as a 2-D matrix
+multiply. A binary pattern matches a window when the window holds all of its
+1-cells, that is, when the window-times-pattern count reaches the pattern's
+cell count; the float32 pattern matrix of that product is padded with zero
+rows to a multiple of 4 patterns. `match_first_window` and `match_any`
+match block by block, about MATCH_BLOCK_ROWS window rows at a time: each
+block's windows are converted, multiplied and thresholded, and reduced into
+the caller's result before the next, so no temporary grows with clips x
+windows x patterns and a block's operands stay near cache size.
+`match_hits` returns every hit of a few clips in one pass.
 """
 
 from __future__ import annotations
@@ -52,29 +57,78 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return (dh.reshape(-1, M).T @ X.reshape(-1, kd)).reshape(M, k, kd // k)
 
 
+# Window rows per block of matching: a block's float32 windows and counts stay
+# near cache size (at 132 patterns, about 2.2 MB of counts), and no temporary
+# grows with the number of clips. Counted in rows, not clips, so that long
+# clips do not grow the block. Blocks of 512 to 2,048 clips at C = 5 timed
+# alike; blocks of 128 clips were slower, and so was one pass over 10,000.
+MATCH_BLOCK_ROWS = 4096
+
+
+def _pattern_matrix(cells: np.ndarray, kd: int):
+    """The patterns (P, k, d) as float32 rows (P', k·d) for windows of kd
+    cells, and each row's hit threshold (P',). P' is P rounded up to a
+    multiple of 4, a width the sgemm runs faster on than on the odd counts a
+    bank has; the zero padding rows never hit."""
+    cells = np.asarray(cells, dtype=np.uint8)
+    P, k, d = cells.shape
+    if kd != k * d:
+        raise DataError(f"a {k}x{d} pattern does not fit windows of {kd} cells")
+    rows = np.zeros((-(-P // 4) * 4, kd), dtype=np.float32)
+    rows[:P] = cells.reshape(P, kd)
+    # The float32 counts are exact integers (none exceeds k·d < 2**24), so a
+    # window holds a pattern when its count reaches the pattern's cell count.
+    # A padding row counts 0 against a threshold of 1.
+    need = rows.sum(axis=1)
+    need[P:] = 1.0
+    return rows, need
+
+
+def _hits(windows: np.ndarray, rows: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """(b, C, P') whether each of the clip windows (b, C, k·d) holds each row
+    of a `_pattern_matrix`: one GEMM, thresholded at once."""
+    b, C, kd = windows.shape
+    counts = windows.astype(np.float32).reshape(-1, kd) @ rows.T
+    return (counts >= need).reshape(b, C, len(rows))
+
+
+def _match_blocks(cells: np.ndarray, X: np.ndarray):
+    """Each block of about MATCH_BLOCK_ROWS rows of the clip windows X
+    (B, C, k·d) from `clip_windows`, as its clip slice and its `_hits`
+    (b, C, P')."""
+    B, C, kd = X.shape
+    rows, need = _pattern_matrix(cells, kd)
+    size = max(1, MATCH_BLOCK_ROWS // max(C, 1))
+    for lo in range(0, B, size):
+        part = slice(lo, lo + size)
+        yield part, _hits(X[part], rows, need)
+
+
 def match_hits(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(B, C, P) whether each of the patterns (P, k, d) matches each of the
     binary clip windows X (B, C, k·d) from `clip_windows`: every 1-cell is 1
-    in the window; 0-cells are unconstrained."""
-    cells = np.asarray(cells, dtype=np.uint8)
-    (P, k, d), (B, C, kd) = cells.shape, X.shape
-    if k * d != kd:
-        raise DataError(f"a {k}x{d} pattern does not fit windows of {kd} cells")
-    # float32 counts are exact: each is an integer no larger than k·d < 2**24.
-    # Zero rows pad the pattern matrix to a multiple of 4, a width the sgemm
-    # runs faster on than on the odd counts a bank has; they are cut off again.
-    rows = np.zeros((-(-P // 4) * 4, kd), dtype=np.float32)
-    rows[:P] = cells.reshape(P, kd)
-    counts = X.astype(np.float32).reshape(-1, kd) @ rows.T
-    return (counts[:, :P] >= cells.reshape(P, kd).sum(axis=1) - 0.5).reshape(B, C, P)
+    in the window; 0-cells are unconstrained. One pass, for the few clips of
+    synth's candidate test; larger inputs go through `match_first_window` or
+    `match_any`, which match block by block."""
+    return _hits(X, *_pattern_matrix(cells, X.shape[2]))[:, :, :len(cells)]
 
 
 def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """First matching window index per (pattern, clip), -1 when none: (P, B),
     for the patterns (P, k, d) and clip windows X (B, C, k·d) of `match_hits`."""
-    hit = match_hits(cells, X)
-    B, C, P = hit.shape
-    first = np.full((B, P), -1, dtype=np.int64)
-    for c in range(C - 1, -1, -1):  # an earlier hit overwrites a later one
-        np.copyto(first, c, where=hit[:, c])
+    P = len(cells)
+    first = np.full((len(X), P), -1, dtype=np.int64)
+    for part, hit in _match_blocks(cells, X):
+        block, hit = first[part], hit[:, :, :P]
+        for c in range(hit.shape[1] - 1, -1, -1):  # an earlier hit overwrites a later one
+            np.copyto(block, c, where=hit[:, c])
     return np.ascontiguousarray(first.T)
+
+
+def match_any(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(B,) whether any of the patterns (P, k, d) matches some window of each
+    clip, for the clip windows X (B, C, k·d) of `match_hits`."""
+    out = np.empty(len(X), dtype=bool)
+    for part, hit in _match_blocks(cells, X):
+        out[part] = hit.any(axis=(1, 2))
+    return out

@@ -207,6 +207,23 @@ def test_evaluate_model_memory_is_bounded_by_the_chunk(vocab):
     assert peak < 16e6
 
 
+def test_evaluate_bank_memory_is_bounded_by_the_block(vocab):
+    """Matching a 132-pattern bank against all 20,000 clips' windows at once
+    would hold tens of MB of float32 windows and counts; evaluate matches
+    one block of windows at a time."""
+    _, ds = _model_and_clips(vocab, 20_000)
+    rng = np.random.default_rng(4)
+    bank = PatternBank(patterns=tuple(random_legal_pattern(vocab, 3, rng) for _ in range(132)),
+                       vocabulary=vocab)
+    tracemalloc.start()
+    try:
+        evaluate(bank, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_render_table_handles_none():
     rep = report(np.array([0.0, 0.0]), np.array([False, False]))
     text = render_table({"train": rep})

@@ -10,6 +10,8 @@ import pytest
 from conftest import (brute_first_window, padded_clips, random_legal_clip_batch,
                       random_legal_pattern)
 from patternconv import kernels
+from patternconv.corpus import Dataset
+from patternconv.curator import PatternBank, bank_predict_batch
 from patternconv.errors import DataError
 
 
@@ -85,6 +87,39 @@ def test_match_first_window_against_brute_force(vocab, k, padding):
         assert (kernels.match_hits(cells[-n:], Xw) == hits[:, :, -n:]).all()
 
 
+@pytest.mark.parametrize("n_patterns", [1, 4, 5])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
+    """With blocks of a few clips' worth of window rows, every clip count on
+    either side of a block seam matches as the window scan does."""
+    block = 3  # clips per block
+    monkeypatch.setattr(kernels, "MATCH_BLOCK_ROWS", block * (5 + 2 * padding - 3 + 1))
+    rng = np.random.default_rng(40 + 2 * n_patterns + padding)
+    pats = [random_legal_pattern(vocab, 3, rng) for _ in range(n_patterns)]
+    cells = np.stack([p.cells for p in pats])
+    X = random_legal_clip_batch(vocab, 2 * block + 1, 5, rng)
+    X[1::2, 1:4] = cells[-1]  # the last pattern in every other clip
+    bank = PatternBank(patterns=tuple(pats), vocabulary=vocab, padding=padding)
+    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        Xn = X[:n]
+        Xw = kernels.clip_windows(Xn, 3, padding)
+        want = brute_first_window(cells, Xn, padding)
+        assert (kernels.match_first_window(cells, Xw) == want).all()
+        assert (kernels.match_hits(cells, Xw) == _brute_hits(cells, Xn, padding)).all()
+        got = bank_predict_batch(bank, Dataset(vocabulary=vocab, steps=Xn, labels=np.zeros(n)))
+        assert (got == (want >= 0).any(axis=0)).all() and got[1::2].all()
+    empty_bank = PatternBank(patterns=(), vocabulary=vocab, padding=padding)
+    ds = Dataset(vocabulary=vocab, steps=X, labels=np.zeros(len(X)))
+    assert not bank_predict_batch(empty_bank, ds).any()
+    assert kernels.match_first_window(cells[:0], kernels.clip_windows(X, 3, padding)).shape == (
+        0, len(X))
+    none = Dataset(vocabulary=vocab, steps=X[:0], labels=[])  # a split of 0 clips
+    assert bank_predict_batch(bank, none).shape == (0,)
+    Xw = kernels.clip_windows(X[:0], 3, padding)
+    assert kernels.match_first_window(cells, Xw).shape == (n_patterns, 0)
+    assert kernels.match_hits(cells, Xw).shape == (0, Xw.shape[1], n_patterns)
+
+
 def test_match_empty_inputs():
     out = kernels.match_first_window(np.zeros((0, 3, 5), np.uint8),
                                      np.zeros((4, 5, 15), np.uint8))
@@ -137,6 +172,8 @@ def test_bench_kernels_script_runs(capsys):
     rows = [line.split() for line in out.splitlines() if line.startswith("bank_predict_batch")]
     assert [(row[1], row[3]) for row in rows] == [("8", "7"), ("8", "8"), ("8", "131"),
                                                   ("8", "132")]
+    assert all(row[5].endswith("MB") and float(row[5][:-2]) > 0 and row[6] == "peak"
+               for row in rows)  # the tracemalloc peak of one call
     rows = [line.split() for line in out.splitlines() if line.startswith("auc")]
     assert [row[1] for row in rows] == ["8", "100000"]
     rows = [line.split() for line in out.splitlines() if line.startswith("load_dataset")]

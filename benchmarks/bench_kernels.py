@@ -19,16 +19,20 @@ tracemalloc peak of one call: matching runs in blocks of about 4,096 window
 rows, so the peak is the one zero-padded uint8 copy of the clips that their
 windows view, (L + 2·padding)·d bytes a clip, plus a few MB for a block. The
 curation pools default to 300 and 1,359 unique patterns; 1,359 is the
-unique count of the source paper's funnel. `evalmetrics.auc` is timed on
-tie-heavy scores of the batch and of 100,000 clips, the clip count of a
-paper-scale run. `corpus.load_dataset` is timed on a file of the batch's
-clip count (legal unplanted synth clips) in the canonical form that
-`write_dataset` writes, and on the same clips with spaces after the
-separators, which the loader parses line by line as JSON. One training step
-(forward with dropout, backward, the regularizer gradient, then the SGD step
-and clamp) is timed at the training batch size of 64 clips, or the batch if
-smaller, with alpha 1 as after the first era, and `regularizer_grad` alone
-with every loss weight 0 and with every weight at its schedule target.
+unique count of the source paper's funnel. `harvest+dedup` harvests 19
+shuffled, jittered raw filters per pool pattern (a quarter pushed
+off-binary, precisions uniform on [0, 1]; 25,821 filters at 1,359, about
+the 25,981 the paper harvests) and deduplicates what it keeps.
+`evalmetrics.auc` is timed on tie-heavy scores of the batch and of 100,000
+clips, the clip count of a paper-scale run. `corpus.load_dataset` is timed
+on a file of the batch's clip count (legal unplanted synth clips) in the
+canonical form that `write_dataset` writes, and on the same clips with
+spaces after the separators, which the loader parses line by line as JSON.
+One training step (forward with dropout, backward, the regularizer
+gradient, then the SGD step and clamp) is timed at the training batch size
+of 64 clips, or the batch if smaller, with alpha 1 as after the first era,
+and `regularizer_grad` alone with every loss weight 0 and with every weight
+at its schedule target.
 """
 
 import argparse
@@ -57,6 +61,9 @@ from patternconv.schedule import DEFAULT_TARGETS
 # banks on either side of a multiple of 4 patterns, the width the match
 # GEMM's pattern matrix is padded to; 132 is the source paper's selected bank
 BANK_SIZES = (7, 8, 131, 132)
+# raw filters per unique pattern in the harvest+dedup pool: the source
+# paper's funnel harvests 25,981 filters of 1,359 unique patterns
+RAW_PER_UNIQUE = 19
 
 
 def _time(fn, *args, repeats=10):
@@ -140,6 +147,17 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         t = _time(trainer.harvest_filters, W, prec, 0, vocab, 0.3, repeats=repeats)
         got = len(trainer.harvest_filters(W, prec, 0, vocab, 0.3))
         print(f"{'harvest_filters':<20} {len(W):>9} {t * 1e3:>10.2f}ms {got:>7}")
+        # in shuffled order, so most harvested filters repeat an earlier one
+        W = np.repeat(cells, RAW_PER_UNIQUE, axis=0)[rng.permutation(n * RAW_PER_UNIQUE)]
+        W = np.abs(W - rng.random(W.shape) * 0.04)
+        W[rng.random(len(W)) < 0.25, 0, 0] = 0.5
+        prec = rng.random(len(W))
+
+        def harvest_dedup():
+            return curator.dedup(trainer.harvest_filters(W, prec, 0, vocab, 0.3))
+
+        t = _time(harvest_dedup, repeats=repeats)
+        print(f"{'harvest+dedup':<20} {len(W):>9} {t * 1e3:>10.2f}ms {len(harvest_dedup()):>7}")
 
 
 def main(argv=None):

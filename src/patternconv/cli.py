@@ -253,8 +253,9 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     files = sorted(f for f in os.listdir(snapshots_dir) if f.endswith(".json"))
     if not files:
         raise DataError(f"no snapshot files in {snapshots_dir}")
-    harvested = []
+    harvests = []
     shape = None  # (k, padding) of the first snapshot, which every other must share
+    era_file = {}  # each era's snapshot file: two files of one era give one pattern id twice
     for fname in files:
         path = os.path.join(snapshots_dir, fname)
         snap = _parse(netcore.filters_from_json, path)
@@ -267,10 +268,14 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
             if got != want:
                 raise DataError(f"snapshots disagree on {name}: {first} has {want}, "
                                 f"{path} has {got}")
-        harvested.extend(trainer.harvest_filters(snap.W, snap.per_filter_precision, snap.era,
-                                                 vocab, tcfg["harvest_precision_threshold"]))
+        if snap.era in era_file:
+            raise DataError(f"snapshots share era {snap.era}: {era_file[snap.era]} and {path}")
+        era_file[snap.era] = path
+        harvests.append(trainer.harvest_filters(snap.W, snap.per_filter_precision, snap.era,
+                                                vocab, tcfg["harvest_precision_threshold"]))
     padding = shape[1]  # the padding the snapshots' model was trained with
 
+    harvested = curator.Harvest.concat(harvests)
     unique = curator.dedup(harvested)
     pruned = curator.prune_subsumed(unique, clip_length=train_set.steps_array().shape[1],
                                     padding=padding)

@@ -4,6 +4,7 @@ subsumption pruning, and cumulative-kappa bank selection."""
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from . import kernels
 from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, is_binary, step_rules
 from .errors import (BOOL, INTEGER, LIST, OBJECT, STRING, DataError, check_version, field_error,
                      fields, json_object, list_of, nullable, padding_field, within)
-from .evalmetrics import confusion, kappa
+from .evalmetrics import Confusion, kappa
 
 BANK_FORMAT_VERSION = 1
 BINARIZE_TOLERANCE = 0.05  # a filter binarizes when every weight is this close to 0 or 1
@@ -40,9 +41,6 @@ class Pattern:
     def n_positive(self) -> int:
         return int(self.cells.sum())
 
-    def key(self) -> bytes:
-        return self.cells.tobytes()
-
     def to_record(self) -> dict:
         return {
             "pattern_id": self.pattern_id,
@@ -51,6 +49,37 @@ class Pattern:
             "source_era": self.source_era,
             "low_support": self.low_support,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class Harvest(Sequence):
+    """Harvested filters held as arrays, one row per filter: row i is the
+    Pattern `e<era>f<filter>` with its cells, training precision and source
+    era, built only when the row is indexed or iterated. Every array is
+    read-only."""
+
+    cells: np.ndarray         # (n, k, d) uint8
+    era: np.ndarray           # (n,) int
+    filter_index: np.ndarray  # (n,) int, the filter's row in its snapshot's W
+    precision: np.ndarray     # (n,) float64
+
+    def __post_init__(self):
+        for column in (self.cells, self.era, self.filter_index, self.precision):
+            column.setflags(write=False)
+
+    @classmethod
+    def concat(cls, parts) -> "Harvest":
+        """The rows of one or more harvests, in order."""
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in ("cells", "era", "filter_index", "precision")))
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, i) -> Pattern:
+        era, m = int(self.era[i]), int(self.filter_index[i])
+        return Pattern(cells=self.cells[i], pattern_id=f"e{era:03d}f{m:04d}",
+                       precision_train=float(self.precision[i]), source_era=era)
 
 
 @dataclass(frozen=True)
@@ -155,15 +184,20 @@ def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
 
 
 def dedup(patterns) -> list[Pattern]:
-    """Keep the first occurrence of each distinct cell matrix, stable order."""
-    seen = set()
-    out = []
-    for p in patterns:
-        key = p.key()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+    """Keep the first occurrence of each distinct cell matrix, stable order.
+    A Harvest is read as its cells array and only its unique rows become
+    Patterns; other patterns (of one shape) are stacked and kept as given."""
+    if not isinstance(patterns, Harvest):
+        patterns = list(patterns)
+    if not patterns:
+        return []
+    cells = (patterns.cells if isinstance(patterns, Harvest)
+             else np.stack([p.cells for p in patterns]))
+    # one byte string per pattern, its cells packed to bits, as a sortable key
+    rows = np.ascontiguousarray(np.packbits(cells.reshape(len(cells), -1), axis=1))
+    keys = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+    _, first = np.unique(keys, return_index=True)  # a stable sort: first occurrences
+    return [patterns[i] for i in np.sort(first)]
 
 
 _SUBSET_CHUNK = 1 << 18  # pairs per block of the all-pairs subset test
@@ -303,11 +337,19 @@ def cumulative_kappa_curve(patterns, ranking_set: Dataset, eval_set: Dataset,
     """
     ranked = rank_by_precision(patterns, ranking_set, padding)
     labels = eval_set.labels()
+    P = len(ranked)
+    # the n-pattern prefix flags a clip when the clip's first matching pattern
+    # ranks below n; a last row of ones gives the rank P to a clip none matches
+    hits = np.vstack([match_matrix(ranked, eval_set, padding) >= 0,
+                      np.ones(len(labels), dtype=bool)])
+    first = hits.argmax(axis=0)
+    tp = np.bincount(first[labels], minlength=P + 1)[:P].cumsum()
+    fp = np.bincount(first[~labels], minlength=P + 1)[:P].cumsum()
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
     curve = []
-    any_hit = np.zeros(len(eval_set), dtype=bool)
-    for n, row in enumerate(match_matrix(ranked, eval_set, padding) >= 0, start=1):
-        any_hit |= row
-        kap = kappa(confusion(any_hit.astype(float), labels))
+    for n, (t, f) in enumerate(zip(tp.tolist(), fp.tolist()), start=1):
+        kap = kappa(Confusion(tp=t, fp=f, tn=n_neg - f, fn=n_pos - t))
         curve.append((n, kap if kap is not None else 0.0))
     return ranked, curve
 

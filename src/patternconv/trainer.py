@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels, netcore, objective
 from .corpus import Dataset, FeatureVocabulary
-from .curator import Pattern, binarize_filters, match_precision
+from .curator import Harvest, Pattern, binarize_filters, match_precision
 from .errors import DataError, NumericalError
 from .evalmetrics import confusion, kappa
 from .netcore import EraSnapshot, ModelState, backward_batch, forward_batch
@@ -153,15 +153,18 @@ def eval_filter_precision(W: np.ndarray, windowed: WindowedSet) -> np.ndarray:
 
 
 def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
-                    vocab: FeatureVocabulary, threshold: float) -> list[Pattern]:
+                    vocab: FeatureVocabulary, threshold: float) -> Harvest:
     """Binarize filters whose discrete precision clears the threshold; filters
-    failing binarization (non-binary cells or invariant violations) are dropped."""
+    failing binarization (non-binary cells or invariant violations) are
+    dropped. The kept filters come back as a Harvest, whose Patterns are
+    built only when read."""
     precisions = np.asarray(precisions, dtype=np.float64)
     candidates = np.flatnonzero(precisions > threshold)  # NaN never clears it
     cells, code, _ = binarize_filters(np.asarray(W)[candidates], vocab)
-    return [Pattern(cells=cells[i], pattern_id=f"e{era:03d}f{m:04d}",
-                    precision_train=float(precisions[m]), source_era=era)
-            for i, m in enumerate(candidates) if code[i] < 0]
+    legal = code < 0
+    kept = candidates[legal]
+    return Harvest(cells=cells[legal], era=np.full(len(kept), era), filter_index=kept,
+                   precision=precisions[kept])
 
 
 def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,

@@ -898,6 +898,42 @@ def test_curate_rejects_snapshots_of_different_k(tmp_path, capsys, vocab, plante
     assert "Traceback" not in err
 
 
+def test_curate_rejects_two_snapshots_of_one_era(tmp_path, capsys, vocab, planted):
+    """Two files that both record era 0 would give their harvested filters the
+    same pattern ids, so curate exits 2 naming both files and writes no bank."""
+    snaps = tmp_path / "snaps"
+    os.makedirs(snaps)
+    snap = netcore.EraSnapshot(era=0, W=planted[0].cells[None].astype(np.float64),
+                               per_filter_precision=np.array([0.9]))
+    for name in ("era_000.json", "era_001.json"):
+        (snaps / name).write_text(netcore.filters_to_json(snap))
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)
+    code = _run(["--out", str(tmp_path / "o"), "curate", str(snaps), data])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"snapshots share era 0: {snaps / 'era_000.json'} and "
+            f"{snaps / 'era_001.json'}") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "bank.json").exists()
+
+
+def test_curate_of_snapshots_that_harvest_nothing(tmp_path, capsys, vocab):
+    """Filters that match no clip (NaN precision) harvest nothing: curate
+    still exits 0, prints an all-zero funnel and writes an empty bank and an
+    empty kappa curve."""
+    snaps = _snapshot_files(tmp_path / "snaps", vocab, (1, 1))
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)
+    out = tmp_path / "o"
+    assert _run(["--seed", "0", "--out", str(out), "curate", snaps, data]) == 0
+    assert capsys.readouterr().out == \
+        "harvested 0 -> unique 0 -> non-redundant 0 -> selected 0\n"
+    h = cli.config_hash(cli.load_config(None, seed=0))
+    assert json.loads((out / "bank.json").read_text()) == {
+        "format": "patternconv-bank", "version": curator.BANK_FORMAT_VERSION, "padding": 1,
+        "vocabulary": vocab.to_record(), "patterns": [], "config_hash": h}
+    assert (out / "kappa_curve.json").read_text() == json.dumps({"config_hash": h, "curve": []})
+
+
 def test_curate_prunes_by_the_length_of_its_clips(tmp_path, capsys, vocab):
     """Pruning reads the clip length from the clips curate loads, not from
     the synth setting data.clip_length. On 2-step clips [[help], [], [correct]]

@@ -181,6 +181,65 @@ def test_dedup_idempotent(seed):
     assert dedup(once) == once
 
 
+def _era_harvests(vocab, rng, eras):
+    """One harvest per era from `_filter_pool` filters (non-binary, all-zero
+    and illegal ones, NaN precisions), where filter 0 of every era is one
+    shared pattern and filter 1 sits exactly at the 0.3 threshold, and the
+    other legal filters of the first kind copy a few shared patterns."""
+    shared = [random_legal_pattern(vocab, 3, rng).cells for _ in range(4)]
+    parts = []
+    for era in range(eras):
+        W, prec = _filter_pool(vocab, rng, n=40)
+        for m in range(0, len(W), 5):
+            W[m] = np.abs(shared[0 if m == 0 else rng.integers(4)]
+                          - rng.random(W[m].shape) * 0.04)
+        prec[0], prec[1], prec[2] = 0.9, 0.3, np.nan
+        parts.append(trainer.harvest_filters(W, prec, era, vocab, 0.3))
+    return parts
+
+
+def _rows(patterns):
+    return [(p.pattern_id, p.cells.tobytes(), p.precision_train, p.source_era)
+            for p in patterns]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), eras=st.integers(1, 4))
+def test_dedup_of_a_harvest_equals_dedup_of_its_patterns(seed, eras):
+    """dedup reads a Harvest's cells array; on the Patterns it materializes
+    it keeps the same ids, cells, precisions and eras in the same order, the
+    first occurrence of each cell matrix."""
+    vocab = corpus.FeatureVocabulary.default()
+    harvest = curator.Harvest.concat(_era_harvests(vocab, np.random.default_rng(seed), eras))
+    patterns = list(harvest)
+    assert len(patterns) == len(harvest) and patterns[0].pattern_id == "e000f0000"
+    seen, first = set(), []
+    for p in patterns:
+        if p.cells.tobytes() not in seen:
+            seen.add(p.cells.tobytes())
+            first.append(p)
+    assert _rows(dedup(harvest)) == _rows(dedup(patterns)) == _rows(first)
+    if eras > 1:  # filter 0 of every era repeats the first one
+        assert len(first) < len(patterns)
+    assert all(type(p.precision_train) is float and type(p.source_era) is int
+               for p in dedup(harvest))
+
+
+def test_harvest_and_its_patterns_are_read_only(vocab, planted):
+    W = np.stack([p.cells for p in planted]).astype(np.float64)
+    harvest = trainer.harvest_filters(W, np.full(3, 0.9), 2, vocab, 0.3)
+    assert len(harvest) == 3
+    for column in (harvest.cells, harvest.era, harvest.filter_index, harvest.precision):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    for pattern in (harvest[1], next(iter(harvest)), dedup(harvest)[2]):
+        assert not pattern.cells.flags.writeable
+        with pytest.raises(ValueError):
+            pattern.cells[0, 0] = 1
+        with pytest.raises(ValueError):
+            pattern.cells.setflags(write=True)
+
+
 # ------------------------------------------------------------ prune_subsumed
 
 def test_prune_aligned_subset(vocab):
@@ -271,8 +330,8 @@ def test_prune_generality_soundness(vocab):
     rng = np.random.default_rng(9)
     pats = dedup([random_legal_pattern(vocab, 3, rng, p_cell=0.15) for _ in range(30)])
     kept = prune_subsumed(pats)
-    kept_keys = {p.key() for p in kept}
-    removed = [p for p in pats if p.key() not in kept_keys]
+    kept_keys = {p.cells.tobytes() for p in kept}
+    removed = [p for p in pats if p.cells.tobytes() not in kept_keys]
     X = random_legal_clip_batch(vocab, 300, 5, rng)
     for x in X:
         for r in removed:
@@ -463,6 +522,37 @@ def test_cumulative_curve_matches_recomputation(vocab, planted):
         pred = bank_predict_batch(bank, ds)
         expect = kappa(confusion(pred.astype(float), labels))
         assert kap == pytest.approx(expect if expect is not None else 0.0)
+
+
+def _kappa_curve_oracle(ranked, eval_set, padding=1):
+    """The cumulative kappa curve as one confusion per prefix, each from the
+    union of the prefix's match rows."""
+    labels = eval_set.labels()
+    curve = []
+    any_hit = np.zeros(len(eval_set), dtype=bool)
+    for n, row in enumerate(match_matrix(ranked, eval_set, padding) >= 0, start=1):
+        any_hit |= row
+        kap = kappa(confusion(any_hit.astype(float), labels))
+        curve.append((n, kap if kap is not None else 0.0))
+    return curve
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), n_patterns=st.integers(0, 25),
+       labels=st.sampled_from(["random", "negative", "positive"]))
+def test_cumulative_curve_equals_the_prefix_loop(seed, n_patterns, labels):
+    """Confusion counts from each clip's first matching rank give the prefix
+    loop's curve exactly, including the 0.0 of an undefined kappa."""
+    vocab = corpus.FeatureVocabulary.default()
+    rng = np.random.default_rng(seed)
+    X = random_legal_clip_batch(vocab, 60, 5, rng)
+    y = {"random": rng.random(60) < 0.3, "negative": np.zeros(60, bool),
+         "positive": np.ones(60, bool)}[labels]
+    ds = _labeled(vocab, X, y)
+    pats = [random_legal_pattern(vocab, 3, rng, p_cell=0.1) for _ in range(n_patterns)]
+    ranked, curve = cumulative_kappa_curve(pats, ds, ds)
+    assert curve == _kappa_curve_oracle(ranked, ds)
+    assert [n for n, _ in curve] == list(range(1, n_patterns + 1))
 
 
 def test_curve_peaks_at_planted(vocab, planted):

@@ -11,8 +11,9 @@ Run with defaults (benchmark-sized shapes) or adjust via flags:
 the convolution and matching read. The convolution is one matrix multiply
 each way, and matching is a float32 window product with the patterns,
 thresholded at each pattern's cell count, one block of window rows at a
-time. Window building and matching are timed on the whole batch and on a
-single clip, the shape of `explain` and of synth's rejection sampling.
+time. Window building and first-window matching are timed on the whole
+batch and on a single clip, the shape of `explain`; `match_any` is timed on
+a single clip, the shape of synth's candidate test in its rejection sampling.
 `bank_predict_batch`, the bank scoring of `eval`, is timed over the batch
 for banks of 7, 8, 131 and 132 sparse random patterns, each row with the
 tracemalloc peak of one call: matching runs in blocks of about 4,096 window
@@ -190,7 +191,8 @@ def main(argv=None):
                         ("clip_windows", kernels.clip_windows, (X, k, 1)),
                         ("clip_windows", kernels.clip_windows, (X[:1], k, 1)),
                         ("match_first_window", kernels.match_first_window, (cells, Xu)),
-                        ("match_first_window", kernels.match_first_window, (cells, Xu[:1]))]:
+                        ("match_first_window", kernels.match_first_window, (cells, Xu[:1])),
+                        ("match_any", kernels.match_any, (cells, Xu[:1]))]:
         t = _time(fn, *a, repeats=args.repeats)
         clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
         print(f"{name:<20} {clips:>9} {t * 1e3:>10.3f}ms")

@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -180,18 +181,31 @@ def _planted(cfg: dict, vocab: corpus.FeatureVocabulary,
     return list(bank.patterns)
 
 
+def _addressable(*arrays) -> None:
+    """MemoryError, in numpy's words, for the first (shape, dtype) array past the
+    address space, which numpy refuses with a ValueError (np.sqrt, a TypeError)."""
+    for shape, dtype in arrays:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if nbytes > np.iinfo(np.intp).max:
+            raise MemoryError(f"Unable to allocate {nbytes / 2 ** 60:.3g} EiB for an array "
+                              f"with shape {shape} and data type {np.dtype(dtype)}")
+
+
 def cmd_synth(cfg: dict, out: str) -> int:
     # data.clip_length steers synth alone; other commands window the clips they load
-    model = cfg["model"]
-    longest = cfg["data"]["clip_length"] + 2 * model["padding"]
+    model, data = cfg["model"], cfg["data"]
+    longest = data["clip_length"] + 2 * model["padding"]
     if model["k"] > longest:
         raise ConfigError(f"config key 'model.k' must be <= data.clip_length + 2 * "
                           f"model.padding = {longest}, not {model['k']}")
-    os.makedirs(out, exist_ok=True)
     vocab = corpus.FeatureVocabulary.default()
+    # the clips, and the padded copy of one clip that each candidate test windows
+    _addressable(((data["n_clips"], data["clip_length"], vocab.d), np.uint8),
+                 ((1, longest, vocab.d), np.uint8))
+    os.makedirs(out, exist_ok=True)
     clip_path = os.path.join(out, "dataset.jsonl")
     planted = _planted(cfg, vocab, clip_path)
-    data = cfg["data"]  # every key but planted_bank is a synth_generate parameter
+    # every data key but planted_bank is a synth_generate parameter
     dataset = corpus.synth_generate(
         vocab, planted, seed=cfg["train"]["seed"], match_padding=cfg["model"]["padding"],
         **{key: data[key] for key in data if key != "planted_bank"})
@@ -216,6 +230,7 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     train_set, val_set, _test_set = _load_splits(cfg, dataset_path)
     tc = build_train_config(cfg)
     model = cfg["model"]
+    _addressable(((model["M"], model["k"], train_set.vocabulary.d), np.float64))  # the filters
     h = config_hash(cfg)
 
     log_path = os.path.join(out, "training_log.jsonl")

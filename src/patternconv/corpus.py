@@ -554,7 +554,7 @@ def synth_generate(
 def _matches_any(cells: np.ndarray, steps: np.ndarray, padding: int) -> bool:
     """Whether any of the patterns (P, k, d) matches the clip steps (L, d)."""
     windows = kernels.clip_windows(steps[None], cells.shape[1], padding)
-    return bool(kernels.match_hits(cells, windows).any())
+    return bool(kernels.match_any(cells, windows)[0])
 
 
 def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVocabulary,

@@ -306,17 +306,12 @@ def match_precision(hits: np.ndarray, labels: np.ndarray):
     return prec, matched
 
 
-def pattern_precisions(patterns, dataset: Dataset, padding: int = 1):
-    """Per-pattern (precision, matched-count) on a dataset; precision is NaN
-    for patterns matching nothing."""
-    return match_precision(match_matrix(patterns, dataset, padding) >= 0, dataset.labels())
-
-
 def rank_by_precision(patterns, ranking_set: Dataset, padding: int = 1) -> list[Pattern]:
     """Refresh precisions on ranking_set and sort descending by precision,
     ties broken by pattern_id for determinism. The low_support flag is
     informational metadata and does not affect the order."""
-    prec, matched = pattern_precisions(patterns, ranking_set, padding)
+    prec, matched = match_precision(match_matrix(patterns, ranking_set, padding) >= 0,
+                                    ranking_set.labels())
     updated = [
         replace(p, precision_train=(None if np.isnan(pr) else float(pr)),
                 low_support=bool(m < LOW_SUPPORT_MATCHES))

@@ -110,10 +110,12 @@ def fields(doc: dict, spec: dict, what: str, error=DataError) -> dict:
 def float_array(values: list, n: int, what: str, key: str, ok=np.isfinite,
                 rule: str = "finite numbers") -> np.ndarray:
     """An array field as (n,) float64 by one numpy conversion (null reads as
-    NaN); DataError unless it holds n values and `ok` holds for each."""
+    NaN); DataError unless it holds n JSON numbers or nulls, not the strings
+    and bools numpy would convert, and `ok` holds for each."""
     try:
-        array = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError):
+        array = (np.array(values, dtype=np.float64)
+                 if set(map(type, values)) <= {int, float, type(None)} else None)
+    except OverflowError:  # an integer past the float range
         array = None
     if array is None or array.shape != (n,) or not ok(array).all():
         raise field_error(what, key, f"a list of {n} {rule}", values)

@@ -7,12 +7,12 @@ passes and discrete matching all read these windows, each as a 2-D matrix
 multiply. A binary pattern matches a window when the window holds all of its
 1-cells, that is, when the window-times-pattern count reaches the pattern's
 cell count; the float32 pattern matrix of that product is padded with zero
-rows to a multiple of 4 patterns. `match_first_window` and `match_any`
-match block by block, about MATCH_BLOCK_ROWS window rows at a time: each
-block's windows are converted, multiplied and thresholded, and reduced into
-the caller's result before the next, so no temporary grows with clips x
-windows x patterns and a block's operands stay near cache size.
-`match_hits` returns every hit of a few clips in one pass.
+rows to a multiple of 4 patterns. `_match_blocks` alone makes that product,
+about MATCH_BLOCK_ROWS window rows at a time: each block's windows are
+converted, multiplied and thresholded, and reduced into the caller's result
+before the next, so no temporary grows with clips x windows x patterns. Its
+two reductions are `match_first_window` and `match_any`; synth's one-clip
+candidate test is one block.
 """
 
 from __future__ import annotations
@@ -84,38 +84,25 @@ def _pattern_matrix(cells: np.ndarray, kd: int):
     return rows, need
 
 
-def _hits(windows: np.ndarray, rows: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """(b, C, P') whether each of the clip windows (b, C, k·d) holds each row
-    of a `_pattern_matrix`: one GEMM, thresholded at once."""
-    b, C, kd = windows.shape
-    counts = windows.astype(np.float32).reshape(-1, kd) @ rows.T
-    return (counts >= need).reshape(b, C, len(rows))
-
-
 def _match_blocks(cells: np.ndarray, X: np.ndarray):
     """Each block of about MATCH_BLOCK_ROWS rows of the clip windows X
-    (B, C, k·d) from `clip_windows`, as its clip slice and its `_hits`
-    (b, C, P')."""
+    (B, C, k·d) from `clip_windows`, as its clip slice and (b, C, P') whether
+    each window holds each row of the patterns' `_pattern_matrix`: one float32
+    GEMM per block, thresholded at once."""
     B, C, kd = X.shape
     rows, need = _pattern_matrix(cells, kd)
     size = max(1, MATCH_BLOCK_ROWS // max(C, 1))
     for lo in range(0, B, size):
-        part = slice(lo, lo + size)
-        yield part, _hits(X[part], rows, need)
-
-
-def match_hits(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(B, C, P) whether each of the patterns (P, k, d) matches each of the
-    binary clip windows X (B, C, k·d) from `clip_windows`: every 1-cell is 1
-    in the window; 0-cells are unconstrained. One pass, for the few clips of
-    synth's candidate test; larger inputs go through `match_first_window` or
-    `match_any`, which match block by block."""
-    return _hits(X, *_pattern_matrix(cells, X.shape[2]))[:, :, :len(cells)]
+        block = X[lo:lo + size]
+        # thresholded at once: no block's counts are held while its caller reduces it
+        hit = block.astype(np.float32).reshape(-1, kd) @ rows.T >= need
+        yield slice(lo, lo + size), hit.reshape(len(block), C, len(rows))
 
 
 def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """First matching window index per (pattern, clip), -1 when none: (P, B),
-    for the patterns (P, k, d) and clip windows X (B, C, k·d) of `match_hits`."""
+    for the patterns (P, k, d) and binary clip windows X (B, C, k·d) from
+    `clip_windows`; a window matches when it holds every 1-cell."""
     P = len(cells)
     first = np.full((len(X), P), -1, dtype=np.int64)
     for part, hit in _match_blocks(cells, X):
@@ -127,7 +114,7 @@ def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def match_any(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(B,) whether any of the patterns (P, k, d) matches some window of each
-    clip, for the clip windows X (B, C, k·d) of `match_hits`."""
+    clip, for the clip windows X (B, C, k·d) of `match_first_window`."""
     out = np.empty(len(X), dtype=bool)
     for part, hit in _match_blocks(cells, X):
         out[part] = hit.any(axis=(1, 2))

@@ -164,11 +164,18 @@ def test_kernel_is_checked_against_the_clips_train_loads(tmp_path, capsys, vocab
     assert "clip too short for the kernel" in err and "Traceback" not in err
 
 
-# each case is a config whose arrays are far past any address space, so numpy
-# refuses them at once without touching memory, and the command it fails in
+# each case is a config whose arrays are far past any address space, so they
+# are refused at once without touching memory, and the command it fails in
 OVERSIZED = {
     "clips": ({"data": {"n_clips": 10 ** 13}}, "synth"),   # 591 TiB of clip steps
     "filters": ({"model": {"M": 10 ** 12}}, "train"),     # 284 TiB of filter weights
+    # past the 8 EiB address space: numpy itself raises ValueError for these
+    "clips_past_address_space": ({"data": {"n_clips": 10 ** 18}}, "synth"),
+    "clip_length_past_address_space": ({"data": {"clip_length": 10 ** 15}}, "synth"),
+    "padding_past_int64_synth": ({"model": {"k": 10 ** 20, "padding": 10 ** 20 - 1}}, "synth"),
+    "padding_past_int64_train": ({"model": {"k": 10 ** 20, "padding": 10 ** 20 - 1}}, "train"),
+    "filters_past_address_space": ({"model": {"M": 10 ** 18}}, "train"),
+    "filters_past_int64": ({"model": {"M": 10 ** 23}}, "train"),  # np.sqrt(M) a TypeError
 }
 
 
@@ -454,9 +461,18 @@ def _model_with_negative_padding(tmp, vocab, data):
 _HUGE = 10**12  # windows of this padding would need petabytes
 
 
-def _model_with(key, value):
+def _model_with(path, value):
+    """An eval of a model whose field at `path` (keys and indices) is `value`."""
     def build(tmp, vocab, data):
-        return ["eval", _model(tmp / "m.json", vocab, _set_field((key,), value)), data]
+        return ["eval", _model(tmp / "m.json", vocab, _set_field(path, value)), data]
+    return build
+
+
+def _snapshot_field(key, value):
+    """A curate of a snapshot whose `key` is `value`."""
+    def build(tmp, vocab, data):
+        return ["curate", _snapshot(tmp / "snaps", np.zeros((2, 3, vocab.d)),
+                                    lambda doc: doc.update({key: value})), data]
     return build
 
 
@@ -505,15 +521,30 @@ UNUSABLE = {
     "snapshot_with_huge_padding": (_snapshot_with_huge_padding,
                                    "era_000.json: filter snapshot file 'padding' must be "
                                    f"<= k - 1 = 2, not {_HUGE}"),
-    "model_with_string_alpha": (_model_with("alpha", "0.5"),
+    "model_with_string_alpha": (_model_with(("alpha",), "0.5"),
                                 "m.json: model file 'alpha' must be a finite number in [0, 1], "
                                 'not "0.5"'),
-    "model_with_string_fc_frozen": (_model_with("fc_frozen", "no"),
+    "model_with_string_fc_frozen": (_model_with(("fc_frozen",), "no"),
                                     "m.json: model file 'fc_frozen' must be true or false, "
                                     'not "no"'),
-    "model_with_bool_dropout_rate": (_model_with("dropout_rate", True),
+    "model_with_bool_dropout_rate": (_model_with(("dropout_rate",), True),
                                      "m.json: model file 'dropout_rate' must be a finite "
                                      "number, not true"),
+    # numpy would read these array elements as numbers: "0.5" as 0.5, true as 1.0
+    "model_with_string_weight": (_model_with(("W", 0), "0.5"),
+                                 "m.json: model file 'W' must be a list of 156 finite numbers, "
+                                 'not ["0.5", '),
+    "model_with_bool_fc_trad": (_model_with(("fc_trad", 1), True),
+                                "m.json: model file 'fc_trad' must be a list of 4 finite "
+                                "numbers, not ["),
+    "model_with_nested_weight": (_model_with(("W", 2), [0.5]),
+                                 "m.json: model file 'W' must be a list of 156 finite numbers"),
+    "model_with_weight_past_float_range": (_model_with(("W", 0), 10 ** 400),
+                                           "m.json: model file 'W' must be a list of 156 "
+                                           "finite numbers, not [1000"),
+    "snapshot_with_bool_precision": (_snapshot_field("per_filter_precision", [True, 0.9]),
+                                     "era_000.json: filter snapshot file 'per_filter_precision' "
+                                     "must be a list of 2 numbers in [0, 1] or nulls, not [true, "),
 }
 
 
@@ -534,14 +565,6 @@ def _expert_line(line):
         path = tmp / "experts.jsonl"
         path.write_text('{"name":"ok","steps":[["help"],["incorrect"]]}\n' + line + "\n")
         return ["compare", _write_bank(tmp / "b.json", vocab), str(path)]
-    return build
-
-
-def _snapshot_field(key, value):
-    """A curate of a snapshot whose `key` is `value`."""
-    def build(tmp, vocab, data):
-        return ["curate", _snapshot(tmp / "snaps", np.zeros((2, 3, vocab.d)),
-                                    lambda doc: doc.update({key: value})), data]
     return build
 
 
@@ -650,12 +673,6 @@ def _set_field(path, value):
     return edit
 
 
-def _non_finite_model(path, value):
-    def build(tmp, vocab, data):
-        return ["eval", _model(tmp / "m.json", vocab, _set_field(path, value)), data]
-    return build
-
-
 def _non_finite_snapshot(tmp, vocab, data):
     return ["curate", _snapshot(tmp / "snaps", np.zeros((2, 3, vocab.d)),
                                 _set_field(("W", 4), float("nan"))), data]
@@ -665,19 +682,19 @@ _NAN, _INF = float("nan"), float("inf")
 # each case writes a model or snapshot holding a JSON NaN or Infinity, and
 # the message that names the file
 NON_FINITE = {
-    "model_W": (_non_finite_model(("W", 0), _NAN),
+    "model_W": (_model_with(("W", 0), _NAN),
                 "m.json: model file 'W' must be a list of 156 finite numbers, not [NaN, "),
-    "model_fc_trad": (_non_finite_model(("fc_trad", 1), -_INF),
+    "model_fc_trad": (_model_with(("fc_trad", 1), -_INF),
                       "m.json: model file 'fc_trad' must be a list of 4 finite numbers, not ["),
-    "model_dropout_rate": (_non_finite_model(("dropout_rate",), _NAN),
+    "model_dropout_rate": (_model_with(("dropout_rate",), _NAN),
                            "m.json: model file 'dropout_rate' must be a finite number, not NaN"),
-    "model_temperature": (_non_finite_model(("thresh", "temperature"), _NAN),
+    "model_temperature": (_model_with(("thresh", "temperature"), _NAN),
                           "m.json: model file thresh 'temperature' must be a finite number "
                           "in (0, inf), not NaN"),
-    "model_steepness": (_non_finite_model(("thresh", "steepness"), _INF),
+    "model_steepness": (_model_with(("thresh", "steepness"), _INF),
                         "m.json: model file thresh 'steepness' must be a finite number in "
                         "(0, inf), not Infinity"),
-    "model_alpha": (_non_finite_model(("alpha",), _NAN),
+    "model_alpha": (_model_with(("alpha",), _NAN),
                     "m.json: model file 'alpha' must be a finite number in [0, 1], not NaN"),
     "snapshot_W": (_non_finite_snapshot,
                    "era_000.json: filter snapshot file 'W' must be a list of 78 finite numbers, "

@@ -511,6 +511,35 @@ def test_rank_ties_break_by_pattern_id(vocab):
     assert [p.pattern_id for p in ranked] == ["aa", "zz"]
 
 
+@pytest.mark.parametrize("padding", [0, 1])
+def test_rank_refreshes_precision_and_support(vocab, padding):
+    """Each ranked pattern's precision_train and low_support are those of the
+    clips a window scan finds it in: no precision for a pattern that matches
+    nothing, and low support below 3 matched clips."""
+    rng = np.random.default_rng(20 + padding)
+    X = random_legal_clip_batch(vocab, 40, 5, rng)
+    labels = rng.random(40) < 0.5
+    X[5, 1:4] = X[0, 1:4]  # in 2 clips
+    X[6:8, 2:5] = X[1, 2:5]  # in 3 clips
+    never = np.zeros((3, vocab.d), dtype=np.uint8)
+    never[1, list(vocab.submission_indices[:2])] = 1  # help and an attempt in one step
+    one_step = np.zeros((3, vocab.d), dtype=np.uint8)
+    one_step[1, vocab.help_index] = 1
+    cells = np.stack([never, one_step, X[0, 1:4], X[1, 2:5], X[2, :3]]
+                     + [random_legal_pattern(vocab, 3, rng).cells for _ in range(10)])
+    pats = [_pat(c, f"p{i:02d}") for i, c in enumerate(cells)]
+    ranked = {p.pattern_id: p for p in
+              rank_by_precision(pats, _labeled(vocab, X, labels), padding)}
+    hits = brute_first_window(cells, X, padding) >= 0
+    for pat, row in zip(pats, hits):
+        got, n = ranked[pat.pattern_id], int(row.sum())
+        want = None if n == 0 else int((row & labels).sum()) / n
+        assert got.precision_train == want and got.low_support == (n < 3)
+    # every case is reached: no match, and support on both sides of 3
+    counts = hits.sum(axis=1)
+    assert counts[0] == 0 and counts[2:5].tolist() == [2, 3, 1]
+
+
 def test_cumulative_curve_matches_recomputation(vocab, planted):
     ds = corpus.synth_generate(vocab, planted, 400, 0.0, 0.0, seed=11)
     rng = np.random.default_rng(12)

@@ -3,6 +3,7 @@ brute-force window scan."""
 
 import importlib.util
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +85,10 @@ def test_match_first_window_against_brute_force(vocab, k, padding):
     hits = _brute_hits(cells, X, padding)
     for n in (1, 3, 4, 5, 7, 8, 17):
         assert (kernels.match_first_window(cells[-n:], Xw) == got[-n:]).all()
-        assert (kernels.match_hits(cells[-n:], Xw) == hits[:, :, -n:]).all()
+        want = hits[:, :, -n:].any(axis=(1, 2))
+        assert (kernels.match_any(cells[-n:], Xw) == want).all()
+        # one clip, as synth's candidate test matches it
+        assert kernels.match_any(cells[-n:], Xw[:1]).tolist() == want[:1].tolist()
 
 
 @pytest.mark.parametrize("n_patterns", [1, 4, 5])
@@ -105,7 +109,8 @@ def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
         Xw = kernels.clip_windows(Xn, 3, padding)
         want = brute_first_window(cells, Xn, padding)
         assert (kernels.match_first_window(cells, Xw) == want).all()
-        assert (kernels.match_hits(cells, Xw) == _brute_hits(cells, Xn, padding)).all()
+        hits = _brute_hits(cells, Xn, padding)
+        assert (kernels.match_any(cells, Xw) == hits.any(axis=(1, 2))).all()
         got = bank_predict_batch(bank, Dataset(vocabulary=vocab, steps=Xn, labels=np.zeros(n)))
         assert (got == (want >= 0).any(axis=0)).all() and got[1::2].all()
     empty_bank = PatternBank(patterns=(), vocabulary=vocab, padding=padding)
@@ -117,7 +122,24 @@ def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
     assert bank_predict_batch(bank, none).shape == (0,)
     Xw = kernels.clip_windows(X[:0], 3, padding)
     assert kernels.match_first_window(cells, Xw).shape == (n_patterns, 0)
-    assert kernels.match_hits(cells, Xw).shape == (0, Xw.shape[1], n_patterns)
+    assert kernels.match_any(cells, Xw).shape == (0,)
+
+
+def test_matching_holds_one_block_of_counts(vocab):
+    """A block's float32 counts are freed once they are thresholded, so
+    matching three blocks peaks at one block's counts and two blocks' hits,
+    below two blocks' counts."""
+    rng = np.random.default_rng(5)
+    cells = np.stack([random_legal_pattern(vocab, 3, rng).cells for _ in range(400)])
+    rows = kernels.MATCH_BLOCK_ROWS // 5 * 5  # whole five-window clips
+    Xw = kernels.clip_windows(random_legal_clip_batch(vocab, 3 * rows // 5, 5, rng), 3, 1)
+    tracemalloc.start()
+    try:
+        kernels.match_any(cells, Xw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rows * len(cells) * 4
 
 
 def test_match_empty_inputs():
@@ -169,6 +191,8 @@ def test_bench_kernels_script_runs(capsys):
     for name in ("match_first_window", "clip_windows"):
         rows = [line.split() for line in out.splitlines() if line.startswith(name)]
         assert [row[1] for row in rows] == ["8", "1"]  # the batch and a single clip
+    rows = [line.split() for line in out.splitlines() if line.startswith("match_any")]
+    assert [row[1] for row in rows] == ["1"]  # a single clip, as synth tests a candidate
     rows = [line.split() for line in out.splitlines() if line.startswith("bank_predict_batch")]
     assert [(row[1], row[3]) for row in rows] == [("8", "7"), ("8", "8"), ("8", "131"),
                                                   ("8", "132")]

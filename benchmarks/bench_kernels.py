@@ -110,13 +110,15 @@ def bench_step(X: np.ndarray, M: int, k: int, repeats: int) -> None:
     vocab = FeatureVocabulary.default()
     B = min(trainer.TrainConfig().batch_size, len(X))
     rng = np.random.default_rng(1)
-    state = netcore.init_state(M, k, vocab.d, rng=rng, alpha=1.0, fc_frozen=True)
+    # a model's padding is at most k - 1
+    state = netcore.init_state(M, k, vocab.d, padding=min(netcore.DEFAULT_PADDING, k - 1),
+                               rng=rng, alpha=1.0, fc_frozen=True)
     Xw = kernels.clip_windows(X[:B], k, state.padding)
     labels = (rng.random(B) < 0.2).astype(np.float64)
     on = LossWeights(**{name: DEFAULT_TARGETS[name] for name in ("bin", "min", "sub", "poss")})
 
     def step():
-        y, cache = netcore.forward_batch(state, Xw, training=True, rng=rng, windowed=True)
+        y, cache = netcore.forward_batch(state, Xw, training=True, rng=rng)
         dW = netcore.backward_batch(state, cache, objective.bce_grad(y, labels) / B)["W"]
         dW += objective.regularizer_grad(state.W, on, vocab)
         dW *= 0.05

@@ -27,7 +27,7 @@ _UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
 # dropout_base keeps the model's flat dropout. The targets have no default
 # here, because ConstraintSchedule.default fills in each one a config leaves
 # out; a zero target, or one so small that target / ramp span underflows,
-# would give its ramp a growth rate of 0.
+# would leave its ramp at 0.
 _SCHEMA = {
     "model": {"M": (*_COUNT, 64), "k": (*_COUNT, 3), "padding": (*_INDEX, 1)},
     "data": {
@@ -108,7 +108,7 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     train = cfg["train"]
     for name, (_, span) in ramp_windows(train["epochs_per_era"]).items():
         target = train["targets"].get(name)
-        if target is not None and target / span == 0:  # the ramp's growth rate underflows
+        if target is not None and target / span == 0:  # the ramp's slope underflows
             raise field_error("config key", f"train.targets.{name}",
                               f"large enough that target / {span:g} ramp epochs is above 0",
                               target, ConfigError)

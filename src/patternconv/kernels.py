@@ -57,11 +57,13 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return (dh.reshape(-1, M).T @ X.reshape(-1, kd)).reshape(M, k, kd // k)
 
 
-# Window rows per block of matching: a block's float32 windows and counts stay
-# near cache size (at 132 patterns, about 2.2 MB of counts), and no temporary
-# grows with the number of clips. Counted in rows, not clips, so that long
-# clips do not grow the block. Blocks of 512 to 2,048 clips at C = 5 timed
-# alike; blocks of 128 clips were slower, and so was one pass over 10,000.
+# Window rows per block of matching: the block bounds rows, so no temporary
+# grows with the number of clips. Its float32 counts grow with the pattern
+# count: about 2.2 MB at 132 patterns, 22.3 MB at 1,359 (4,096 rows x 1,360 x
+# 4 bytes). Sizing blocks by rows x patterns is ROADMAP item 6. Counted in
+# rows, not clips, so that long clips do not grow the block. Blocks of 512 to
+# 2,048 clips at C = 5 timed alike; blocks of 128 clips were slower, and so
+# was one pass over 10,000.
 MATCH_BLOCK_ROWS = 4096
 
 

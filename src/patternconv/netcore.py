@@ -68,6 +68,9 @@ class ModelState:
             raise DataError("alpha must lie in [0, 1]")
         if self.fc_trad.shape != (self.W.shape[0],):
             raise DataError("fc_trad length must equal the filter count")
+        if not 0 <= self.padding <= self.k - 1:
+            # a window past k - 1 padding steps holds no clip step
+            raise DataError(f"padding must lie in [0, k - 1 = {self.k - 1}], not {self.padding}")
 
     @property
     def M(self) -> int:
@@ -158,19 +161,20 @@ class ForwardCache:
 
 
 def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
-                  rng: np.random.Generator | int | None = None, *,
-                  windowed: bool = False):
-    """Full forward pass over a clip batch (B, L, d), or, when `windowed`, over
-    its clip windows (B, C, k·d) from `kernels.clip_windows`.
+                  rng: np.random.Generator | int | None = None):
+    """Full forward pass over a clip batch (B, L, d) or over its clip windows
+    (B, C, k·d) from `kernels.clip_windows`, told apart by the last axis. The
+    two widths are equal only at k = 1, where the padding is 0 and the
+    windows are the clips.
 
     Returns (y (B,), cache).
     """
     X = np.asarray(X)
-    width = state.k * state.d if windowed else state.d
-    if X.shape[2] != width:
-        raise DataError(f"input width {X.shape[2]} != {width} for model d {state.d}")
-    if not windowed:
+    if X.shape[2] == state.d:
         X = kernels.clip_windows(X, state.k, state.padding)
+    elif X.shape[2] != state.k * state.d:
+        raise DataError(f"input width {X.shape[2]} is neither the model's d = {state.d} "
+                        f"(clips) nor k·d = {state.k * state.d} (clip windows)")
     X = np.asarray(X, dtype=np.float64)
     h_pre = kernels.conv_forward_batch(state.W, X)
     h = np.maximum(h_pre, 0.0)

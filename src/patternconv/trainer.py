@@ -15,7 +15,7 @@ from .errors import DataError, NumericalError
 from .evalmetrics import confusion, kappa
 from .netcore import EraSnapshot, ModelState, backward_batch, forward_batch
 from .objective import LossWeights
-from .schedule import ConstraintSchedule, era_reset, weights_at
+from .schedule import REINIT_PRECISION_THRESHOLD, ConstraintSchedule, era_reset, weights_at
 
 
 @dataclass
@@ -23,7 +23,7 @@ class TrainConfig:
     learning_rate: float = 0.05
     final_learning_rate: float | None = 0.015
     batch_size: int = 64
-    schedule: ConstraintSchedule = field(default_factory=lambda: ConstraintSchedule.default())
+    schedule: ConstraintSchedule = field(default_factory=ConstraintSchedule.default)
     harvest_precision_threshold: float = 0.3
     log_val_metrics: bool = True
     # Dropout annealing. The match band a filter must reach widens with the
@@ -108,8 +108,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     for start in range(0, len(order), config.batch_size):
         idx = order[start:start + config.batch_size]
         labels, clip_w = labels_all[idx], clip_w_all[idx]
-        y, cache = forward_batch(state, train_set.X[idx], training=True, rng=rng,
-                                 windowed=True)
+        y, cache = forward_batch(state, train_set.X[idx], training=True, rng=rng)
 
         batch_bce = float((clip_w * objective.bce(y, labels)).mean())
         # W is clamped to [0, 1], so the regularizers are finite whenever W
@@ -210,5 +209,5 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
         harvested.extend(harvest_filters(state.W, precisions, era, train_set.vocabulary,
                                          config.harvest_precision_threshold))
         if era < sched.eras - 1:
-            state = era_reset(state, precisions, sched, rng)
+            state = era_reset(state, precisions, REINIT_PRECISION_THRESHOLD, rng)
     return state, snapshots, harvested

@@ -63,8 +63,24 @@ def test_shape_law(L, padding):
 
 
 def test_conv_dimension_mismatch():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"neither the model's d = 13 .* nor k·d = 39"):
         forward_batch(_state(d=13), np.zeros((1, 5, 7)))
+
+
+@pytest.mark.parametrize("k,padding", [(3, 3), (3, -1), (1, 1)])
+def test_state_rejects_padding_outside_0_to_k_minus_1(k, padding):
+    with pytest.raises(DataError, match="padding must lie in"):
+        _state(k=k, padding=padding)
+
+
+def test_k1_windows_are_the_clips(vocab):
+    """At k = 1 the clip and window widths are both d and the padding is 0,
+    so forward_batch reads either as the same windows."""
+    X = random_legal_clip_batch(vocab, 4, 5, np.random.default_rng(2))
+    st_ = _state(M=3, k=1, d=vocab.d, padding=0)
+    assert (kernels.clip_windows(X, 1, 0) == X).all()
+    h_pre = forward_batch(st_, X)[1].h_pre
+    assert np.allclose(h_pre, X.astype(np.float64) @ st_.W[:, 0].T)
 
 
 # ------------------------------------------------------------------ pooling
@@ -89,7 +105,7 @@ def test_pooling_ties_route_to_lowest_window(vocab, monkeypatch):
     y, cache = forward_batch(st_, X)
 
     Xw = kernels.clip_windows(X, 3, 1).astype(np.float64)
-    assert (forward_batch(st_, Xw, windowed=True)[1].h_pre == cache.h_pre).all()
+    assert (forward_batch(st_, Xw)[1].h_pre == cache.h_pre).all()
     direct = np.einsum("mkd,bckd->bcm", st_.W, Xw.reshape(4, 5, 3, vocab.d))
     assert (cache.h_pre == direct).all()
     assert (cache.h_pre[:, 1:4] == 3.0).all() and (cache.h_pre[:, [0, 4]] == 2.0).all()

@@ -186,7 +186,7 @@ def test_step_matches_reference_bits(vocab, training, alpha, frozen, seed):
     state.alpha, state.fc_frozen = alpha, frozen
     y_ref, c_ref = _ref_forward(state, Xw, training, np.random.default_rng(seed + 10))
     y, cache = netcore.forward_batch(state, Xw, training=training,
-                                     rng=np.random.default_rng(seed + 10), windowed=True)
+                                     rng=np.random.default_rng(seed + 10))
     assert _bits(y) == _bits(y_ref)
     for name in ("h_pre", "f", "argmax", "pool_gate", "a", "s", "y_thresh"):
         assert _bits(getattr(cache, name)) == _bits(c_ref[name]), name
@@ -213,7 +213,7 @@ def test_dropout_scales_the_maps_before_the_pool(vocab):
     Xw[0, 0, 3] = Xw[0, 1, 4] = 1  # window 0 reads lo, window 1 one ulp more
     seed = next(s for s in range(100)
                 if (np.random.default_rng(s).random((1, 1, 2)) < keep).all())
-    _, cache = netcore.forward_batch(state, Xw, training=True, rng=seed, windowed=True)
+    _, cache = netcore.forward_batch(state, Xw, training=True, rng=seed)
     _, ref = _ref_forward(state, Xw, True, np.random.default_rng(seed))
     assert cache.h_pre[0, 0, 0] < cache.h_pre[0, 1, 0]
     assert cache.argmax.tolist() == ref["argmax"].tolist() == [[0]]
@@ -264,7 +264,7 @@ def test_predict_matches_forward_bits(vocab, alpha, n):
     state.alpha = alpha
     sizes = [part.stop - part.start for part in netcore._predict_chunks(n)]
     assert sum(sizes) == n and min(sizes) >= 16
-    y, _ = netcore.forward_batch(state, Xw, windowed=True)
+    y, _ = netcore.forward_batch(state, Xw)
     assert _bits(netcore.predict(state, X)) == _bits(y)
 
 

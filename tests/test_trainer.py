@@ -8,7 +8,7 @@ from patternconv import corpus, kernels, netcore, trainer
 from patternconv.curator import Pattern
 from patternconv.errors import DataError, NumericalError
 from patternconv.objective import LossWeights
-from patternconv.schedule import ConstraintSchedule, RampSpec
+from patternconv.schedule import ConstraintSchedule
 from patternconv.trainer import (TrainConfig, WindowedSet, anneal_at,
                                  eval_filter_precision, harvest_filters, train_epoch,
                                  train_full)

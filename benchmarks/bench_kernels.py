@@ -9,23 +9,28 @@ Run with defaults (benchmark-sized shapes) or adjust via flags:
 
 `clip_windows` pads the clips once and views them as the windows that both
 the convolution and matching read. The convolution is one matrix multiply
-each way, and matching is a float32 window product with the patterns,
-thresholded at each pattern's cell count, one block of window rows at a
-time. Window building and first-window matching are timed on the whole
-batch and on a single clip, the shape of `explain`; `match_any` is timed on
-a single clip, the shape of synth's candidate test in its rejection sampling.
+each way, and matching is a float32 product of the windows, each with a
+trailing 1, and the patterns, each with its minus cell count, thresholded at
+0, one block of window rows at a time. Window building and first-window
+matching are timed on the whole batch and on a single clip, the shape of
+`explain`; `match_any` is timed on a single clip, the shape of synth's
+candidate test in its rejection sampling.
 `bank_predict_batch`, the bank scoring of `eval`, is timed over the batch
 for banks of 7, 8, 131 and 132 sparse random patterns, each row with the
 tracemalloc peak of one call: matching runs in blocks of about 4,096 window
 rows, so the peak is the one zero-padded uint8 copy of the clips that their
-windows view, (L + 2·padding)·d bytes a clip, plus a few MB for a block. The
+windows view, (L + 2·padding)·d bytes a clip, plus a few MB for a block.
+`evalmetrics.evaluate` of the 7-pattern bank over the batch (a fifth of the
+clips labelled positive) is timed as `eval` runs it: the scoring plus the
+metrics report of its bool scores. The
 curation pools default to 300 and 1,359 unique patterns; 1,359 is the
 unique count of the source paper's funnel. `harvest+dedup` harvests 19
 shuffled, jittered raw filters per pool pattern (a quarter pushed
 off-binary, precisions uniform on [0, 1]; 25,821 filters at 1,359, about
 the 25,981 the paper harvests) and deduplicates what it keeps.
-`evalmetrics.auc` is timed on tie-heavy scores of the batch and of 100,000
-clips, the clip count of a paper-scale run. `corpus.load_dataset` is timed
+`evalmetrics.auc` is timed on tie-heavy float scores and on bool scores, a
+bank's, of the batch and of 100,000 clips, the clip count of a paper-scale
+run. `corpus.load_dataset` is timed
 on a file of the batch's clip count (legal unplanted synth clips) in the
 canonical form that `write_dataset` writes, and on the same clips with
 spaces after the separators, which the loader parses line by line as JSON.
@@ -199,7 +204,7 @@ def main(argv=None):
         clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
         print(f"{name:<20} {clips:>9} {t * 1e3:>10.3f}ms")
     vocab = FeatureVocabulary.default()
-    ds = corpus.Dataset(vocabulary=vocab, steps=X, labels=np.zeros(B, bool))
+    ds = corpus.Dataset(vocabulary=vocab, steps=X, labels=rng.random(B) < 0.2)
     bank_cells = (rng.random((max(BANK_SIZES), k, d)) < 0.08).astype(np.uint8)
     for n in BANK_SIZES:
         bank = curator.PatternBank(patterns=tuple(
@@ -214,11 +219,15 @@ def main(argv=None):
             tracemalloc.stop()
         print(f"{'bank_predict_batch':<20} {B:>9} {t * 1e3:>10.3f}ms  {n} patterns"
               f"  {peak / 1e6:.2f}MB peak")
+        if n == BANK_SIZES[0]:
+            t = _time(evalmetrics.evaluate, bank, ds, repeats=args.repeats)
+            print(f"{'evaluate':<20} {B:>9} {t * 1e3:>10.3f}ms  {n} patterns")
     for n in (B, 100_000):
         scores = rng.integers(0, 1000, n) / 1000
         labels = rng.random(n) < 0.2
-        t = _time(evalmetrics.auc, scores, labels, repeats=args.repeats)
-        print(f"{'auc':<20} {n:>9} {t * 1e3:>10.3f}ms")
+        for kind, values in (("tie-heavy", scores), ("bool", rng.random(n) < 0.1)):
+            t = _time(evalmetrics.auc, values, labels, repeats=args.repeats)
+            print(f"{'auc':<20} {n:>9} {t * 1e3:>10.3f}ms  {kind}")
     bench_load(B, L, args.repeats)
     bench_step(X, M, k, args.repeats)
 

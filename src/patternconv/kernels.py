@@ -5,14 +5,19 @@ of one zero-padded copy of the clips, in which window c is the run of k·d
 values that starts at padded step c. The convolution's forward and backward
 passes and discrete matching all read these windows, each as a 2-D matrix
 multiply. A binary pattern matches a window when the window holds all of its
-1-cells, that is, when the window-times-pattern count reaches the pattern's
-cell count; the float32 pattern matrix of that product is padded with zero
-rows to a multiple of 4 patterns. `_match_blocks` alone makes that product,
-about MATCH_BLOCK_ROWS window rows at a time: each block's windows are
-converted, multiplied and thresholded, and reduced into the caller's result
-before the next, so no temporary grows with clips x windows x patterns. Its
-two reductions are `match_first_window` and `match_any`; synth's one-clip
-candidate test is one block.
+1-cells. `_pattern_matrix` puts each pattern's threshold inside the product:
+its column holds the pattern's cells and then minus its cell count, and each
+window gets a trailing constant 1, so the product is the count of the
+pattern's cells the window holds less the count it needs, and a hit is a
+product of 0 or more, one scalar comparison. The columns are padded with
+zero columns ending in -1, which never hit, to a multiple of 4 patterns.
+`_match_blocks` alone makes that product, about MATCH_BLOCK_ROWS window rows
+at a time: each block's windows are converted into one float32 buffer
+reused by every block, multiplied and thresholded, and reduced into the
+caller's result before the next, so no temporary grows with clips x windows
+x patterns. Its two reductions are `match_first_window` and `match_any`,
+which reduces each block's hits to one flag per clip in one
+`np.logical_or.reduceat` call; synth's one-clip candidate test is one block.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
 
 
 # Window rows per block of matching: the block bounds rows, so no temporary
-# grows with the number of clips. Its float32 counts grow with the pattern
+# grows with the number of clips. Its float32 products grow with the pattern
 # count: about 2.2 MB at 132 patterns, 22.3 MB at 1,359 (4,096 rows x 1,360 x
 # 4 bytes). Sizing blocks by rows x patterns is ROADMAP item 6. Counted in
 # rows, not clips, so that long clips do not grow the block. Blocks of 512 to
@@ -67,49 +72,58 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
 MATCH_BLOCK_ROWS = 4096
 
 
-def _pattern_matrix(cells: np.ndarray, kd: int):
-    """The patterns (P, k, d) as float32 rows (P', k·d) for windows of kd
-    cells, and each row's hit threshold (P',). P' is P rounded up to a
-    multiple of 4, a width the sgemm runs faster on than on the odd counts a
-    bank has; the zero padding rows never hit."""
+def _pattern_matrix(cells: np.ndarray, kd: int) -> np.ndarray:
+    """The GEMM's right operand for the patterns (P, k, d) and windows of kd
+    cells: a float32 (k·d + 1, P') matrix whose column p holds pattern p's
+    cells and then minus its cell count, so that a window with a trailing 1
+    times column p is the count of the pattern's cells the window holds,
+    less the count it needs: 0 or more exactly when the window holds them
+    all. P' is P rounded up to a multiple of 4, a width the sgemm runs
+    faster on than on the odd counts a bank has; a zero padding column ends
+    in -1, so it never hits."""
     cells = np.asarray(cells, dtype=np.uint8)
     P, k, d = cells.shape
     if kd != k * d:
         raise DataError(f"a {k}x{d} pattern does not fit windows of {kd} cells")
-    rows = np.zeros((-(-P // 4) * 4, kd), dtype=np.float32)
-    rows[:P] = cells.reshape(P, kd)
-    # The float32 counts are exact integers (none exceeds k·d < 2**24), so a
-    # window holds a pattern when its count reaches the pattern's cell count.
-    # A padding row counts 0 against a threshold of 1.
-    need = rows.sum(axis=1)
-    need[P:] = 1.0
-    return rows, need
+    rows = np.zeros((-(-P // 4) * 4, kd + 1), dtype=np.float32)
+    rows[:P, :kd] = cells.reshape(P, kd)
+    rows[P:, kd] = 1.0  # so that a padding row sums to 1
+    np.negative(rows.sum(axis=1), out=rows[:, kd])
+    return rows.T  # built a pattern a row, where the copy and count are cheaper
 
 
 def _match_blocks(cells: np.ndarray, X: np.ndarray):
     """Each block of about MATCH_BLOCK_ROWS rows of the clip windows X
-    (B, C, k·d) from `clip_windows`, as its clip slice and (b, C, P') whether
-    each window holds each row of the patterns' `_pattern_matrix`: one float32
-    GEMM per block, thresholded at once."""
+    (B, C, k·d) from `clip_windows`, as its clip slice and (b·C, P') whether
+    each window holds each column of the patterns' `_pattern_matrix`: one
+    float32 GEMM per block, thresholded at once."""
     B, C, kd = X.shape
-    rows, need = _pattern_matrix(cells, kd)
+    cols = _pattern_matrix(cells, kd)
     size = max(1, MATCH_BLOCK_ROWS // max(C, 1))
+    # one buffer of float32 windows for every block, each window followed by
+    # a constant 1 that picks up its pattern's minus cell count
+    windows = np.empty((min(B, size), C, kd + 1), dtype=np.float32)
+    windows[..., kd] = 1.0
     for lo in range(0, B, size):
         block = X[lo:lo + size]
-        # thresholded at once: no block's counts are held while its caller reduces it
-        hit = block.astype(np.float32).reshape(-1, kd) @ rows.T >= need
-        yield slice(lo, lo + size), hit.reshape(len(block), C, len(rows))
+        windows[:len(block), :, :kd] = block
+        # The float32 products are exact integers (every partial sum lies
+        # within k·d < 2**24 of 0). Thresholded at once: no block's products
+        # are held while its caller reduces it.
+        yield slice(lo, lo + size), windows[:len(block)].reshape(-1, kd + 1) @ cols >= 0
 
 
 def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """First matching window index per (pattern, clip), -1 when none: (P, B),
     for the patterns (P, k, d) and binary clip windows X (B, C, k·d) from
     `clip_windows`; a window matches when it holds every 1-cell."""
-    P = len(cells)
-    first = np.full((len(X), P), -1, dtype=np.int64)
+    P, C = len(cells), X.shape[1]
+    first = np.empty((len(X), P), dtype=np.int64)
+    first.fill(-1)  # cheaper than np.full, which shows on one clip
     for part, hit in _match_blocks(cells, X):
-        block, hit = first[part], hit[:, :, :P]
-        for c in range(hit.shape[1] - 1, -1, -1):  # an earlier hit overwrites a later one
+        block = first[part]
+        hit = hit.reshape(len(block), C, -1)[:, :, :P]
+        for c in range(C - 1, -1, -1):  # an earlier hit overwrites a later one
             np.copyto(block, c, where=hit[:, c])
     return np.ascontiguousarray(first.T)
 
@@ -117,7 +131,9 @@ def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
 def match_any(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(B,) whether any of the patterns (P, k, d) matches some window of each
     clip, for the clip windows X (B, C, k·d) of `match_first_window`."""
-    out = np.empty(len(X), dtype=bool)
+    out = np.zeros(len(X), dtype=bool)
     for part, hit in _match_blocks(cells, X):
-        out[part] = hit.any(axis=(1, 2))
+        if hit.size:  # a clip's hits are one run of C·P' flags in the block
+            out[part] = np.logical_or.reduceat(
+                hit.ravel(), np.arange(0, hit.size, X.shape[1] * hit.shape[1]))
     return out

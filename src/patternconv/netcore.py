@@ -397,7 +397,8 @@ def filters_to_json(snap: EraSnapshot, extra: dict | None = None) -> str:
 
 def filters_from_json(text: str) -> EraSnapshot:
     """The era snapshot a filter snapshot file's text holds. A file without
-    `era` reads as era -1, one without `padding` as padding 1."""
+    `era` reads as era -1, one without `padding` as `errors.padding_field`
+    reads it."""
     what = "filter snapshot file"
     doc = json_object(text, what)
     if doc.get("format") != "patternconv-filters":

@@ -1,5 +1,6 @@
 """Metric oracles: hand-computed confusion/kappa/AUC fixtures and invariances."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,25 @@ def test_auc_of_bool_scores_equals_their_float_auc():
     for scores in (rng.random(200) < 0.4, np.zeros(200, bool), np.ones(200, bool)):
         assert auc(scores, labels) == auc(scores.astype(np.float64), labels)
     assert auc(np.ones(200, bool), labels) == 0.5
+
+
+def test_report_of_bool_scores_is_bit_for_bit_their_float_report():
+    """`report` of a bank's bool scores, which AUC groups by their own value
+    and the confusion counts with no float scores, equals the report of the
+    same scores as float64 in every field's type and float.hex: with ties,
+    all scores equal, and labels of one class."""
+    rng = np.random.default_rng(2)
+    labels = rng.random(300) < 0.3
+    cases = [(rng.random(300) < 0.4, labels), (labels, labels), (~labels, labels),
+             (np.zeros(300, bool), labels), (np.ones(300, bool), labels),
+             (rng.random(300) < 0.4, np.ones(300, bool)),
+             (rng.random(300) < 0.4, np.zeros(300, bool)), (np.ones(1, bool), np.zeros(1, bool))]
+
+    def bits(rep):
+        return [(type(v), None if v is None else v.hex()) for v in dataclasses.astuple(rep)]
+
+    for scores, y in cases:
+        assert bits(report(scores, y)) == bits(report(scores.astype(np.float64), y))
 
 
 # -------------------------------------------------- derived metrics / report

@@ -91,7 +91,37 @@ def test_match_first_window_against_brute_force(vocab, k, padding):
         assert kernels.match_any(cells[-n:], Xw[:1]).tolist() == want[:1].tolist()
 
 
-@pytest.mark.parametrize("n_patterns", [1, 4, 5])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_threshold_column_at_the_extreme_cell_counts(padding):
+    """The count in the pattern matrix's last row is exact at both ends: a
+    pattern of all k·d = 39 cells hits where its product is exactly 0 (a
+    window of all ones) and not one cell short, and an empty pattern (count
+    0) hits every window."""
+    k, d = 3, 13
+    rng = np.random.default_rng(20 + padding)
+    X = (rng.random((6, 5, d)) < 0.5).astype(np.uint8)
+    X[1, 1:4] = 1  # one full window inside the clip
+    X[2] = 1  # every window inside the clip is full
+    X[3, :3] = 1
+    X[3, 1, 5] = 0  # one cell short
+    cells = np.stack([np.ones((k, d), np.uint8), np.zeros((k, d), np.uint8)])
+    cols = kernels._pattern_matrix(cells, k * d)
+    assert cols.shape == (k * d + 1, 4) and cols.dtype == np.float32
+    assert cols[-1].tolist() == [-39.0, 0.0, -1.0, -1.0]  # two zero padding columns
+    Xw = kernels.clip_windows(X, k, padding)
+    hits = _brute_hits(cells, X, padding)
+    assert hits[[1, 2], :, 0].any(axis=1).all() and not hits[[0, 3, 4, 5], :, 0].any()
+    assert hits[:, :, 1].all()
+    for p in ([0], [1], [0, 1]):
+        want = hits[:, :, p].any(axis=(1, 2))
+        first = kernels.match_first_window(cells[p], Xw)
+        assert (first == brute_first_window(cells[p], X, padding)).all()
+        assert (kernels.match_any(cells[p], Xw) == want).all()
+        assert kernels.match_any(cells[p], Xw[1:2]).tolist() == want[1:2].tolist()
+    assert (first[1] == 0).all()
+
+
+@pytest.mark.parametrize("n_patterns", [1, 4, 5, 8, 131, 132])
 @pytest.mark.parametrize("padding", [0, 1])
 def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
     """With blocks of a few clips' worth of window rows, every clip count on
@@ -201,7 +231,10 @@ def test_bench_kernels_script_runs(capsys):
     rows = [line.split() for line in out.splitlines() if line.startswith("harvest+dedup")]
     assert [(row[1], row[3]) for row in rows] == [("570", "30")]  # 19 raw per unique
     rows = [line.split() for line in out.splitlines() if line.startswith("auc")]
-    assert [row[1] for row in rows] == ["8", "100000"]
+    assert [(row[1], row[3]) for row in rows] == [("8", "tie-heavy"), ("8", "bool"),
+                                                  ("100000", "tie-heavy"), ("100000", "bool")]
+    rows = [line.split() for line in out.splitlines() if line.startswith("evaluate")]
+    assert [(row[1], row[3]) for row in rows] == [("8", "7")]  # the 7-pattern bank
     rows = [line.split() for line in out.splitlines() if line.startswith("load_dataset")]
     assert [(row[1], row[3]) for row in rows] == [("8", "canonical"), ("8", "json")]
     rows = [line.split() for line in out.splitlines() if line.startswith("train step")]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_legal_clip_batch
-from patternconv import kernels, netcore, objective
+from patternconv import curator, kernels, netcore, objective
 from patternconv.corpus import FeatureVocabulary
 from patternconv.errors import DataError
 from patternconv.netcore import (ModelState, ThresholdingParams, backward_batch,
@@ -345,6 +345,24 @@ def test_filters_json_round_trip():
     back = netcore.filters_from_json(text)
     assert (back.W == W).all() and back.era == 7 and back.padding == 2
     assert np.array_equal(back.per_filter_precision, precision, equal_nan=True)
+
+
+@pytest.mark.parametrize("k,want", [(1, 0), (3, 1)])
+def test_a_missing_padding_reads_as_1_or_0_at_k_1(vocab, k, want):
+    """Model, snapshot and bank files written before the `padding` field read
+    as padding 1, or as 0 at k = 1, where padding 1 would pass k - 1."""
+    state = init_state(4, k, vocab.d, padding=0, rng=0)
+    snap = netcore.EraSnapshot(era=0, W=state.W, per_filter_precision=np.full(4, np.nan))
+    cells = np.zeros((k, vocab.d), dtype=np.uint8)
+    cells[0, vocab.help_index] = 1
+    bank = curator.PatternBank(patterns=(curator.Pattern(cells=cells, pattern_id="p"),),
+                               vocabulary=vocab)
+    for text, load in ((netcore.state_to_json(state), netcore.state_from_json),
+                       (netcore.filters_to_json(snap), netcore.filters_from_json),
+                       (curator.bank_to_json(bank), curator.bank_from_json)):
+        doc = json.loads(text)
+        del doc["padding"]
+        assert load(json.dumps(doc)).padding == want
 
 
 @pytest.mark.parametrize("load", [netcore.state_from_json, netcore.filters_from_json])

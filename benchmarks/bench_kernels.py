@@ -36,14 +36,25 @@ canonical form that `write_dataset` writes, and on the same clips with
 spaces after the separators, which the loader parses line by line as JSON.
 One training step (forward with dropout, backward, the regularizer
 gradient, then the SGD step and clamp) is timed at the training batch size
-of 64 clips, or the batch if smaller, with alpha 1 as after the first era,
-and `regularizer_grad` alone with every loss weight 0 and with every weight
-at its schedule target.
+of 64 clips, or the batch if smaller, with alpha 1 as after the first era;
+then two of its pieces alone: `bce` plus `bce_grad` on the step's outputs,
+and `regularizer_grad` with every loss weight 0 and with every weight at its
+schedule target.
+
+Times are printed in microseconds. A batch row is the best of `--repeats`
+calls. A host can run a whole process fast or slow, by more than a few
+microseconds, so each single-clip row (window building, first-window
+matching and `match_any` on one clip) is the median over `--processes`
+short processes, each reporting its best of `--repeats` calls; the row also
+prints the quartiles over those processes.
 """
 
 import argparse
 import json
 import os
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -58,6 +69,7 @@ if __name__ == "__main__":
 
 import numpy as np
 
+import patternconv
 from patternconv import corpus, curator, evalmetrics, kernels, netcore, objective, trainer
 from patternconv.corpus import FeatureVocabulary
 from patternconv.objective import LossWeights
@@ -80,6 +92,51 @@ def _time(fn, *args, repeats=10):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _us(seconds: float) -> str:
+    return f"{seconds * 1e6:>10.1f}us"
+
+
+def kernel_inputs(args):
+    """The seeded clips, windows, filters and patterns that the kernel rows
+    time, and the generator that later rows draw from."""
+    rng = np.random.default_rng(0)
+    B, M, L, d, k = args.clips, args.filters, args.clip_length, args.features, args.kernel
+    X = (rng.random((B, L, d)) < 0.25).astype(np.uint8)
+    W = rng.random((M, k, d))
+    cells = (rng.random((M, k, d)) < 0.2).astype(np.uint8)
+    return rng, X, W, cells
+
+
+def one_clip_rows(args) -> dict:
+    """{row name: best time in s} of the single-clip rows, in this process."""
+    _, X, _, cells = kernel_inputs(args)
+    Xu = kernels.clip_windows(X, args.kernel, 1)
+    return {name: _time(fn, *a, repeats=args.repeats)
+            for name, fn, a in [("clip_windows", kernels.clip_windows, (X[:1], args.kernel, 1)),
+                                ("match_first_window", kernels.match_first_window,
+                                 (cells, Xu[:1])),
+                                ("match_any", kernels.match_any, (cells, Xu[:1]))]}
+
+
+def one_clip_medians(argv: list[str], processes: int) -> dict:
+    """{row name: (median, lower quartile, upper quartile)} of the single-clip
+    rows over `processes` fresh processes of this script."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(patternconv.__file__)),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = [json.loads(subprocess.run([sys.executable, os.path.abspath(__file__), "--one-clip",
+                                       *argv], env=env, capture_output=True, text=True,
+                                      check=True).stdout)
+            for _ in range(processes)]
+    out = {}
+    for name in runs[0]:
+        times = [run[name] for run in runs]
+        q1, med, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                       if len(times) > 1 else times * 3)
+        out[name] = (med, q1, q3)
+    return out
 
 
 def pattern_pool(n: int, k: int, vocab: FeatureVocabulary, rng) -> np.ndarray:
@@ -108,7 +165,7 @@ def bench_load(n: int, L: int, repeats: int) -> None:
             dst.writelines(json.dumps(json.loads(line)) + "\n" for line in src)
         for form, path in (("canonical", canonical), ("json", spaced)):
             t = _time(corpus.load_dataset, path, repeats=repeats)
-            print(f"{'load_dataset':<20} {n:>9} {t * 1e3:>10.3f}ms  {form}")
+            print(f"{'load_dataset':<20} {n:>9} {_us(t)}  {form}")
 
 
 def bench_step(X: np.ndarray, M: int, k: int, repeats: int) -> None:
@@ -128,13 +185,22 @@ def bench_step(X: np.ndarray, M: int, k: int, repeats: int) -> None:
         dW += objective.regularizer_grad(state.W, on, vocab)
         dW *= 0.05
         state.W -= dW
-        np.clip(state.W, 0.0, 1.0, out=state.W)
+        np.maximum(0.0, state.W, out=state.W)
+        np.minimum(state.W, 1.0, out=state.W)
 
     t = _time(step, repeats=repeats)
-    print(f"{'train step':<20} {B:>9} {t * 1e3:>10.3f}ms")
+    print(f"{'train step':<20} {B:>9} {_us(t)}")
+    y = netcore.forward_batch(state, Xw, training=True, rng=rng)[0]
+
+    def bce_pair():
+        objective.bce(y, labels)
+        objective.bce_grad(y, labels)
+
+    t = _time(bce_pair, repeats=repeats)
+    print(f"{'bce+bce_grad':<20} {B:>9} {_us(t)}")
     for name, weights in (("off", LossWeights()), ("on", on)):
         t = _time(objective.regularizer_grad, state.W, weights, vocab, repeats=repeats)
-        print(f"{'regularizer_grad':<20} {'':>9} {t * 1e3:>10.3f}ms  {M} filters, weights {name}")
+        print(f"{'regularizer_grad':<20} {'':>9} {_us(t)}  {M} filters, weights {name}")
 
 
 def bench_curation(sizes, k: int, repeats: int) -> None:
@@ -146,7 +212,7 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         pats = [curator.Pattern(cells=c, pattern_id=f"p{i:05d}") for i, c in enumerate(cells)]
         t = _time(curator.prune_subsumed, pats, repeats=repeats)
         kept = len(curator.prune_subsumed(pats))
-        print(f"{'prune_subsumed':<20} {n:>9} {t * 1e3:>10.2f}ms {kept:>7}")
+        print(f"{'prune_subsumed':<20} {n:>9} {_us(t)} {kept:>7}")
         # four raw filters per pattern: near-binary jitter, a quarter pushed off-binary
         W = np.repeat(cells, 4, axis=0).astype(np.float64)
         W = np.abs(W - rng.random(W.shape) * 0.04)
@@ -154,7 +220,7 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         prec = rng.random(len(W))
         t = _time(trainer.harvest_filters, W, prec, 0, vocab, 0.3, repeats=repeats)
         got = len(trainer.harvest_filters(W, prec, 0, vocab, 0.3))
-        print(f"{'harvest_filters':<20} {len(W):>9} {t * 1e3:>10.2f}ms {got:>7}")
+        print(f"{'harvest_filters':<20} {len(W):>9} {_us(t)} {got:>7}")
         # in shuffled order, so most harvested filters repeat an earlier one
         W = np.repeat(cells, RAW_PER_UNIQUE, axis=0)[rng.permutation(n * RAW_PER_UNIQUE)]
         W = np.abs(W - rng.random(W.shape) * 0.04)
@@ -165,7 +231,7 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
             return curator.dedup(trainer.harvest_filters(W, prec, 0, vocab, 0.3))
 
         t = _time(harvest_dedup, repeats=repeats)
-        print(f"{'harvest+dedup':<20} {len(W):>9} {t * 1e3:>10.2f}ms {len(harvest_dedup()):>7}")
+        print(f"{'harvest+dedup':<20} {len(W):>9} {_us(t)} {len(harvest_dedup()):>7}")
 
 
 def main(argv=None):
@@ -176,19 +242,27 @@ def main(argv=None):
     ap.add_argument("--features", type=int, default=13)
     ap.add_argument("--kernel", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=10)
+    ap.add_argument("--processes", type=int, default=5,
+                    help="fresh processes whose median each single-clip row reports")
     ap.add_argument("--pool-sizes", default="300,1359",
                     help="comma-separated unique-pattern counts for the curation passes")
+    ap.add_argument("--one-clip", action="store_true",
+                    help="print only this process's single-clip times, as JSON in s")
     args = ap.parse_args(argv)
+    if args.one_clip:
+        print(json.dumps(one_clip_rows(args)))
+        return
 
-    rng = np.random.default_rng(0)
+    rng, X, W, cells = kernel_inputs(args)
     B, M, L, d, k = (args.clips, args.filters, args.clip_length,
                      args.features, args.kernel)
-    X = (rng.random((B, L, d)) < 0.25).astype(np.uint8)
     Xu = kernels.clip_windows(X, k, 1)
     Xw = Xu.astype(np.float64)
-    W = rng.random((M, k, d))
-    cells = (rng.random((M, k, d)) < 0.2).astype(np.uint8)
     dh = rng.standard_normal((B, Xw.shape[1], M))
+    processes = max(args.processes, 1)
+    one_clip = one_clip_medians([f"--{name}={getattr(args, name.replace('-', '_'))}" for name in
+                                 ("clips", "filters", "clip-length", "features", "kernel",
+                                  "repeats")], processes)
 
     print(f"B={B} M={M} L={L} d={d} k={k}")
     print("threads: " + " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS))
@@ -196,13 +270,13 @@ def main(argv=None):
     for name, fn, a in [("conv_forward", kernels.conv_forward_batch, (W, Xw)),
                         ("conv_backward", kernels.conv_backward_batch, (dh, Xw, k)),
                         ("clip_windows", kernels.clip_windows, (X, k, 1)),
-                        ("clip_windows", kernels.clip_windows, (X[:1], k, 1)),
-                        ("match_first_window", kernels.match_first_window, (cells, Xu)),
-                        ("match_first_window", kernels.match_first_window, (cells, Xu[:1])),
-                        ("match_any", kernels.match_any, (cells, Xu[:1]))]:
+                        ("match_first_window", kernels.match_first_window, (cells, Xu))]:
         t = _time(fn, *a, repeats=args.repeats)
         clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
-        print(f"{name:<20} {clips:>9} {t * 1e3:>10.3f}ms")
+        print(f"{name:<20} {clips:>9} {_us(t)}")
+    for name, (median, q1, q3) in one_clip.items():
+        print(f"{name:<20} {1:>9} {_us(median)}  median of {processes} processes, "
+              f"quartiles {q1 * 1e6:.1f}-{q3 * 1e6:.1f}us")
     vocab = FeatureVocabulary.default()
     ds = corpus.Dataset(vocabulary=vocab, steps=X, labels=rng.random(B) < 0.2)
     bank_cells = (rng.random((max(BANK_SIZES), k, d)) < 0.08).astype(np.uint8)
@@ -217,17 +291,17 @@ def main(argv=None):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        print(f"{'bank_predict_batch':<20} {B:>9} {t * 1e3:>10.3f}ms  {n} patterns"
+        print(f"{'bank_predict_batch':<20} {B:>9} {_us(t)}  {n} patterns"
               f"  {peak / 1e6:.2f}MB peak")
         if n == BANK_SIZES[0]:
             t = _time(evalmetrics.evaluate, bank, ds, repeats=args.repeats)
-            print(f"{'evaluate':<20} {B:>9} {t * 1e3:>10.3f}ms  {n} patterns")
+            print(f"{'evaluate':<20} {B:>9} {_us(t)}  {n} patterns")
     for n in (B, 100_000):
         scores = rng.integers(0, 1000, n) / 1000
         labels = rng.random(n) < 0.2
         for kind, values in (("tie-heavy", scores), ("bool", rng.random(n) < 0.1)):
             t = _time(evalmetrics.auc, values, labels, repeats=args.repeats)
-            print(f"{'auc':<20} {n:>9} {t * 1e3:>10.3f}ms  {kind}")
+            print(f"{'auc':<20} {n:>9} {_us(t)}  {kind}")
     bench_load(B, L, args.repeats)
     bench_step(X, M, k, args.repeats)
 

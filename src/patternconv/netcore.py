@@ -196,7 +196,7 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     f, arg = maxpool(h, axis=1)
     # the pooled max is positive exactly where ReLU passed and dropout kept its
     # window, and a kept window's mask value is the dropout scale
-    gate = np.where(f > 0.0, scale, 0.0)
+    gate = (f > 0.0) * scale
     w = thresholding_weights(state.W, state.thresh.epsilon)
     y_thresh, a, s, y_trad, y_pre = _heads(state, f, w)
     cache = ForwardCache(X=X, h_pre=h_pre, f=f, argmax=arg, pool_gate=gate, w=w, a=a, s=s,
@@ -257,6 +257,7 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
     Returns {"W": (M,k,d), "fc_trad": (M,)}; fc_trad is zero when frozen.
     """
     t, tau = state.thresh.steepness, state.thresh.temperature
+    B, C, M = cache.h_pre.shape
     d_y = np.asarray(d_y, dtype=np.float64) * (cache.y_preclip < 1.0)
 
     # thresholding head: y = sum a_i s_i, s = softmax(a / tau)
@@ -277,10 +278,10 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
     # the pooled gradient is the thresholding head's alone and fc_trad's is zero
     if cache.y_trad is None:
         df = dz
-        dfc = np.zeros_like(state.fc_trad)
+        dfc = np.zeros(M)
     else:
         du = (1.0 - state.alpha) * d_y * cache.y_trad * (1.0 - cache.y_trad)
-        dfc = cache.f.T @ du if not state.fc_frozen else np.zeros_like(state.fc_trad)
+        dfc = cache.f.T @ du if not state.fc_frozen else np.zeros(M)
         df = du[:, None] * state.fc_trad[None, :]
         df += dz
 
@@ -289,8 +290,7 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
 
     # max pool routes each pooled gradient, through dropout and ReLU, to the
     # window it came from: flat index (b·C + argmax)·M + m of the (B, C, M) maps
-    B, C, M = cache.h_pre.shape
-    dh = np.zeros_like(cache.h_pre)
+    dh = np.zeros((B, C, M))
     at = cache.argmax * M
     at += np.arange(0, B * C * M, C * M)[:, None]
     at += np.arange(M)

@@ -46,14 +46,14 @@ class MinPenaltyParams:
 
 def bce(y: float | np.ndarray, label) -> float | np.ndarray:
     """Binary cross entropy with clamping away from the log singularities."""
-    y = np.clip(y, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    y = np.minimum(np.maximum(BCE_CLAMP, y), 1.0 - BCE_CLAMP)
     label = np.asarray(label, dtype=np.float64)
     return -(label * np.log(y) + (1.0 - label) * np.log(1.0 - y))
 
 
 def bce_grad(y: float | np.ndarray, label) -> float | np.ndarray:
     """dBCE/dy; zero where the clamp is active."""
-    yc = np.clip(y, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    yc = np.minimum(np.maximum(BCE_CLAMP, y), 1.0 - BCE_CLAMP)
     label = np.asarray(label, dtype=np.float64)
     g = -(label / yc - (1.0 - label) / (1.0 - yc))
     return g * ((y > BCE_CLAMP) & (y < 1.0 - BCE_CLAMP))
@@ -107,7 +107,7 @@ def regularizer_grad(W: np.ndarray, weights: LossWeights, vocab: FeatureVocabula
     attempt-related), so the sub and poss terms are one (M, k, 3) per-step
     table gathered to the columns and added once.
     """
-    g = np.zeros_like(W)
+    g = np.zeros(W.shape)
     if weights.bin:
         t = W * W
         t -= W

@@ -110,7 +110,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
         labels, clip_w = labels_all[idx], clip_w_all[idx]
         y, cache = forward_batch(state, train_set.X[idx], training=True, rng=rng)
 
-        batch_bce = float((clip_w * objective.bce(y, labels)).mean())
+        batch_bce = float((clip_w * objective.bce(y, labels)).sum() / len(idx))
         # W is clamped to [0, 1], so the regularizers are finite whenever W
         # is, and a non-finite W already makes the BCE non-finite
         if not math.isfinite(batch_bce):
@@ -120,12 +120,15 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
         grads = backward_batch(state, cache, d_y)
         dW = grads["W"]
         dW += objective.regularizer_grad(state.W, weights, vocab)
-        grad_norm_conv += float(np.linalg.norm(dW))
-        grad_norm_fc += float(np.linalg.norm(grads["fc_trad"]))
+        grad_norm_conv += math.sqrt(dW.ravel() @ dW.ravel())
+        grad_norm_fc += math.sqrt(grads["fc_trad"] @ grads["fc_trad"])
 
         dW *= lr
         state.W -= dW
-        np.clip(state.W, 0.0, 1.0, out=state.W)
+        # np.clip's bits with no wrapper call: the bound goes first so that
+        # -0.0 stays -0.0, as np.clip leaves it
+        np.maximum(0.0, state.W, out=state.W)
+        np.minimum(state.W, 1.0, out=state.W)
         if not freeze:
             state.fc_trad -= lr * grads["fc_trad"]
 

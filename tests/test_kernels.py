@@ -223,6 +223,10 @@ def test_bench_kernels_script_runs(capsys):
         assert [row[1] for row in rows] == ["8", "1"]  # the batch and a single clip
     rows = [line.split() for line in out.splitlines() if line.startswith("match_any")]
     assert [row[1] for row in rows] == ["1"]  # a single clip, as synth tests a candidate
+    rows = [line.split() for line in out.splitlines() if line.split()[1:2] == ["1"]]
+    assert len(rows) == 3  # each single-clip row: the median over fresh processes
+    assert all(row[2].endswith("us") and row[3:7] == ["median", "of", "5", "processes,"]
+               for row in rows)
     rows = [line.split() for line in out.splitlines() if line.startswith("bank_predict_batch")]
     assert [(row[1], row[3]) for row in rows] == [("8", "7"), ("8", "8"), ("8", "131"),
                                                   ("8", "132")]
@@ -239,6 +243,8 @@ def test_bench_kernels_script_runs(capsys):
     assert [(row[1], row[3]) for row in rows] == [("8", "canonical"), ("8", "json")]
     rows = [line.split() for line in out.splitlines() if line.startswith("train step")]
     assert [row[2] for row in rows] == ["8"]  # the batch, below the batch size of 64
+    rows = [line.split() for line in out.splitlines() if line.startswith("bce+bce_grad")]
+    assert [row[1] for row in rows] == ["8"]  # the step's outputs
     rows = [line.split() for line in out.splitlines() if line.startswith("regularizer_grad")]
     assert [row[2:] for row in rows] == [["4", "filters,", "weights", "off"],
                                          ["4", "filters,", "weights", "on"]]

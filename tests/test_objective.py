@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patternconv.objective import (LossWeights, MinPenaltyParams, bce, bce_grad,
+from patternconv.objective import (BCE_CLAMP, LossWeights, MinPenaltyParams, bce, bce_grad,
                                    regularizer_grad, regularizer_terms, regularizer_value)
 
 MP = MinPenaltyParams()  # r=0.5, onset=3, bias=1
@@ -37,6 +37,45 @@ def test_bce_values():
 def test_bce_clamps_extremes():
     assert np.isfinite(bce(0.0, 1)) and np.isfinite(bce(1.0, 0))
     assert bce_grad(0.0, 1) == 0.0  # clamp zone carries no gradient
+
+
+def _clip_bce(y, label):
+    y = np.clip(y, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    label = np.asarray(label, dtype=np.float64)
+    return -(label * np.log(y) + (1.0 - label) * np.log(1.0 - y))
+
+
+def _clip_bce_grad(y, label):
+    yc = np.clip(y, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    label = np.asarray(label, dtype=np.float64)
+    g = -(label / yc - (1.0 - label) / (1.0 - yc))
+    return g * ((y > BCE_CLAMP) & (y < 1.0 - BCE_CLAMP))
+
+
+# each clamp bound with the doubles on either side of it, the midpoint, the
+# ends of [0, 1], a signed zero and a NaN
+_LO, _HI = BCE_CLAMP, 1.0 - BCE_CLAMP
+BCE_EDGES = [0.0, np.nextafter(_LO, 0.0), _LO, np.nextafter(_LO, 1.0), 0.5,
+             np.nextafter(_HI, 0.0), _HI, np.nextafter(_HI, 1.0), 1.0, -0.0, np.nan]
+
+
+def _same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("fn, ref", [(bce, _clip_bce), (bce_grad, _clip_bce_grad)])
+def test_bce_at_the_clamp_is_bit_for_bit_its_np_clip_formula(fn, ref):
+    """bce and bce_grad clamp y with np.maximum then np.minimum, not np.clip:
+    the same bits and type as the np.clip formula at every edge of the
+    clamp, for scalar and array y and labels."""
+    for y in BCE_EDGES:
+        for label in (0, 1, 0.0, 1.0):
+            assert _same_bits(fn(y, label), ref(y, label)), (y, label)
+            assert _same_bits(fn(np.float64(y), label), ref(np.float64(y), label)), (y, label)
+    ys = np.array(BCE_EDGES)
+    for labels in (np.zeros(len(ys)), np.ones(len(ys)), np.arange(len(ys)) % 2):
+        assert _same_bits(fn(ys, labels), ref(ys, labels))
+        assert _same_bits(fn(ys, 1), ref(ys, 1))
 
 
 # ---------------------------------------------------------------- bin term

@@ -94,6 +94,27 @@ def test_nan_weight_raises_numerical_error(vocab, planted, alpha):
                     False, _small_config(), np.random.default_rng(1))
 
 
+def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
+    """With every gradient 0 the SGD step leaves W as it was, so what
+    train_epoch writes back is its clamp to [0, 1] alone: np.maximum then
+    np.minimum in place, the bits of np.clip(W, 0, 1) on a signed zero, on
+    values either side of the box and on a NaN."""
+    windows = WindowedSet.build(_dataset(vocab, planted), 3, 1)  # two batches
+    st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
+    st_.W[:] = np.resize([-0.0, -0.2, 0.0, 1.0, 1.3, np.nan, 0.25], st_.W.shape)
+    W0 = st_.W.copy()
+    monkeypatch.setattr(trainer, "forward_batch",
+                        lambda state, X, training, rng: (np.full(len(X), 0.5), None))
+    monkeypatch.setattr(trainer, "backward_batch", lambda state, cache, d_y: {
+        "W": np.zeros(state.W.shape), "fc_trad": np.zeros(state.M)})
+    monkeypatch.setattr(trainer.objective, "regularizer_grad",
+                        lambda W, weights, vocab: np.zeros(W.shape))
+    train_epoch(st_, windows, LossWeights(), 0.5, False, _small_config(),
+                np.random.default_rng(1))
+    assert st_.W.tobytes() == np.clip(W0, 0.0, 1.0).tobytes()
+    assert np.signbit(st_.W.ravel()[0])  # np.clip keeps -0.0
+
+
 # ------------------------------------------------------- filter precision
 
 def test_filter_precision_fixture(vocab, planted):

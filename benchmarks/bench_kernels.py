@@ -44,15 +44,14 @@ schedule target.
 Times are printed in microseconds. A batch row is the best of `--repeats`
 calls. A host can run a whole process fast or slow, by more than a few
 microseconds, so each single-clip row (window building, first-window
-matching and `match_any` on one clip) is the median over `--processes`
-short processes, each reporting its best of `--repeats` calls; the row also
-prints the quartiles over those processes.
+matching and `match_any` on one clip) is the median over
+`ONE_CLIP_PROCESSES` (5) short processes, each reporting its best of
+`--repeats` calls; the row also prints the quartiles over those processes.
 """
 
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -68,6 +67,7 @@ if __name__ == "__main__":
         os.environ.setdefault(var, "1")
 
 import numpy as np
+from ab_pairs import quartiles  # this script's directory is on sys.path
 
 import patternconv
 from patternconv import corpus, curator, evalmetrics, kernels, netcore, objective, trainer
@@ -82,6 +82,8 @@ BANK_SIZES = (7, 8, 131, 132)
 # raw filters per unique pattern in the harvest+dedup pool: the source
 # paper's funnel harvests 25,981 filters of 1,359 unique patterns
 RAW_PER_UNIQUE = 19
+# fresh processes whose median each single-clip row reports
+ONE_CLIP_PROCESSES = 5
 
 
 def _time(fn, *args, repeats=10):
@@ -120,23 +122,17 @@ def one_clip_rows(args) -> dict:
                                 ("match_any", kernels.match_any, (cells, Xu[:1]))]}
 
 
-def one_clip_medians(argv: list[str], processes: int) -> dict:
-    """{row name: (median, lower quartile, upper quartile)} of the single-clip
-    rows over `processes` fresh processes of this script."""
+def one_clip_quartiles(argv: list[str]) -> dict:
+    """{row name: (lower quartile, median, upper quartile)} of the single-clip
+    rows over ONE_CLIP_PROCESSES fresh processes of this script."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(patternconv.__file__)),
          *filter(None, [os.environ.get("PYTHONPATH")])]))
     runs = [json.loads(subprocess.run([sys.executable, os.path.abspath(__file__), "--one-clip",
                                        *argv], env=env, capture_output=True, text=True,
                                       check=True).stdout)
-            for _ in range(processes)]
-    out = {}
-    for name in runs[0]:
-        times = [run[name] for run in runs]
-        q1, med, q3 = (statistics.quantiles(times, n=4, method="inclusive")
-                       if len(times) > 1 else times * 3)
-        out[name] = (med, q1, q3)
-    return out
+            for _ in range(ONE_CLIP_PROCESSES)]
+    return {name: quartiles([run[name] for run in runs]) for name in runs[0]}
 
 
 def pattern_pool(n: int, k: int, vocab: FeatureVocabulary, rng) -> np.ndarray:
@@ -242,8 +238,6 @@ def main(argv=None):
     ap.add_argument("--features", type=int, default=13)
     ap.add_argument("--kernel", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=10)
-    ap.add_argument("--processes", type=int, default=5,
-                    help="fresh processes whose median each single-clip row reports")
     ap.add_argument("--pool-sizes", default="300,1359",
                     help="comma-separated unique-pattern counts for the curation passes")
     ap.add_argument("--one-clip", action="store_true",
@@ -259,10 +253,9 @@ def main(argv=None):
     Xu = kernels.clip_windows(X, k, 1)
     Xw = Xu.astype(np.float64)
     dh = rng.standard_normal((B, Xw.shape[1], M))
-    processes = max(args.processes, 1)
-    one_clip = one_clip_medians([f"--{name}={getattr(args, name.replace('-', '_'))}" for name in
+    one_clip = one_clip_quartiles([f"--{name}={getattr(args, name.replace('-', '_'))}" for name in
                                  ("clips", "filters", "clip-length", "features", "kernel",
-                                  "repeats")], processes)
+                                  "repeats")])
 
     print(f"B={B} M={M} L={L} d={d} k={k}")
     print("threads: " + " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS))
@@ -274,8 +267,8 @@ def main(argv=None):
         t = _time(fn, *a, repeats=args.repeats)
         clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
         print(f"{name:<20} {clips:>9} {_us(t)}")
-    for name, (median, q1, q3) in one_clip.items():
-        print(f"{name:<20} {1:>9} {_us(median)}  median of {processes} processes, "
+    for name, (q1, median, q3) in one_clip.items():
+        print(f"{name:<20} {1:>9} {_us(median)}  median of {ONE_CLIP_PROCESSES} processes, "
               f"quartiles {q1 * 1e6:.1f}-{q3 * 1e6:.1f}us")
     vocab = FeatureVocabulary.default()
     ds = corpus.Dataset(vocabulary=vocab, steps=X, labels=rng.random(B) < 0.2)

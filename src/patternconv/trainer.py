@@ -125,8 +125,11 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
 
         dW *= lr
         state.W -= dW
-        # np.clip's bits with no wrapper call: the bound goes first so that
-        # -0.0 stays -0.0, as np.clip leaves it
+        # np.clip(W, 0, 1) with no wrapper call. -0.0 never reaches this
+        # clamp (W starts non-negative and x - y is -0.0 only for x = -0.0);
+        # with the bound first, -0.0 also stays -0.0 as np.clip leaves it,
+        # but only on numpy builds whose maximum returns its second operand
+        # on a tie of zeros, which numpy does not promise
         np.maximum(0.0, state.W, out=state.W)
         np.minimum(state.W, 1.0, out=state.W)
         if not freeze:

@@ -41,12 +41,14 @@ then two of its pieces alone: `bce` plus `bce_grad` on the step's outputs,
 and `regularizer_grad` with every loss weight 0 and with every weight at its
 schedule target.
 
-Times are printed in microseconds. A batch row is the best of `--repeats`
-calls. A host can run a whole process fast or slow, by more than a few
-microseconds, so each single-clip row (window building, first-window
-matching and `match_any` on one clip) is the median over
-`ONE_CLIP_PROCESSES` (5) short processes, each reporting its best of
-`--repeats` calls; the row also prints the quartiles over those processes.
+Times are printed in microseconds. A host can run a whole process fast or
+slow, by more than a single-clip row or a training step changes, so each
+single-clip row (window building, first-window matching and `match_any` on
+one clip) and each step row (the training step, `bce` plus `bce_grad`, and
+both `regularizer_grad` rows) is the median over `ROW_PROCESSES` (5) short
+processes, each reporting its best of `--repeats` calls; the row also prints
+the quartiles over those processes. Every other row is the best of
+`--repeats` calls in this process.
 """
 
 import argparse
@@ -82,8 +84,8 @@ BANK_SIZES = (7, 8, 131, 132)
 # raw filters per unique pattern in the harvest+dedup pool: the source
 # paper's funnel harvests 25,981 filters of 1,359 unique patterns
 RAW_PER_UNIQUE = 19
-# fresh processes whose median each single-clip row reports
-ONE_CLIP_PROCESSES = 5
+# fresh processes whose median each single-clip row and step row reports
+ROW_PROCESSES = 5
 
 
 def _time(fn, *args, repeats=10):
@@ -111,28 +113,37 @@ def kernel_inputs(args):
     return rng, X, W, cells
 
 
-def one_clip_rows(args) -> dict:
-    """{row name: best time in s} of the single-clip rows, in this process."""
+def process_rows(args) -> dict:
+    """{row name: best time in s} of the single-clip rows and the step rows,
+    in this process."""
     _, X, _, cells = kernel_inputs(args)
     Xu = kernels.clip_windows(X, args.kernel, 1)
-    return {name: _time(fn, *a, repeats=args.repeats)
+    rows = {name: _time(fn, *a, repeats=args.repeats)
             for name, fn, a in [("clip_windows", kernels.clip_windows, (X[:1], args.kernel, 1)),
                                 ("match_first_window", kernels.match_first_window,
                                  (cells, Xu[:1])),
                                 ("match_any", kernels.match_any, (cells, Xu[:1]))]}
+    return rows | step_rows(X, args.filters, args.kernel, args.repeats)
 
 
-def one_clip_quartiles(argv: list[str]) -> dict:
-    """{row name: (lower quartile, median, upper quartile)} of the single-clip
-    rows over ONE_CLIP_PROCESSES fresh processes of this script."""
+def process_quartiles(argv: list[str]) -> dict:
+    """{row name: (lower quartile, median, upper quartile)} of the rows of
+    `process_rows` over ROW_PROCESSES fresh processes of this script."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(patternconv.__file__)),
          *filter(None, [os.environ.get("PYTHONPATH")])]))
-    runs = [json.loads(subprocess.run([sys.executable, os.path.abspath(__file__), "--one-clip",
-                                       *argv], env=env, capture_output=True, text=True,
-                                      check=True).stdout)
-            for _ in range(ONE_CLIP_PROCESSES)]
+    runs = [json.loads(subprocess.run([sys.executable, os.path.abspath(__file__),
+                                       "--process-rows", *argv], env=env, capture_output=True,
+                                      text=True, check=True).stdout)
+            for _ in range(ROW_PROCESSES)]
     return {name: quartiles([run[name] for run in runs]) for name in runs[0]}
+
+
+def _median_row(name: str, count, q: tuple, note: str = "") -> None:
+    """Print a row of `process_quartiles`: its median and quartiles."""
+    q1, median, q3 = q
+    print(f"{name:<20} {count:>9} {_us(median)}  median of {ROW_PROCESSES} processes, "
+          f"quartiles {q1 * 1e6:.1f}-{q3 * 1e6:.1f}us{note}")
 
 
 def pattern_pool(n: int, k: int, vocab: FeatureVocabulary, rng) -> np.ndarray:
@@ -164,9 +175,18 @@ def bench_load(n: int, L: int, repeats: int) -> None:
             print(f"{'load_dataset':<20} {n:>9} {_us(t)}  {form}")
 
 
-def bench_step(X: np.ndarray, M: int, k: int, repeats: int) -> None:
+def step_batch(X: np.ndarray) -> int:
+    """The clips of a training step: the training batch size, or the batch
+    if smaller."""
+    return min(trainer.TrainConfig().batch_size, len(X))
+
+
+def step_rows(X: np.ndarray, M: int, k: int, repeats: int) -> dict:
+    """{row name: best time in s} of one training step and of two of its
+    pieces: `bce` plus `bce_grad`, and `regularizer_grad` with its weights
+    off and on."""
     vocab = FeatureVocabulary.default()
-    B = min(trainer.TrainConfig().batch_size, len(X))
+    B = step_batch(X)
     rng = np.random.default_rng(1)
     # a model's padding is at most k - 1
     state = netcore.init_state(M, k, vocab.d, padding=min(netcore.DEFAULT_PADDING, k - 1),
@@ -184,19 +204,18 @@ def bench_step(X: np.ndarray, M: int, k: int, repeats: int) -> None:
         np.maximum(0.0, state.W, out=state.W)
         np.minimum(state.W, 1.0, out=state.W)
 
-    t = _time(step, repeats=repeats)
-    print(f"{'train step':<20} {B:>9} {_us(t)}")
+    rows = {"train step": _time(step, repeats=repeats)}
     y = netcore.forward_batch(state, Xw, training=True, rng=rng)[0]
 
     def bce_pair():
         objective.bce(y, labels)
         objective.bce_grad(y, labels)
 
-    t = _time(bce_pair, repeats=repeats)
-    print(f"{'bce+bce_grad':<20} {B:>9} {_us(t)}")
+    rows["bce+bce_grad"] = _time(bce_pair, repeats=repeats)
     for name, weights in (("off", LossWeights()), ("on", on)):
-        t = _time(objective.regularizer_grad, state.W, weights, vocab, repeats=repeats)
-        print(f"{'regularizer_grad':<20} {'':>9} {_us(t)}  {M} filters, weights {name}")
+        rows[f"regularizer_grad {name}"] = _time(objective.regularizer_grad, state.W, weights,
+                                                 vocab, repeats=repeats)
+    return rows
 
 
 def bench_curation(sizes, k: int, repeats: int) -> None:
@@ -240,11 +259,11 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=10)
     ap.add_argument("--pool-sizes", default="300,1359",
                     help="comma-separated unique-pattern counts for the curation passes")
-    ap.add_argument("--one-clip", action="store_true",
-                    help="print only this process's single-clip times, as JSON in s")
+    ap.add_argument("--process-rows", action="store_true",
+                    help="print only this process's single-clip and step times, as JSON in s")
     args = ap.parse_args(argv)
-    if args.one_clip:
-        print(json.dumps(one_clip_rows(args)))
+    if args.process_rows:
+        print(json.dumps(process_rows(args)))
         return
 
     rng, X, W, cells = kernel_inputs(args)
@@ -253,9 +272,9 @@ def main(argv=None):
     Xu = kernels.clip_windows(X, k, 1)
     Xw = Xu.astype(np.float64)
     dh = rng.standard_normal((B, Xw.shape[1], M))
-    one_clip = one_clip_quartiles([f"--{name}={getattr(args, name.replace('-', '_'))}" for name in
-                                 ("clips", "filters", "clip-length", "features", "kernel",
-                                  "repeats")])
+    per_process = process_quartiles([f"--{name}={getattr(args, name.replace('-', '_'))}"
+                                     for name in ("clips", "filters", "clip-length", "features",
+                                                  "kernel", "repeats")])
 
     print(f"B={B} M={M} L={L} d={d} k={k}")
     print("threads: " + " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS))
@@ -267,9 +286,8 @@ def main(argv=None):
         t = _time(fn, *a, repeats=args.repeats)
         clips = a[0 if fn is kernels.clip_windows else 1].shape[0]
         print(f"{name:<20} {clips:>9} {_us(t)}")
-    for name, (q1, median, q3) in one_clip.items():
-        print(f"{name:<20} {1:>9} {_us(median)}  median of {ONE_CLIP_PROCESSES} processes, "
-              f"quartiles {q1 * 1e6:.1f}-{q3 * 1e6:.1f}us")
+    for name in ("clip_windows", "match_first_window", "match_any"):
+        _median_row(name, 1, per_process[name])
     vocab = FeatureVocabulary.default()
     ds = corpus.Dataset(vocabulary=vocab, steps=X, labels=rng.random(B) < 0.2)
     bank_cells = (rng.random((max(BANK_SIZES), k, d)) < 0.08).astype(np.uint8)
@@ -296,7 +314,12 @@ def main(argv=None):
             t = _time(evalmetrics.auc, values, labels, repeats=args.repeats)
             print(f"{'auc':<20} {n:>9} {_us(t)}  {kind}")
     bench_load(B, L, args.repeats)
-    bench_step(X, M, k, args.repeats)
+    step_clips = step_batch(X)
+    _median_row("train step", step_clips, per_process["train step"])
+    _median_row("bce+bce_grad", step_clips, per_process["bce+bce_grad"])
+    for name in ("off", "on"):
+        _median_row("regularizer_grad", "", per_process[f"regularizer_grad {name}"],
+                    f"  {M} filters, weights {name}")
 
     bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
 

@@ -64,13 +64,11 @@ def write_expert_patterns(patterns, vocab: FeatureVocabulary, path) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def edit_distance(p1, p2) -> int:
+def edit_distance(p1: Pattern, p2: Pattern) -> int:
     """Substitution-only distance: number of differing cells."""
-    c1 = p1.cells if isinstance(p1, Pattern) else np.asarray(p1)
-    c2 = p2.cells if isinstance(p2, Pattern) else np.asarray(p2)
-    if c1.shape != c2.shape:
+    if p1.cells.shape != p2.cells.shape:
         raise DataError("patterns must share the same shape")
-    return int((c1 != c2).sum())
+    return int((p1.cells != p2.cells).sum())
 
 
 def expand_expert(p: ExpertPattern, vocab: FeatureVocabulary, k: int = 3) -> list[Pattern]:

@@ -121,21 +121,16 @@ def config_hash(cfg: dict) -> str:
 
 def default_planted_patterns(vocab: corpus.FeatureVocabulary) -> list[curator.Pattern]:
     """Three mutually non-subsuming planted patterns over the default vocabulary."""
-    def mk(pid, step_features):
-        cells = np.zeros((3, vocab.d), dtype=np.uint8)
-        for n, names in enumerate(step_features):
-            for name in names:
-                cells[n, vocab.feature_names.index(name)] = 1
-        return curator.Pattern(cells=cells, pattern_id=pid)
-
-    return [
-        mk("planted-0", [["help", "bottom_out_search"], ["incorrect"],
-                         ["incorrect", "similar_answer"]]),
-        mk("planted-1", [["help"], ["help", "repeated_help"],
-                         ["incorrect", "guess_like_entry"]]),
-        mk("planted-2", [["incorrect", "similar_answer"], ["incorrect", "similar_answer"],
-                         ["correct", "quick_attempt"]]),
-    ]
+    steps = {
+        "planted-0": [["help", "bottom_out_search"], ["incorrect"],
+                      ["incorrect", "similar_answer"]],
+        "planted-1": [["help"], ["help", "repeated_help"], ["incorrect", "guess_like_entry"]],
+        "planted-2": [["incorrect", "similar_answer"], ["incorrect", "similar_answer"],
+                      ["correct", "quick_attempt"]],
+    }
+    # a 3-step expert pattern expands to itself alone, named as the expert
+    return [analysis.expand_expert(analysis.expert_from_names(name, named, vocab), vocab)[0]
+            for name, named in steps.items()]
 
 
 def build_train_config(cfg: dict) -> trainer.TrainConfig:

@@ -238,31 +238,29 @@ def _step_span(cells: np.ndarray):
     return on.argmax(axis=1), k - 1 - on[:, ::-1].argmax(axis=1), on.any(axis=1)
 
 
-def _dominance(a_cells: np.ndarray, b_cells: np.ndarray, clip_length: int,
-               padding: int) -> np.ndarray:
-    """D[i, j] = pattern a_cells[i] subsumes pattern b_cells[j] (both (n, k, d)).
+def _dominance(cells: np.ndarray, clip_length: int, padding: int) -> np.ndarray:
+    """D[i, j] = pattern a = cells[i] subsumes pattern b = cells[j] (cells (n, k, d)).
 
     Position-aligned containment is a strict subset of positives. A shift s
     of a by whole steps must keep a inside its k steps, leave a's positives
     inside b's, and keep a's window in range for every window at which b's
     positive steps land on real clip steps.
     """
-    k = a_cells.shape[1]
-    A, not_B = _packed_words(a_cells), ~_packed_words(b_cells)
-    n_a = a_cells.sum(axis=(1, 2), dtype=np.int64)
-    n_b = b_cells.sum(axis=(1, 2), dtype=np.int64)
-    D = _subset(A, not_B) & (n_a[:, None] < n_b[None, :])
-    first_a, last_a, _ = _step_span(a_cells)
-    first_b, last_b, live_b = _step_span(b_cells)
+    k = cells.shape[1]
+    A = _packed_words(cells)
+    not_B = ~A
+    n = cells.sum(axis=(1, 2), dtype=np.int64)
+    D = _subset(A, not_B) & (n[:, None] < n[None, :])
+    first, last, live = _step_span(cells)
     C = clip_length - k + 1 + 2 * padding
-    c_min = np.maximum(0, padding - first_b)
-    c_max = np.minimum(C - 1, padding + clip_length - 1 - last_b)
-    live_b &= c_min <= c_max
+    c_min = np.maximum(0, padding - first)
+    c_max = np.minimum(C - 1, padding + clip_length - 1 - last)
+    live &= c_min <= c_max
     for s in range(-(k - 1), k):
         if s == 0:
             continue
-        ia = np.flatnonzero((first_a + s >= 0) & (last_a + s <= k - 1))
-        jb = np.flatnonzero(live_b & (c_min + s >= 0) & (c_max + s <= C - 1))
+        ia = np.flatnonzero((first + s >= 0) & (last + s <= k - 1))
+        jb = np.flatnonzero(live & (c_min + s >= 0) & (c_max + s <= C - 1))
         if ia.size == 0 or jb.size == 0:
             continue
         lo, hi = max(0, -s), min(k, k - s)
@@ -278,7 +276,7 @@ def subsumes(a: Pattern, b: Pattern, clip_length: int = DEFAULT_CLIP_LENGTH,
     of b's. Shifted containment additionally requires the shift to keep a's
     match window in range for every window where b can match.
     """
-    return bool(_dominance(a.cells[None], b.cells[None], clip_length, padding)[0, 0])
+    return bool(_dominance(np.stack([a.cells, b.cells]), clip_length, padding)[0, 1])
 
 
 def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH,
@@ -289,7 +287,7 @@ def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH,
     if not patterns:
         return []
     cells = np.stack([p.cells for p in patterns])
-    D = _dominance(cells, cells, clip_length, padding)
+    D = _dominance(cells, clip_length, padding)
     np.fill_diagonal(D, False)
     later = np.tri(len(patterns), k=-1, dtype=bool)  # [i, j] with j < i
     dominated = (D & ~(D.T & later)).any(axis=0)

@@ -4,51 +4,31 @@ traditional head, the alpha blend, and exact analytic gradients."""
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import (BOOL, INTEGER, LIST, NUMBER, DataError, check_version, fields, float_array,
+from .errors import (BOOL, INTEGER, LIST, DataError, check_version, fields, float_array,
                      json_object, padding_field, within)
 
 MODEL_FORMAT_VERSION = 1
 
-DEFAULT_STEEPNESS = 200.0
-DEFAULT_OFFSET = 0.99
-DEFAULT_TEMPERATURE = 0.01
-DEFAULT_EPSILON = 1e-6
+# The thresholding head's steepness t, offset beta, softmax temperature tau
+# and weight epsilon: fixed by the method, not learned or configured.
+THRESH = {"steepness": 200.0, "offset": 0.99, "temperature": 0.01, "epsilon": 1e-6}
 DEFAULT_DROPOUT = 0.2
 DEFAULT_PADDING = 1
 
 
-def sigmoid(x):
-    """0.5 * (1 + tanh(x / 2)), computed in place on one temporary for arrays."""
-    z = 0.5 * np.asarray(x, dtype=np.float64)
-    if z.ndim == 0:
-        return 0.5 * (1.0 + np.tanh(z))
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + tanh(x / 2)) of a float64 array, computed in place on one
+    temporary."""
+    z = 0.5 * x
     np.tanh(z, out=z)
     z += 1.0
     z *= 0.5
     return z
-
-
-@dataclass(frozen=True)
-class ThresholdingParams:
-    steepness: float = DEFAULT_STEEPNESS  # t
-    offset: float = DEFAULT_OFFSET        # beta
-    temperature: float = DEFAULT_TEMPERATURE  # tau
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.steepness, self.offset, self.temperature,
-                                       self.epsilon))):
-            raise DataError("thresholding params must be finite")
-        if self.steepness <= 0 or self.temperature <= 0 or self.epsilon <= 0:
-            raise DataError("thresholding params must be positive")
-        if not (0 < self.offset <= 1):
-            raise DataError("thresholding offset must lie in (0, 1]")
 
 
 @dataclass
@@ -58,7 +38,6 @@ class ModelState:
     W: np.ndarray                 # (M, k, d)
     fc_trad: np.ndarray           # (M,)
     fc_frozen: bool = False
-    thresh: ThresholdingParams = field(default_factory=ThresholdingParams)
     alpha: float = 0.0
     dropout_rate: float = DEFAULT_DROPOUT
     padding: int = DEFAULT_PADDING
@@ -66,6 +45,8 @@ class ModelState:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise DataError("alpha must lie in [0, 1]")
+        if not (0.0 <= self.dropout_rate < 1.0):  # keeping no cell scales by 1 / 0
+            raise DataError("dropout_rate must lie in [0, 1)")
         if self.fc_trad.shape != (self.W.shape[0],):
             raise DataError("fc_trad length must equal the filter count")
         if not 0 <= self.padding <= self.k - 1:
@@ -105,40 +86,39 @@ def init_state(M: int, k: int, d: int, padding: int = DEFAULT_PADDING,
     )
 
 
-def maxpool(h: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Max along `axis` with the lowest-index tie-break (for gradient routing).
+def maxpool(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max over the C windows of (B, C, M) feature maps, (B, M), with the
+    lowest-index tie-break (for gradient routing).
 
-    One comparison against the max finds every position that attains it; the
+    One comparison against the max finds every window that attains it; the
     lowest of them has the highest descending rank C, C-1, ..., 1.
     """
-    C = h.shape[axis]
+    C = h.shape[1]
     if C < 1:
         raise DataError("feature maps need at least one convolution position")
-    f = h.max(axis=axis, keepdims=True)
-    shape = [1] * h.ndim
-    shape[axis] = C
-    rank = np.arange(C, 0, -1, dtype=np.min_scalar_type(C)).reshape(shape)
-    arg = C - (rank * (h == f)).max(axis=axis)
-    return f.squeeze(axis), arg.astype(np.intp)
+    f = h.max(axis=1, keepdims=True)
+    rank = np.arange(C, 0, -1, dtype=np.min_scalar_type(C))[:, None]
+    arg = C - (rank * (h == f)).max(axis=1)
+    return f.squeeze(1), arg.astype(np.intp)
 
 
-def thresholding_weights(W: np.ndarray, epsilon: float) -> np.ndarray:
+def thresholding_weights(W: np.ndarray) -> np.ndarray:
     """Per-filter weight 1 / (sum of |W| + epsilon), recomputed from W every pass."""
-    return 1.0 / (np.abs(W).reshape(W.shape[0], -1).sum(axis=1) + epsilon)
+    return 1.0 / (np.abs(W).reshape(W.shape[0], -1).sum(axis=1) + THRESH["epsilon"])
 
 
-def thresholding_forward(f: np.ndarray, w: np.ndarray, params: ThresholdingParams):
+def thresholding_forward(f: np.ndarray, w: np.ndarray):
     """Four-stage thresholding head on pooled activations.
 
     Returns (y_thresholding, a, s): scaled-sigmoid activations and their
     low-temperature softmax weights.
     """
     z = f * w
-    z -= params.offset
-    z *= params.steepness
+    z -= THRESH["offset"]
+    z *= THRESH["steepness"]
     a = sigmoid(z)
     s = a - a.max(axis=-1, keepdims=True)
-    s /= params.temperature
+    s /= THRESH["temperature"]
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     y = (a * s).sum(axis=-1)
@@ -193,11 +173,11 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
         scale = 1.0 / keep
         h *= scale
 
-    f, arg = maxpool(h, axis=1)
+    f, arg = maxpool(h)
     # the pooled max is positive exactly where ReLU passed and dropout kept its
     # window, and a kept window's mask value is the dropout scale
     gate = (f > 0.0) * scale
-    w = thresholding_weights(state.W, state.thresh.epsilon)
+    w = thresholding_weights(state.W)
     y_thresh, a, s, y_trad, y_pre = _heads(state, f, w)
     cache = ForwardCache(X=X, h_pre=h_pre, f=f, argmax=arg, pool_gate=gate, w=w, a=a, s=s,
                          y_trad=y_trad, y_thresh=y_thresh, y_preclip=y_pre)
@@ -207,7 +187,7 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
 def _heads(state: ModelState, f: np.ndarray, w: np.ndarray):
     """The thresholding head, the traditional head and their alpha blend on
     pooled activations f (B, M): (y_thresh, a, s, y_trad, y_preclip)."""
-    y_thresh, a, s = thresholding_forward(f, w, state.thresh)
+    y_thresh, a, s = thresholding_forward(f, w)
     if state.alpha == 1.0:
         # (1 - alpha) * y_trad + alpha * y_thresh is exactly y_thresh
         return y_thresh, a, s, None, y_thresh
@@ -238,7 +218,7 @@ def predict(state: ModelState, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     if X.ndim != 3 or X.shape[2] != state.d:
         raise DataError(f"input width {X.shape[-1]} != {state.d} for model d {state.d}")
-    w = thresholding_weights(state.W, state.thresh.epsilon)
+    w = thresholding_weights(state.W)
     y = np.empty(len(X))
     for part in _predict_chunks(len(X)):
         windows = kernels.clip_windows(X[part], state.k, state.padding)
@@ -256,7 +236,7 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
     sign subgradient, 0 at exactly 0) and argmax-routed pooling gradients.
     Returns {"W": (M,k,d), "fc_trad": (M,)}; fc_trad is zero when frozen.
     """
-    t, tau = state.thresh.steepness, state.thresh.temperature
+    t, tau = THRESH["steepness"], THRESH["temperature"]
     B, C, M = cache.h_pre.shape
     d_y = np.asarray(d_y, dtype=np.float64) * (cache.y_preclip < 1.0)
 
@@ -311,12 +291,7 @@ def state_to_json(state: ModelState) -> str:
         "W": state.W.ravel().tolist(),
         "fc_trad": state.fc_trad.tolist(),
         "fc_frozen": state.fc_frozen,
-        "thresh": {
-            "steepness": state.thresh.steepness,
-            "offset": state.thresh.offset,
-            "temperature": state.thresh.temperature,
-            "epsilon": state.thresh.epsilon,
-        },
+        "thresh": THRESH,
         "alpha": state.alpha,
         "dropout_rate": state.dropout_rate,
     }
@@ -325,14 +300,13 @@ def state_to_json(state: ModelState) -> str:
 
 _SIZE = within("[1, inf)", INTEGER)
 _FILTERS = {"M": _SIZE, "k": _SIZE, "d": _SIZE, "W": LIST}
-_THRESH = {"steepness": (*within("(0, inf)"), DEFAULT_STEEPNESS),
-           "offset": (*within("(0, 1]"), DEFAULT_OFFSET),
-           "temperature": (*within("(0, inf)"), DEFAULT_TEMPERATURE),
-           "epsilon": (*within("(0, inf)"), DEFAULT_EPSILON)}
+# A model file may leave out a head constant, but not record another value.
+_THRESH = {key: ((lambda value, fixed=fixed: value == fixed), repr(fixed), fixed)
+           for key, fixed in THRESH.items()}
 _MODEL = {"fc_trad": LIST, "fc_frozen": BOOL,
-          "thresh": (lambda t: type(t) is dict and t.keys() <= _THRESH.keys(),
-                     "an object of " + ", ".join(_THRESH)),
-          "alpha": within("[0, 1]"), "dropout_rate": NUMBER}
+          "thresh": (lambda t: type(t) is dict and t.keys() <= THRESH.keys(),
+                     "an object of " + ", ".join(THRESH)),
+          "alpha": within("[0, 1]"), "dropout_rate": within("[0, 1)")}
 _SNAPSHOT = {"era": (*within("[0, inf)", INTEGER), -1), "per_filter_precision": LIST}
 
 
@@ -350,11 +324,11 @@ def state_from_json(text: str | dict) -> ModelState:
     check_version(doc, MODEL_FORMAT_VERSION, "model file")
     W = _filters(doc, "model file")
     fc_trad, fc_frozen, thresh, alpha, dropout_rate = fields(doc, _MODEL, "model file").values()
+    fields(thresh, _THRESH, "model file thresh")
     return ModelState(
         W=W,
         fc_trad=float_array(fc_trad, len(W), "model file", "fc_trad"),
         fc_frozen=fc_frozen,
-        thresh=ThresholdingParams(**fields(thresh, _THRESH, "model file thresh")),
         alpha=float(alpha),
         dropout_rate=float(dropout_rate),
         padding=padding_field(doc, "model file", W.shape[1]),

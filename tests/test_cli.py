@@ -529,7 +529,11 @@ UNUSABLE = {
                                     'not "no"'),
     "model_with_bool_dropout_rate": (_model_with(("dropout_rate",), True),
                                      "m.json: model file 'dropout_rate' must be a finite "
-                                     "number, not true"),
+                                     "number in [0, 1), not true"),
+    # a model that drops every cell would scale the kept ones by 1 / 0
+    "model_with_dropout_rate_1": (_model_with(("dropout_rate",), 1.0),
+                                  "m.json: model file 'dropout_rate' must be a finite number "
+                                  "in [0, 1), not 1.0"),
     # numpy would read these array elements as numbers: "0.5" as 0.5, true as 1.0
     "model_with_string_weight": (_model_with(("W", 0), "0.5"),
                                  "m.json: model file 'W' must be a list of 156 finite numbers, "
@@ -542,6 +546,11 @@ UNUSABLE = {
     "model_with_weight_past_float_range": (_model_with(("W", 0), 10 ** 400),
                                            "m.json: model file 'W' must be a list of 156 "
                                            "finite numbers, not [1000"),
+    # the head's settings are constants: a model file may only repeat them
+    **{f"model_with_other_{key}": (_model_with(("thresh", key), 2 * fixed),
+                                   f"m.json: model file thresh '{key}' must be {fixed!r}, "
+                                   f"not {json.dumps(2 * fixed)}")
+       for key, fixed in netcore.THRESH.items()},
     "snapshot_with_bool_precision": (_snapshot_field("per_filter_precision", [True, 0.9]),
                                      "era_000.json: filter snapshot file 'per_filter_precision' "
                                      "must be a list of 2 numbers in [0, 1] or nulls, not [true, "),
@@ -687,13 +696,12 @@ NON_FINITE = {
     "model_fc_trad": (_model_with(("fc_trad", 1), -_INF),
                       "m.json: model file 'fc_trad' must be a list of 4 finite numbers, not ["),
     "model_dropout_rate": (_model_with(("dropout_rate",), _NAN),
-                           "m.json: model file 'dropout_rate' must be a finite number, not NaN"),
+                           "m.json: model file 'dropout_rate' must be a finite number in "
+                           "[0, 1), not NaN"),
     "model_temperature": (_model_with(("thresh", "temperature"), _NAN),
-                          "m.json: model file thresh 'temperature' must be a finite number "
-                          "in (0, inf), not NaN"),
+                          "m.json: model file thresh 'temperature' must be 0.01, not NaN"),
     "model_steepness": (_model_with(("thresh", "steepness"), _INF),
-                        "m.json: model file thresh 'steepness' must be a finite number in "
-                        "(0, inf), not Infinity"),
+                        "m.json: model file thresh 'steepness' must be 200.0, not Infinity"),
     "model_alpha": (_model_with(("alpha",), _NAN),
                     "m.json: model file 'alpha' must be a finite number in [0, 1], not NaN"),
     "snapshot_W": (_non_finite_snapshot,

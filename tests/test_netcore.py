@@ -12,7 +12,7 @@ from conftest import random_legal_clip_batch
 from patternconv import curator, kernels, netcore, objective
 from patternconv.corpus import FeatureVocabulary
 from patternconv.errors import DataError
-from patternconv.netcore import (ModelState, ThresholdingParams, backward_batch,
+from patternconv.netcore import (ModelState, backward_batch,
                                  forward_batch, init_state, maxpool, sigmoid,
                                  thresholding_forward, thresholding_weights)
 
@@ -86,8 +86,8 @@ def test_k1_windows_are_the_clips(vocab):
 # ------------------------------------------------------------------ pooling
 
 def test_maxpool_tie_takes_lowest_index():
-    vals, arg = maxpool(np.array([[0.0, 3.0, 1.0, 3.0, 0.0]]))
-    assert vals[0] == 3.0 and arg[0] == 1
+    vals, arg = maxpool(np.array([[0.0, 3.0, 1.0, 3.0, 0.0]])[:, :, None])
+    assert vals[0, 0] == 3.0 and arg[0, 0] == 1
 
 
 def test_pooling_ties_route_to_lowest_window(vocab, monkeypatch):
@@ -122,8 +122,8 @@ def test_pooling_ties_route_to_lowest_window(vocab, monkeypatch):
 
 
 def test_maxpool_zero_and_single():
-    vals, _ = maxpool(np.array([[0.0, 0.0], [0.0, 2.5]]))
-    assert vals.tolist() == [0.0, 2.5]
+    vals, _ = maxpool(np.array([[0.0, 0.0], [0.0, 2.5]])[:, :, None])
+    assert vals[:, 0].tolist() == [0.0, 2.5]
 
 
 # ------------------------------------------------------- thresholding stages
@@ -132,31 +132,28 @@ def test_thresholding_weights_formula():
     W = np.zeros((3, 3, 13))
     W[0].flat[:12] = 1.0
     W[2, :, :] = 0.5
-    w = thresholding_weights(W, 1e-6)
+    w = thresholding_weights(W)
     assert w[0] == pytest.approx(1 / 12, rel=1e-5)
     assert w[1] == pytest.approx(1e6)
     assert w[2] == pytest.approx(1 / (19.5 + 1e-6))
 
 
 def test_thresholding_perfect_match_activation():
-    params = ThresholdingParams()
     f = np.array([[1.0, 0.2, 0.1]])
     w = np.array([1.0, 1.0, 1.0])
-    y, a, s = thresholding_forward(f, w, params)
-    assert a[0, 0] == pytest.approx(sigmoid(200 * (1 - 0.99)), rel=1e-9)
+    y, a, s = thresholding_forward(f, w)
+    assert a[0, 0] == pytest.approx(sigmoid(np.array([200 * (1 - 0.99)]))[0], rel=1e-9)
     assert a[0, 0] == pytest.approx(0.8808, abs=1e-3)
     assert y[0] >= 0.85
 
 
 def test_thresholding_no_match_below_half():
-    params = ThresholdingParams()
-    y, a, _ = thresholding_forward(np.array([[0.9, 0.5]]), np.ones(2), params)
+    y, a, _ = thresholding_forward(np.array([[0.9, 0.5]]), np.ones(2))
     assert (a < 0.5).all() and y[0] < 0.5
 
 
 def test_thresholding_boundary():
-    params = ThresholdingParams()
-    y, a, s = thresholding_forward(np.array([[0.99]]), np.ones(1), params)
+    y, a, s = thresholding_forward(np.array([[0.99]]), np.ones(1))
     assert a[0, 0] == pytest.approx(0.5) and s[0, 0] == 1.0 and y[0] == pytest.approx(0.5)
 
 
@@ -180,7 +177,7 @@ def test_traditional_linear_sigmoid():
     X[0, 2, 4] = 1.0
     _, cache = forward_batch(st_, X)
     assert cache.f[0].tolist() == [1.0, 0.0]
-    assert cache.y_trad[0] == pytest.approx(float(sigmoid(2.0)), rel=1e-9)
+    assert cache.y_trad[0] == pytest.approx(sigmoid(np.array([2.0]))[0], rel=1e-9)
 
 
 # ------------------------------------------------------------ blend and clip
@@ -332,7 +329,7 @@ def test_state_json_round_trip():
     back = netcore.state_from_json(netcore.state_to_json(st_))
     assert (back.W == st_.W).all()
     assert (back.fc_trad == st_.fc_trad).all()
-    assert back.alpha == st_.alpha and back.fc_frozen and back.thresh == st_.thresh
+    assert back.alpha == st_.alpha and back.fc_frozen
 
 
 def test_filters_json_round_trip():
@@ -380,8 +377,20 @@ def test_malformed_model_and_snapshot_files_raise_data_error(load):
         load(json.dumps(doc))
 
 
-def test_thresholding_params_validation():
-    with pytest.raises(DataError):
-        ThresholdingParams(steepness=-1)
-    with pytest.raises(DataError):
-        ThresholdingParams(offset=1.5)
+def test_model_file_records_the_head_constants():
+    """The model file writes the head's four constants, byte for byte, and a
+    file that leaves them all out reads as they are. (One of another value,
+    or an unknown key, exits 2: see test_cli's unusable documents.)"""
+    text = netcore.state_to_json(_state())
+    assert ('"thresh":{"steepness":200.0,"offset":0.99,"temperature":0.01,"epsilon":1e-06}'
+            in text)
+    doc = json.loads(text)
+    doc["thresh"] = {}
+    assert netcore.state_to_json(netcore.state_from_json(json.dumps(doc))) == text
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+def test_dropout_rate_outside_0_1_is_refused(rate):
+    """A rate of 1 keeps no cell and would scale the kept ones by 1 / 0."""
+    with pytest.raises(DataError, match=r"dropout_rate must lie in \[0, 1\)"):
+        init_state(4, 3, 13, rng=0, dropout_rate=rate)

@@ -51,10 +51,10 @@ def _ref_forward(state, Xw, training, rng):
         scale = 1.0 / keep
     f, arg = _ref_maxpool(h, axis=1)
     gate = np.where(f > 0.0, scale, 0.0)
-    p = state.thresh
-    w = 1.0 / (np.abs(state.W).reshape(M, -1).sum(axis=1) + p.epsilon)
-    a = _ref_sigmoid(p.steepness * (f * w - p.offset))
-    e = np.exp((a - a.max(axis=-1, keepdims=True)) / p.temperature)
+    p = netcore.THRESH
+    w = 1.0 / (np.abs(state.W).reshape(M, -1).sum(axis=1) + p["epsilon"])
+    a = _ref_sigmoid(p["steepness"] * (f * w - p["offset"]))
+    e = np.exp((a - a.max(axis=-1, keepdims=True)) / p["temperature"])
     s = e / e.sum(axis=-1, keepdims=True)
     y_thresh = (a * s).sum(axis=-1)
     y_trad = _ref_sigmoid(f @ state.fc_trad)
@@ -65,7 +65,7 @@ def _ref_forward(state, Xw, training, rng):
 
 
 def _ref_backward(state, c, d_y):
-    t, tau = state.thresh.steepness, state.thresh.temperature
+    t, tau = netcore.THRESH["steepness"], netcore.THRESH["temperature"]
     d_y = np.asarray(d_y, dtype=np.float64) * (c["y_preclip"] < 1.0)
     dy_trad = (1.0 - state.alpha) * d_y
     dy_thresh = state.alpha * d_y

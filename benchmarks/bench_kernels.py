@@ -24,7 +24,11 @@ windows view, (L + 2·padding)·d bytes a clip, plus a few MB for a block.
 clips labelled positive) is timed as `eval` runs it: the scoring plus the
 metrics report of its bool scores. The
 curation pools default to 300 and 1,359 unique patterns; 1,359 is the
-unique count of the source paper's funnel. `harvest+dedup` harvests 19
+unique count of the source paper's funnel. The `prune_subsumed` row prints
+the patterns it keeps and the tracemalloc peak of one call: pruning matches
+the patterns over themselves as zero-padded clips, one block of about 4,096
+window rows at a time, so the peak grows with the pattern count (a block's
+float32 products are about 22 MB at 1,359 patterns). `harvest+dedup` harvests 19
 shuffled, jittered raw filters per pool pattern (a quarter pushed
 off-binary, precisions uniform on [0, 1]; 25,821 filters at 1,359, about
 the 25,981 the paper harvests) and deduplicates what it keeps.
@@ -96,6 +100,16 @@ def _time(fn, *args, repeats=10):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _traced(fn, *args):
+    """One call's result and its tracemalloc peak in MB. Called after a
+    row's timing, which tracing would slow."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _us(seconds: float) -> str:
@@ -226,8 +240,8 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         cells = pattern_pool(n, k, vocab, rng)
         pats = [curator.Pattern(cells=c, pattern_id=f"p{i:05d}") for i, c in enumerate(cells)]
         t = _time(curator.prune_subsumed, pats, repeats=repeats)
-        kept = len(curator.prune_subsumed(pats))
-        print(f"{'prune_subsumed':<20} {n:>9} {_us(t)} {kept:>7}")
+        kept, peak = _traced(curator.prune_subsumed, pats)
+        print(f"{'prune_subsumed':<20} {n:>9} {_us(t)} {len(kept):>7}  {peak:.2f}MB peak")
         # four raw filters per pattern: near-binary jitter, a quarter pushed off-binary
         W = np.repeat(cells, 4, axis=0).astype(np.float64)
         W = np.abs(W - rng.random(W.shape) * 0.04)
@@ -296,14 +310,8 @@ def main(argv=None):
             curator.Pattern(cells=c, pattern_id=f"p{i}") for i, c in enumerate(bank_cells[:n])),
             vocabulary=vocab)
         t = _time(curator.bank_predict_batch, bank, ds, repeats=args.repeats)
-        tracemalloc.start()  # after the timing, which it would slow
-        try:
-            curator.bank_predict_batch(bank, ds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        print(f"{'bank_predict_batch':<20} {B:>9} {_us(t)}  {n} patterns"
-              f"  {peak / 1e6:.2f}MB peak")
+        peak = _traced(curator.bank_predict_batch, bank, ds)[1]
+        print(f"{'bank_predict_batch':<20} {B:>9} {_us(t)}  {n} patterns  {peak:.2f}MB peak")
         if n == BANK_SIZES[0]:
             t = _time(evalmetrics.evaluate, bank, ds, repeats=args.repeats)
             print(f"{'evaluate':<20} {B:>9} {_us(t)}  {n} patterns")

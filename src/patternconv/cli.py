@@ -263,6 +263,7 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     files = sorted(f for f in os.listdir(snapshots_dir) if f.endswith(".json"))
     if not files:
         raise DataError(f"no snapshot files in {snapshots_dir}")
+    clip_length = train_set.steps_array().shape[1]
     harvests = []
     shape = None  # (k, padding) of the first snapshot, which every other must share
     era_file = {}  # each era's snapshot file: two files of one era give one pattern id twice
@@ -272,6 +273,10 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
         _, k, d = snap.W.shape
         if d != vocab.d:
             raise DataError(f"{path}: filters have {d} features, the clips have {vocab.d}")
+        if k > clip_length + 2 * snap.padding:  # an empty harvest windows no clip, so check here
+            raise DataError(f"{path}: clip too short for the kernel even with padding: "
+                            f"{k}-step filters at padding {snap.padding}, {clip_length}-step "
+                            f"clips in {dataset_path}")
         if shape is None:
             shape, first = (k, snap.padding), path
         for name, want, got in zip(("k", "padding"), shape, (k, snap.padding)):
@@ -287,8 +292,7 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
 
     harvested = curator.Harvest.concat(harvests)
     unique = curator.dedup(harvested)
-    pruned = curator.prune_subsumed(unique, clip_length=train_set.steps_array().shape[1],
-                                    padding=padding)
+    pruned = curator.prune_subsumed(unique, clip_length=clip_length, padding=padding)
     ranked, curve = curator.cumulative_kappa_curve(pruned, train_set, val_set,
                                                   padding=padding)
     bank = curator.select_bank(curve, ranked, vocab, n_override=cfg["curate"]["n_override"],

@@ -200,72 +200,34 @@ def dedup(patterns) -> list[Pattern]:
     return [patterns[i] for i in np.sort(first)]
 
 
-_SUBSET_CHUNK = 1 << 18  # pairs per block of the all-pairs subset test
-
-
-def _packed_words(cells: np.ndarray) -> np.ndarray:
-    """Bit-packed rows (n, k, d) -> (n, k, w) uint64: features packed with
-    np.packbits, each step zero-padded to whole 64-bit words."""
-    packed = np.packbits(cells, axis=2)
-    pad = -packed.shape[2] % 8
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(packed.shape[:2] + (pad,), np.uint8)], axis=2)
-    return np.ascontiguousarray(packed).view(np.uint64)
-
-
-def _subset(A: np.ndarray, not_B: np.ndarray) -> np.ndarray:
-    """S[i, j]: every bit of A[i] is set in B[j], given packed A (n, r, w)
-    and the complement of packed B (m, r, w)."""
-    width = A.shape[1] * A.shape[2]
-    A, not_B = A.reshape(len(A), width), not_B.reshape(len(not_B), width)
-    out = np.empty((len(A), len(not_B)), dtype=bool)
-    block = max(1, _SUBSET_CHUNK // max(len(not_B), 1))
-    for i in range(0, len(A), block):
-        a = A[i:i + block, None, :]
-        stray = a[..., 0] & not_B[:, 0]  # bits of A[i] outside B[j]
-        for t in range(1, width):
-            stray |= a[..., t] & not_B[:, t]
-        out[i:i + block] = stray == 0
-    return out
-
-
-def _step_span(cells: np.ndarray):
-    """First and last non-empty step of each pattern (n, k, d), and whether
-    it has any positive cell."""
-    on = cells.any(axis=2)
-    k = cells.shape[1]
-    return on.argmax(axis=1), k - 1 - on[:, ::-1].argmax(axis=1), on.any(axis=1)
-
-
 def _dominance(cells: np.ndarray, clip_length: int, padding: int) -> np.ndarray:
     """D[i, j] = pattern a = cells[i] subsumes pattern b = cells[j] (cells (n, k, d)).
 
-    Position-aligned containment is a strict subset of positives. A shift s
-    of a by whole steps must keep a inside its k steps, leave a's positives
-    inside b's, and keep a's window in range for every window at which b's
-    positive steps land on real clip steps.
+    Each b is read as a clip of its k steps with k - 1 steps of zero padding,
+    whose window c holds a exactly when a, shifted by s = c - (k - 1) steps,
+    stays inside its own k steps and lies inside b: one pass of the window
+    matcher tests containment at every shift. Position-aligned containment
+    (s = 0) must be a strict subset of positives. A shift must also keep a's
+    window in range for every window at which b's positive steps land on
+    real clip steps.
     """
-    k = cells.shape[1]
-    A = _packed_words(cells)
-    not_B = ~A
-    n = cells.sum(axis=(1, 2), dtype=np.int64)
-    D = _subset(A, not_B) & (n[:, None] < n[None, :])
-    first, last, live = _step_span(cells)
+    n, k = cells.shape[:2]
+    size = cells.sum(axis=(1, 2), dtype=np.int64)
+    on = cells.any(axis=2)
+    first, last = on.argmax(axis=1), k - 1 - on[:, ::-1].argmax(axis=1)
     C = clip_length - k + 1 + 2 * padding
-    c_min = np.maximum(0, padding - first)
-    c_max = np.minimum(C - 1, padding + clip_length - 1 - last)
-    live &= c_min <= c_max
-    for s in range(-(k - 1), k):
-        if s == 0:
-            continue
-        ia = np.flatnonzero((first + s >= 0) & (last + s <= k - 1))
-        jb = np.flatnonzero(live & (c_min + s >= 0) & (c_max + s <= C - 1))
-        if ia.size == 0 or jb.size == 0:
-            continue
-        lo, hi = max(0, -s), min(k, k - s)
-        D[np.ix_(ia, jb)] |= _subset(A[ia, lo:hi], not_B[jb, lo + s:hi + s])
-    return D
+    c_min = np.maximum(0, padding - first)[:, None]
+    c_max = np.minimum(C - 1, padding + clip_length - 1 - last)[:, None]
+    s = np.arange(1 - k, k)
+    # ok[j, c]: b = cells[j] lets a shift of s = c - (k - 1) steps stand
+    ok = (on.any(axis=1)[:, None] & (c_min <= c_max) & (s != 0)
+          & (c_min + s >= 0) & (c_max + s <= C - 1))
+    D = np.empty((n, n), dtype=bool)  # D[j, i]: b = cells[j] holds a = cells[i]
+    for part, hit in kernels.match_blocks(cells, kernels.clip_windows(cells, k, k - 1)):
+        hit = hit.reshape(-1, 2 * k - 1, hit.shape[1])[:, :, :n]
+        D[part] = ((hit & ok[part, :, None]).any(axis=1)
+                   | (hit[:, k - 1] & (size < size[part, None])))
+    return D.T
 
 
 def subsumes(a: Pattern, b: Pattern, clip_length: int = DEFAULT_CLIP_LENGTH,

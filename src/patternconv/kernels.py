@@ -11,13 +11,17 @@ window gets a trailing constant 1, so the product is the count of the
 pattern's cells the window holds less the count it needs, and a hit is a
 product of 0 or more, one scalar comparison. The columns are padded with
 zero columns ending in -1, which never hit, to a multiple of 4 patterns.
-`_match_blocks` alone makes that product, about MATCH_BLOCK_ROWS window rows
+`match_blocks` alone makes that product, about MATCH_BLOCK_ROWS window rows
 at a time: each block's windows are converted into one float32 buffer
 reused by every block, multiplied and thresholded, and reduced into the
 caller's result before the next, so no temporary grows with clips x windows
-x patterns. Its two reductions are `match_first_window` and `match_any`,
-which reduces each block's hits to one flag per clip in one
-`np.logical_or.reduceat` call; synth's one-clip candidate test is one block.
+x patterns. It has three consumers. `match_first_window` and `match_any`
+reduce clips; `match_any` reduces each block's hits to one flag per clip in
+one `np.logical_or.reduceat` call, and synth's one-clip candidate test is one
+block. `curator._dominance` reads the patterns themselves as zero-padded
+clips, so that one pass tests whether each pattern holds another at every
+shift. The block's products grow with the pattern count, so the 22 MB block
+at 1,359 patterns bounds pruning as well as matching.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
 # Window rows per block of matching: the block bounds rows, so no temporary
 # grows with the number of clips. Its float32 products grow with the pattern
 # count: about 2.2 MB at 132 patterns, 22.3 MB at 1,359 (4,096 rows x 1,360 x
-# 4 bytes). Sizing blocks by rows x patterns is ROADMAP item 6. Counted in
+# 4 bytes), the block that also bounds subsumption pruning of that many
+# patterns. Sizing blocks by rows x patterns is ROADMAP item 6. Counted in
 # rows, not clips, so that long clips do not grow the block. Blocks of 512 to
 # 2,048 clips at C = 5 timed alike; blocks of 128 clips were slower, and so
 # was one pass over 10,000.
@@ -92,7 +97,7 @@ def _pattern_matrix(cells: np.ndarray, kd: int) -> np.ndarray:
     return rows.T  # built a pattern a row, where the copy and count are cheaper
 
 
-def _match_blocks(cells: np.ndarray, X: np.ndarray):
+def match_blocks(cells: np.ndarray, X: np.ndarray):
     """Each block of about MATCH_BLOCK_ROWS rows of the clip windows X
     (B, C, k·d) from `clip_windows`, as its clip slice and (b·C, P') whether
     each window holds each column of the patterns' `_pattern_matrix`: one
@@ -120,7 +125,7 @@ def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     P, C = len(cells), X.shape[1]
     first = np.empty((len(X), P), dtype=np.int64)
     first.fill(-1)  # cheaper than np.full, which shows on one clip
-    for part, hit in _match_blocks(cells, X):
+    for part, hit in match_blocks(cells, X):
         block = first[part]
         hit = hit.reshape(len(block), C, -1)[:, :, :P]
         for c in range(C - 1, -1, -1):  # an earlier hit overwrites a later one
@@ -132,7 +137,7 @@ def match_any(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(B,) whether any of the patterns (P, k, d) matches some window of each
     clip, for the clip windows X (B, C, k·d) of `match_first_window`."""
     out = np.zeros(len(X), dtype=bool)
-    for part, hit in _match_blocks(cells, X):
+    for part, hit in match_blocks(cells, X):
         if hit.size:  # a clip's hits are one run of C·P' flags in the block
             out[part] = np.logical_or.reduceat(
                 hit.ravel(), np.arange(0, hit.size, X.shape[1] * hit.shape[1]))

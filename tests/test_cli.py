@@ -330,6 +330,25 @@ def test_clips_shorter_than_the_kernel_exit_2(tmp_path, capsys, vocab, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("precision", [None, 0.9])
+def test_curate_of_clips_shorter_than_the_kernel_exits_2(tmp_path, capsys, vocab, precision):
+    """One-step clips under a snapshot of 3-step filters at padding 0 exit 2,
+    naming both files, whether every filter is harvested or none is."""
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 200, 1)
+    W = np.zeros((2, 3, vocab.d))
+    W[:, 0, vocab.help_index] = 1.0  # a legal pattern, harvested at precision 0.9
+    snaps = _snapshot(tmp_path / "snaps", W, lambda doc: doc.update(
+        padding=0, per_filter_precision=[precision] * 2))
+    code = _run(["--out", str(tmp_path / "o"), "curate", snaps, data])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"data error: {os.path.join(snaps, 'era_000.json')}: clip too short for the "
+            f"kernel even with padding: 3-step filters at padding 0, 1-step clips in {data}"
+            in err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "bank.json").exists()
+
+
 def _missing_dataset(tmp, vocab, data):
     return ["train", str(tmp / "missing.jsonl")]
 

@@ -297,14 +297,21 @@ def _oracle_subsumes(a: Pattern, b: Pattern, clip_length=5, padding=1) -> bool:
     return False
 
 
-def test_subsumes_matches_oracle_random(vocab):
+@pytest.mark.parametrize("k, padding, clip_length",
+                         [(k, padding, length) for k in (1, 2, 3, 4) for padding in range(k)
+                          for length in (k, k + 2, 7)])
+def test_subsumes_matches_oracle_random(vocab, k, padding, clip_length):
+    """Every shift and window bound, on random patterns plus an all-zero one
+    and a duplicate."""
     rng = np.random.default_rng(7)
-    pats = [random_legal_pattern(vocab, 3, rng, p_cell=0.2) for _ in range(40)]
+    pats = [random_legal_pattern(vocab, k, rng, p_cell=0.2) for _ in range(40)]
+    pats += [_pat(np.zeros((k, vocab.d)), "zero"), _pat(pats[0].cells, "dup")]
     for a in pats:
         for b in pats:
             if a is b:
                 continue
-            assert subsumes(a, b) == _oracle_subsumes(a, b), (a.cells, b.cells)
+            assert (subsumes(a, b, clip_length, padding)
+                    == _oracle_subsumes(a, b, clip_length, padding)), (a.cells, b.cells)
 
 
 def test_prune_output_is_antichain(vocab):

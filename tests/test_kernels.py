@@ -234,6 +234,10 @@ def test_bench_kernels_script_runs(capsys):
                                                   ("8", "132")]
     assert all(row[5].endswith("MB") and float(row[5][:-2]) > 0 and row[6] == "peak"
                for row in rows)  # the tracemalloc peak of one call
+    rows = [line.split() for line in out.splitlines() if line.startswith("prune_subsumed")]
+    assert [row[1] for row in rows] == ["30"]
+    assert all(row[4].endswith("MB") and float(row[4][:-2]) > 0 and row[5] == "peak"
+               for row in rows)  # the tracemalloc peak of one call
     rows = [line.split() for line in out.splitlines() if line.startswith("harvest+dedup")]
     assert [(row[1], row[3]) for row in rows] == [("570", "30")]  # 19 raw per unique
     rows = [line.split() for line in out.splitlines() if line.startswith("auc")]

@@ -22,9 +22,8 @@ from .schedule import DEFAULT_TARGETS, ConstraintSchedule, ramp_windows
 _COUNT, _INDEX = within("[1, inf)", INTEGER), within("[0, inf)", INTEGER)
 _UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
 # Every key a config may set, with its rule and default as errors.fields reads
-# them. A null planted_bank plants the default patterns, a null n_override
-# selects by kappa, a null final_learning_rate keeps the rate flat and a null
-# dropout_base keeps the model's flat dropout. The targets have no default
+# them. A null planted_bank plants the default patterns and a null n_override
+# selects by kappa; no other key takes null. The targets have no default
 # here, because ConstraintSchedule.default fills in each one a config leaves
 # out; a zero target, or one so small that target / ramp span underflows,
 # would leave its ramp at 0.
@@ -45,16 +44,13 @@ _SCHEMA = {
               "val_fraction": (*within("(0, 1)"), 0.2)},
     "train": {
         "learning_rate": (*_RATE, 0.05),
-        "final_learning_rate": (*nullable(_RATE), 0.015),
+        "final_learning_rate": (*_RATE, 0.015),
         "batch_size": (*_COUNT, 64),
         "eras": (*_COUNT, 5),
         "epochs_per_era": (*_COUNT, 50),
         "targets": {name: within("(0, 1]") if name == "alpha" else within("(0, inf)")
                     for name in DEFAULT_TARGETS},
         "harvest_precision_threshold": (*_UNIT, 0.3),
-        "dropout_base": (*nullable(_UNIT), 0.35),
-        "dropout_era_amp": (*_UNIT, 0.45),
-        "anneal_end_fraction": (*within("(0, 1]"), 0.9),
         "seed": (*_INDEX, 0),
     },
     "curate": {"n_override": (*nullable(_INDEX), None)},

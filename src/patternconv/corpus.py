@@ -122,9 +122,12 @@ class FeatureVocabulary:
     def from_record(cls, rec: dict, what: str) -> "FeatureVocabulary":
         """The vocabulary a clip file header or a bank records, named `what`."""
         names, sub, help_related, attempt_related = fields(rec, _VOCABULARY, what).values()
-        return cls(feature_names=tuple(names), submission_indices=tuple(sub),
-                   help_related=frozenset(help_related),
-                   attempt_related=frozenset(attempt_related))
+        try:
+            return cls(feature_names=tuple(names), submission_indices=tuple(sub),
+                       help_related=frozenset(help_related),
+                       attempt_related=frozenset(attempt_related))
+        except DataError as e:
+            raise DataError(f"{what}: {e}") from None
 
 
 def step_rules(rows: np.ndarray, vocab: FeatureVocabulary):
@@ -349,12 +352,15 @@ class _ClipReader:
             return
         if self.vocab is None:
             raise DataError(f"{path}: clip record before vocabulary header")
-        clip_id, steps, label = _parse_clip_record(rec, self.vocab)
+        try:
+            clip_id, steps, label = _parse_clip_record(rec, self.vocab)
+        except DataError as e:
+            raise DataError(f"{path}:{lineno + 1}: {e}") from None
         if self.X is None:
             self._allocate(len(steps))
         elif len(steps) != self.X.shape[1]:
-            raise DataError(f"clip '{clip_id}': {len(steps)} steps, where earlier "
-                            f"clips have {self.X.shape[1]}")
+            raise DataError(f"{path}:{lineno + 1}: clip '{clip_id}': {len(steps)} steps, "
+                            f"where earlier clips have {self.X.shape[1]}")
         self.X[len(self.clip_ids)] = steps
         self.clip_ids.append(clip_id)
         self.labels.append(label)
@@ -384,7 +390,7 @@ def load_dataset(path) -> Dataset:
         return Dataset(vocabulary=vocab, clips=())
     bad = _clip_violation(X[:len(clip_ids)], vocab)
     if bad is not None:
-        raise DataError(f"clip '{clip_ids[bad[0]]}': step {bad[1]}: {bad[2]}")
+        raise DataError(f"{path}: clip '{clip_ids[bad[0]]}': step {bad[1]}: {bad[2]}")
     return Dataset(vocabulary=vocab, steps=X[:len(clip_ids)], labels=reader.labels,
                    clip_ids=clip_ids)
 

@@ -70,7 +70,7 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
 # grows with the number of clips. Its float32 products grow with the pattern
 # count: about 2.2 MB at 132 patterns, 22.3 MB at 1,359 (4,096 rows x 1,360 x
 # 4 bytes), the block that also bounds subsumption pruning of that many
-# patterns. Sizing blocks by rows x patterns is ROADMAP item 6. Counted in
+# patterns. Sizing blocks by rows x patterns is an open ROADMAP item. Counted in
 # rows, not clips, so that long clips do not grow the block. Blocks of 512 to
 # 2,048 clips at C = 5 timed alike; blocks of 128 clips were slower, and so
 # was one pass over 10,000.

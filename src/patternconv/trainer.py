@@ -15,33 +15,23 @@ from .errors import DataError, NumericalError
 from .evalmetrics import confusion, kappa
 from .netcore import EraSnapshot, ModelState, backward_batch, forward_batch
 from .objective import LossWeights
-from .schedule import REINIT_PRECISION_THRESHOLD, ConstraintSchedule, era_reset, weights_at
+from .schedule import (DEFAULT_RAMP_END_FRACTION, REINIT_PRECISION_THRESHOLD, ConstraintSchedule,
+                       era_reset, weights_at)
 
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
-    final_learning_rate: float | None = 0.015
+    final_learning_rate: float = 0.015
     batch_size: int = 64
     schedule: ConstraintSchedule = field(default_factory=ConstraintSchedule.default)
     harvest_precision_threshold: float = 0.3
     log_val_metrics: bool = True
-    # Dropout annealing. The match band a filter must reach widens with the
-    # dropout rate (a training-time "match" only needs overlap >= 0.99 * (1-p)),
-    # so decaying p sweeps the band toward exactness. The base term decays
-    # linearly over the whole run; the amplitude term re-opens the band at each
-    # era start so freshly reinitialized filters can enter a basin, then decays
-    # within the era. Set dropout_base to None to keep the model's flat rate.
-    dropout_base: float | None = 0.35
-    dropout_era_amp: float = 0.45
-    anneal_end_fraction: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.batch_size < 1:
             raise DataError("invalid learning rate or batch size")
-        if not 0 < self.anneal_end_fraction <= 1:
-            raise DataError("anneal_end_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -64,28 +54,32 @@ class WindowedSet:
         return self.X.shape[0]
 
 
-def anneal_at(config: TrainConfig, epoch_in_era: int, era: int):
-    """(dropout_rate, learning_rate) for an epoch, or (None, lr) when dropout
-    annealing is disabled. Both decay linearly, finishing at
-    `anneal_end_fraction` of the run (the era amplitude within each era)."""
+# Dropout annealing. The match band a filter must reach widens with the
+# dropout rate (a training-time "match" only needs overlap >= 0.99 * (1-p)), so
+# decaying p sweeps the band toward exactness. The base term decays linearly
+# over the whole run; the era amplitude re-opens the band at each era start so
+# freshly reinitialized filters can enter a basin, then decays within the era.
+# Both, and the learning rate's decay, finish at DEFAULT_RAMP_END_FRACTION, the
+# point where the constraint ramps reach their targets; p stays in [0, 0.8].
+DROPOUT_BASE = 0.35
+DROPOUT_ERA_AMP = 0.45
+
+
+def anneal_at(config: TrainConfig, epoch_in_era: int, era: int) -> tuple[float, float]:
+    """(dropout_rate, learning_rate) for an epoch: both decay linearly, the
+    rate from learning_rate to final_learning_rate over the run."""
     sched = config.schedule
     total = sched.eras * sched.epochs_per_era
     g = era * sched.epochs_per_era + epoch_in_era
-    frac = min(1.0, g / max(config.anneal_end_fraction * total, 1.0))
-    lr = config.learning_rate
-    if config.final_learning_rate is not None:
-        lr = lr + (config.final_learning_rate - lr) * frac
-    if config.dropout_base is None:
-        return None, lr
-    era_frac = min(1.0, epoch_in_era / max(config.anneal_end_fraction * sched.epochs_per_era, 1.0))
-    p = config.dropout_base * (1.0 - frac) + config.dropout_era_amp * (1.0 - era_frac)
-    return min(max(p, 0.0), 0.99), lr
+    frac = min(1.0, g / max(DEFAULT_RAMP_END_FRACTION * total, 1.0))
+    lr = config.learning_rate + (config.final_learning_rate - config.learning_rate) * frac
+    era_frac = min(1.0, epoch_in_era / max(DEFAULT_RAMP_END_FRACTION * sched.epochs_per_era, 1.0))
+    return DROPOUT_BASE * (1.0 - frac) + DROPOUT_ERA_AMP * (1.0 - era_frac), lr
 
 
 def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
                 alpha: float, freeze: bool, config: TrainConfig,
-                rng: np.random.Generator, pos_weight: float = 1.0,
-                learning_rate: float | None = None) -> dict:
+                rng: np.random.Generator, pos_weight: float, learning_rate: float) -> dict:
     """One pass over shuffled mini-batches of the windowed training set;
     mutates `state` in place.
 
@@ -93,7 +87,6 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     backward plus the scaled regularizer gradients, SGD step, clamp W to [0, 1].
     Returns the epoch loss record.
     """
-    lr = config.learning_rate if learning_rate is None else learning_rate
     vocab = train_set.vocabulary
     state.alpha = alpha
     state.fc_frozen = freeze
@@ -123,7 +116,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
         grad_norm_conv += math.sqrt(dW.ravel() @ dW.ravel())
         grad_norm_fc += math.sqrt(grads["fc_trad"] @ grads["fc_trad"])
 
-        dW *= lr
+        dW *= learning_rate
         state.W -= dW
         # np.clip(W, 0, 1) with no wrapper call. -0.0 never reaches this
         # clamp (W starts non-negative and x - y is -0.0 only for x = -0.0);
@@ -133,7 +126,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
         np.maximum(0.0, state.W, out=state.W)
         np.minimum(state.W, 1.0, out=state.W)
         if not freeze:
-            state.fc_trad -= lr * grads["fc_trad"]
+            state.fc_trad -= learning_rate * grads["fc_trad"]
 
         bce_sum += batch_bce
         n_batches += 1
@@ -197,11 +190,9 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
     for era in range(sched.eras):
         for epoch in range(sched.epochs_per_era):
             weights, alpha, freeze = weights_at(sched, epoch, era)
-            dropout, lr = anneal_at(config, epoch, era)
-            if dropout is not None:
-                state.dropout_rate = dropout
+            state.dropout_rate, lr = anneal_at(config, epoch, era)
             record = train_epoch(state, train_w, weights, alpha, freeze, config,
-                                 rng, pos_weight, learning_rate=lr)
+                                 rng, pos_weight, lr)
             record.update(era=era, epoch=epoch, learning_rate=lr,
                           dropout_rate=state.dropout_rate)
             if config.log_val_metrics and val is not None:

@@ -18,8 +18,7 @@ from patternconv.schedule import DEFAULT_TARGETS, ConstraintSchedule
 TINY_CONFIG = {
     "model": {"M": 8},
     "data": {"n_clips": 240, "p_plant": 0.2, "p_distract": 0.0},
-    "train": {"eras": 1, "epochs_per_era": 4, "dropout_base": None,
-              "final_learning_rate": None},
+    "train": {"eras": 1, "epochs_per_era": 4},
 }
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -84,7 +83,7 @@ BAD_CONFIGS = {
     "string_rate": ({"train": {"learning_rate": "0.1"}}, "train.learning_rate"),
     "bool_rate": ({"data": {"p_plant": False}}, "data.p_plant"),
     "null_count": ({"data": {"n_clips": None}}, "data.n_clips"),
-    "null_rate": ({"train": {"dropout_era_amp": None}}, "train.dropout_era_amp"),
+    "null_rate": ({"train": {"learning_rate": None}}, "train.learning_rate"),
     "string_target": ({"train": {"targets": {"bin": "2"}}}, "train.targets.bin"),
     "numeric_path": ({"data": {"planted_bank": 3}}, "data.planted_bank"),
     "float_override": ({"curate": {"n_override": 2.5}}, "curate.n_override"),
@@ -110,12 +109,13 @@ def test_config_accepts_nulls_and_numbers_where_meant(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
         "data": {"planted_bank": None, "p_plant": 1},
-        "train": {"final_learning_rate": None, "dropout_base": None, "learning_rate": 1,
+        "train": {"final_learning_rate": 0, "learning_rate": 1,
                   "targets": {"bin": 3, "min": 0.25}},
         "curate": {"n_override": 2}}))
     cfg = cli.load_config(str(path))
     assert cfg["train"]["targets"] == {"bin": 3, "min": 0.25}
-    assert cfg["curate"]["n_override"] == 2 and cfg["train"]["dropout_base"] is None
+    assert cfg["curate"]["n_override"] == 2 and cfg["data"]["planted_bank"] is None
+    assert (cfg["train"]["learning_rate"], cfg["train"]["final_learning_rate"]) == (1, 0)
 
 
 # each case is a config value the code could not run with, the command that
@@ -310,7 +310,7 @@ def test_bad_step_values_exit_2(tmp_path, tiny_config_path, capsys, vocab, case)
                  "train", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "data error: clip 'c1': " in err and message in err
+    assert f"data error: {path}:3: clip 'c1': " in err and message in err
     assert "Traceback" not in err
 
 
@@ -361,6 +361,24 @@ def _bank_not_json(tmp, vocab, data):
     path = tmp / "b.json"
     path.write_text('{"format": "patternconv-bank", ')
     return ["eval", str(path), data]
+
+
+def _clips_with(line_no, edit):
+    """An eval of a legal bank over the clip file with its line `line_no`
+    (the header is 0) replaced by edit(record)."""
+    def build(tmp, vocab, data):
+        with open(data, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[line_no] = json.dumps(edit(json.loads(lines[line_no])))
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return ["eval", _write_bank(tmp / "b.json", vocab), data]
+    return build
+
+
+def _two_submission_types(rec):
+    rec["steps"][0][:3] = [1, 1, 0]
+    return rec
 
 
 def _not_utf8(path):
@@ -573,6 +591,21 @@ UNUSABLE = {
     "snapshot_with_bool_precision": (_snapshot_field("per_filter_precision", [True, 0.9]),
                                      "era_000.json: filter snapshot file 'per_filter_precision' "
                                      "must be a list of 2 numbers in [0, 1] or nulls, not [true, "),
+    # a clip or bank fault names its file: eval reads a bank and a clip file
+    "clips_header_of_one_submission_type": (
+        _clips_with(0, lambda rec: {**rec, "submission_indices": [0]}),
+        "d.jsonl:1: clip file header: vocabulary must have exactly 3 submission types"),
+    "clip_of_two_wide_steps": (_clips_with(2, lambda rec: {**rec, "steps": [[0, 1]] * 5}),
+                               "d.jsonl:3: clip 'c1': feature count 2 does not match "
+                               "vocabulary d=13"),
+    "clip_of_two_submission_types": (_clips_with(2, _two_submission_types),
+                                     "d.jsonl: clip 'c1': step 0: multiple submission types"),
+    "bank_vocabulary_of_one_submission_type": (
+        lambda tmp, vocab, data: ["eval", _write_bank(
+            tmp / "b.json", vocab,
+            edit=lambda doc: doc["vocabulary"].update(submission_indices=[0])), data],
+        "b.json: pattern bank file vocabulary: vocabulary must have exactly 3 submission "
+        "types"),
 }
 
 

@@ -272,17 +272,20 @@ def _reference_load(path, vocab):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: malformed record: {e}") from None
-            clip_id, clip_steps, label = corpus._parse_clip_record(rec, vocab)
+            try:
+                clip_id, clip_steps, label = corpus._parse_clip_record(rec, vocab)
+            except DataError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
             if steps and len(clip_steps) != len(steps[0]):
-                raise DataError(f"clip '{clip_id}': {len(clip_steps)} steps, where earlier "
-                                f"clips have {len(steps[0])}")
+                raise DataError(f"{path}:{lineno}: clip '{clip_id}': {len(clip_steps)} steps, "
+                                f"where earlier clips have {len(steps[0])}")
             ids.append(clip_id)
             labels.append(label)
             steps.append(clip_steps)
     for clip_id, clip_steps in zip(ids, steps):
         reason = check_steps(clip_steps, vocab)
         if reason is not None:
-            raise DataError(f"clip '{clip_id}': {reason}")
+            raise DataError(f"{path}: clip '{clip_id}': {reason}")
     return tuple(ids), np.array(labels, dtype=bool), np.array(steps, dtype=np.uint8)
 
 

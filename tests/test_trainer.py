@@ -1,10 +1,12 @@
 """Training loop: epoch mechanics, the freeze contract, precision evaluation,
 annealing schedules, era protocol structure, and reproducibility."""
 
+import json
+
 import numpy as np
 import pytest
 
-from patternconv import corpus, kernels, netcore, trainer
+from patternconv import cli, corpus, kernels, netcore, trainer
 from patternconv.curator import Pattern
 from patternconv.errors import DataError, NumericalError
 from patternconv.objective import LossWeights
@@ -42,7 +44,7 @@ def test_zero_learning_rate_leaves_params(vocab, planted):
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     W0, fc0 = st_.W.copy(), st_.fc_trad.copy()
     rec = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg,
-                      np.random.default_rng(1), learning_rate=0.0)
+                      np.random.default_rng(1), 1.0, 0.0)
     assert (st_.W == W0).all() and (st_.fc_trad == fc0).all()
     assert np.isfinite(rec["bce"])
 
@@ -53,21 +55,23 @@ def test_freeze_keeps_fc_trad(vocab, planted):
     cfg = _small_config()
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     fc0 = st_.fc_trad.copy()
-    train_epoch(st_, windows, LossWeights(), 0.5, True, cfg, np.random.default_rng(1))
+    train_epoch(st_, windows, LossWeights(), 0.5, True, cfg, np.random.default_rng(1), 1.0,
+                cfg.learning_rate)
     assert (st_.fc_trad == fc0).all()
 
 
 def test_plain_training_reduces_bce(vocab, planted):
     ds = _dataset(vocab, planted, n=200, seed=1)
     windows = WindowedSet.build(ds, 3, 1)
-    cfg = _small_config(dropout_base=None)
+    cfg = _small_config()
     st_ = netcore.init_state(8, 3, vocab.d, rng=np.random.default_rng(0))
     st_.dropout_rate = 0.0
     rng = np.random.default_rng(2)
-    first = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng)["bce"]
+    lr = cfg.learning_rate
+    first = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr)["bce"]
     last = None
     for _ in range(50):
-        last = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng)["bce"]
+        last = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr)["bce"]
     assert last < first
 
 
@@ -78,7 +82,7 @@ def test_weights_stay_clamped(vocab, planted):
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     for _ in range(5):
         train_epoch(st_, windows, LossWeights(bin=2.0), 0.5, False, cfg,
-                    np.random.default_rng(1))
+                    np.random.default_rng(1), 1.0, cfg.learning_rate)
     assert st_.W.min() >= 0.0 and st_.W.max() <= 1.0
 
 
@@ -91,7 +95,7 @@ def test_nan_weight_raises_numerical_error(vocab, planted, alpha):
     st_.W[1, 2, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite loss"):
         train_epoch(st_, windows, LossWeights(bin=1.0, min=1.0, sub=1.0, poss=1.0), alpha,
-                    False, _small_config(), np.random.default_rng(1))
+                    False, _small_config(), np.random.default_rng(1), 1.0, 0.05)
 
 
 def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
@@ -110,7 +114,7 @@ def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
     monkeypatch.setattr(trainer.objective, "regularizer_grad",
                         lambda W, weights, vocab: np.zeros(W.shape))
     train_epoch(st_, windows, LossWeights(), 0.5, False, _small_config(),
-                np.random.default_rng(1))
+                np.random.default_rng(1), 1.0, 0.05)
     assert st_.W.tobytes() == np.clip(W0, 0.0, 1.0).tobytes()
 
 
@@ -166,7 +170,7 @@ def test_harvest_respects_threshold_and_binarization(vocab, planted):
 def test_anneal_endpoints():
     cfg = _small_config(eras=5, epochs=50)
     p0, lr0 = anneal_at(cfg, 0, 0)
-    assert p0 == pytest.approx(cfg.dropout_base + cfg.dropout_era_amp)
+    assert p0 == pytest.approx(trainer.DROPOUT_BASE + trainer.DROPOUT_ERA_AMP)
     assert lr0 == pytest.approx(cfg.learning_rate)
     p_end, lr_end = anneal_at(cfg, 49, 4)
     assert p_end == pytest.approx(0.0)
@@ -180,15 +184,48 @@ def test_anneal_era_amplitude_reopens():
     assert p_first_of_era1 > p_last_of_era0 + 0.2
 
 
-def test_anneal_disabled(vocab):
-    cfg = _small_config(dropout_base=None, final_learning_rate=None)
-    p, lr = anneal_at(cfg, 10, 0)
-    assert p is None and lr == cfg.learning_rate
+def _anneal_formula(eras, epochs, epoch_in_era, era, lr0, lr1):
+    """The anneal with its shape written out: base 0.35, era amplitude 0.45,
+    both decays ending at 0.9 of their span, and the rate clamped to [0, 0.99]."""
+    g = era * epochs + epoch_in_era
+    frac = min(1.0, g / max(0.9 * (eras * epochs), 1.0))
+    lr = lr0 + (lr1 - lr0) * frac
+    era_frac = min(1.0, epoch_in_era / max(0.9 * epochs, 1.0))
+    p = 0.35 * (1.0 - frac) + 0.45 * (1.0 - era_frac)
+    return min(max(p, 0.0), 0.99), lr
 
 
-def test_anneal_validation():
-    with pytest.raises(DataError):
-        _small_config(anneal_end_fraction=0.0)
+@pytest.mark.parametrize("eras,epochs", [(5, 50), (3, 7)])
+@pytest.mark.parametrize("lr1", [0.015, 0.05])
+def test_anneal_matches_its_formula_bit_for_bit(eras, epochs, lr1):
+    """Every epoch's (dropout, learning rate) is the formula's, to the bit."""
+    cfg = _small_config(eras=eras, epochs=epochs, learning_rate=0.05, final_learning_rate=lr1)
+    for era in range(eras):
+        for epoch in range(epochs):
+            got = anneal_at(cfg, epoch, era)
+            want = _anneal_formula(eras, epochs, epoch, era, 0.05, lr1)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (era, epoch)
+
+
+def test_anneal_disabled():
+    """A final_learning_rate equal to learning_rate turns the rate's anneal
+    off: every epoch trains at learning_rate, bit for bit."""
+    cfg = _small_config(eras=3, epochs=7, learning_rate=0.07, final_learning_rate=0.07)
+    rates = {anneal_at(cfg, epoch, era)[1].hex() for era in range(3) for epoch in range(7)}
+    assert rates == {(0.07).hex()}
+
+
+def test_anneal_validation(tmp_path, capsys):
+    """The anneal's shape is fixed: a config that sets one of its former keys,
+    or a null final_learning_rate, exits 1 naming the key."""
+    for key, value in [("dropout_base", 0.35), ("dropout_era_amp", 0.45),
+                       ("anneal_end_fraction", 0.9), ("dropout_base", None),
+                       ("final_learning_rate", None)]:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {key: value}}))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "o"), "synth"]) == 1
+        assert f"'train.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------- train_full

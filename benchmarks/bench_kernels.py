@@ -247,8 +247,8 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         W = np.abs(W - rng.random(W.shape) * 0.04)
         W[rng.random(len(W)) < 0.25, 0, 0] = 0.5
         prec = rng.random(len(W))
-        t = _time(trainer.harvest_filters, W, prec, 0, vocab, 0.3, repeats=repeats)
-        got = len(trainer.harvest_filters(W, prec, 0, vocab, 0.3))
+        t = _time(trainer.harvest_filters, W, prec, 0, vocab, repeats=repeats)
+        got = len(trainer.harvest_filters(W, prec, 0, vocab))
         print(f"{'harvest_filters':<20} {len(W):>9} {_us(t)} {got:>7}")
         # in shuffled order, so most harvested filters repeat an earlier one
         W = np.repeat(cells, RAW_PER_UNIQUE, axis=0)[rng.permutation(n * RAW_PER_UNIQUE)]
@@ -257,7 +257,7 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         prec = rng.random(len(W))
 
         def harvest_dedup():
-            return curator.dedup(trainer.harvest_filters(W, prec, 0, vocab, 0.3))
+            return curator.dedup(trainer.harvest_filters(W, prec, 0, vocab))
 
         t = _time(harvest_dedup, repeats=repeats)
         print(f"{'harvest+dedup':<20} {len(W):>9} {_us(t)} {len(harvest_dedup()):>7}")

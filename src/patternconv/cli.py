@@ -15,18 +15,17 @@ import numpy as np
 
 from . import analysis, corpus, curator, evalmetrics, netcore, trainer
 from .errors import (INTEGER, OBJECT, STRING, ConfigError, DataError, NumericalError,
-                     atomic_write, field_error, fields, json_object, nullable, read_text,
-                     within)
-from .schedule import DEFAULT_TARGETS, ConstraintSchedule, ramp_windows
+                     atomic_write, fields, json_object, nullable, read_text, within)
+from .schedule import ConstraintSchedule
 
 _COUNT, _INDEX = within("[1, inf)", INTEGER), within("[0, inf)", INTEGER)
+# at most 2**53, the largest integer a float holds exactly, so that
+# eras * epochs_per_era stays a finite float
+_ERA_COUNT = within("[1, 9007199254740992]", INTEGER)
 _UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
 # Every key a config may set, with its rule and default as errors.fields reads
 # them. A null planted_bank plants the default patterns and a null n_override
-# selects by kappa; no other key takes null. The targets have no default
-# here, because ConstraintSchedule.default fills in each one a config leaves
-# out; a zero target, or one so small that target / ramp span underflows,
-# would leave its ramp at 0.
+# selects by kappa; no other key takes null.
 _SCHEMA = {
     "model": {"M": (*_COUNT, 64), "k": (*_COUNT, 3), "padding": (*_INDEX, 1)},
     "data": {
@@ -46,11 +45,8 @@ _SCHEMA = {
         "learning_rate": (*_RATE, 0.05),
         "final_learning_rate": (*_RATE, 0.015),
         "batch_size": (*_COUNT, 64),
-        "eras": (*_COUNT, 5),
-        "epochs_per_era": (*_COUNT, 50),
-        "targets": {name: within("(0, 1]") if name == "alpha" else within("(0, inf)")
-                    for name in DEFAULT_TARGETS},
-        "harvest_precision_threshold": (*_UNIT, 0.3),
+        "eras": (*_ERA_COUNT, 5),
+        "epochs_per_era": (*_ERA_COUNT, 50),
         "seed": (*_INDEX, 0),
     },
     "curate": {"n_override": (*nullable(_INDEX), None)},
@@ -58,10 +54,9 @@ _SCHEMA = {
 
 
 def _defaults(schema: dict) -> dict:
-    """A fresh config tree of the defaults in `schema`; keys without one are
-    left out."""
+    """A fresh config tree of the defaults in `schema`."""
     return {key: _defaults(entry) if isinstance(entry, dict) else entry[2]
-            for key, entry in schema.items() if isinstance(entry, dict) or len(entry) > 2}
+            for key, entry in schema.items()}
 
 
 DEFAULT_CONFIG = _defaults(_SCHEMA)
@@ -101,13 +96,6 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         # a window past k - 1 padding steps holds no clip step
         raise ConfigError(f"config key 'model.padding' must be <= model.k - 1 = "
                           f"{model['k'] - 1}, not {model['padding']}")
-    train = cfg["train"]
-    for name, (_, span) in ramp_windows(train["epochs_per_era"]).items():
-        target = train["targets"].get(name)
-        if target is not None and target / span == 0:  # the ramp's slope underflows
-            raise field_error("config key", f"train.targets.{name}",
-                              f"large enough that target / {span:g} ramp epochs is above 0",
-                              target, ConfigError)
     return cfg
 
 
@@ -130,12 +118,12 @@ def default_planted_patterns(vocab: corpus.FeatureVocabulary) -> list[curator.Pa
 
 
 def build_train_config(cfg: dict) -> trainer.TrainConfig:
-    """The schedule from eras, epochs_per_era and targets; every other train
-    key is the TrainConfig field of its name."""
+    """The schedule from eras and epochs_per_era; every other train key is the
+    TrainConfig field of its name."""
     tcfg = cfg["train"]
-    schedule_keys = ("eras", "epochs_per_era", "targets")
+    schedule_keys = ("eras", "epochs_per_era")
     return trainer.TrainConfig(
-        schedule=ConstraintSchedule.default(**{key: tcfg[key] for key in schedule_keys}),
+        schedule=ConstraintSchedule(**{key: tcfg[key] for key in schedule_keys}),
         **{key: tcfg[key] for key in tcfg if key not in schedule_keys})
 
 
@@ -254,7 +242,6 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     os.makedirs(out, exist_ok=True)
     train_set, val_set, _ = _load_splits(cfg, dataset_path)
     vocab = train_set.vocabulary
-    tcfg = cfg["train"]
 
     files = sorted(f for f in os.listdir(snapshots_dir) if f.endswith(".json"))
     if not files:
@@ -282,8 +269,7 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
         if snap.era in era_file:
             raise DataError(f"snapshots share era {snap.era}: {era_file[snap.era]} and {path}")
         era_file[snap.era] = path
-        harvests.append(trainer.harvest_filters(snap.W, snap.per_filter_precision, snap.era,
-                                                vocab, tcfg["harvest_precision_threshold"]))
+        harvests.append(trainer.harvest_filters(snap.W, snap.per_filter_precision, snap.era, vocab))
     padding = shape[1]  # the padding the snapshots' model was trained with
 
     harvested = curator.Harvest.concat(harvests)

@@ -19,34 +19,27 @@ DEFAULT_TARGETS = {"alpha": 1.0, "poss": 1.0, "sub": 1.0, "min": 0.5, "bin": 2.0
 DEFAULT_RAMP_END_FRACTION = 0.90
 
 FREEZE_ALPHA_THRESHOLD = 0.1  # the traditional head freezes once alpha passes it
-REINIT_PRECISION_THRESHOLD = 0.3  # training redraws filters below it at each era end
+# A filter's training precision above it is harvested at each era end; one
+# below it, or NaN (it matches no clip), is redrawn. One at it is carried over.
+PRECISION_THRESHOLD = 0.3
 
 
 @dataclass(frozen=True)
 class ConstraintSchedule:
-    """The era structure and the target of each ramp. Where in an era each
-    ramp starts and ends is fixed by DEFAULT_STAGGER and
+    """The era structure. Each ramp's target is DEFAULT_TARGETS, and where in
+    an era it starts and ends is fixed by DEFAULT_STAGGER and
     DEFAULT_RAMP_END_FRACTION."""
 
     eras: int
     epochs_per_era: int
-    alpha: float
-    poss: float
-    sub: float
-    min: float
-    bin: float
 
     def __post_init__(self):
         if self.eras < 1 or self.epochs_per_era < 1:
             raise DataError("era structure must be positive")
 
     @classmethod
-    def default(cls, eras: int = 50, epochs_per_era: int = 200,
-                targets: dict | None = None) -> "ConstraintSchedule":
-        """The schedule with the targets of `targets`, and DEFAULT_TARGETS for
-        the ramps it leaves out."""
-        return cls(eras=eras, epochs_per_era=epochs_per_era,
-                   **{**DEFAULT_TARGETS, **(targets or {})})
+    def default(cls, eras: int = 50, epochs_per_era: int = 200) -> "ConstraintSchedule":
+        return cls(eras=eras, epochs_per_era=epochs_per_era)
 
 
 def ramp_windows(epochs_per_era: int) -> dict[str, tuple[int, float]]:
@@ -73,7 +66,7 @@ def weights_at(schedule: ConstraintSchedule, epoch_in_era: int, era: int):
     values = {}
     for name, (start, span) in ramp_windows(schedule.epochs_per_era).items():
         epoch = era * schedule.epochs_per_era + epoch_in_era if name == "alpha" else epoch_in_era
-        target = getattr(schedule, name)
+        target = DEFAULT_TARGETS[name]
         values[name] = 0.0 if epoch < start else min(target, target / span * (epoch - start))
     alpha = values.pop("alpha")
     return LossWeights(**values), alpha, alpha > FREEZE_ALPHA_THRESHOLD
@@ -83,7 +76,7 @@ def era_reset(state: ModelState, per_filter_precision: np.ndarray, threshold: fl
               rng: np.random.Generator | int | None) -> ModelState:
     """Re-draw empty, never-matching (NaN precision) and sub-threshold filters;
     carry every other filter over unchanged. fc_trad and alpha are untouched.
-    Training passes REINIT_PRECISION_THRESHOLD."""
+    Training passes PRECISION_THRESHOLD."""
     prec = np.asarray(per_filter_precision, dtype=np.float64)
     if prec.shape != (state.M,):
         raise DataError("precision vector length does not match the filter count")

@@ -15,7 +15,7 @@ from .errors import DataError, NumericalError
 from .evalmetrics import confusion, kappa
 from .netcore import EraSnapshot, ModelState, backward_batch, forward_batch
 from .objective import LossWeights
-from .schedule import (DEFAULT_RAMP_END_FRACTION, REINIT_PRECISION_THRESHOLD, ConstraintSchedule,
+from .schedule import (DEFAULT_RAMP_END_FRACTION, PRECISION_THRESHOLD, ConstraintSchedule,
                        era_reset, weights_at)
 
 
@@ -25,7 +25,6 @@ class TrainConfig:
     final_learning_rate: float = 0.015
     batch_size: int = 64
     schedule: ConstraintSchedule = field(default_factory=ConstraintSchedule.default)
-    harvest_precision_threshold: float = 0.3
     log_val_metrics: bool = True
     seed: int = 0
 
@@ -151,13 +150,13 @@ def eval_filter_precision(W: np.ndarray, windowed: WindowedSet) -> np.ndarray:
 
 
 def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
-                    vocab: FeatureVocabulary, threshold: float) -> Harvest:
-    """Binarize filters whose discrete precision clears the threshold; filters
-    failing binarization (non-binary cells or invariant violations) are
-    dropped. The kept filters come back as a Harvest, whose Patterns are
+                    vocab: FeatureVocabulary) -> Harvest:
+    """Binarize filters whose discrete precision is above PRECISION_THRESHOLD;
+    filters failing binarization (non-binary cells or invariant violations)
+    are dropped. The kept filters come back as a Harvest, whose Patterns are
     built only when read."""
     precisions = np.asarray(precisions, dtype=np.float64)
-    candidates = np.flatnonzero(precisions > threshold)  # NaN never clears it
+    candidates = np.flatnonzero(precisions > PRECISION_THRESHOLD)  # NaN is never above it
     cells, code, _ = binarize_filters(np.asarray(W)[candidates], vocab)
     legal = code < 0
     kept = candidates[legal]
@@ -203,8 +202,7 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
         precisions = eval_filter_precision(state.W, train_w)
         snapshots.append(EraSnapshot(era=era, W=state.W.copy(),
                                      per_filter_precision=precisions.copy(), padding=padding))
-        harvested.extend(harvest_filters(state.W, precisions, era, train_set.vocabulary,
-                                         config.harvest_precision_threshold))
+        harvested.extend(harvest_filters(state.W, precisions, era, train_set.vocabulary))
         if era < sched.eras - 1:
-            state = era_reset(state, precisions, REINIT_PRECISION_THRESHOLD, rng)
+            state = era_reset(state, precisions, PRECISION_THRESHOLD, rng)
     return state, snapshots, harvested

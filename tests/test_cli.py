@@ -13,7 +13,7 @@ import pytest
 from conftest import random_legal_steps
 from patternconv import analysis, cli, corpus, curator, netcore, trainer
 from patternconv.errors import DataError
-from patternconv.schedule import DEFAULT_TARGETS, ConstraintSchedule
+from patternconv.schedule import ConstraintSchedule
 
 TINY_CONFIG = {
     "model": {"M": 8},
@@ -74,9 +74,11 @@ BAD_CONFIGS = {
     "removed_model_d": ({"model": {"d": 13}}, "model.d"),
     "removed_class_weighting": ({"train": {"class_weighting": True}}, "train.class_weighting"),
     "removed_check_shifts": ({"curate": {"check_shifts": False}}, "curate.check_shifts"),
+    "removed_targets": ({"train": {"targets": {"bin": 2.0}}}, "train.targets"),
+    "removed_harvest_threshold": ({"train": {"harvest_precision_threshold": 0.3}},
+                                  "train.harvest_precision_threshold"),
     "typo_epoch_per_era": ({"train": {"epoch_per_era": 2}}, "train.epoch_per_era"),
     "unknown_section": ({"eval": {}}, "eval"),
-    "unknown_target": ({"train": {"targets": {"gamma": 1.0}}}, "train.targets.gamma"),
     "string_count": ({"train": {"eras": "2"}}, "train.eras"),
     "float_count": ({"model": {"M": 8.0}}, "model.M"),
     "bool_count": ({"train": {"batch_size": True}}, "train.batch_size"),
@@ -84,7 +86,6 @@ BAD_CONFIGS = {
     "bool_rate": ({"data": {"p_plant": False}}, "data.p_plant"),
     "null_count": ({"data": {"n_clips": None}}, "data.n_clips"),
     "null_rate": ({"train": {"learning_rate": None}}, "train.learning_rate"),
-    "string_target": ({"train": {"targets": {"bin": "2"}}}, "train.targets.bin"),
     "numeric_path": ({"data": {"planted_bank": 3}}, "data.planted_bank"),
     "float_override": ({"curate": {"n_override": 2.5}}, "curate.n_override"),
     "section_not_object": ({"model": 3}, "model"),
@@ -109,11 +110,9 @@ def test_config_accepts_nulls_and_numbers_where_meant(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
         "data": {"planted_bank": None, "p_plant": 1},
-        "train": {"final_learning_rate": 0, "learning_rate": 1,
-                  "targets": {"bin": 3, "min": 0.25}},
+        "train": {"final_learning_rate": 0, "learning_rate": 1},
         "curate": {"n_override": 2}}))
     cfg = cli.load_config(str(path))
-    assert cfg["train"]["targets"] == {"bin": 3, "min": 0.25}
     assert cfg["curate"]["n_override"] == 2 and cfg["data"]["planted_bank"] is None
     assert (cfg["train"]["learning_rate"], cfg["train"]["final_learning_rate"]) == (1, 0)
 
@@ -129,10 +128,10 @@ OUT_OF_RANGE = {
     "test_fraction_above_one": ({"split": {"test_fraction": 2}}, "train",
                                 "split.test_fraction"),
     "kernel_longer_than_padded_clip": ({"model": {"k": 7, "padding": 0}}, "synth", "model.k"),
-    "zero_ramp_target": ({"train": {"targets": {"bin": 0}}}, "train", "train.targets.bin"),
-    "zero_alpha_target": ({"train": {"targets": {"alpha": 0}}}, "train", "train.targets.alpha"),
-    "underflowing_ramp_target": ({"train": {"targets": {"bin": 5e-324}}}, "train",
-                                 "train.targets.bin"),
+    # above the 2**53 bound; at 10**400 the era arithmetic overflowed a float
+    "huge_eras": ({"train": {"eras": 10 ** 400}}, "synth", "train.eras"),
+    "huge_epochs_per_era": ({"train": {"epochs_per_era": 10 ** 400}}, "synth",
+                            "train.epochs_per_era"),
 }
 
 
@@ -194,12 +193,9 @@ def test_oversized_config_exits_1_out_of_memory(tmp_path, capsys, vocab, case):
 
 
 def test_schema_has_the_shape_of_the_default_config():
-    """_SCHEMA lists the keys of DEFAULT_CONFIG at every level, with the
-    schedule's targets under train.targets, and every default, a schedule
-    target's included, passes its own rule."""
+    """_SCHEMA lists the keys of DEFAULT_CONFIG at every level, and every
+    default passes its own rule."""
     defaults = copy.deepcopy(cli.DEFAULT_CONFIG)
-    assert defaults["train"]["targets"] == {}
-    defaults["train"]["targets"] = dict(DEFAULT_TARGETS)
 
     def walk(schema, default, path):
         assert schema.keys() == default.keys(), path

@@ -194,7 +194,7 @@ def _era_harvests(vocab, rng, eras):
             W[m] = np.abs(shared[0 if m == 0 else rng.integers(4)]
                           - rng.random(W[m].shape) * 0.04)
         prec[0], prec[1], prec[2] = 0.9, 0.3, np.nan
-        parts.append(trainer.harvest_filters(W, prec, era, vocab, 0.3))
+        parts.append(trainer.harvest_filters(W, prec, era, vocab))
     return parts
 
 
@@ -227,7 +227,7 @@ def test_dedup_of_a_harvest_equals_dedup_of_its_patterns(seed, eras):
 
 def test_harvest_and_its_patterns_are_read_only(vocab, planted):
     W = np.stack([p.cells for p in planted]).astype(np.float64)
-    harvest = trainer.harvest_filters(W, np.full(3, 0.9), 2, vocab, 0.3)
+    harvest = trainer.harvest_filters(W, np.full(3, 0.9), 2, vocab)
     assert len(harvest) == 3
     for column in (harvest.cells, harvest.era, harvest.filter_index, harvest.precision):
         with pytest.raises(ValueError):
@@ -483,7 +483,7 @@ def test_binarize_matches_per_filter_oracle(vocab):
 
 def test_harvest_batch_equals_per_filter_loop(vocab):
     W, prec = _filter_pool(vocab, np.random.default_rng(24))
-    got = trainer.harvest_filters(W, prec, era=7, vocab=vocab, threshold=0.3)
+    got = trainer.harvest_filters(W, prec, era=7, vocab=vocab)
     want = []
     for m, (w, p) in enumerate(zip(W, prec)):
         if not np.isnan(p) and p > 0.3:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from patternconv import netcore
 from patternconv.errors import DataError
-from patternconv.schedule import (DEFAULT_STAGGER, REINIT_PRECISION_THRESHOLD,
+from patternconv.schedule import (DEFAULT_STAGGER, DEFAULT_TARGETS, PRECISION_THRESHOLD,
                                   ConstraintSchedule, era_reset, ramp_windows,
                                   weights_at)
 
@@ -36,8 +36,7 @@ def test_weights_at_piecewise():
 def test_weights_at_monotone(e1, e2):
     """Within an era every ramp is nondecreasing; alpha is nondecreasing
     across eras too."""
-    s = ConstraintSchedule.default(eras=3, epochs_per_era=50,
-                                   targets={name: 0.8 for name in ORDER})
+    s = ConstraintSchedule.default(eras=3, epochs_per_era=50)
     lo, hi = sorted((e1, e2))
     assert _ramps(s, lo % 50, lo // 50)[0] <= _ramps(s, hi % 50, hi // 50)[0]
     lo, hi = sorted((e1 % 50, e2 % 50))
@@ -57,15 +56,14 @@ def _bits(values):
     return [(type(v), float(v).hex()) for v in values]
 
 
-@pytest.mark.parametrize("eras,epochs_per_era,targets", [
-    (5, 50, None),
-    (3, 7, {"alpha": 1, "poss": 3, "sub": 1e-300, "min": 0.7, "bin": 2.5}),
-], ids=["default", "odd_targets_7_epochs"])
-def test_weights_at_keeps_the_bits_of_the_growth_rate_ramps(eras, epochs_per_era, targets):
+@pytest.mark.parametrize("eras,epochs_per_era", [(5, 50), (3, 7)],
+                         ids=["default", "odd_length_7_epochs"])
+def test_weights_at_keeps_the_bits_of_the_growth_rate_ramps(eras, epochs_per_era):
     """Every gamma and alpha, and the freeze flag, at every epoch: gammas
     restart each era and alpha runs on the global epoch count."""
-    s = ConstraintSchedule.default(eras=eras, epochs_per_era=epochs_per_era, targets=targets)
-    tg = {"alpha": 1.0, "poss": 1.0, "sub": 1.0, "min": 0.5, "bin": 2.0, **(targets or {})}
+    s = ConstraintSchedule.default(eras=eras, epochs_per_era=epochs_per_era)
+    tg = {"alpha": 1.0, "poss": 1.0, "sub": 1.0, "min": 0.5, "bin": 2.0}
+    assert DEFAULT_TARGETS == tg
     for era in range(eras):
         for epoch in range(epochs_per_era):
             old = [_old_ramp(name, tg[name], epochs_per_era,
@@ -73,12 +71,6 @@ def test_weights_at_keeps_the_bits_of_the_growth_rate_ramps(eras, epochs_per_era
                    for name in ORDER]
             assert _bits(_ramps(s, epoch, era)) == _bits(old), (era, epoch)
             assert weights_at(s, epoch, era)[2] == (old[0] > 0.1)
-
-
-def test_default_fills_the_targets_a_caller_leaves_out():
-    s = ConstraintSchedule.default(eras=2, epochs_per_era=10, targets={"bin": 3.0})
-    assert (s.eras, s.epochs_per_era) == (2, 10)
-    assert [getattr(s, name) for name in ORDER] == [1.0, 1.0, 1.0, 0.5, 3.0]
 
 
 # ------------------------------------------------------------------ schedule
@@ -170,8 +162,8 @@ def test_era_reset_redraws_empty_filter():
 def test_era_reset_threshold_is_strict():
     st_ = _state(M=3)
     prec = np.array([0.29, 0.30, 0.31])
-    assert REINIT_PRECISION_THRESHOLD == 0.3  # the paper's redraw threshold
-    out = era_reset(st_, prec, REINIT_PRECISION_THRESHOLD, np.random.default_rng(2))
+    assert PRECISION_THRESHOLD == 0.3  # the paper's redraw threshold
+    out = era_reset(st_, prec, PRECISION_THRESHOLD, np.random.default_rng(2))
     changed = [m for m in range(3) if not (out.W[m] == st_.W[m]).all()]
     assert changed == [0]
 

@@ -10,7 +10,7 @@ from patternconv import cli, corpus, kernels, netcore, trainer
 from patternconv.curator import Pattern
 from patternconv.errors import DataError, NumericalError
 from patternconv.objective import LossWeights
-from patternconv.schedule import ConstraintSchedule
+from patternconv.schedule import PRECISION_THRESHOLD, ConstraintSchedule, era_reset
 from patternconv.trainer import (TrainConfig, WindowedSet, anneal_at,
                                  eval_filter_precision, harvest_filters, train_epoch,
                                  train_full)
@@ -159,10 +159,28 @@ def test_harvest_respects_threshold_and_binarization(vocab, planted):
         planted[2].cells.astype(np.float64),          # below threshold
     ])
     prec = np.array([0.9, 0.9, 0.2])
-    got = harvest_filters(W, prec, era=1, vocab=vocab, threshold=0.3)
+    got = harvest_filters(W, prec, era=1, vocab=vocab)
     assert len(got) == 1
     assert (got[0].cells == planted[0].cells).all()
     assert got[0].source_era == 1 and got[0].precision_train == pytest.approx(0.9)
+
+
+def test_one_precision_threshold_splits_harvest_and_redraw(vocab, planted):
+    """At an era end a binary, legal filter above 0.3 is harvested, one below
+    it or matching no clip (NaN) is redrawn, and one at exactly 0.3 is
+    neither: it is carried over into the next era."""
+    cells = [p.cells for p in planted] + [planted[0].cells[::-1]]
+    state = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
+    state.W = np.stack(cells).astype(np.float64)
+    prec = np.array([0.29, 0.3, 0.31, np.nan])
+    assert PRECISION_THRESHOLD == 0.3
+
+    got = harvest_filters(state.W, prec, era=0, vocab=vocab)
+    assert [p.pattern_id for p in got] == ["e000f0002"]
+
+    out = era_reset(state, prec, PRECISION_THRESHOLD, np.random.default_rng(1))
+    redrawn = [m for m in range(4) if not (out.W[m] == state.W[m]).all()]
+    assert redrawn == [0, 3]
 
 
 # ----------------------------------------------------------------- annealing

@@ -204,13 +204,15 @@ def step_rows(X: np.ndarray, M: int, k: int, repeats: int) -> dict:
     rng = np.random.default_rng(1)
     # a model's padding is at most k - 1
     state = netcore.init_state(M, k, vocab.d, padding=min(netcore.DEFAULT_PADDING, k - 1),
-                               rng=rng, alpha=1.0, fc_frozen=True)
+                               rng=rng)
+    state.alpha = 1.0
+    dropout = 0.2  # a rate inside the range trainer.anneal_at sweeps
     Xw = kernels.clip_windows(X[:B], k, state.padding)
     labels = (rng.random(B) < 0.2).astype(np.float64)
     on = LossWeights(**{name: DEFAULT_TARGETS[name] for name in ("bin", "min", "sub", "poss")})
 
     def step():
-        y, cache = netcore.forward_batch(state, Xw, training=True, rng=rng)
+        y, cache = netcore.forward_batch(state, Xw, dropout, rng)
         dW = netcore.backward_batch(state, cache, objective.bce_grad(y, labels) / B)["W"]
         dW += objective.regularizer_grad(state.W, on, vocab)
         dW *= 0.05
@@ -219,7 +221,7 @@ def step_rows(X: np.ndarray, M: int, k: int, repeats: int) -> dict:
         np.minimum(state.W, 1.0, out=state.W)
 
     rows = {"train step": _time(step, repeats=repeats)}
-    y = netcore.forward_batch(state, Xw, training=True, rng=rng)[0]
+    y = netcore.forward_batch(state, Xw, dropout, rng)[0]
 
     def bce_pair():
         objective.bce(y, labels)

@@ -197,6 +197,17 @@ def cmd_synth(cfg: dict, out: str) -> int:
     return 0
 
 
+def _check_kernel(source: str | None, what: str, k: int, padding: int, clip_length: int,
+                  clip_path: str) -> None:
+    """DataError, naming the clip file and `source` (the file that holds the
+    kernel, or None for the config's), unless k-step `what` at `padding` find
+    a window in each clip."""
+    if k > clip_length + 2 * padding:
+        raise DataError(f"{source + ': ' if source else ''}clip too short for the kernel even "
+                        f"with padding: {k}-step {what} at padding {padding}, {clip_length}-step "
+                        f"clips in {clip_path}")
+
+
 def _load_splits(cfg: dict, dataset_path: str):
     dataset = corpus.load_dataset(dataset_path)
     split = cfg["split"]
@@ -210,6 +221,8 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     tc = build_train_config(cfg)
     model = cfg["model"]
     _addressable(((model["M"], model["k"], train_set.vocabulary.d), np.float64))  # the filters
+    _check_kernel(None, "filters", model["k"], model["padding"],
+                  train_set.steps_array().shape[1], dataset_path)
     h = config_hash(cfg)
 
     log_path = os.path.join(out, "training_log.jsonl")
@@ -256,10 +269,8 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
         _, k, d = snap.W.shape
         if d != vocab.d:
             raise DataError(f"{path}: filters have {d} features, the clips have {vocab.d}")
-        if k > clip_length + 2 * snap.padding:  # an empty harvest windows no clip, so check here
-            raise DataError(f"{path}: clip too short for the kernel even with padding: "
-                            f"{k}-step filters at padding {snap.padding}, {clip_length}-step "
-                            f"clips in {dataset_path}")
+        # an empty harvest windows no clip, so check here
+        _check_kernel(path, "filters", k, snap.padding, clip_length, dataset_path)
         if shape is None:
             shape, first = (k, snap.padding), path
         for name, want, got in zip(("k", "padding"), shape, (k, snap.padding)):
@@ -308,12 +319,30 @@ def _same_vocabulary(bank: curator.PatternBank, bank_path: str,
                         f"header of {clip_path}")
 
 
+def _check_predictor(predictor, predictor_path: str, clips: corpus.Dataset,
+                     clip_path: str) -> None:
+    """DataError, naming both files, unless a bank or model reads the clips:
+    a bank's features must be theirs and a model's width their d, and the
+    kernel must find a window in each clip."""
+    if isinstance(predictor, netcore.ModelState):
+        if predictor.d != clips.vocabulary.d:
+            raise DataError(f"{predictor_path}: the model's filters have {predictor.d} "
+                            f"features, the clips in {clip_path} have {clips.vocabulary.d}")
+        k, what = predictor.k, "filters"
+    else:
+        _same_vocabulary(predictor, predictor_path, clips.vocabulary, clip_path)
+        if not predictor.patterns:
+            return
+        k, what = predictor.patterns[0].cells.shape[0], "patterns"
+    _check_kernel(predictor_path, what, k, predictor.padding, clips.steps_array().shape[1],
+                  clip_path)
+
+
 def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int:
     os.makedirs(out, exist_ok=True)
     predictor = _parse(_predictor, predictor_path)
     train_set, val_set, test_set = _load_splits(cfg, dataset_path)
-    if isinstance(predictor, curator.PatternBank):
-        _same_vocabulary(predictor, predictor_path, train_set.vocabulary, dataset_path)
+    _check_predictor(predictor, predictor_path, train_set, dataset_path)
     rows = {name: evalmetrics.evaluate(predictor, ds)
             for name, ds in (("train", train_set), ("val", val_set), ("test", test_set))}
     print(evalmetrics.render_table(rows))
@@ -329,7 +358,10 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
     experts = analysis.load_expert_patterns(expert_path, bank.vocabulary)
     # experts expand to the bank's pattern length; an empty bank has none
     k = bank.patterns[0].cells.shape[0] if bank.patterns else cfg["model"]["k"]
-    report = analysis.compare_banks(bank, experts, k=k)
+    try:
+        report = analysis.compare_banks(bank, experts, k=k)
+    except DataError as e:  # an expert that does not expand to k steps
+        raise DataError(f"{expert_path}: {e}") from None
     report["config_hash"] = config_hash(cfg)
     report["stats"] = analysis.pattern_stats(bank)
     _write(os.path.join(out, "comparison.json"), json.dumps(report, indent=2))
@@ -346,7 +378,7 @@ def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
 def cmd_explain(cfg: dict, out: str, bank_path: str, clip_path: str, clip_id: str) -> int:
     bank = _parse(curator.bank_from_json, bank_path)
     dataset = corpus.load_dataset(clip_path)
-    _same_vocabulary(bank, bank_path, dataset.vocabulary, clip_path)
+    _check_predictor(bank, bank_path, dataset, clip_path)
     if clip_id not in dataset.clip_ids:
         raise DataError(f"clip '{clip_id}' not found in {clip_path}")
     i = dataset.clip_ids.index(clip_id)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import (BOOL, INTEGER, LIST, DataError, check_version, fields, float_array,
+from .errors import (INTEGER, LIST, DataError, check_version, fields, float_array,
                      json_object, padding_field, within)
 
 MODEL_FORMAT_VERSION = 1
@@ -17,7 +17,6 @@ MODEL_FORMAT_VERSION = 1
 # The thresholding head's steepness t, offset beta, softmax temperature tau
 # and weight epsilon: fixed by the method, not learned or configured.
 THRESH = {"steepness": 200.0, "offset": 0.99, "temperature": 0.01, "epsilon": 1e-6}
-DEFAULT_DROPOUT = 0.2
 DEFAULT_PADDING = 1
 
 
@@ -33,20 +32,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModelState:
-    """All network parameters. Only W (and fc_trad until frozen) are learned."""
+    """All network parameters: the learned W and fc_trad, and the blend alpha
+    of the two heads."""
 
     W: np.ndarray                 # (M, k, d)
     fc_trad: np.ndarray           # (M,)
-    fc_frozen: bool = False
     alpha: float = 0.0
-    dropout_rate: float = DEFAULT_DROPOUT
     padding: int = DEFAULT_PADDING
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise DataError("alpha must lie in [0, 1]")
-        if not (0.0 <= self.dropout_rate < 1.0):  # keeping no cell scales by 1 / 0
-            raise DataError("dropout_rate must lie in [0, 1)")
         if self.fc_trad.shape != (self.W.shape[0],):
             raise DataError("fc_trad length must equal the filter count")
         if not 0 <= self.padding <= self.k - 1:
@@ -74,7 +70,7 @@ def init_conv_weights(M: int, k: int, d: int, rng: np.random.Generator) -> np.nd
 
 
 def init_state(M: int, k: int, d: int, padding: int = DEFAULT_PADDING,
-               rng: np.random.Generator | int | None = None, **kwargs) -> ModelState:
+               rng: np.random.Generator | int | None = None) -> ModelState:
     """Fresh model: conv weights uniform [0,1), fc uniform [-1/sqrt(M), 1/sqrt(M)]."""
     rng = np.random.default_rng(rng)
     bound = 1.0 / np.sqrt(M)
@@ -82,7 +78,6 @@ def init_state(M: int, k: int, d: int, padding: int = DEFAULT_PADDING,
         W=init_conv_weights(M, k, d, rng),
         fc_trad=rng.uniform(-bound, bound, size=M),
         padding=padding,
-        **kwargs,
     )
 
 
@@ -140,15 +135,18 @@ class ForwardCache:
     y_preclip: np.ndarray
 
 
-def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
+def forward_batch(state: ModelState, X: np.ndarray, dropout: float = 0.0,
                   rng: np.random.Generator | int | None = None):
     """Full forward pass over a clip batch (B, L, d) or over its clip windows
     (B, C, k·d) from `kernels.clip_windows`, told apart by the last axis. The
     two widths are equal only at k = 1, where the padding is 0 and the
-    windows are the clips.
+    windows are the clips. A `dropout` rate above 0 drops feature-map cells
+    with masks drawn from `rng`; at 0 no mask is drawn.
 
     Returns (y (B,), cache).
     """
+    if not 0.0 <= dropout < 1.0:  # keeping no cell scales by 1 / 0
+        raise DataError(f"dropout must lie in [0, 1), not {dropout}")
     X = np.asarray(X)
     if X.shape[2] == state.d:
         X = kernels.clip_windows(X, state.k, state.padding)
@@ -160,9 +158,9 @@ def forward_batch(state: ModelState, X: np.ndarray, training: bool = False,
     h = np.maximum(h_pre, 0.0)
 
     scale = 1.0
-    if training and state.dropout_rate > 0.0:
+    if dropout > 0.0:
         rng = np.random.default_rng(rng)
-        keep = 1.0 - state.dropout_rate
+        keep = 1.0 - dropout
         # drawn as (B, M, C), then applied as (B, C, M): the draw order fixes
         # which uniform masks which feature-map cell for a given seed. Zeroing
         # the dropped cells and then scaling gives the bits of h * (mask / keep);
@@ -234,7 +232,8 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
 
     Includes the dependence of the thresholding weights w on W (|W| uses the
     sign subgradient, 0 at exactly 0) and argmax-routed pooling gradients.
-    Returns {"W": (M,k,d), "fc_trad": (M,)}; fc_trad is zero when frozen.
+    Returns {"W": (M,k,d), "fc_trad": (M,)}; fc_trad's gradient is zero when
+    alpha is 1, where the traditional head is out of the blend.
     """
     t, tau = THRESH["steepness"], THRESH["temperature"]
     B, C, M = cache.h_pre.shape
@@ -261,7 +260,7 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
         dfc = np.zeros(M)
     else:
         du = (1.0 - state.alpha) * d_y * cache.y_trad * (1.0 - cache.y_trad)
-        dfc = cache.f.T @ du if not state.fc_frozen else np.zeros(M)
+        dfc = cache.f.T @ du
         df = du[:, None] * state.fc_trad[None, :]
         df += dz
 
@@ -290,10 +289,8 @@ def state_to_json(state: ModelState) -> str:
         "padding": state.padding,
         "W": state.W.ravel().tolist(),
         "fc_trad": state.fc_trad.tolist(),
-        "fc_frozen": state.fc_frozen,
         "thresh": THRESH,
         "alpha": state.alpha,
-        "dropout_rate": state.dropout_rate,
     }
     return json.dumps(doc, separators=(",", ":"))
 
@@ -303,10 +300,12 @@ _FILTERS = {"M": _SIZE, "k": _SIZE, "d": _SIZE, "W": LIST}
 # A model file may leave out a head constant, but not record another value.
 _THRESH = {key: ((lambda value, fixed=fixed: value == fixed), repr(fixed), fixed)
            for key, fixed in THRESH.items()}
-_MODEL = {"fc_trad": LIST, "fc_frozen": BOOL,
+# Keys outside _MODEL, such as the `fc_frozen` and `dropout_rate` that older
+# model files record, are read past.
+_MODEL = {"fc_trad": LIST,
           "thresh": (lambda t: type(t) is dict and t.keys() <= THRESH.keys(),
                      "an object of " + ", ".join(THRESH)),
-          "alpha": within("[0, 1]"), "dropout_rate": within("[0, 1)")}
+          "alpha": within("[0, 1]")}
 _SNAPSHOT = {"era": (*within("[0, inf)", INTEGER), -1), "per_filter_precision": LIST}
 
 
@@ -323,14 +322,12 @@ def state_from_json(text: str | dict) -> ModelState:
         raise DataError("not a model file")
     check_version(doc, MODEL_FORMAT_VERSION, "model file")
     W = _filters(doc, "model file")
-    fc_trad, fc_frozen, thresh, alpha, dropout_rate = fields(doc, _MODEL, "model file").values()
+    fc_trad, thresh, alpha = fields(doc, _MODEL, "model file").values()
     fields(thresh, _THRESH, "model file thresh")
     return ModelState(
         W=W,
         fc_trad=float_array(fc_trad, len(W), "model file", "fc_trad"),
-        fc_frozen=fc_frozen,
         alpha=float(alpha),
-        dropout_rate=float(dropout_rate),
         padding=padding_field(doc, "model file", W.shape[1]),
     )
 

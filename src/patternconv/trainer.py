@@ -78,17 +78,18 @@ def anneal_at(config: TrainConfig, epoch_in_era: int, era: int) -> tuple[float, 
 
 def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
                 alpha: float, freeze: bool, config: TrainConfig,
-                rng: np.random.Generator, pos_weight: float, learning_rate: float) -> dict:
+                rng: np.random.Generator, pos_weight: float, learning_rate: float,
+                dropout: float) -> dict:
     """One pass over shuffled mini-batches of the windowed training set;
     mutates `state` in place.
 
-    Per batch: dropout forward, positively-weighted mean BCE, analytic
-    backward plus the scaled regularizer gradients, SGD step, clamp W to [0, 1].
-    Returns the epoch loss record.
+    Per batch: forward at the `dropout` rate, positively-weighted mean BCE,
+    analytic backward plus the scaled regularizer gradients, SGD step, clamp
+    W to [0, 1]. With `freeze`, fc_trad keeps its values and its gradient
+    norm reads 0. Returns the epoch loss record.
     """
     vocab = train_set.vocabulary
     state.alpha = alpha
-    state.fc_frozen = freeze
     labels_all = train_set.labels.astype(np.float64)
     clip_w_all = np.where(train_set.labels, pos_weight, 1.0)
     order = rng.permutation(len(train_set))
@@ -100,7 +101,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     for start in range(0, len(order), config.batch_size):
         idx = order[start:start + config.batch_size]
         labels, clip_w = labels_all[idx], clip_w_all[idx]
-        y, cache = forward_batch(state, train_set.X[idx], training=True, rng=rng)
+        y, cache = forward_batch(state, train_set.X[idx], dropout, rng)
 
         batch_bce = float((clip_w * objective.bce(y, labels)).sum() / len(idx))
         # W is clamped to [0, 1], so the regularizers are finite whenever W
@@ -113,7 +114,6 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
         dW = grads["W"]
         dW += objective.regularizer_grad(state.W, weights, vocab)
         grad_norm_conv += math.sqrt(dW.ravel() @ dW.ravel())
-        grad_norm_fc += math.sqrt(grads["fc_trad"] @ grads["fc_trad"])
 
         dW *= learning_rate
         state.W -= dW
@@ -125,6 +125,7 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
         np.maximum(0.0, state.W, out=state.W)
         np.minimum(state.W, 1.0, out=state.W)
         if not freeze:
+            grad_norm_fc += math.sqrt(grads["fc_trad"] @ grads["fc_trad"])
             state.fc_trad -= learning_rate * grads["fc_trad"]
 
         bce_sum += batch_bce
@@ -189,11 +190,10 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
     for era in range(sched.eras):
         for epoch in range(sched.epochs_per_era):
             weights, alpha, freeze = weights_at(sched, epoch, era)
-            state.dropout_rate, lr = anneal_at(config, epoch, era)
+            dropout, lr = anneal_at(config, epoch, era)
             record = train_epoch(state, train_w, weights, alpha, freeze, config,
-                                 rng, pos_weight, lr)
-            record.update(era=era, epoch=epoch, learning_rate=lr,
-                          dropout_rate=state.dropout_rate)
+                                 rng, pos_weight, lr, dropout)
+            record.update(era=era, epoch=epoch, learning_rate=lr, dropout_rate=dropout)
             if config.log_val_metrics and val is not None:
                 record["val_kappa"] = kappa(confusion(netcore.predict(state, val[0]), val[1]))
             if log is not None:

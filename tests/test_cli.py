@@ -158,9 +158,12 @@ def test_kernel_is_checked_against_the_clips_train_loads(tmp_path, capsys, vocab
                                 "train": {"eras": 1, "epochs_per_era": 2}}))
     argv = ["--config", str(path), "--out", str(tmp_path / "o"), "train"]
     assert _run(argv + [_write_clips(tmp_path / "long.jsonl", vocab, 40, 10)]) == 0
-    assert _run(argv + [_write_clips(tmp_path / "short.jsonl", vocab, 40, 5)]) == 2
+    short = _write_clips(tmp_path / "short.jsonl", vocab, 40, 5)
+    assert _run(argv + [short]) == 2
     err = capsys.readouterr().err
-    assert "clip too short for the kernel" in err and "Traceback" not in err
+    assert (f"data error: clip too short for the kernel even with padding: 7-step filters at "
+            f"padding 0, 5-step clips in {short}\n") in err
+    assert "Traceback" not in err
 
 
 # each case is a config whose arrays are far past any address space, so they
@@ -322,7 +325,10 @@ def test_clips_shorter_than_the_kernel_exit_2(tmp_path, capsys, vocab, command):
     code = _run(["--out", str(tmp_path / "o")] + argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert "data error: clip too short for the kernel" in err
+    source, what, k, padding = {"train": ("", "filters", 3, 0),
+                                "eval": (f"{argv[1]}: ", "patterns", 4, 1)}[command]
+    assert (f"data error: {source}clip too short for the kernel even with padding: {k}-step "
+            f"{what} at padding {padding}, 1-step clips in {data}\n") in err
     assert "Traceback" not in err
 
 
@@ -450,8 +456,9 @@ def _snapshot(snaps, W, edit=None):
     return str(snaps)
 
 
-def _model(path, vocab, edit=None):
-    doc = json.loads(netcore.state_to_json(netcore.init_state(4, 3, vocab.d, rng=0)))
+def _model(path, vocab, edit=None, k=3, d=None, padding=1):
+    state = netcore.init_state(4, k, vocab.d if d is None else d, padding=padding, rng=0)
+    doc = json.loads(netcore.state_to_json(state))
     if edit:
         edit(doc)
     path.write_text(json.dumps(doc))
@@ -520,13 +527,28 @@ def _model_with_huge_padding(tmp, vocab, data):
     return ["eval", _model(tmp / "m.json", vocab, _set_field(("padding",), _HUGE)), data]
 
 
+def _model_of_7_features(tmp, vocab, data):
+    return ["eval", _model(tmp / "m.json", vocab, d=7), data]
+
+
+def _model_of_9_steps(tmp, vocab, data):
+    return ["eval", _model(tmp / "m.json", vocab, k=9, padding=0), data]
+
+
+def _bank_of_9_steps(command):
+    def build(tmp, vocab, data):
+        bank = _write_bank(tmp / "b.json", vocab, k=9)
+        return {"eval": ["eval", bank, data], "explain": ["explain", bank, data, "c0"]}[command]
+    return build
+
+
 def _snapshot_with_huge_padding(tmp, vocab, data):
     return ["curate", _snapshot(tmp / "snaps", np.ones((2, 3, vocab.d)),
                                 _set_field(("padding",), _HUGE)), data]
 
 
 # each case writes a bank, model or snapshot that parses but cannot be used,
-# and the message that names the fault
+# and the message that names the fault; <clips> stands for the clip file
 UNUSABLE = {
     "bank_of_mixed_step_counts": (_bank_of_mixed_step_counts,
                                   "b.json: pattern bank pattern 1 'cells' must be a 0/1 array "
@@ -557,16 +579,18 @@ UNUSABLE = {
     "model_with_string_alpha": (_model_with(("alpha",), "0.5"),
                                 "m.json: model file 'alpha' must be a finite number in [0, 1], "
                                 'not "0.5"'),
-    "model_with_string_fc_frozen": (_model_with(("fc_frozen",), "no"),
-                                    "m.json: model file 'fc_frozen' must be true or false, "
-                                    'not "no"'),
-    "model_with_bool_dropout_rate": (_model_with(("dropout_rate",), True),
-                                     "m.json: model file 'dropout_rate' must be a finite "
-                                     "number in [0, 1), not true"),
-    # a model that drops every cell would scale the kept ones by 1 / 0
-    "model_with_dropout_rate_1": (_model_with(("dropout_rate",), 1.0),
-                                  "m.json: model file 'dropout_rate' must be a finite number "
-                                  "in [0, 1), not 1.0"),
+    # a model or bank that does not fit the clips names both files
+    "model_of_7_features": (_model_of_7_features,
+                            "m.json: the model's filters have 7 features, the clips in "
+                            "<clips> have 13\n"),
+    "model_of_9_steps": (_model_of_9_steps,
+                         "m.json: clip too short for the kernel even with padding: 9-step "
+                         "filters at padding 0, 5-step clips in <clips>\n"),
+    **{f"bank_of_9_steps_{command}": (_bank_of_9_steps(command),
+                                      "b.json: clip too short for the kernel even with "
+                                      "padding: 9-step patterns at padding 1, 5-step clips in "
+                                      "<clips>\n")
+       for command in ("eval", "explain")},
     # numpy would read these array elements as numbers: "0.5" as 0.5, true as 1.0
     "model_with_string_weight": (_model_with(("W", 0), "0.5"),
                                  "m.json: model file 'W' must be a list of 156 finite numbers, "
@@ -608,11 +632,11 @@ UNUSABLE = {
 @pytest.mark.parametrize("case", sorted(UNUSABLE))
 def test_unusable_documents_exit_2(tmp_path, capsys, vocab, case):
     build, message = UNUSABLE[case]
-    argv = build(tmp_path, vocab, _write_clips(tmp_path / "d.jsonl", vocab, 40, 5))
-    code = _run(["--out", str(tmp_path / "o")] + argv)
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)
+    code = _run(["--out", str(tmp_path / "o")] + build(tmp_path, vocab, data))
     err = capsys.readouterr().err
     assert code == 2
-    assert message in err
+    assert message.replace("<clips>", data) in err
     assert "Traceback" not in err
 
 
@@ -721,6 +745,19 @@ def test_eval_parses_the_predictor_file_once(tmp_path, monkeypatch, vocab, kind)
     assert calls == [text]
 
 
+def test_eval_of_a_model_file_that_records_fc_frozen_and_dropout_rate(tmp_path, capsys, vocab):
+    """Model files once recorded the freeze flag and the dropout rate; eval
+    reads past both keys and prints the table it prints without them."""
+    data = _write_clips(tmp_path / "d.jsonl", vocab, 200, 5)
+    tables = []
+    for name, edit in (("new.json", None),
+                       ("old.json", lambda doc: doc.update(fc_frozen=True, dropout_rate=0.2))):
+        model = _model(tmp_path / name, vocab, edit)
+        assert _run(["--out", str(tmp_path / "o"), "eval", model, data]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1] and "kappa" in tables[0]
+
+
 def _set_field(path, value):
     """An edit that sets the document field at `path` (keys and indices)."""
     def edit(doc):
@@ -743,9 +780,6 @@ NON_FINITE = {
                 "m.json: model file 'W' must be a list of 156 finite numbers, not [NaN, "),
     "model_fc_trad": (_model_with(("fc_trad", 1), -_INF),
                       "m.json: model file 'fc_trad' must be a list of 4 finite numbers, not ["),
-    "model_dropout_rate": (_model_with(("dropout_rate",), _NAN),
-                           "m.json: model file 'dropout_rate' must be a finite number in "
-                           "[0, 1), not NaN"),
     "model_temperature": (_model_with(("thresh", "temperature"), _NAN),
                           "m.json: model file thresh 'temperature' must be 0.01, not NaN"),
     "model_steepness": (_model_with(("thresh", "steepness"), _INF),
@@ -1118,6 +1152,20 @@ def test_compare_expands_experts_to_the_bank_pattern_length(tmp_path, capsys, vo
     comparison = json.loads((out / "comparison.json").read_text())
     assert comparison["expanded_experts"] == ["three/pad-front", "three/pad-back", "four"]
     assert [r["distance"] for r in comparison["per_expert_nearest"]] == [4, 2, 3]
+
+
+def test_compare_names_the_expert_file_an_expert_cannot_expand_from(tmp_path, capsys, vocab):
+    """A 3-step expert expands to 2, 3 or 4 steps only: a 9-step bank exits 2
+    naming the expert file."""
+    experts = os.path.join(FIXTURES, "expert_patterns.jsonl")
+    code = _run(["--out", str(tmp_path / "o"), "compare",
+                 _write_bank(tmp_path / "b.json", vocab, k=9), experts])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"data error: {experts}: expert pattern 'help-abuse-bottom-out' has unsupported "
+            "length 3 for k=9\n") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "comparison.json").exists()
 
 
 def test_compare_with_an_empty_bank_expands_to_the_config_k(tmp_path, capsys, vocab):

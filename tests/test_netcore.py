@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_legal_clip_batch
-from patternconv import curator, kernels, netcore, objective
+from patternconv import curator, kernels, netcore, objective, trainer
 from patternconv.corpus import FeatureVocabulary
 from patternconv.errors import DataError
 from patternconv.netcore import (ModelState, backward_batch,
@@ -222,19 +222,17 @@ def test_dropout_only_in_training(vocab):
     rng = np.random.default_rng(6)
     X = random_legal_clip_batch(vocab, 16, 5, rng).astype(np.float64)
     st_ = _state(M=8, d=vocab.d, seed=7)
-    st_.dropout_rate = 0.5
     y_eval, cache = forward_batch(st_, X)
     assert set(np.unique(cache.pool_gate)) <= {0.0, 1.0}  # no dropout scale
-    y_tr, cache_tr = forward_batch(st_, X, training=True, rng=np.random.default_rng(1))
+    y_tr, cache_tr = forward_batch(st_, X, dropout=0.5, rng=np.random.default_rng(1))
     assert (cache_tr.pool_gate == 2.0).any()
     assert not np.allclose(y_eval, y_tr)
 
 
 def test_dropout_inverted_scaling(vocab):
     st_ = _state(M=2, d=vocab.d)
-    st_.dropout_rate = 0.25
     X = random_legal_clip_batch(vocab, 4, 5, np.random.default_rng(2)).astype(np.float64)
-    _, cache = forward_batch(st_, X, training=True, rng=np.random.default_rng(3))
+    _, cache = forward_batch(st_, X, dropout=0.25, rng=np.random.default_rng(3))
     kept = cache.pool_gate[cache.pool_gate > 0]
     assert kept.size and np.allclose(kept, 1.0 / 0.75)
     # a kept window's activation is scaled up by the same factor
@@ -247,18 +245,17 @@ def test_dropout_inverted_scaling(vocab):
 
 # ----------------------------------------------------------------- gradients
 
-def _fd_check(st_, X, labels, rtol=1e-4, h=1e-5, dropout_seed=None):
-    """Central finite differences of batch BCE w.r.t. every W entry; with a
-    dropout seed, every pass draws the same dropout masks."""
-    training = dropout_seed is not None
+def _fd_check(st_, X, labels, rtol=1e-4, h=1e-5, dropout=0.0, dropout_seed=None):
+    """Central finite differences of batch BCE w.r.t. every W entry; under
+    dropout, every pass draws the same masks from the dropout seed."""
 
     def loss_of(W):
         s2 = st_.copy()
         s2.W = W
-        y, _ = forward_batch(s2, X, training=training, rng=dropout_seed)
+        y, _ = forward_batch(s2, X, dropout, rng=dropout_seed)
         return float(np.asarray(objective.bce(y, labels)).sum())
 
-    y, cache = forward_batch(st_, X, training=training, rng=dropout_seed)
+    y, cache = forward_batch(st_, X, dropout, rng=dropout_seed)
     d_y = objective.bce_grad(y, labels)
     grads = backward_batch(st_, cache, d_y)
     g = grads["W"]
@@ -285,8 +282,8 @@ def test_gradients_match_finite_differences(vocab):
         assert _fd_check(st_, X, labels) == 0
         # under dropout; alpha = 0 keeps the steep thresholding head, where central
         # differences are too coarse, out of this check
-        st_.alpha, st_.dropout_rate = 0.0, 0.3
-        assert _fd_check(st_, X, labels, dropout_seed=trial) == 0
+        st_.alpha = 0.0
+        assert _fd_check(st_, X, labels, dropout=0.3, dropout_seed=trial) == 0
 
 
 def test_zero_upstream_gradient(vocab):
@@ -298,12 +295,23 @@ def test_zero_upstream_gradient(vocab):
 
 
 def test_frozen_fc_gets_zero_gradient(vocab):
-    st_ = _state(M=3, d=vocab.d)
-    st_.fc_frozen = True
-    X = random_legal_clip_batch(vocab, 2, 5, np.random.default_rng(0)).astype(np.float64)
-    y, cache = forward_batch(st_, X)
-    g = backward_batch(st_, cache, np.ones(2))
-    assert (g["fc_trad"] == 0).all()
+    """backward_batch returns the traditional head's gradient whether or not
+    the head is frozen; a frozen epoch of train_epoch leaves fc_trad as it
+    was and logs its gradient norm as 0, and an unfrozen one does neither."""
+    rng = np.random.default_rng(0)
+    X = random_legal_clip_batch(vocab, 8, 5, rng)
+    for freeze in (True, False):
+        st_ = _state(M=3, d=vocab.d)
+        _, cache = forward_batch(st_, X)
+        assert (backward_batch(st_, cache, np.ones(8))["fc_trad"] != 0).any()
+        windows = trainer.WindowedSet(X=kernels.clip_windows(X, st_.k, st_.padding),
+                                      labels=np.arange(8) % 2 == 0, vocabulary=vocab)
+        fc0 = st_.fc_trad.copy()
+        rec = trainer.train_epoch(st_, windows, objective.LossWeights(), 0.5, freeze,
+                                  trainer.TrainConfig(), np.random.default_rng(1), 1.0, 0.05,
+                                  0.2)
+        assert (st_.fc_trad == fc0).all() == freeze
+        assert (rec["grad_norm_fc"] == 0.0) == freeze
 
 
 def test_subgradient_zero_at_exact_zero(vocab):
@@ -323,13 +331,21 @@ def test_subgradient_zero_at_exact_zero(vocab):
 # ------------------------------------------------------------- serialization
 
 def test_state_json_round_trip():
+    """W, fc_trad and alpha survive. The model file records neither the
+    freeze flag nor the dropout rate, and a file written when it did still
+    loads: both keys are read past, as any other extra key is."""
     st_ = _state(M=3, d=13, seed=11)
     st_.alpha = 0.4
-    st_.fc_frozen = True
-    back = netcore.state_from_json(netcore.state_to_json(st_))
+    text = netcore.state_to_json(st_)
+    back = netcore.state_from_json(text)
     assert (back.W == st_.W).all()
     assert (back.fc_trad == st_.fc_trad).all()
-    assert back.alpha == st_.alpha and back.fc_frozen
+    assert back.alpha == st_.alpha
+    doc = json.loads(text)
+    assert list(doc) == ["format", "version", "M", "k", "d", "padding", "W", "fc_trad",
+                         "thresh", "alpha"]
+    doc["fc_frozen"], doc["dropout_rate"] = True, 0.2
+    assert netcore.state_to_json(netcore.state_from_json(json.dumps(doc))) == text
 
 
 def test_filters_json_round_trip():
@@ -390,7 +406,8 @@ def test_model_file_records_the_head_constants():
 
 
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
-def test_dropout_rate_outside_0_1_is_refused(rate):
+def test_dropout_rate_outside_0_1_is_refused(vocab, rate):
     """A rate of 1 keeps no cell and would scale the kept ones by 1 / 0."""
-    with pytest.raises(DataError, match=r"dropout_rate must lie in \[0, 1\)"):
-        init_state(4, 3, 13, rng=0, dropout_rate=rate)
+    X = random_legal_clip_batch(vocab, 2, 5, np.random.default_rng(0))
+    with pytest.raises(DataError, match=r"dropout must lie in \[0, 1\)"):
+        forward_batch(_state(d=vocab.d), X, dropout=rate, rng=0)

@@ -37,16 +37,16 @@ def _ref_maxpool(h, axis):
     return f.squeeze(axis), arg.astype(np.intp)
 
 
-def _ref_forward(state, Xw, training, rng):
-    """(y, cache dict) of windows Xw (B, C, k·d)."""
+def _ref_forward(state, Xw, dropout, rng):
+    """(y, cache dict) of windows Xw (B, C, k·d) at a dropout rate."""
     X = np.asarray(Xw, dtype=np.float64)
     B, C, kd = X.shape
     M = state.M
     h_pre = (X.reshape(-1, kd) @ state.W.reshape(M, kd).T).reshape(B, C, M)
     h = np.maximum(h_pre, 0.0)
     scale = 1.0
-    if training and state.dropout_rate > 0.0:
-        keep = 1.0 - state.dropout_rate
+    if dropout > 0.0:
+        keep = 1.0 - dropout
         h = h * ((rng.random((B, M, C)) < keep).astype(np.float64) / keep).transpose(0, 2, 1)
         scale = 1.0 / keep
     f, arg = _ref_maxpool(h, axis=1)
@@ -70,7 +70,7 @@ def _ref_backward(state, c, d_y):
     dy_trad = (1.0 - state.alpha) * d_y
     dy_thresh = state.alpha * d_y
     du = dy_trad * c["y_trad"] * (1.0 - c["y_trad"])
-    dfc = c["f"].T @ du if not state.fc_frozen else np.zeros_like(state.fc_trad)
+    dfc = c["f"].T @ du
     df = du[:, None] * state.fc_trad[None, :]
     da = dy_thresh[:, None] * (c["s"] + c["s"] * (c["a"] - c["y_thresh"][:, None]) / tau)
     dz = da * t * c["a"] * (1.0 - c["a"])
@@ -115,8 +115,9 @@ def _ref_regularizer_terms(W, vocab, mp=MinPenaltyParams()):
             "poss": float(np.minimum(u * u, v * v).sum())}
 
 
-def _ref_train_epoch(state, train_set, weights, alpha, freeze, config, rng, pos_weight, lr):
-    state.alpha, state.fc_frozen = alpha, freeze
+def _ref_train_epoch(state, train_set, weights, alpha, freeze, config, rng, pos_weight, lr,
+                     dropout):
+    state.alpha = alpha
     labels_all = train_set.labels.astype(np.float64)
     order = rng.permutation(len(train_set))
     bce_sum = norm_conv = norm_fc = 0.0
@@ -124,7 +125,7 @@ def _ref_train_epoch(state, train_set, weights, alpha, freeze, config, rng, pos_
     for start in range(0, len(order), config.batch_size):
         idx = order[start:start + config.batch_size]
         labels = labels_all[idx]
-        y, cache = _ref_forward(state, train_set.X[idx], True, rng)
+        y, cache = _ref_forward(state, train_set.X[idx], dropout, rng)
         clip_w = np.where(labels == 1.0, pos_weight, 1.0)
         batch_bce = float((clip_w * objective.bce(y, labels)).mean())
         assert math.isfinite(batch_bce)
@@ -135,9 +136,9 @@ def _ref_train_epoch(state, train_set, weights, alpha, freeze, config, rng, pos_
         np.clip(state.W, 0.0, 1.0, out=state.W)
         if not freeze:
             state.fc_trad -= lr * grads["fc_trad"]
+            norm_fc += float(np.linalg.norm(grads["fc_trad"]))
         bce_sum += batch_bce
         norm_conv += float(np.linalg.norm(dW))
-        norm_fc += float(np.linalg.norm(grads["fc_trad"]))
         n += 1
     return bce_sum / n, norm_conv / n, norm_fc / n
 
@@ -155,7 +156,6 @@ def _batch(vocab, seed, B=64, M=16, k=3, L=5):
     rng = np.random.default_rng(seed)
     state = netcore.init_state(M, k, vocab.d, rng=rng)
     state.W[:] = _weights_in_unit_box(rng, state.W.shape)
-    state.dropout_rate = 0.3
     X = random_legal_clip_batch(vocab, B, L, rng)
     Xw = kernels.clip_windows(X, k, state.padding)
     # half the filters are jittered copies of batch windows, so that their
@@ -177,24 +177,32 @@ def _bits(a) -> bytes:
 
 # --------------------------------------------------------------------- tests
 
-@pytest.mark.parametrize("training", [True, False], ids=["dropout", "eval"])
+@pytest.mark.parametrize("dropout", [0.3, 0.0], ids=["dropout", "eval"])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_step_matches_reference_bits(vocab, training, alpha, frozen, seed):
+def test_step_matches_reference_bits(vocab, dropout, alpha, frozen, seed):
+    """Two steps on one batch. Between them, train_epoch's SGD update moves W,
+    and fc_trad too unless the head is frozen, so the second step runs on
+    the state a frozen or an unfrozen epoch leaves."""
     state, _, Xw, d_y = _batch(vocab, seed)
-    state.alpha, state.fc_frozen = alpha, frozen
-    y_ref, c_ref = _ref_forward(state, Xw, training, np.random.default_rng(seed + 10))
-    y, cache = netcore.forward_batch(state, Xw, training=training,
-                                     rng=np.random.default_rng(seed + 10))
-    assert _bits(y) == _bits(y_ref)
-    for name in ("h_pre", "f", "argmax", "pool_gate", "a", "s", "y_thresh"):
-        assert _bits(getattr(cache, name)) == _bits(c_ref[name]), name
-    assert (cache.y_trad is None) == (alpha == 1.0)
-    g_ref = _ref_backward(state, c_ref, d_y)
-    g = netcore.backward_batch(state, cache, d_y)
-    assert _bits(g["W"]) == _bits(g_ref["W"])
-    assert _bits(g["fc_trad"]) == _bits(g_ref["fc_trad"])
+    state.alpha = alpha
+    for step in range(2):
+        y_ref, c_ref = _ref_forward(state, Xw, dropout, np.random.default_rng(seed + 10 + step))
+        y, cache = netcore.forward_batch(state, Xw, dropout,
+                                         np.random.default_rng(seed + 10 + step))
+        assert _bits(y) == _bits(y_ref)
+        for name in ("h_pre", "f", "argmax", "pool_gate", "a", "s", "y_thresh"):
+            assert _bits(getattr(cache, name)) == _bits(c_ref[name]), name
+        assert (cache.y_trad is None) == (alpha == 1.0)
+        g_ref = _ref_backward(state, c_ref, d_y)
+        g = netcore.backward_batch(state, cache, d_y)
+        assert _bits(g["W"]) == _bits(g_ref["W"])
+        assert _bits(g["fc_trad"]) == _bits(g_ref["fc_trad"])
+        state.W -= 0.05 * g["W"]
+        np.clip(state.W, 0.0, 1.0, out=state.W)
+        if not frozen:
+            state.fc_trad -= 0.05 * g["fc_trad"]
 
 
 def test_dropout_scales_the_maps_before_the_pool(vocab):
@@ -206,15 +214,15 @@ def test_dropout_scales_the_maps_before_the_pool(vocab):
     lo = 0.9
     while lo * scale != np.nextafter(lo, 2.0) * scale:
         lo = np.nextafter(lo, 2.0)
-    state = netcore.init_state(1, 1, vocab.d, padding=0, rng=0, dropout_rate=1.0 - keep)
+    state = netcore.init_state(1, 1, vocab.d, padding=0, rng=0)
     state.W[:] = 0.0
     state.W[0, 0, 3], state.W[0, 0, 4] = lo, np.nextafter(lo, 2.0)
     Xw = np.zeros((1, 2, vocab.d), dtype=np.uint8)
     Xw[0, 0, 3] = Xw[0, 1, 4] = 1  # window 0 reads lo, window 1 one ulp more
     seed = next(s for s in range(100)
                 if (np.random.default_rng(s).random((1, 1, 2)) < keep).all())
-    _, cache = netcore.forward_batch(state, Xw, training=True, rng=seed)
-    _, ref = _ref_forward(state, Xw, True, np.random.default_rng(seed))
+    _, cache = netcore.forward_batch(state, Xw, 1.0 - keep, rng=seed)
+    _, ref = _ref_forward(state, Xw, 1.0 - keep, np.random.default_rng(seed))
     assert cache.h_pre[0, 0, 0] < cache.h_pre[0, 1, 0]
     assert cache.argmax.tolist() == ref["argmax"].tolist() == [[0]]
     assert _bits(cache.f) == _bits(ref["f"])
@@ -235,7 +243,7 @@ def test_regularizer_grad_matches_reference_bits(vocab, on):
 
 
 @pytest.mark.parametrize("alpha,freeze", [(0.0, False), (0.5, False), (1.0, False),
-                                          (1.0, True)])
+                                          (0.5, True), (1.0, True)])
 def test_train_epoch_matches_reference_bits(vocab, planted, alpha, freeze):
     from patternconv import corpus
 
@@ -244,12 +252,11 @@ def test_train_epoch_matches_reference_bits(vocab, planted, alpha, freeze):
     cfg = trainer.TrainConfig(batch_size=32)
     weights = LossWeights(bin=0.7, min=0.3, sub=0.0, poss=1.0)
     state = netcore.init_state(12, 3, vocab.d, rng=np.random.default_rng(3))
-    state.dropout_rate = 0.25
     ref = state.copy()
     rec = trainer.train_epoch(state, windows, weights, alpha, freeze, cfg,
-                              np.random.default_rng(4), 2.5, learning_rate=0.05)
+                              np.random.default_rng(4), 2.5, learning_rate=0.05, dropout=0.25)
     bce, norm_conv, norm_fc = _ref_train_epoch(ref, windows, weights, alpha, freeze, cfg,
-                                               np.random.default_rng(4), 2.5, 0.05)
+                                               np.random.default_rng(4), 2.5, 0.05, 0.25)
     assert _bits(state.W) == _bits(ref.W) and _bits(state.fc_trad) == _bits(ref.fc_trad)
     assert (rec["bce"], rec["grad_norm_conv"], rec["grad_norm_fc"]) == (bce, norm_conv, norm_fc)
 

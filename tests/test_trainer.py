@@ -44,7 +44,7 @@ def test_zero_learning_rate_leaves_params(vocab, planted):
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     W0, fc0 = st_.W.copy(), st_.fc_trad.copy()
     rec = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg,
-                      np.random.default_rng(1), 1.0, 0.0)
+                      np.random.default_rng(1), 1.0, 0.0, 0.2)
     assert (st_.W == W0).all() and (st_.fc_trad == fc0).all()
     assert np.isfinite(rec["bce"])
 
@@ -56,7 +56,7 @@ def test_freeze_keeps_fc_trad(vocab, planted):
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     fc0 = st_.fc_trad.copy()
     train_epoch(st_, windows, LossWeights(), 0.5, True, cfg, np.random.default_rng(1), 1.0,
-                cfg.learning_rate)
+                cfg.learning_rate, 0.2)
     assert (st_.fc_trad == fc0).all()
 
 
@@ -65,13 +65,13 @@ def test_plain_training_reduces_bce(vocab, planted):
     windows = WindowedSet.build(ds, 3, 1)
     cfg = _small_config()
     st_ = netcore.init_state(8, 3, vocab.d, rng=np.random.default_rng(0))
-    st_.dropout_rate = 0.0
     rng = np.random.default_rng(2)
     lr = cfg.learning_rate
-    first = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr)["bce"]
+    first = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr, 0.0)["bce"]
     last = None
     for _ in range(50):
-        last = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr)["bce"]
+        last = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr,
+                           0.0)["bce"]
     assert last < first
 
 
@@ -82,7 +82,7 @@ def test_weights_stay_clamped(vocab, planted):
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     for _ in range(5):
         train_epoch(st_, windows, LossWeights(bin=2.0), 0.5, False, cfg,
-                    np.random.default_rng(1), 1.0, cfg.learning_rate)
+                    np.random.default_rng(1), 1.0, cfg.learning_rate, 0.2)
     assert st_.W.min() >= 0.0 and st_.W.max() <= 1.0
 
 
@@ -95,7 +95,7 @@ def test_nan_weight_raises_numerical_error(vocab, planted, alpha):
     st_.W[1, 2, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite loss"):
         train_epoch(st_, windows, LossWeights(bin=1.0, min=1.0, sub=1.0, poss=1.0), alpha,
-                    False, _small_config(), np.random.default_rng(1), 1.0, 0.05)
+                    False, _small_config(), np.random.default_rng(1), 1.0, 0.05, 0.2)
 
 
 def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
@@ -108,13 +108,13 @@ def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
     st_.W[:] = np.resize([-0.0, -0.2, 0.0, 1.0, 1.3, np.nan, 0.25], st_.W.shape)
     W0 = st_.W.copy()
     monkeypatch.setattr(trainer, "forward_batch",
-                        lambda state, X, training, rng: (np.full(len(X), 0.5), None))
+                        lambda state, X, dropout, rng: (np.full(len(X), 0.5), None))
     monkeypatch.setattr(trainer, "backward_batch", lambda state, cache, d_y: {
         "W": np.zeros(state.W.shape), "fc_trad": np.zeros(state.M)})
     monkeypatch.setattr(trainer.objective, "regularizer_grad",
                         lambda W, weights, vocab: np.zeros(W.shape))
     train_epoch(st_, windows, LossWeights(), 0.5, False, _small_config(),
-                np.random.default_rng(1), 1.0, 0.05)
+                np.random.default_rng(1), 1.0, 0.05, 0.2)
     assert st_.W.tobytes() == np.clip(W0, 0.0, 1.0).tobytes()
 
 

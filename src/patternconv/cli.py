@@ -181,7 +181,6 @@ def cmd_synth(cfg: dict, out: str) -> int:
     # the clips, and the padded copy of one clip that each candidate test windows
     _addressable(((data["n_clips"], data["clip_length"], vocab.d), np.uint8),
                  ((1, longest, vocab.d), np.uint8))
-    os.makedirs(out, exist_ok=True)
     clip_path = os.path.join(out, "dataset.jsonl")
     planted = _planted(cfg, vocab, clip_path)
     # every data key but planted_bank is a synth_generate parameter
@@ -216,7 +215,6 @@ def _load_splits(cfg: dict, dataset_path: str):
 
 
 def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
-    os.makedirs(out, exist_ok=True)
     train_set, val_set, _test_set = _load_splits(cfg, dataset_path)
     tc = build_train_config(cfg)
     model = cfg["model"]
@@ -234,10 +232,8 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
             tc, train_set, val_set, model["M"], model["k"], train_set.vocabulary.d,
             padding=model["padding"], log=log)
 
-    snap_dir = os.path.join(out, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
     for snap in snapshots:
-        _write(os.path.join(snap_dir, f"era_{snap.era:03d}.json"),
+        _write(os.path.join(out, "snapshots", f"era_{snap.era:03d}.json"),
                netcore.filters_to_json(snap, {"config_hash": h}))
 
     _write(os.path.join(out, "model.json"), netcore.state_to_json(state))
@@ -252,7 +248,6 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
 
 
 def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> int:
-    os.makedirs(out, exist_ok=True)
     train_set, val_set, _ = _load_splits(cfg, dataset_path)
     vocab = train_set.vocabulary
 
@@ -339,7 +334,6 @@ def _check_predictor(predictor, predictor_path: str, clips: corpus.Dataset,
 
 
 def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int:
-    os.makedirs(out, exist_ok=True)
     predictor = _parse(_predictor, predictor_path)
     train_set, val_set, test_set = _load_splits(cfg, dataset_path)
     _check_predictor(predictor, predictor_path, train_set, dataset_path)
@@ -353,7 +347,6 @@ def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int
 
 
 def cmd_compare(cfg: dict, out: str, bank_path: str, expert_path: str) -> int:
-    os.makedirs(out, exist_ok=True)
     bank = _parse(curator.bank_from_json, bank_path)
     experts = analysis.load_expert_patterns(expert_path, bank.vocabulary)
     # experts expand to the bank's pattern length; an empty bank has none
@@ -402,44 +395,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="runs/out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("synth", help="generate a planted-pattern dataset")
-    p_train = sub.add_parser("train", help="run the multi-era training loop")
-    p_train.add_argument("dataset", help="clip file (from synth or external)")
-    p_curate = sub.add_parser("curate", help="curate era snapshots into a pattern bank")
-    p_curate.add_argument("snapshots", help="snapshot directory from train")
-    p_curate.add_argument("dataset", help="clip file used for ranking/selection splits")
-    p_eval = sub.add_parser("eval", help="evaluate a bank or model on the splits")
-    p_eval.add_argument("predictor", help="bank.json or model.json")
-    p_eval.add_argument("dataset")
-    p_cmp = sub.add_parser("compare", help="compare a bank with expert patterns")
-    p_cmp.add_argument("bank")
-    p_cmp.add_argument("experts", help="line-delimited expert pattern file")
-    p_exp = sub.add_parser("explain", help="explain the prediction for one clip")
-    p_exp.add_argument("bank")
-    p_exp.add_argument("clips")
-    p_exp.add_argument("clip_id")
+    # each command's `run` looks its cmd_ function up by name when it runs,
+    # so a wrapper set on the module attribute is the one called
+    p = sub.add_parser("synth", help="generate a planted-pattern dataset")
+    p.set_defaults(run=lambda cfg, a: cmd_synth(cfg, a.out))
+    p = sub.add_parser("train", help="run the multi-era training loop")
+    p.add_argument("dataset", help="clip file (from synth or external)")
+    p.set_defaults(run=lambda cfg, a: cmd_train(cfg, a.out, a.dataset))
+    p = sub.add_parser("curate", help="curate era snapshots into a pattern bank")
+    p.add_argument("snapshots", help="snapshot directory from train")
+    p.add_argument("dataset", help="clip file used for ranking/selection splits")
+    p.set_defaults(run=lambda cfg, a: cmd_curate(cfg, a.out, a.snapshots, a.dataset))
+    p = sub.add_parser("eval", help="evaluate a bank or model on the splits")
+    p.add_argument("predictor", help="bank.json or model.json")
+    p.add_argument("dataset")
+    p.set_defaults(run=lambda cfg, a: cmd_eval(cfg, a.out, a.predictor, a.dataset))
+    p = sub.add_parser("compare", help="compare a bank with expert patterns")
+    p.add_argument("bank")
+    p.add_argument("experts", help="line-delimited expert pattern file")
+    p.set_defaults(run=lambda cfg, a: cmd_compare(cfg, a.out, a.bank, a.experts))
+    p = sub.add_parser("explain", help="explain the prediction for one clip")
+    p.add_argument("bank")
+    p.add_argument("clips")
+    p.add_argument("clip_id")
+    p.set_defaults(run=lambda cfg, a: cmd_explain(cfg, a.out, a.bank, a.clips, a.clip_id))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = load_config(args.config, args.seed)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.out)
-        if args.command == "train":
-            return cmd_train(cfg, args.out, args.dataset)
-        if args.command == "curate":
-            return cmd_curate(cfg, args.out, args.snapshots, args.dataset)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.out, args.predictor, args.dataset)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.out, args.bank, args.experts)
-        if args.command == "explain":
-            return cmd_explain(cfg, args.out, args.bank, args.clips, args.clip_id)
-        raise ConfigError(f"unknown command {args.command}")
+        args = build_parser().parse_args(argv)
+        return args.run(load_config(args.config, args.seed), args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

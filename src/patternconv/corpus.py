@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .errors import INTEGER, STRING, DataError, atomic_write, check_version, fields, list_of
+from .errors import (INTEGER, LIST, STRING, DataError, atomic_write, check_version, fields,
+                     list_of)
 
 CLIP_FORMAT_NAME = "patternconv-clips"
 CLIP_FORMAT_VERSION = 1
@@ -232,17 +234,19 @@ def is_binary(values: np.ndarray) -> bool:
     return False
 
 
+# A clip record's fields; a label equal to 0 or 1 (true, false, 0.0, 1.0) loads.
+_CLIP_FIELDS = {"clip_id": STRING, "label": (lambda value: value in (0, 1), "0 or 1"),
+                "steps": LIST}
+
+
 def _parse_clip_record(rec, vocab: FeatureVocabulary) -> tuple[str, np.ndarray, bool]:
     """A clip record's id, (L, d) uint8 steps and label. The step rules are
     checked later, over all clips of the file at once."""
     if not isinstance(rec, dict):
         raise DataError("malformed clip record: not a JSON object")
-    for key in ("clip_id", "label", "steps"):
-        if key not in rec:
-            raise DataError(f"malformed clip record: missing '{key}'")
-    clip_id = rec["clip_id"]
+    clip_id, label, steps = fields(rec, _CLIP_FIELDS, "clip record").values()
     try:
-        steps = np.array(rec["steps"])
+        steps = np.array(steps)
     except (ValueError, TypeError):  # rows of uneven width
         steps = None
     if steps is None or steps.ndim != 2:
@@ -252,9 +256,7 @@ def _parse_clip_record(rec, vocab: FeatureVocabulary) -> tuple[str, np.ndarray, 
                         f"vocabulary d={vocab.d}")
     if not is_binary(steps):
         raise DataError(f"clip '{clip_id}': non-binary feature value")
-    if rec["label"] not in (0, 1, True, False):
-        raise DataError(f"clip '{clip_id}': label must be 0 or 1")
-    return str(clip_id), steps.astype(np.uint8), bool(rec["label"])
+    return clip_id, steps.astype(np.uint8), bool(label)
 
 
 _CHECK_ROWS = 1 << 13  # rows per block of the clip-set rule check, to bound its temporaries
@@ -368,9 +370,10 @@ class _ClipReader:
 
 def load_dataset(path) -> Dataset:
     """Load a line-delimited clip file, rejecting the whole file on any
-    violation. Every clip must have the same number of steps. Lines in
-    write_dataset's canonical form are decoded in blocks, any other line is
-    parsed as JSON; both accept the same clips and raise the same errors."""
+    violation. Every clip must have the same number of steps and an id no
+    other clip of the file has. Lines in write_dataset's canonical form are
+    decoded in blocks, any other line is parsed as JSON; both accept the same
+    clips and raise the same errors."""
     with open(path, encoding="utf-8") as fh:
         try:  # the first pass decodes the whole file
             n_lines = sum(1 for _ in fh)
@@ -388,6 +391,9 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{path}: no vocabulary header")
     if not clip_ids:
         return Dataset(vocabulary=vocab, clips=())
+    if len(set(clip_ids)) < len(clip_ids):
+        repeated = next(clip_id for clip_id, n in Counter(clip_ids).items() if n > 1)
+        raise DataError(f"{path}: clip id '{repeated}' appears more than once")
     bad = _clip_violation(X[:len(clip_ids)], vocab)
     if bad is not None:
         raise DataError(f"{path}: clip '{clip_ids[bad[0]]}': step {bad[1]}: {bad[2]}")

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, the file and JSON
 document readers that turn an undecodable or malformed input into a
 DataError, the field checker every reader declares its fields to, and the
-atomic writer of output files."""
+atomic writer of output files, which makes their directories."""
 
 import json
 import math
@@ -147,9 +147,10 @@ def check_version(doc: dict, version: int, what: str) -> None:
 @contextmanager
 def atomic_write(path):
     """A text file handle whose contents replace `path` only when the block
-    completes: it writes a temporary file in the same directory and moves it
-    into place with os.replace. A run that fails or is killed mid-write
-    leaves any earlier file at `path` whole."""
+    completes: it makes the file's directory if it is missing, writes a
+    temporary file there and moves it into place with os.replace. A run that
+    fails or is killed mid-write leaves any earlier file at `path` whole."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -620,6 +620,14 @@ UNUSABLE = {
                                "vocabulary d=13"),
     "clip_of_two_submission_types": (_clips_with(2, _two_submission_types),
                                      "d.jsonl: clip 'c1': step 0: multiple submission types"),
+    # an id that is not a string would load as its str(), one clip with "5"
+    "clip_id_null": (_clips_with(2, lambda rec: {**rec, "clip_id": None}),
+                     "d.jsonl:3: clip record 'clip_id' must be a string, not null"),
+    "clip_id_number": (_clips_with(2, lambda rec: {**rec, "clip_id": 5}),
+                       "d.jsonl:3: clip record 'clip_id' must be a string, not 5"),
+    # clips c0 (label 0) and c1 (label 1) under one id: explain would find the first
+    "repeated_clip_id": (_clips_with(2, lambda rec: {**rec, "clip_id": "c0"}),
+                         "d.jsonl: clip id 'c0' appears more than once"),
     "bank_vocabulary_of_one_submission_type": (
         lambda tmp, vocab, data: ["eval", _write_bank(
             tmp / "b.json", vocab,
@@ -1337,6 +1345,57 @@ def test_failed_curate_keeps_the_earlier_outputs(tmp_path, tiny_config_path, cap
     assert "cannot encode the bank" in capsys.readouterr().err
     assert (out / "bank.json").read_bytes() == bank
     assert sorted(os.listdir(out)) == files
+
+
+def _probe_eval(tmp, vocab, data):
+    return ["eval", _write_bank(tmp / "b.json", vocab), str(tmp / "missing.jsonl")]
+
+
+def _probe_compare(tmp, vocab, data):
+    return ["compare", _write_bank(tmp / "b.json", vocab), str(tmp / "missing.jsonl")]
+
+
+def _probe_curate(tmp, vocab, data):
+    return ["curate", str(tmp / "missing_dir"), data]
+
+
+def _probe_synth(tmp, vocab, data):
+    config = tmp / "c.json"
+    config.write_text(json.dumps({"data": {"planted_bank": str(tmp / "missing.json")}}))
+    return ["--config", str(config), "synth"]
+
+
+# each builds a command whose input is missing, and returns its arguments
+MISSING_INPUT = {"train": _missing_dataset, "eval": _probe_eval, "compare": _probe_compare,
+                 "curate": _probe_curate, "synth": _probe_synth}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUT))
+def test_input_errors_leave_no_output_directory(tmp_path, capsys, vocab, case):
+    """A command reads and checks its inputs before it writes, and the
+    output directory is made at the first write, so a command that exits on
+    its inputs leaves no --out behind."""
+    argv = MISSING_INPUT[case](tmp_path, vocab, _write_clips(tmp_path / "d.jsonl", vocab, 40, 5))
+    code = _run(["--out", str(tmp_path / "o")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "No such file" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,n_args", [("synth", 0), ("train", 1), ("curate", 2),
+                                            ("eval", 2), ("compare", 2), ("explain", 3)])
+def test_each_command_calls_its_module_attribute(monkeypatch, command, n_args):
+    """main calls cli.cmd_<command> as the module holds it when main runs (a
+    wrapper set there is the one called) with the config, --out and the
+    positional arguments in the order they are given."""
+    name = f"cmd_{command}"
+    assert len(inspect.signature(getattr(cli, name)).parameters) == 2 + n_args
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or 0)
+    positionals = [f"arg{i}" for i in range(n_args)]
+    assert _run(["--seed", "3", "--out", "o", command] + positionals) == 0
+    assert calls == [(cli.load_config(None, 3), "o", *positionals)]
 
 
 def test_eval_rejects_unknown_predictor_format(tmp_path, tiny_config_path, capsys):

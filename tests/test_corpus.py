@@ -195,6 +195,22 @@ def test_load_rejects_record_that_is_not_an_object(tmp_path, vocab):
         corpus.load_dataset(path)
 
 
+@pytest.mark.parametrize("label,want", [(1, True), (0, False), (True, True), (False, False),
+                                        (1.0, True), (0.0, False), (-0.0, False), (2, None),
+                                        (0.5, None), ("1", None), (None, None), ([1], None)])
+def test_load_reads_a_label_equal_to_0_or_1(tmp_path, vocab, label, want):
+    path = tmp_path / "d.jsonl"
+    steps = random_legal_steps(vocab, 5, np.random.default_rng(0)).tolist()
+    path.write_text(json.dumps(vocab.to_record()) + "\n"
+                    + json.dumps({"clip_id": "c0", "label": label, "steps": steps}) + "\n")
+    if want is None:
+        with pytest.raises(DataError, match=r"d.jsonl:2: clip record 'label' must be 0 or 1, "
+                                            r"not "):
+            corpus.load_dataset(path)
+    else:
+        assert corpus.load_dataset(path).labels().tolist() == [want]
+
+
 def test_load_rejects_second_header_with_other_vocabulary(tmp_path, vocab):
     path = tmp_path / "two.jsonl"
     corpus.write_dataset(_tiny_dataset(vocab, n=2), path)

@@ -202,12 +202,10 @@ def step_rows(X: np.ndarray, M: int, k: int, repeats: int) -> dict:
     vocab = FeatureVocabulary.default()
     B = step_batch(X)
     rng = np.random.default_rng(1)
-    # a model's padding is at most k - 1
-    state = netcore.init_state(M, k, vocab.d, padding=min(netcore.DEFAULT_PADDING, k - 1),
-                               rng=rng)
+    state = netcore.init_state(M, k, vocab.d, rng=rng)
     state.alpha = 1.0
     dropout = 0.2  # a rate inside the range trainer.anneal_at sweeps
-    Xw = kernels.clip_windows(X[:B], k, state.padding)
+    Xw = kernels.clip_windows(X[:B], k)
     labels = (rng.random(B) < 0.2).astype(np.float64)
     on = LossWeights(**{name: DEFAULT_TARGETS[name] for name in ("bin", "min", "sub", "poss")})
 

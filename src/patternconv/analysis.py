@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .corpus import FeatureVocabulary
 from .curator import Pattern, PatternBank, match_matrix
 from .errors import STRING, DataError, atomic_write, fields, json_object, list_of, read_text
@@ -165,14 +166,14 @@ class Explanation:
     bullet_text: str
 
 
-def _matrix_block(pattern: Pattern, window: int, vocab: FeatureVocabulary,
-                  padding: int) -> str:
-    """Plain-text grid: features as rows, the matched clip window as columns,
-    required cells marked '#' (all verifiably present in the clip)."""
+def _matrix_block(pattern: Pattern, window: int, start: int, vocab: FeatureVocabulary) -> str:
+    """Plain-text grid: features as rows, the matched clip window, whose first
+    row is clip step `start`, as columns, required cells marked '#' (all
+    verifiably present in the clip)."""
     k = pattern.cells.shape[0]
     name_w = max(len(n) for n in vocab.feature_names)
     lines = [f"pattern {pattern.pattern_id} at window {window}"]
-    header = " " * (name_w + 2) + " ".join(f"s{window - padding + n:+d}" for n in range(k))
+    header = " " * (name_w + 2) + " ".join(f"s{start + n:+d}" for n in range(k))
     lines.append(header)
     for j, fname in enumerate(vocab.feature_names):
         row = []
@@ -183,13 +184,16 @@ def _matrix_block(pattern: Pattern, window: int, vocab: FeatureVocabulary,
 
 
 def explain(clip, bank: PatternBank, vocabulary: FeatureVocabulary,
-            padding: int = 1) -> Explanation:
+            padding: int | None = None) -> Explanation:
     """Per-match explanation blocks ordered by pattern precision, or a global
-    no-match statement. Every cited feature is checked against the clip."""
+    no-match statement. Every cited feature is checked against the clip. A
+    `padding` given must be `kernels.padding_for(k)` of the bank's patterns."""
     if vocabulary.feature_names != bank.vocabulary.feature_names:
         raise DataError("bank vocabulary does not match the clip vocabulary")
+    if bank.patterns:
+        kernels.check_padding(padding, bank.patterns[0].cells.shape[0], "explain")
     steps = clip.steps
-    first = match_matrix(bank.patterns, steps[None], padding)[:, 0]
+    first = match_matrix(bank.patterns, steps[None])[:, 0]
     matched = [(p, int(w)) for p, w in zip(bank.patterns, first) if w >= 0]
     matched.sort(key=lambda pw: (-(pw[0].precision_train or 0.0), pw[0].pattern_id))
 
@@ -197,9 +201,10 @@ def explain(clip, bank: PatternBank, vocabulary: FeatureVocabulary,
     matrices = []
     bullets = []
     for pattern, window in matched:
+        start = window - kernels.padding_for(len(pattern.cells))  # clip step of row 0
         requirements = []
         for n, j in sorted(pattern.positives):
-            step_idx = window - padding + n
+            step_idx = start + n
             present = 0 <= step_idx < steps.shape[0] and steps[step_idx, j] == 1
             if not present:  # pragma: no cover - match semantics guarantee
                 raise DataError("explanation cites a feature absent from the clip")
@@ -208,7 +213,7 @@ def explain(clip, bank: PatternBank, vocabulary: FeatureVocabulary,
         blocks.append({"pattern_id": pattern.pattern_id, "window": window,
                        "precision_train": pattern.precision_train,
                        "requirements": requirements})
-        matrices.append(_matrix_block(pattern, window, vocabulary, padding))
+        matrices.append(_matrix_block(pattern, window, start, vocabulary))
         by_step: dict[int, list[str]] = {}
         for r in requirements:
             by_step.setdefault(r["step_index"], []).append(r["feature"])

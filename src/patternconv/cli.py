@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, corpus, curator, evalmetrics, netcore, trainer
+from . import analysis, corpus, curator, evalmetrics, kernels, netcore, trainer
 from .errors import (INTEGER, OBJECT, STRING, ConfigError, DataError, NumericalError,
                      atomic_write, fields, json_object, nullable, read_text, within)
 from .schedule import ConstraintSchedule
@@ -27,7 +27,7 @@ _UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
 # them. A null planted_bank plants the default patterns and a null n_override
 # selects by kappa; no other key takes null.
 _SCHEMA = {
-    "model": {"M": (*_COUNT, 64), "k": (*_COUNT, 3), "padding": (*_INDEX, 1)},
+    "model": {"M": (*_COUNT, 64), "k": (*_COUNT, 3)},
     "data": {
         "clip_length": (*_COUNT, 5),
         "n_clips": (*_COUNT, 2000),
@@ -89,14 +89,7 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         if not isinstance(override, dict):
             raise ConfigError("config must be a JSON object")
         cfg = _merged(override, cfg)
-    if seed is not None:
-        cfg = _merged({"train": {"seed": seed}}, cfg)
-    model = cfg["model"]
-    if model["padding"] > model["k"] - 1:
-        # a window past k - 1 padding steps holds no clip step
-        raise ConfigError(f"config key 'model.padding' must be <= model.k - 1 = "
-                          f"{model['k'] - 1}, not {model['padding']}")
-    return cfg
+    return cfg if seed is None else _merged({"train": {"seed": seed}}, cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -172,39 +165,42 @@ def _addressable(*arrays) -> None:
 
 def cmd_synth(cfg: dict, out: str) -> int:
     # data.clip_length steers synth alone; other commands window the clips they load
-    model, data = cfg["model"], cfg["data"]
-    longest = data["clip_length"] + 2 * model["padding"]
-    if model["k"] > longest:
-        raise ConfigError(f"config key 'model.k' must be <= data.clip_length + 2 * "
-                          f"model.padding = {longest}, not {model['k']}")
+    k, data = cfg["model"]["k"], cfg["data"]
+    padding = kernels.padding_for(k)
+    if k > data["clip_length"] + 2 * padding:
+        raise ConfigError(f"config key 'model.k' must be <= data.clip_length + 2 * {padding} "
+                          f"= {data['clip_length'] + 2 * padding}, not {k}")
     vocab = corpus.FeatureVocabulary.default()
-    # the clips, and the padded copy of one clip that each candidate test windows
-    _addressable(((data["n_clips"], data["clip_length"], vocab.d), np.uint8),
-                 ((1, longest, vocab.d), np.uint8))
+    _addressable(((data["n_clips"], data["clip_length"], vocab.d), np.uint8))  # the clips
     clip_path = os.path.join(out, "dataset.jsonl")
     planted = _planted(cfg, vocab, clip_path)
     # every data key but planted_bank is a synth_generate parameter
     dataset = corpus.synth_generate(
-        vocab, planted, seed=cfg["train"]["seed"], match_padding=cfg["model"]["padding"],
+        vocab, planted, seed=cfg["train"]["seed"],
         **{key: data[key] for key in data if key != "planted_bank"})
     h = config_hash(cfg)
     corpus.write_dataset(dataset, clip_path, meta={"config_hash": h})
-    bank = curator.PatternBank(patterns=tuple(planted), vocabulary=vocab,
-                               padding=cfg["model"]["padding"])
+    bank = curator.PatternBank(patterns=tuple(planted), vocabulary=vocab)
     _write(os.path.join(out, "planted_bank.json"), curator.bank_to_json(bank, {"config_hash": h}))
     print(f"wrote {len(dataset)} clips (positive rate {dataset.positive_rate:.3f}) to {out}")
     return 0
 
 
-def _check_kernel(source: str | None, what: str, k: int, padding: int, clip_length: int,
+def _check_kernel(source: str | None, what: str, shape: tuple, clips: corpus.Dataset,
                   clip_path: str) -> None:
     """DataError, naming the clip file and `source` (the file that holds the
-    kernel, or None for the config's), unless k-step `what` at `padding` find
-    a window in each clip."""
+    kernel, or None for the config's), unless `what` of shape (k, d) read the
+    clips: d must be their width, and k find a window in each padded clip."""
+    k, d = shape
+    padding = kernels.padding_for(k)
+    clip_length, width = clips.steps_array().shape[1:]
+    source = f"{source}: " if source else ""
+    if d != width:
+        raise DataError(f"{source}the {what} have {d} features, the clips in {clip_path} "
+                        f"have {width}")
     if k > clip_length + 2 * padding:
-        raise DataError(f"{source + ': ' if source else ''}clip too short for the kernel even "
-                        f"with padding: {k}-step {what} at padding {padding}, {clip_length}-step "
-                        f"clips in {clip_path}")
+        raise DataError(f"{source}clip too short for the kernel even with padding: {k}-step "
+                        f"{what} at padding {padding}, {clip_length}-step clips in {clip_path}")
 
 
 def _load_splits(cfg: dict, dataset_path: str):
@@ -219,8 +215,8 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
     tc = build_train_config(cfg)
     model = cfg["model"]
     _addressable(((model["M"], model["k"], train_set.vocabulary.d), np.float64))  # the filters
-    _check_kernel(None, "filters", model["k"], model["padding"],
-                  train_set.steps_array().shape[1], dataset_path)
+    _check_kernel(None, "filters", (model["k"], train_set.vocabulary.d), train_set,
+                  dataset_path)
     h = config_hash(cfg)
 
     log_path = os.path.join(out, "training_log.jsonl")
@@ -229,16 +225,14 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
             log_fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
         state, snapshots, harvested = trainer.train_full(
-            tc, train_set, val_set, model["M"], model["k"], train_set.vocabulary.d,
-            padding=model["padding"], log=log)
+            tc, train_set, val_set, model["M"], model["k"], train_set.vocabulary.d, log=log)
 
     for snap in snapshots:
         _write(os.path.join(out, "snapshots", f"era_{snap.era:03d}.json"),
                netcore.filters_to_json(snap, {"config_hash": h}))
 
     _write(os.path.join(out, "model.json"), netcore.state_to_json(state))
-    bank = curator.PatternBank(patterns=tuple(harvested), vocabulary=train_set.vocabulary,
-                               padding=model["padding"])
+    bank = curator.PatternBank(patterns=tuple(harvested), vocabulary=train_set.vocabulary)
     _write(os.path.join(out, "harvested.json"), curator.bank_to_json(bank, {"config_hash": h}))
     _write(os.path.join(out, "manifest.json"),
            json.dumps({"config_hash": h, "config": cfg, "eras": len(snapshots),
@@ -254,37 +248,28 @@ def cmd_curate(cfg: dict, out: str, snapshots_dir: str, dataset_path: str) -> in
     files = sorted(f for f in os.listdir(snapshots_dir) if f.endswith(".json"))
     if not files:
         raise DataError(f"no snapshot files in {snapshots_dir}")
-    clip_length = train_set.steps_array().shape[1]
     harvests = []
-    shape = None  # (k, padding) of the first snapshot, which every other must share
+    first = None  # the first snapshot file and its k, which every other must share
     era_file = {}  # each era's snapshot file: two files of one era give one pattern id twice
     for fname in files:
         path = os.path.join(snapshots_dir, fname)
         snap = _parse(netcore.filters_from_json, path)
-        _, k, d = snap.W.shape
-        if d != vocab.d:
-            raise DataError(f"{path}: filters have {d} features, the clips have {vocab.d}")
         # an empty harvest windows no clip, so check here
-        _check_kernel(path, "filters", k, snap.padding, clip_length, dataset_path)
-        if shape is None:
-            shape, first = (k, snap.padding), path
-        for name, want, got in zip(("k", "padding"), shape, (k, snap.padding)):
-            if got != want:
-                raise DataError(f"snapshots disagree on {name}: {first} has {want}, "
-                                f"{path} has {got}")
+        _check_kernel(path, "filters", snap.W.shape[1:], train_set, dataset_path)
+        k = snap.W.shape[1]
+        first = first or (path, k)
+        if k != first[1]:
+            raise DataError(f"snapshots disagree on k: {first[0]} has {first[1]}, {path} has {k}")
         if snap.era in era_file:
             raise DataError(f"snapshots share era {snap.era}: {era_file[snap.era]} and {path}")
         era_file[snap.era] = path
         harvests.append(trainer.harvest_filters(snap.W, snap.per_filter_precision, snap.era, vocab))
-    padding = shape[1]  # the padding the snapshots' model was trained with
 
     harvested = curator.Harvest.concat(harvests)
     unique = curator.dedup(harvested)
-    pruned = curator.prune_subsumed(unique, clip_length=clip_length, padding=padding)
-    ranked, curve = curator.cumulative_kappa_curve(pruned, train_set, val_set,
-                                                  padding=padding)
-    bank = curator.select_bank(curve, ranked, vocab, n_override=cfg["curate"]["n_override"],
-                               padding=padding)
+    pruned = curator.prune_subsumed(unique, clip_length=train_set.steps_array().shape[1])
+    ranked, curve = curator.cumulative_kappa_curve(pruned, train_set, val_set)
+    bank = curator.select_bank(curve, ranked, vocab, n_override=cfg["curate"]["n_override"])
     h = config_hash(cfg)
     _write(os.path.join(out, "bank.json"), curator.bank_to_json(bank, {"config_hash": h}))
     _write(os.path.join(out, "kappa_curve.json"), json.dumps({"config_hash": h, "curve": curve}))
@@ -317,20 +302,15 @@ def _same_vocabulary(bank: curator.PatternBank, bank_path: str,
 def _check_predictor(predictor, predictor_path: str, clips: corpus.Dataset,
                      clip_path: str) -> None:
     """DataError, naming both files, unless a bank or model reads the clips:
-    a bank's features must be theirs and a model's width their d, and the
-    kernel must find a window in each clip."""
+    a bank's features must be theirs, and its patterns or the model's filters
+    must fit them."""
     if isinstance(predictor, netcore.ModelState):
-        if predictor.d != clips.vocabulary.d:
-            raise DataError(f"{predictor_path}: the model's filters have {predictor.d} "
-                            f"features, the clips in {clip_path} have {clips.vocabulary.d}")
-        k, what = predictor.k, "filters"
-    else:
-        _same_vocabulary(predictor, predictor_path, clips.vocabulary, clip_path)
-        if not predictor.patterns:
-            return
-        k, what = predictor.patterns[0].cells.shape[0], "patterns"
-    _check_kernel(predictor_path, what, k, predictor.padding, clips.steps_array().shape[1],
-                  clip_path)
+        _check_kernel(predictor_path, "filters", predictor.W.shape[1:], clips, clip_path)
+        return
+    _same_vocabulary(predictor, predictor_path, clips.vocabulary, clip_path)
+    if predictor.patterns:
+        _check_kernel(predictor_path, "patterns", predictor.patterns[0].cells.shape, clips,
+                      clip_path)
 
 
 def cmd_eval(cfg: dict, out: str, predictor_path: str, dataset_path: str) -> int:
@@ -376,7 +356,7 @@ def cmd_explain(cfg: dict, out: str, bank_path: str, clip_path: str, clip_id: st
         raise DataError(f"clip '{clip_id}' not found in {clip_path}")
     i = dataset.clip_ids.index(clip_id)
     clip = corpus.Clip(clip_id, dataset.steps_array()[i], bool(dataset.labels()[i]))
-    exp = analysis.explain(clip, bank, dataset.vocabulary, padding=bank.padding)
+    exp = analysis.explain(clip, bank, dataset.vocabulary)
     print(exp.bullet_text)
     print()
     print(exp.matrix_text)

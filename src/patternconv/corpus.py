@@ -42,6 +42,9 @@ class FeatureVocabulary:
 
     def __post_init__(self):
         d = len(self.feature_names)
+        if len(set(self.feature_names)) < d:  # a feature name must name one column
+            repeated = next(name for name, n in Counter(self.feature_names).items() if n > 1)
+            raise DataError(f"vocabulary repeats feature name '{repeated}'")
         if len(self.submission_indices) != 3:
             raise DataError("vocabulary must have exactly 3 submission types")
         sub = set(self.submission_indices)
@@ -504,7 +507,6 @@ def synth_generate(
     p_help: float = 0.3,
     p_feature: float = 0.15,
     p_distract: float = 0.0,
-    match_padding: int = 1,
 ) -> Dataset:
     """Generate a planted-pattern dataset with recoverable ground truth.
 
@@ -541,13 +543,13 @@ def synth_generate(
                 window = int(rng.integers(clip_length - pat.shape[0] + 1))
                 _stamp(steps, pat, window, vocabulary, rng)
                 break
-            if not planted or not _matches_any(cells, steps, match_padding):
+            if not planted or not _matches_any(cells, steps):
                 break
         else:
             raise DataError("could not generate a non-matching background clip")
 
         if not stamped and planted and rng.random() < p_distract:
-            _stamp_distractor(steps, cells, vocabulary, rng, match_padding)
+            _stamp_distractor(steps, cells, vocabulary, rng)
 
         label = stamped
         if label_noise and rng.random() < label_noise:
@@ -563,14 +565,14 @@ def synth_generate(
     return Dataset(vocabulary=vocabulary, steps=X, labels=labels, clip_ids=clip_ids)
 
 
-def _matches_any(cells: np.ndarray, steps: np.ndarray, padding: int) -> bool:
+def _matches_any(cells: np.ndarray, steps: np.ndarray) -> bool:
     """Whether any of the patterns (P, k, d) matches the clip steps (L, d)."""
-    windows = kernels.clip_windows(steps[None], cells.shape[1], padding)
+    windows = kernels.clip_windows(steps[None], cells.shape[1])
     return bool(kernels.match_any(cells, windows)[0])
 
 
 def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVocabulary,
-                      rng: np.random.Generator, match_padding: int) -> bool:
+                      rng: np.random.Generator) -> bool:
     """Stamp a drop-one-cell variant of a random planted pattern (P, k, d)
     into `steps`.
 
@@ -586,7 +588,7 @@ def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVoca
         cells[drop[0], drop[1]] = 0
         window = int(rng.integers(trial.shape[0] - cells.shape[0] + 1))
         _stamp(trial, cells, window, vocab, rng)
-        if not _matches_any(planted, trial, match_padding):
+        if not _matches_any(planted, trial):
             steps[...] = trial
             return True
     return False

@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels
 from .corpus import DEFAULT_CLIP_LENGTH, Dataset, FeatureVocabulary, is_binary, step_rules
 from .errors import (BOOL, INTEGER, LIST, OBJECT, STRING, DataError, check_version, field_error,
-                     fields, json_object, list_of, nullable, padding_field, within)
+                     fields, json_object, list_of, nullable, within)
 from .evalmetrics import Confusion, kappa
 
 BANK_FORMAT_VERSION = 1
@@ -86,7 +86,6 @@ class Harvest(Sequence):
 class PatternBank:
     patterns: tuple[Pattern, ...]
     vocabulary: FeatureVocabulary
-    padding: int = 1  # the zero padding its patterns are matched with
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -148,18 +147,21 @@ def binarize(W_filter: np.ndarray, vocab: FeatureVocabulary, pattern_id: str = "
     return Pattern(cells=cells[0], pattern_id=pattern_id, source_era=source_era), None
 
 
-def discrete_match(pattern, clip, padding: int = 1) -> tuple[bool, int | None]:
+def discrete_match(pattern, clip, padding: int | None = None) -> tuple[bool, int | None]:
     """`match_matrix` of one pattern (or its cells) on one clip (or its steps).
 
     Zero padding lets patterns with empty edge rows act as shorter patterns at
-    clip edges. Returns (matched, first window index in padded coordinates).
+    clip edges; a `padding` given must be `kernels.padding_for(k)`. Returns
+    (matched, first window index in padded coordinates).
     """
+    cells = getattr(pattern, "cells", pattern)
+    kernels.check_padding(padding, len(cells), "discrete_match")
     steps = clip.steps if hasattr(clip, "steps") else np.asarray(clip)
-    first = int(match_matrix([pattern], steps[None], padding)[0, 0])
+    first = int(match_matrix([cells], steps[None])[0, 0])
     return first >= 0, (first if first >= 0 else None)
 
 
-def match_matrix(patterns, dataset_or_steps, padding: int = 1) -> np.ndarray:
+def match_matrix(patterns, dataset_or_steps) -> np.ndarray:
     """(n_patterns, n_clips) first-window matrix, -1 when no match, of
     patterns (Patterns or (k, d) cells) of one shape over a dataset or its
     (n_clips, L, d) steps."""
@@ -171,7 +173,7 @@ def match_matrix(patterns, dataset_or_steps, padding: int = 1) -> np.ndarray:
         return np.full((0, len(X)), -1, dtype=np.int64)
     cells = np.stack([getattr(p, "cells", p) for p in patterns])
     return kernels.match_first_window(
-        cells, kernels.clip_windows(X.astype(np.uint8, copy=False), cells.shape[1], padding))
+        cells, kernels.clip_windows(X.astype(np.uint8, copy=False), cells.shape[1]))
 
 
 def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
@@ -180,7 +182,7 @@ def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
     if not bank.patterns:
         return np.zeros(len(X), dtype=bool)
     cells = np.stack([p.cells for p in bank.patterns])
-    return kernels.match_any(cells, kernels.clip_windows(X, cells.shape[1], bank.padding))
+    return kernels.match_any(cells, kernels.clip_windows(X, cells.shape[1]))
 
 
 def dedup(patterns) -> list[Pattern]:
@@ -200,7 +202,7 @@ def dedup(patterns) -> list[Pattern]:
     return [patterns[i] for i in np.sort(first)]
 
 
-def _dominance(cells: np.ndarray, clip_length: int, padding: int) -> np.ndarray:
+def _dominance(cells: np.ndarray, clip_length: int) -> np.ndarray:
     """D[i, j] = pattern a = cells[i] subsumes pattern b = cells[j] (cells (n, k, d)).
 
     Each b is read as a clip of its k steps with k - 1 steps of zero padding,
@@ -209,9 +211,10 @@ def _dominance(cells: np.ndarray, clip_length: int, padding: int) -> np.ndarray:
     matcher tests containment at every shift. Position-aligned containment
     (s = 0) must be a strict subset of positives. A shift must also keep a's
     window in range for every window at which b's positive steps land on
-    real clip steps.
+    real clip steps, which the patterns match padded by padding_for(k).
     """
     n, k = cells.shape[:2]
+    padding = kernels.padding_for(k)
     size = cells.sum(axis=(1, 2), dtype=np.int64)
     on = cells.any(axis=2)
     first, last = on.argmax(axis=1), k - 1 - on[:, ::-1].argmax(axis=1)
@@ -230,26 +233,24 @@ def _dominance(cells: np.ndarray, clip_length: int, padding: int) -> np.ndarray:
     return D.T
 
 
-def subsumes(a: Pattern, b: Pattern, clip_length: int = DEFAULT_CLIP_LENGTH,
-             padding: int = 1) -> bool:
+def subsumes(a: Pattern, b: Pattern, clip_length: int = DEFAULT_CLIP_LENGTH) -> bool:
     """True when a is more general than b: every clip b matches, a matches too.
 
     Position-aligned containment requires a's positives to be a strict subset
     of b's. Shifted containment additionally requires the shift to keep a's
     match window in range for every window where b can match.
     """
-    return bool(_dominance(np.stack([a.cells, b.cells]), clip_length, padding)[0, 1])
+    return bool(_dominance(np.stack([a.cells, b.cells]), clip_length)[0, 1])
 
 
-def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH,
-                   padding: int = 1) -> list[Pattern]:
+def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH) -> list[Pattern]:
     """Drop every pattern some other pattern subsumes; mutual (shift-equal)
     pairs keep the earlier one."""
     patterns = list(patterns)
     if not patterns:
         return []
     cells = np.stack([p.cells for p in patterns])
-    D = _dominance(cells, clip_length, padding)
+    D = _dominance(cells, clip_length)
     np.fill_diagonal(D, False)
     later = np.tri(len(patterns), k=-1, dtype=bool)  # [i, j] with j < i
     dominated = (D & ~(D.T & later)).any(axis=0)
@@ -266,11 +267,11 @@ def match_precision(hits: np.ndarray, labels: np.ndarray):
     return prec, matched
 
 
-def rank_by_precision(patterns, ranking_set: Dataset, padding: int = 1) -> list[Pattern]:
+def rank_by_precision(patterns, ranking_set: Dataset) -> list[Pattern]:
     """Refresh precisions on ranking_set and sort descending by precision,
     ties broken by pattern_id for determinism. The low_support flag is
     informational metadata and does not affect the order."""
-    prec, matched = match_precision(match_matrix(patterns, ranking_set, padding) >= 0,
+    prec, matched = match_precision(match_matrix(patterns, ranking_set) >= 0,
                                     ranking_set.labels())
     updated = [
         replace(p, precision_train=(None if np.isnan(pr) else float(pr)),
@@ -284,18 +285,17 @@ def rank_by_precision(patterns, ranking_set: Dataset, padding: int = 1) -> list[
     )
 
 
-def cumulative_kappa_curve(patterns, ranking_set: Dataset, eval_set: Dataset,
-                           padding: int = 1):
+def cumulative_kappa_curve(patterns, ranking_set: Dataset, eval_set: Dataset):
     """Cumulative Cohen's kappa on eval_set over precision-ranked prefixes.
 
     Returns (sorted_patterns, [(n, kappa), ...]) with one point per prefix.
     """
-    ranked = rank_by_precision(patterns, ranking_set, padding)
+    ranked = rank_by_precision(patterns, ranking_set)
     labels = eval_set.labels()
     P = len(ranked)
     # the n-pattern prefix flags a clip when the clip's first matching pattern
     # ranks below n; a last row of ones gives the rank P to a clip none matches
-    hits = np.vstack([match_matrix(ranked, eval_set, padding) >= 0,
+    hits = np.vstack([match_matrix(ranked, eval_set) >= 0,
                       np.ones(len(labels), dtype=bool)])
     first = hits.argmax(axis=0)
     tp = np.bincount(first[labels], minlength=P + 1)[:P].cumsum()
@@ -310,9 +310,8 @@ def cumulative_kappa_curve(patterns, ranking_set: Dataset, eval_set: Dataset,
 
 
 def select_bank(curve, sorted_patterns, vocabulary: FeatureVocabulary,
-                n_override: int | None = None, padding: int = 1) -> PatternBank:
-    """Prefix maximizing eval kappa (smallest n on ties); n_override wins.
-    `padding` is the one the curve was computed with, recorded in the bank."""
+                n_override: int | None = None) -> PatternBank:
+    """Prefix maximizing eval kappa (smallest n on ties); n_override wins."""
     if n_override is not None:
         n = n_override
     elif not curve:
@@ -320,15 +319,15 @@ def select_bank(curve, sorted_patterns, vocabulary: FeatureVocabulary,
     else:
         best = max(k for _, k in curve)
         n = next(i for i, k in curve if k == best)
-    return PatternBank(patterns=tuple(sorted_patterns[:n]), vocabulary=vocabulary,
-                       padding=padding)
+    return PatternBank(patterns=tuple(sorted_patterns[:n]), vocabulary=vocabulary)
 
 
 def bank_to_json(bank: PatternBank, extra: dict | None = None) -> str:
     doc = {
         "format": "patternconv-bank",
         "version": BANK_FORMAT_VERSION,
-        "padding": bank.padding,
+        "padding": (kernels.padding_for(bank.patterns[0].cells.shape[0]) if bank.patterns
+                    else kernels.PADDING),
         "vocabulary": bank.vocabulary.to_record(),
         "patterns": [p.to_record() for p in bank.patterns],
     }
@@ -366,6 +365,6 @@ def bank_from_json(text: str | dict) -> PatternBank:
         patterns.append(Pattern(cells=c.astype(np.uint8), pattern_id=pattern_id,
                                 precision_train=precision, source_era=era,
                                 low_support=low_support))
-    padding = padding_field(doc, "pattern bank file",
-                            patterns[0].cells.shape[0] if patterns else None)
-    return PatternBank(patterns=tuple(patterns), vocabulary=vocabulary, padding=padding)
+    k = patterns[0].cells.shape[0] if patterns else None
+    fields(doc, {"padding": kernels.padding_rule(k)}, "pattern bank file")
+    return PatternBank(patterns=tuple(patterns), vocabulary=vocabulary)

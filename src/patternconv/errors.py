@@ -122,19 +122,6 @@ def float_array(values: list, n: int, what: str, key: str, ok=np.isfinite,
     return array
 
 
-def padding_field(doc: dict, what: str, k: int | None) -> int:
-    """The zero padding a bank, model or filter snapshot records, at most
-    k - 1 for patterns or filters of k steps, since a window past that holds
-    no clip step. A document written before the field matched with padding 1,
-    or 0 at k = 1, where no window can hold the padding; a bank without
-    patterns has no k and reads as 1."""
-    default = 1 if k is None else min(1, k - 1)
-    padding = fields(doc, {"padding": (*within("[0, inf)", INTEGER), default)}, what)["padding"]
-    if k is not None and padding > k - 1:
-        raise field_error(what, "padding", f"<= k - 1 = {k - 1}", padding)
-    return padding
-
-
 def check_version(doc: dict, version: int, what: str) -> None:
     """DataError unless a document's format version is `version`; documents
     written before the field was checked read as version 1."""

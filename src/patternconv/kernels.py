@@ -2,10 +2,11 @@
 
 `clip_windows` is the one window builder (im2col): a read-only strided view
 of one zero-padded copy of the clips, in which window c is the run of k·d
-values that starts at padded step c. The convolution's forward and backward
-passes and discrete matching all read these windows, each as a 2-D matrix
-multiply. A binary pattern matches a window when the window holds all of its
-1-cells. `_pattern_matrix` puts each pattern's threshold inside the product:
+values that starts at padded step c, padded by the package's one rule,
+`padding_for(k)`. The convolution's forward and backward passes and
+discrete matching all read these windows, each as a 2-D matrix multiply. A
+binary pattern matches a window when the window holds all of its 1-cells.
+`_pattern_matrix` puts each pattern's threshold inside the product:
 its column holds the pattern's cells and then minus its cell count, and each
 window gets a trailing constant 1, so the product is the count of the
 pattern's cells the window holds less the count it needs, and a hit is a
@@ -28,15 +29,45 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import INTEGER, DataError, fields, within
 
 USE_NUMBA = False  # the only kernel path is numpy; perfbench/run.py stamps runs with it
+PADDING = 1
 
 
-def clip_windows(X: np.ndarray, k: int, padding: int) -> np.ndarray:
+def padding_for(k: int) -> int:
+    """The zero steps at either end of a clip that k-step windows read:
+    PADDING, so that a 3-step pattern whose edge row is empty acts as a
+    2-step pattern at a clip's edge, or k - 1 when that is less, since a
+    window past k - 1 padding steps holds no clip step."""
+    return min(PADDING, k - 1)
+
+
+def padding_rule(k: int | None) -> tuple:
+    """The `errors.fields` entry of the `padding` that a bank, model or
+    snapshot file records for its k-step patterns or filters: padding_for(k),
+    which a file without the field reads as. A bank without patterns has no
+    k, and may record the padding of any k."""
+    if k is None:
+        return (*within(f"[0, {PADDING}]", INTEGER), PADDING)
+    want = padding_for(k)
+    return (lambda value: INTEGER[0](value) and value == want), f"{want} at k = {k}", want
+
+
+def check_padding(padding: int | None, k: int, what: str) -> None:
+    """DataError, naming `what`, unless the `padding` a caller gave for
+    k-step patterns is None or padding_for(k)."""
+    if padding is not None:
+        fields({"padding": padding}, {"padding": padding_rule(k)}, what)
+
+
+def clip_windows(X: np.ndarray, k: int, padding: int | None = None) -> np.ndarray:
     """Flattened length-k windows of zero-padded clips (B, L, d): a read-only
     (B, C, k·d) view in the dtype of X, with C = L + 2·padding - k + 1, of one
-    zero-padded copy of the clips."""
+    zero-padded copy of the clips. The padding is padding_for(k) unless
+    given."""
+    if padding is None:
+        padding = padding_for(k)
     B, L, d = X.shape
     C = L + 2 * padding - k + 1
     if C < 1:

@@ -10,14 +10,13 @@ import numpy as np
 
 from . import kernels
 from .errors import (INTEGER, LIST, DataError, check_version, fields, float_array,
-                     json_object, padding_field, within)
+                     json_object, within)
 
 MODEL_FORMAT_VERSION = 1
 
 # The thresholding head's steepness t, offset beta, softmax temperature tau
 # and weight epsilon: fixed by the method, not learned or configured.
 THRESH = {"steepness": 200.0, "offset": 0.99, "temperature": 0.01, "epsilon": 1e-6}
-DEFAULT_PADDING = 1
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -38,16 +37,12 @@ class ModelState:
     W: np.ndarray                 # (M, k, d)
     fc_trad: np.ndarray           # (M,)
     alpha: float = 0.0
-    padding: int = DEFAULT_PADDING
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise DataError("alpha must lie in [0, 1]")
         if self.fc_trad.shape != (self.W.shape[0],):
             raise DataError("fc_trad length must equal the filter count")
-        if not 0 <= self.padding <= self.k - 1:
-            # a window past k - 1 padding steps holds no clip step
-            raise DataError(f"padding must lie in [0, k - 1 = {self.k - 1}], not {self.padding}")
 
     @property
     def M(self) -> int:
@@ -69,15 +64,13 @@ def init_conv_weights(M: int, k: int, d: int, rng: np.random.Generator) -> np.nd
     return rng.random((M, k, d))
 
 
-def init_state(M: int, k: int, d: int, padding: int = DEFAULT_PADDING,
-               rng: np.random.Generator | int | None = None) -> ModelState:
+def init_state(M: int, k: int, d: int, rng: np.random.Generator | int | None = None) -> ModelState:
     """Fresh model: conv weights uniform [0,1), fc uniform [-1/sqrt(M), 1/sqrt(M)]."""
     rng = np.random.default_rng(rng)
     bound = 1.0 / np.sqrt(M)
     return ModelState(
         W=init_conv_weights(M, k, d, rng),
         fc_trad=rng.uniform(-bound, bound, size=M),
-        padding=padding,
     )
 
 
@@ -149,7 +142,7 @@ def forward_batch(state: ModelState, X: np.ndarray, dropout: float = 0.0,
         raise DataError(f"dropout must lie in [0, 1), not {dropout}")
     X = np.asarray(X)
     if X.shape[2] == state.d:
-        X = kernels.clip_windows(X, state.k, state.padding)
+        X = kernels.clip_windows(X, state.k)
     elif X.shape[2] != state.k * state.d:
         raise DataError(f"input width {X.shape[2]} is neither the model's d = {state.d} "
                         f"(clips) nor k·d = {state.k * state.d} (clip windows)")
@@ -219,7 +212,7 @@ def predict(state: ModelState, X: np.ndarray) -> np.ndarray:
     w = thresholding_weights(state.W)
     y = np.empty(len(X))
     for part in _predict_chunks(len(X)):
-        windows = kernels.clip_windows(X[part], state.k, state.padding)
+        windows = kernels.clip_windows(X[part], state.k)
         h = kernels.conv_forward_batch(state.W, windows.astype(np.float64))
         np.maximum(h, 0.0, out=h)
         y_pre = _heads(state, h.max(axis=1), w)[4]
@@ -286,7 +279,7 @@ def state_to_json(state: ModelState) -> str:
         "M": state.M,
         "k": state.k,
         "d": state.d,
-        "padding": state.padding,
+        "padding": kernels.padding_for(state.k),
         "W": state.W.ravel().tolist(),
         "fc_trad": state.fc_trad.tolist(),
         "thresh": THRESH,
@@ -310,8 +303,10 @@ _SNAPSHOT = {"era": (*within("[0, inf)", INTEGER), -1), "per_filter_precision": 
 
 
 def _filters(doc: dict, what: str) -> np.ndarray:
-    """The (M, k, d) filters W of a model or snapshot document."""
+    """The (M, k, d) filters W of a model or snapshot document, which may
+    record only the padding of k-step filters."""
     M, k, d, W = fields(doc, _FILTERS, what).values()
+    fields(doc, {"padding": kernels.padding_rule(k)}, what)
     return float_array(W, M * k * d, what, "W").reshape(M, k, d)
 
 
@@ -328,19 +323,17 @@ def state_from_json(text: str | dict) -> ModelState:
         W=W,
         fc_trad=float_array(fc_trad, len(W), "model file", "fc_trad"),
         alpha=float(alpha),
-        padding=padding_field(doc, "model file", W.shape[1]),
     )
 
 
 @dataclass(frozen=True)
 class EraSnapshot:
-    """An era's filters, their precision on the training clips (NaN where a
-    filter matched none) and the padding they were trained with."""
+    """An era's filters and their precision on the training clips (NaN where
+    a filter matched none)."""
 
     era: int
     W: np.ndarray                      # (M, k, d)
     per_filter_precision: np.ndarray   # (M,)
-    padding: int = DEFAULT_PADDING
 
     def __post_init__(self):
         self.W.setflags(write=False)
@@ -355,7 +348,7 @@ def filters_to_json(snap: EraSnapshot, extra: dict | None = None) -> str:
         "M": int(snap.W.shape[0]),
         "k": int(snap.W.shape[1]),
         "d": int(snap.W.shape[2]),
-        "padding": int(snap.padding),
+        "padding": kernels.padding_for(snap.W.shape[1]),
         "W": snap.W.ravel().tolist(),
         "era": snap.era,
         "per_filter_precision": [None if p != p else p
@@ -368,16 +361,14 @@ def filters_to_json(snap: EraSnapshot, extra: dict | None = None) -> str:
 
 def filters_from_json(text: str) -> EraSnapshot:
     """The era snapshot a filter snapshot file's text holds. A file without
-    `era` reads as era -1, one without `padding` as `errors.padding_field`
-    reads it."""
+    `era` reads as era -1."""
     what = "filter snapshot file"
     doc = json_object(text, what)
     if doc.get("format") != "patternconv-filters":
         raise DataError("not a filter snapshot file")
     check_version(doc, MODEL_FORMAT_VERSION, what)
     W = _filters(doc, what)
-    padding = padding_field(doc, what, W.shape[1])
     era, precisions = fields(doc, _SNAPSHOT, what).values()
     precisions = float_array(precisions, len(W), what, "per_filter_precision",
                              ok=lambda p: ~((p < 0) | (p > 1)), rule="numbers in [0, 1] or nulls")
-    return EraSnapshot(era=era, W=W, per_filter_precision=precisions, padding=padding)
+    return EraSnapshot(era=era, W=W, per_filter_precision=precisions)

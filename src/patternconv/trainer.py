@@ -43,10 +43,10 @@ class WindowedSet:
     vocabulary: FeatureVocabulary
 
     @classmethod
-    def build(cls, dataset: Dataset, k: int, padding: int) -> "WindowedSet":
+    def build(cls, dataset: Dataset, k: int) -> "WindowedSet":
         # a contiguous copy of the windows view: each step's batch gather from
         # it takes about half the time
-        X = np.ascontiguousarray(kernels.clip_windows(dataset.steps_array(), k, padding))
+        X = np.ascontiguousarray(kernels.clip_windows(dataset.steps_array(), k))
         return cls(X=X, labels=dataset.labels(), vocabulary=dataset.vocabulary)
 
     def __len__(self) -> int:
@@ -166,8 +166,7 @@ def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,
 
 
 def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
-               M: int, k: int, d: int, padding: int = netcore.DEFAULT_PADDING,
-               log=None):
+               M: int, k: int, d: int, log=None):
     """Run the full era protocol.
 
     Each era: epochs under the staggered schedule, then filter precisions on
@@ -179,8 +178,8 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
         raise DataError("model d does not match the dataset vocabulary")
     sched = config.schedule
     rng = np.random.default_rng(config.seed)
-    state = netcore.init_state(M, k, d, padding=padding, rng=rng)
-    train_w = WindowedSet.build(train_set, k, padding)
+    state = netcore.init_state(M, k, d, rng=rng)
+    train_w = WindowedSet.build(train_set, k)
     n_pos = int(train_w.labels.sum())
     pos_weight = (len(train_w) - n_pos) / n_pos if n_pos else 1.0
     val = (val_set.steps_array(), val_set.labels()) if val_set else None  # None or no clips
@@ -201,7 +200,7 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
 
         precisions = eval_filter_precision(state.W, train_w)
         snapshots.append(EraSnapshot(era=era, W=state.W.copy(),
-                                     per_filter_precision=precisions.copy(), padding=padding))
+                                     per_filter_precision=precisions.copy()))
         harvested.extend(harvest_filters(state.W, precisions, era, train_set.vocabulary))
         if era < sched.eras - 1:
             state = era_reset(state, precisions, PRECISION_THRESHOLD, rng)

@@ -222,6 +222,18 @@ def test_explain_orders_blocks_by_precision(vocab, planted):
     assert exp.matched_pattern_ids == ("high", "low")
 
 
+def test_explain_takes_only_the_padding_of_the_bank_k(vocab, planted):
+    """A padding given to explain must be that of the bank's 3-step
+    patterns, 1; a bank without patterns has no k to check it against."""
+    clip = _clip_with_pattern(vocab, planted[0])
+    bank = PatternBank(patterns=(planted[0],), vocabulary=vocab)
+    assert explain(clip, bank, vocab, padding=1) == explain(clip, bank, vocab)
+    with pytest.raises(DataError, match="explain 'padding' must be 1 at k = 3, not 0"):
+        explain(clip, bank, vocab, padding=0)
+    empty = PatternBank(patterns=(), vocabulary=vocab)
+    assert explain(clip, empty, vocab, padding=0).blocks == ()
+
+
 def test_explain_vocab_mismatch(vocab, planted):
     other = FeatureVocabulary(
         feature_names=tuple(f"f{i}" for i in range(13)),

@@ -72,6 +72,7 @@ def test_invalid_kernel_config_exits_1(tmp_path, capsys):
 BAD_CONFIGS = {
     "removed_data_dataset": ({"data": {"dataset": "clips.jsonl"}}, "data.dataset"),
     "removed_model_d": ({"model": {"d": 13}}, "model.d"),
+    "removed_model_padding": ({"model": {"padding": 1}}, "model.padding"),
     "removed_class_weighting": ({"train": {"class_weighting": True}}, "train.class_weighting"),
     "removed_check_shifts": ({"curate": {"check_shifts": False}}, "curate.check_shifts"),
     "removed_targets": ({"train": {"targets": {"bin": 2.0}}}, "train.targets"),
@@ -117,27 +118,35 @@ def test_config_accepts_nulls_and_numbers_where_meant(tmp_path):
     assert (cfg["train"]["learning_rate"], cfg["train"]["final_learning_rate"]) == (1, 0)
 
 
+def _out_of_range(key):
+    return f"config key '{key}' must be"
+
+
+# the padding follows from model.k, so a padding the code could not run with
+# is now an unknown key rather than a value out of range
+_UNKNOWN_PADDING = "unknown config key 'model.padding'"
+
 # each case is a config value the code could not run with, the command that
-# failed on it, and the key path its error names
+# failed on it, and the text its error holds
 OUT_OF_RANGE = {
-    "negative_padding": ({"model": {"padding": -1}}, "synth", "model.padding"),
-    "padding_above_k_minus_1": ({"model": {"k": 3, "padding": 3}}, "train", "model.padding"),
-    "no_filters": ({"model": {"M": 0}}, "train", "model.M"),
-    "negative_clip_count": ({"data": {"n_clips": -5}}, "synth", "data.n_clips"),
-    "empty_batch": ({"train": {"batch_size": 0}}, "train", "train.batch_size"),
+    "no_filters": ({"model": {"M": 0}}, "train", _out_of_range("model.M")),
+    "negative_clip_count": ({"data": {"n_clips": -5}}, "synth", _out_of_range("data.n_clips")),
+    "empty_batch": ({"train": {"batch_size": 0}}, "train", _out_of_range("train.batch_size")),
     "test_fraction_above_one": ({"split": {"test_fraction": 2}}, "train",
-                                "split.test_fraction"),
-    "kernel_longer_than_padded_clip": ({"model": {"k": 7, "padding": 0}}, "synth", "model.k"),
+                                _out_of_range("split.test_fraction")),
+    "kernel_longer_than_padded_clip": ({"model": {"k": 8}}, "synth", _out_of_range("model.k")),
+    "negative_padding": ({"model": {"padding": -1}}, "synth", _UNKNOWN_PADDING),
+    "padding_above_k_minus_1": ({"model": {"k": 3, "padding": 3}}, "train", _UNKNOWN_PADDING),
     # above the 2**53 bound; at 10**400 the era arithmetic overflowed a float
-    "huge_eras": ({"train": {"eras": 10 ** 400}}, "synth", "train.eras"),
+    "huge_eras": ({"train": {"eras": 10 ** 400}}, "synth", _out_of_range("train.eras")),
     "huge_epochs_per_era": ({"train": {"epochs_per_era": 10 ** 400}}, "synth",
-                            "train.epochs_per_era"),
+                            _out_of_range("train.epochs_per_era")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_config_values_out_of_range_exit_1(tmp_path, capsys, vocab, case):
-    config, command, key = OUT_OF_RANGE[case]
+    config, command, message = OUT_OF_RANGE[case]
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     argv = {"synth": ["synth"],
@@ -145,24 +154,24 @@ def test_config_values_out_of_range_exit_1(tmp_path, capsys, vocab, case):
     code = _run(["--config", str(path), "--out", str(tmp_path / "o")] + argv)
     err = capsys.readouterr().err
     assert code == 1
-    assert f"config key '{key}' must be" in err
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
 def test_kernel_is_checked_against_the_clips_train_loads(tmp_path, capsys, vocab):
-    """data.clip_length steers synth alone: train fits a 7-step kernel to the
-    10-step clips it loads, and clips shorter than the kernel exit 2."""
+    """data.clip_length steers synth alone: train fits an 8-step kernel to the
+    10-step clips it loads, and clips shorter than the padded kernel exit 2."""
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"model": {"M": 4, "k": 7, "padding": 0},
+    path.write_text(json.dumps({"model": {"M": 4, "k": 8},
                                 "train": {"eras": 1, "epochs_per_era": 2}}))
     argv = ["--config", str(path), "--out", str(tmp_path / "o"), "train"]
     assert _run(argv + [_write_clips(tmp_path / "long.jsonl", vocab, 40, 10)]) == 0
     short = _write_clips(tmp_path / "short.jsonl", vocab, 40, 5)
     assert _run(argv + [short]) == 2
     err = capsys.readouterr().err
-    assert (f"data error: clip too short for the kernel even with padding: 7-step filters at "
-            f"padding 0, 5-step clips in {short}\n") in err
+    assert (f"data error: clip too short for the kernel even with padding: 8-step filters at "
+            f"padding 1, 5-step clips in {short}\n") in err
     assert "Traceback" not in err
 
 
@@ -174,8 +183,6 @@ OVERSIZED = {
     # past the 8 EiB address space: numpy itself raises ValueError for these
     "clips_past_address_space": ({"data": {"n_clips": 10 ** 18}}, "synth"),
     "clip_length_past_address_space": ({"data": {"clip_length": 10 ** 15}}, "synth"),
-    "padding_past_int64_synth": ({"model": {"k": 10 ** 20, "padding": 10 ** 20 - 1}}, "synth"),
-    "padding_past_int64_train": ({"model": {"k": 10 ** 20, "padding": 10 ** 20 - 1}}, "train"),
     "filters_past_address_space": ({"model": {"M": 10 ** 18}}, "train"),
     "filters_past_int64": ({"model": {"M": 10 ** 23}}, "train"),  # np.sqrt(M) a TypeError
 }
@@ -223,8 +230,7 @@ def test_cli_defaults_are_the_acceptance_configuration():
         "n_clips": 2000, "label_noise": 0.0, "feature_noise": 0.0, "p_feature": 0.10,
         "p_distract": 0.7, "planted_bank": None}
     assert cfg["split"] == {"test_fraction": 0.25, "val_fraction": 0.2}
-    assert cfg["model"] == {"M": 64, "k": 3, "padding": netcore.DEFAULT_PADDING}
-    assert params["match_padding"].default == netcore.DEFAULT_PADDING
+    assert cfg["model"] == {"M": 64, "k": 3}
 
 
 def test_non_utf8_config_exits_1(tmp_path, capsys):
@@ -315,37 +321,36 @@ def test_bad_step_values_exit_2(tmp_path, tiny_config_path, capsys, vocab, case)
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_clips_shorter_than_the_kernel_exit_2(tmp_path, capsys, vocab, command):
-    """One-step clips: unpadded under the 3-step kernel for train, padded to
-    three steps under a 4-step pattern for eval of a bank."""
+    """One-step clips, padded to three steps, under a 4-step kernel for train
+    and a 4-step pattern for eval of a bank."""
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"model": {"padding": 0}}))
+    config.write_text(json.dumps({"model": {"k": 4}}))
     data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 1)
     argv = {"train": ["--config", str(config), "train", data],
             "eval": ["eval", _write_bank(tmp_path / "bank.json", vocab, k=4), data]}[command]
     code = _run(["--out", str(tmp_path / "o")] + argv)
     err = capsys.readouterr().err
     assert code == 2
-    source, what, k, padding = {"train": ("", "filters", 3, 0),
-                                "eval": (f"{argv[1]}: ", "patterns", 4, 1)}[command]
-    assert (f"data error: {source}clip too short for the kernel even with padding: {k}-step "
-            f"{what} at padding {padding}, 1-step clips in {data}\n") in err
+    source, what = {"train": ("", "filters"), "eval": (f"{argv[1]}: ", "patterns")}[command]
+    assert (f"data error: {source}clip too short for the kernel even with padding: 4-step "
+            f"{what} at padding 1, 1-step clips in {data}\n") in err
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("precision", [None, 0.9])
 def test_curate_of_clips_shorter_than_the_kernel_exits_2(tmp_path, capsys, vocab, precision):
-    """One-step clips under a snapshot of 3-step filters at padding 0 exit 2,
-    naming both files, whether every filter is harvested or none is."""
+    """One-step clips under a snapshot of 4-step filters exit 2, naming both
+    files, whether every filter is harvested or none is."""
     data = _write_clips(tmp_path / "d.jsonl", vocab, 200, 1)
-    W = np.zeros((2, 3, vocab.d))
+    W = np.zeros((2, 4, vocab.d))
     W[:, 0, vocab.help_index] = 1.0  # a legal pattern, harvested at precision 0.9
     snaps = _snapshot(tmp_path / "snaps", W, lambda doc: doc.update(
-        padding=0, per_filter_precision=[precision] * 2))
+        per_filter_precision=[precision] * 2))
     code = _run(["--out", str(tmp_path / "o"), "curate", snaps, data])
     err = capsys.readouterr().err
     assert code == 2
     assert (f"data error: {os.path.join(snaps, 'era_000.json')}: clip too short for the "
-            f"kernel even with padding: 3-step filters at padding 0, 1-step clips in {data}"
+            f"kernel even with padding: 4-step filters at padding 1, 1-step clips in {data}"
             in err)
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "bank.json").exists()
@@ -376,6 +381,12 @@ def _clips_with(line_no, edit):
             fh.write("\n".join(lines) + "\n")
         return ["eval", _write_bank(tmp / "b.json", vocab), data]
     return build
+
+
+def _repeat_feature_name(rec):
+    """A vocabulary record whose column 4 takes the name of column 3."""
+    rec["feature_names"][4] = rec["feature_names"][3]
+    return rec
 
 
 def _two_submission_types(rec):
@@ -456,8 +467,8 @@ def _snapshot(snaps, W, edit=None):
     return str(snaps)
 
 
-def _model(path, vocab, edit=None, k=3, d=None, padding=1):
-    state = netcore.init_state(4, k, vocab.d if d is None else d, padding=padding, rng=0)
+def _model(path, vocab, edit=None, k=3, d=None):
+    state = netcore.init_state(4, k, vocab.d if d is None else d, rng=0)
     doc = json.loads(netcore.state_to_json(state))
     if edit:
         edit(doc)
@@ -532,7 +543,7 @@ def _model_of_7_features(tmp, vocab, data):
 
 
 def _model_of_9_steps(tmp, vocab, data):
-    return ["eval", _model(tmp / "m.json", vocab, k=9, padding=0), data]
+    return ["eval", _model(tmp / "m.json", vocab, k=9), data]
 
 
 def _bank_of_9_steps(command):
@@ -559,33 +570,40 @@ UNUSABLE = {
                                "era_000.json: filter snapshot file 'W' must be a list of 117 "
                                "finite numbers, not [1.0, "),
     "snapshot_of_10_features": (_snapshot_of_10_features,
-                                "era_000.json: filters have 10 features, the clips have 13"),
+                                "era_000.json: the filters have 10 features, the clips in "
+                                "<clips> have 13\n"),
     "model_with_unknown_thresh_key": (_model_with_unknown_thresh_key,
                                       "m.json: model file 'thresh' must be an object of "
                                       "steepness, offset, temperature, epsilon, not {"),
+    # a file may record only the padding of its k: 1, or 0 at k = 1
     "model_with_negative_padding": (_model_with_negative_padding,
-                                    "m.json: model file 'padding' must be an integer in [0, inf), "
-                                    "not -1"),
+                                    "m.json: model file 'padding' must be 1 at k = 3, not -1"),
     "bank_with_huge_padding_eval": (_bank_with_huge_padding("eval"),
-                                    "b.json: pattern bank file 'padding' must be <= k - 1 = 2, "
+                                    "b.json: pattern bank file 'padding' must be 1 at k = 3, "
                                     f"not {_HUGE}"),
     "bank_with_huge_padding_explain": (_bank_with_huge_padding("explain"),
-                                       "b.json: pattern bank file 'padding' must be <= k - 1"),
+                                       "b.json: pattern bank file 'padding' must be 1 at k = 3"),
     "model_with_huge_padding": (_model_with_huge_padding,
-                                f"m.json: model file 'padding' must be <= k - 1 = 2, not {_HUGE}"),
+                                f"m.json: model file 'padding' must be 1 at k = 3, not {_HUGE}"),
     "snapshot_with_huge_padding": (_snapshot_with_huge_padding,
                                    "era_000.json: filter snapshot file 'padding' must be "
-                                   f"<= k - 1 = 2, not {_HUGE}"),
+                                   f"1 at k = 3, not {_HUGE}"),
+    "bank_of_1_step_patterns_at_padding_1": (
+        lambda tmp, vocab, data: ["eval", _write_bank(tmp / "b.json", vocab, k=1,
+                                                      edit=_set_field(("padding",), 1)), data],
+        "b.json: pattern bank file 'padding' must be 0 at k = 1, not 1"),
+    "model_with_padding_0": (_model_with(("padding",), 0),
+                             "m.json: model file 'padding' must be 1 at k = 3, not 0"),
     "model_with_string_alpha": (_model_with(("alpha",), "0.5"),
                                 "m.json: model file 'alpha' must be a finite number in [0, 1], "
                                 'not "0.5"'),
     # a model or bank that does not fit the clips names both files
     "model_of_7_features": (_model_of_7_features,
-                            "m.json: the model's filters have 7 features, the clips in "
-                            "<clips> have 13\n"),
+                            "m.json: the filters have 7 features, the clips in <clips> have "
+                            "13\n"),
     "model_of_9_steps": (_model_of_9_steps,
                          "m.json: clip too short for the kernel even with padding: 9-step "
-                         "filters at padding 0, 5-step clips in <clips>\n"),
+                         "filters at padding 1, 5-step clips in <clips>\n"),
     **{f"bank_of_9_steps_{command}": (_bank_of_9_steps(command),
                                       "b.json: clip too short for the kernel even with "
                                       "padding: 9-step patterns at padding 1, 5-step clips in "
@@ -615,6 +633,10 @@ UNUSABLE = {
     "clips_header_of_one_submission_type": (
         _clips_with(0, lambda rec: {**rec, "submission_indices": [0]}),
         "d.jsonl:1: clip file header: vocabulary must have exactly 3 submission types"),
+    # an expert step naming a repeated feature would resolve to one of its columns
+    "clips_header_repeating_a_feature_name": (
+        _clips_with(0, _repeat_feature_name),
+        "d.jsonl:1: clip file header: vocabulary repeats feature name 'quick_help_request'"),
     "clip_of_two_wide_steps": (_clips_with(2, lambda rec: {**rec, "steps": [[0, 1]] * 5}),
                                "d.jsonl:3: clip 'c1': feature count 2 does not match "
                                "vocabulary d=13"),
@@ -634,6 +656,12 @@ UNUSABLE = {
             edit=lambda doc: doc["vocabulary"].update(submission_indices=[0])), data],
         "b.json: pattern bank file vocabulary: vocabulary must have exactly 3 submission "
         "types"),
+    "bank_vocabulary_repeating_a_feature_name": (
+        lambda tmp, vocab, data: ["eval", _write_bank(
+            tmp / "b.json", vocab, edit=lambda doc: _repeat_feature_name(doc["vocabulary"])),
+            data],
+        "b.json: pattern bank file vocabulary: vocabulary repeats feature name "
+        "'quick_help_request'"),
 }
 
 
@@ -923,7 +951,7 @@ def test_readers_check_the_format_version(tmp_path, capsys, vocab, build, versio
 
 
 def _edge_help_files(tmp, vocab, padding):
-    """A bank, curated with `padding`, of one pattern whose rows 0 and 2 are
+    """A bank that records `padding`, of one pattern whose rows 0 and 2 are
     empty and whose row 1 asks for help, and clips whose only help step is
     the last: the pattern reaches that step only through the padding."""
     cells = np.zeros((3, vocab.d), dtype=np.uint8)
@@ -946,18 +974,24 @@ def _edge_help_files(tmp, vocab, padding):
 
 @pytest.mark.parametrize("padding", [0, 1])
 def test_eval_and_explain_match_with_the_bank_padding(tmp_path, capsys, vocab, padding):
-    """The config says padding 1 (the default) in both runs; only the bank's
-    own padding decides whether the edge pattern matches."""
+    """The edge pattern reaches the help step through the padding of 1 that
+    3-step patterns take. A bank that records padding 0 for them exits 2 from
+    eval and explain, naming the file and the field."""
     bank_path, data_path = _edge_help_files(tmp_path, vocab, padding)
     out = str(tmp_path / "o")
+    if padding == 0:
+        for argv in (["eval", bank_path, data_path], ["explain", bank_path, data_path, "c1"]):
+            assert _run(["--out", out] + argv) == 2
+            assert (f"data error: {bank_path}: pattern bank file 'padding' must be 1 at k = 3, "
+                    "not 0\n") in capsys.readouterr().err
+        assert not os.path.exists(out)
+        return
     assert _run(["--out", out, "eval", bank_path, data_path]) == 0
     metrics = json.load(open(os.path.join(out, "metrics.json")))
-    assert [metrics[s]["recall"] for s in ("train", "val", "test")] == [float(padding)] * 3
+    assert [metrics[s]["recall"] for s in ("train", "val", "test")] == [1.0] * 3
     capsys.readouterr()
     assert _run(["--out", out, "explain", bank_path, data_path, "c1"]) == 0
-    text = capsys.readouterr().out
-    assert ("flagged" in text) == bool(padding)
-    assert ("no pattern matched" in text) == (not padding)
+    assert "flagged" in capsys.readouterr().out
 
 
 def _snapshot_files(snaps, vocab, paddings):
@@ -975,24 +1009,27 @@ def _snapshot_files(snaps, vocab, paddings):
     return str(snaps)
 
 
-@pytest.mark.parametrize("paddings,expect", [((0, 0), 0), ((None, 1), 1), ((1, 0), None),
-                                             ((None, 0), None)],
+@pytest.mark.parametrize("paddings,bad", [((0, 0), "era_000.json"), ((None, 1), None),
+                                          ((1, 0), "era_001.json"), ((None, 0), "era_001.json")],
                          ids=["both_0", "missing_and_1", "1_and_0", "missing_and_0"])
-def test_curate_takes_the_snapshot_padding(tmp_path, capsys, vocab, paddings, expect):
-    """The bank records the snapshots' padding, a snapshot without the field
-    reads as 1, and snapshots that disagree exit 2 naming both files."""
+def test_curate_takes_the_snapshot_padding(tmp_path, capsys, vocab, paddings, bad):
+    """Snapshots of 3-step filters that record padding 1, or no padding, give
+    a bank that records padding 1; a snapshot that records padding 0 exits 2,
+    naming the file and the field."""
     snaps = _snapshot_files(tmp_path / "snaps", vocab, paddings)
     data = _write_clips(tmp_path / "d.jsonl", vocab, 40, 5)
     out = tmp_path / "o"
     code = _run(["--out", str(out), "curate", snaps, data])
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if expect is None:
+    if bad:
         assert code == 2
-        assert "disagree on padding" in err and "era_000.json" in err and "era_001.json" in err
+        assert (f"data error: {os.path.join(snaps, bad)}: filter snapshot file 'padding' must "
+                "be 1 at k = 3, not 0\n") in err
+        assert not out.exists()
     else:
         assert code == 0
-        assert curator.bank_from_json((out / "bank.json").read_text()).padding == expect
+        assert json.loads((out / "bank.json").read_text())["padding"] == 1
 
 
 def test_curate_rejects_snapshots_of_different_k(tmp_path, capsys, vocab, planted):
@@ -1097,6 +1134,23 @@ def test_synth_plants_the_bank_it_wrote(tmp_path, capsys):
     assert (again.labels() == want.labels()).all() and want.labels().any()
 
 
+def test_eval_reads_the_planted_bank_of_1_step_patterns_synth_wrote(tmp_path, capsys, vocab):
+    """synth writes a planted bank of 1-step patterns with padding 0, the
+    padding of one step, so eval reads it back under the default config."""
+    def help_and_bottom_out(doc):
+        doc["patterns"][0]["cells"][0][vocab.feature_names.index("bottom_out_search")] = 1
+    bank = _write_bank(tmp_path / "b.json", vocab, k=1, edit=help_and_bottom_out)
+    assert _synth_with_bank(tmp_path, bank, 0.5) == 0
+    out = tmp_path / "o"
+    assert json.loads((out / "planted_bank.json").read_text())["padding"] == 0
+    code = _run(["--out", str(tmp_path / "e"), "eval", str(out / "planted_bank.json"),
+                 str(out / "dataset.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    metrics = json.loads((tmp_path / "e" / "metrics.json").read_text())
+    assert all(metrics[s]["kappa"] == 1.0 for s in ("train", "val", "test"))
+
+
 def test_synth_rejects_a_planted_bank_of_another_vocabulary(tmp_path, capsys, vocab):
     """A bank whose feature names are swapped would be planted by column
     index on the wrong features, so synth exits 2 naming the bank."""
@@ -1127,23 +1181,6 @@ def test_synth_rejects_an_illegal_planted_pattern(tmp_path, capsys, vocab, p_pla
     assert (f"{bank}: planted pattern 'p' violates invariants: step 1: "
             "submission invariant") in err
     assert "Traceback" not in err
-
-
-def test_curate_of_a_padding_0_run_under_the_default_config(tmp_path, capsys):
-    """Train with model.padding 0, curate without a config: the bank takes the
-    padding from the snapshots, not from the config's default of 1."""
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({**TINY_CONFIG, "model": {"M": 8, "padding": 0}}))
-    out = str(tmp_path / "run")
-    data = os.path.join(out, "dataset.jsonl")
-    train = ["--config", str(config), "--seed", "0", "--out", out]
-    assert _run(train + ["synth"]) == 0
-    assert _run(train + ["train", data]) == 0
-    assert _run(["--seed", "0", "--out", out, "curate", os.path.join(out, "snapshots"),
-                 data]) == 0
-    capsys.readouterr()
-    with open(os.path.join(out, "bank.json")) as fh:
-        assert curator.bank_from_json(fh.read()).padding == 0
 
 
 def test_compare_expands_experts_to_the_bank_pattern_length(tmp_path, capsys, vocab):
@@ -1255,8 +1292,9 @@ def test_pipeline_end_to_end(tmp_path, tiny_config_path, capsys, vocab):
     assert "harvested" in funnel and "->" in funnel and "selected" in funnel
     bank_path = os.path.join(out, "bank.json")
     with open(bank_path) as fh:
-        bank = curator.bank_from_json(fh.read())
-    assert bank.padding == 1
+        doc = json.load(fh)
+    bank = curator.bank_from_json(doc)
+    assert doc["padding"] == 1
     curve = json.load(open(os.path.join(out, "kappa_curve.json")))["curve"]
     assert len(bank) <= len(curve)
 
@@ -1320,7 +1358,7 @@ def test_explain_finds_clips_past_the_first(tmp_path, tiny_config_path, capsys):
     for i in (len(ds) // 2, len(ds) - 1):  # the middle clip and the last
         clip = ds.clips[i]
         assert _run(base + ["explain", bank_path, dataset_path, clip.clip_id]) == 0
-        exp = analysis.explain(clip, bank, bank.vocabulary, padding=bank.padding)
+        exp = analysis.explain(clip, bank, bank.vocabulary)
         assert capsys.readouterr().out == f"{exp.bullet_text}\n\n{exp.matrix_text}\n"
 
 

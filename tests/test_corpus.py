@@ -39,6 +39,17 @@ def test_vocabulary_rejects_overlapping_partitions():
         )
 
 
+def test_vocabulary_rejects_a_repeated_feature_name(vocab):
+    """A repeated name would resolve to one of its columns: an expert step
+    naming it would read the last one."""
+    names = list(vocab.feature_names)
+    names[4] = names[3]
+    with pytest.raises(DataError, match="vocabulary repeats feature name 'quick_help_request'"):
+        FeatureVocabulary(feature_names=tuple(names), submission_indices=vocab.submission_indices,
+                          help_related=vocab.help_related,
+                          attempt_related=vocab.attempt_related)
+
+
 def test_vocabulary_rejects_wrong_submission_count():
     with pytest.raises(DataError):
         FeatureVocabulary(

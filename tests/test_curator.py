@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_first_window, random_legal_clip_batch, random_legal_pattern
-from patternconv import corpus, curator, trainer
+from patternconv import corpus, curator, kernels, trainer
 from patternconv.corpus import Clip, Dataset
 from patternconv.curator import (Pattern, PatternBank, bank_predict_batch,
                                  binarize, cumulative_kappa_curve, dedup,
@@ -94,6 +94,22 @@ def test_match_dimension_mismatch(vocab):
         discrete_match(_pat(np.ones((3, 4))), np.zeros((5, vocab.d)), padding=1)
 
 
+@pytest.mark.parametrize("k,bad", [(3, 0), (3, 2), (1, 1)])
+def test_match_takes_only_the_padding_of_its_k(vocab, k, bad):
+    """A padding given to discrete_match must be that of the pattern's k:
+    1, or 0 at k = 1."""
+    cells = np.zeros((k, vocab.d), dtype=np.uint8)
+    cells[0, vocab.help_index] = 1
+    steps = np.zeros((5, vocab.d), dtype=np.uint8)
+    steps[:, vocab.help_index] = 1
+    assert (discrete_match(cells, steps)
+            == discrete_match(cells, steps, padding=kernels.padding_for(k))
+            == (True, kernels.padding_for(k)))  # row 0 on clip step 0
+    with pytest.raises(DataError, match=f"discrete_match 'padding' must be "
+                                        f"{kernels.padding_for(k)} at k = {k}, not {bad}"):
+        discrete_match(cells, steps, padding=bad)
+
+
 # -------------------------------------------------------------- bank_predict
 
 def _dataset_of(vocab, X):
@@ -132,14 +148,16 @@ def test_bank_predict_brute_force_oracle(vocab):
 
 @pytest.mark.parametrize("n_patterns", [1, 3, 4, 7, 8])
 @pytest.mark.parametrize("padding", [0, 1])
-def test_bank_predict_against_brute_force(vocab, n_patterns, padding):
+def test_bank_predict_against_brute_force(vocab, monkeypatch, n_patterns, padding):
     """Banks on both sides of the multiple of 4 the pattern matrix is padded
-    to predict a clip exactly when a window scan finds some pattern in it."""
+    to predict a clip exactly when a window scan finds some pattern in it,
+    with the clips padded as kernels.PADDING says."""
+    monkeypatch.setattr(kernels, "PADDING", padding)
     rng = np.random.default_rng(20 + n_patterns + padding)
     pats = [random_legal_pattern(vocab, 3, rng) for _ in range(n_patterns)]
     X = random_legal_clip_batch(vocab, 80, 5, rng)
     X[:20, 1:4] = pats[-1].cells  # plant the last pattern in a quarter of the clips
-    bank = PatternBank(patterns=tuple(pats), vocabulary=vocab, padding=padding)
+    bank = PatternBank(patterns=tuple(pats), vocabulary=vocab)
     got = bank_predict_batch(bank, _dataset_of(vocab, X))
     want = (brute_first_window(np.stack([p.cells for p in pats]), X, padding) >= 0).any(axis=0)
     assert got.dtype == bool and (got == want).all() and got[:20].all()
@@ -300,9 +318,12 @@ def _oracle_subsumes(a: Pattern, b: Pattern, clip_length=5, padding=1) -> bool:
 @pytest.mark.parametrize("k, padding, clip_length",
                          [(k, padding, length) for k in (1, 2, 3, 4) for padding in range(k)
                           for length in (k, k + 2, 7)])
-def test_subsumes_matches_oracle_random(vocab, k, padding, clip_length):
+def test_subsumes_matches_oracle_random(vocab, monkeypatch, k, padding, clip_length):
     """Every shift and window bound, on random patterns plus an all-zero one
-    and a duplicate."""
+    and a duplicate, at each padding up to k - 1 that kernels.PADDING could
+    give k-step patterns."""
+    monkeypatch.setattr(kernels, "PADDING", padding)
+    assert kernels.padding_for(k) == padding
     rng = np.random.default_rng(7)
     pats = [random_legal_pattern(vocab, k, rng, p_cell=0.2) for _ in range(40)]
     pats += [_pat(np.zeros((k, vocab.d)), "zero"), _pat(pats[0].cells, "dup")]
@@ -310,7 +331,7 @@ def test_subsumes_matches_oracle_random(vocab, k, padding, clip_length):
         for b in pats:
             if a is b:
                 continue
-            assert (subsumes(a, b, clip_length, padding)
+            assert (subsumes(a, b, clip_length)
                     == _oracle_subsumes(a, b, clip_length, padding)), (a.cells, b.cells)
 
 
@@ -519,10 +540,12 @@ def test_rank_ties_break_by_pattern_id(vocab):
 
 
 @pytest.mark.parametrize("padding", [0, 1])
-def test_rank_refreshes_precision_and_support(vocab, padding):
+def test_rank_refreshes_precision_and_support(vocab, monkeypatch, padding):
     """Each ranked pattern's precision_train and low_support are those of the
-    clips a window scan finds it in: no precision for a pattern that matches
-    nothing, and low support below 3 matched clips."""
+    clips a window scan, at the padding kernels.PADDING gives, finds it in:
+    no precision for a pattern that matches nothing, and low support below 3
+    matched clips."""
+    monkeypatch.setattr(kernels, "PADDING", padding)
     rng = np.random.default_rng(20 + padding)
     X = random_legal_clip_batch(vocab, 40, 5, rng)
     labels = rng.random(40) < 0.5
@@ -536,7 +559,7 @@ def test_rank_refreshes_precision_and_support(vocab, padding):
                      + [random_legal_pattern(vocab, 3, rng).cells for _ in range(10)])
     pats = [_pat(c, f"p{i:02d}") for i, c in enumerate(cells)]
     ranked = {p.pattern_id: p for p in
-              rank_by_precision(pats, _labeled(vocab, X, labels), padding)}
+              rank_by_precision(pats, _labeled(vocab, X, labels))}
     hits = brute_first_window(cells, X, padding) >= 0
     for pat, row in zip(pats, hits):
         got, n = ranked[pat.pattern_id], int(row.sum())
@@ -560,13 +583,13 @@ def test_cumulative_curve_matches_recomputation(vocab, planted):
         assert kap == pytest.approx(expect if expect is not None else 0.0)
 
 
-def _kappa_curve_oracle(ranked, eval_set, padding=1):
+def _kappa_curve_oracle(ranked, eval_set):
     """The cumulative kappa curve as one confusion per prefix, each from the
     union of the prefix's match rows."""
     labels = eval_set.labels()
     curve = []
     any_hit = np.zeros(len(eval_set), dtype=bool)
-    for n, row in enumerate(match_matrix(ranked, eval_set, padding) >= 0, start=1):
+    for n, row in enumerate(match_matrix(ranked, eval_set) >= 0, start=1):
         any_hit |= row
         kap = kappa(confusion(any_hit.astype(float), labels))
         curve.append((n, kap if kap is not None else 0.0))
@@ -631,31 +654,40 @@ def test_bank_json_round_trip(vocab):
 
 
 def test_bank_json_records_padding(vocab):
-    """A bank keeps the padding it was curated with; a bank file written
-    before the field existed reads as padding 1, and a bad value is a data
-    error."""
-    bank = PatternBank(patterns=(), vocabulary=vocab, padding=0)
-    doc = json.loads(curator.bank_to_json(bank))
-    assert doc["padding"] == 0
-    assert curator.bank_from_json(json.dumps(doc)).padding == 0
-    del doc["padding"]
-    assert curator.bank_from_json(json.dumps(doc)).padding == 1
-    for bad in (-1, 1.0, True, "1"):
-        doc["padding"] = bad
-        with pytest.raises(DataError, match="padding"):
-            curator.bank_from_json(json.dumps(doc))
+    """A bank file records the padding of its k-step patterns, 1 or 0 at
+    k = 1, and one without patterns records 1; a file without the field
+    loads as the same file with it, and a padding the patterns do not take is
+    a data error (a bank without patterns may record that of any k, 0 or 1)."""
+    cells = np.zeros((3, vocab.d), dtype=np.uint8)
+    cells[0, vocab.help_index] = 1
+    for patterns, want, other in (((), 1, 0), ((_pat(cells[:1]),), 0, 1), ((_pat(cells),), 1, 0)):
+        text = curator.bank_to_json(PatternBank(patterns=patterns, vocabulary=vocab))
+        doc = json.loads(text)
+        assert doc.pop("padding") == want
+        assert curator.bank_to_json(curator.bank_from_json(json.dumps(doc))) == text
+        for bad in (-1, 1.0, True, "1", 2, other):
+            doc["padding"] = bad
+            if not patterns and bad == other:  # no k to check it against
+                assert curator.bank_to_json(curator.bank_from_json(json.dumps(doc))) == text
+                continue
+            with pytest.raises(DataError, match="pattern bank file 'padding' must be"):
+                curator.bank_from_json(json.dumps(doc))
 
 
-def test_bank_predict_uses_the_bank_padding(vocab):
+def test_bank_predict_uses_the_bank_padding(vocab, monkeypatch):
     """A pattern with empty rows 0 and 2 needs the padding to reach a help
-    step at the end of the clip."""
+    step at the end of the clip: it does at the padding of 1 that 3-step
+    patterns take, and would not were kernels.PADDING 0."""
     cells = np.zeros((3, vocab.d), dtype=np.uint8)
     cells[1, vocab.help_index] = 1
     X = np.zeros((1, 5, vocab.d), dtype=np.uint8)
     X[0, :4, vocab.attempt_indices[0]] = 1
     X[0, 4, vocab.help_index] = 1
     ds = _dataset_of(vocab, X)
-    got = [bank_predict_batch(PatternBank(patterns=(_pat(cells),), vocabulary=vocab,
-                                          padding=padding), ds).tolist()
-           for padding in (0, 1)]
+    bank = PatternBank(patterns=(_pat(cells),), vocabulary=vocab)
+    got = []
+    for padding in (0, 1):
+        monkeypatch.setattr(kernels, "PADDING", padding)
+        got.append(bank_predict_batch(bank, ds).tolist())
     assert got == [[False], [True]]
+    assert discrete_match(cells, X[0]) == (True, 4)  # the last window, over the padding

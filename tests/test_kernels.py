@@ -45,6 +45,16 @@ def test_clip_windows_against_slices(k, padding, B):
         assert (Xw[:, c] == Xp[:, c:c + k].reshape(B, -1)).all()
 
 
+def test_padding_is_1_or_0_at_k_1():
+    """Clips are padded by one zero step at either end for patterns of two
+    steps or more, and by none for one step, where a padded window would
+    hold no clip step; clip_windows pads so unless given a padding."""
+    assert [kernels.padding_for(k) for k in (1, 2, 3, 4, 9)] == [0, 1, 1, 1, 1]
+    X = np.ones((2, 5, 3))
+    for k in (1, 3):
+        assert (kernels.clip_windows(X, k) == kernels.clip_windows(X, k, min(1, k - 1))).all()
+
+
 def test_clip_windows_rejects_clips_shorter_than_the_kernel():
     assert kernels.clip_windows(np.ones((2, 1, 3)), 3, 1).shape == (2, 1, 9)
     with pytest.raises(DataError, match="clip too short for the kernel"):
@@ -125,15 +135,17 @@ def test_threshold_column_at_the_extreme_cell_counts(padding):
 @pytest.mark.parametrize("padding", [0, 1])
 def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
     """With blocks of a few clips' worth of window rows, every clip count on
-    either side of a block seam matches as the window scan does."""
+    either side of a block seam matches as the window scan does; the bank
+    pads as kernels.PADDING says."""
     block = 3  # clips per block
     monkeypatch.setattr(kernels, "MATCH_BLOCK_ROWS", block * (5 + 2 * padding - 3 + 1))
+    monkeypatch.setattr(kernels, "PADDING", padding)
     rng = np.random.default_rng(40 + 2 * n_patterns + padding)
     pats = [random_legal_pattern(vocab, 3, rng) for _ in range(n_patterns)]
     cells = np.stack([p.cells for p in pats])
     X = random_legal_clip_batch(vocab, 2 * block + 1, 5, rng)
     X[1::2, 1:4] = cells[-1]  # the last pattern in every other clip
-    bank = PatternBank(patterns=tuple(pats), vocabulary=vocab, padding=padding)
+    bank = PatternBank(patterns=tuple(pats), vocabulary=vocab)
     for n in (1, block - 1, block, block + 1, 2 * block + 1):
         Xn = X[:n]
         Xw = kernels.clip_windows(Xn, 3, padding)
@@ -143,7 +155,7 @@ def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
         assert (kernels.match_any(cells, Xw) == hits.any(axis=(1, 2))).all()
         got = bank_predict_batch(bank, Dataset(vocabulary=vocab, steps=Xn, labels=np.zeros(n)))
         assert (got == (want >= 0).any(axis=0)).all() and got[1::2].all()
-    empty_bank = PatternBank(patterns=(), vocabulary=vocab, padding=padding)
+    empty_bank = PatternBank(patterns=(), vocabulary=vocab)
     ds = Dataset(vocabulary=vocab, steps=X, labels=np.zeros(len(X)))
     assert not bank_predict_batch(empty_bank, ds).any()
     assert kernels.match_first_window(cells[:0], kernels.clip_windows(X, 3, padding)).shape == (

@@ -49,10 +49,10 @@ def test_conv_position_count():
 
 
 @settings(max_examples=30, deadline=None)
-@given(L=st.integers(1, 12), padding=st.integers(0, 2))
-def test_shape_law(L, padding):
-    k = 3
-    st_ = init_state(2, k, 13, padding=padding, rng=np.random.default_rng(0))
+@given(L=st.integers(1, 12), k=st.integers(1, 4))
+def test_shape_law(L, k):
+    padding = kernels.padding_for(k)
+    st_ = init_state(2, k, 13, rng=np.random.default_rng(0))
     X = np.zeros((1, L, 13))
     if L + 2 * padding < k:
         with pytest.raises(DataError, match="too short"):
@@ -69,16 +69,20 @@ def test_conv_dimension_mismatch():
 
 @pytest.mark.parametrize("k,padding", [(3, 3), (3, -1), (1, 1)])
 def test_state_rejects_padding_outside_0_to_k_minus_1(k, padding):
-    with pytest.raises(DataError, match="padding must lie in"):
-        _state(k=k, padding=padding)
+    """A model file may record only the padding of its k, 1 or 0 at k = 1."""
+    doc = json.loads(netcore.state_to_json(_state(k=k)))
+    doc["padding"] = padding
+    with pytest.raises(DataError, match=f"model file 'padding' must be {min(1, k - 1)} at "
+                                        f"k = {k}, not {padding}"):
+        netcore.state_from_json(doc)
 
 
 def test_k1_windows_are_the_clips(vocab):
     """At k = 1 the clip and window widths are both d and the padding is 0,
     so forward_batch reads either as the same windows."""
     X = random_legal_clip_batch(vocab, 4, 5, np.random.default_rng(2))
-    st_ = _state(M=3, k=1, d=vocab.d, padding=0)
-    assert (kernels.clip_windows(X, 1, 0) == X).all()
+    st_ = _state(M=3, k=1, d=vocab.d)
+    assert (kernels.clip_windows(X, 1) == X).all()
     h_pre = forward_batch(st_, X)[1].h_pre
     assert np.allclose(h_pre, X.astype(np.float64) @ st_.W[:, 0].T)
 
@@ -304,7 +308,7 @@ def test_frozen_fc_gets_zero_gradient(vocab):
         st_ = _state(M=3, d=vocab.d)
         _, cache = forward_batch(st_, X)
         assert (backward_batch(st_, cache, np.ones(8))["fc_trad"] != 0).any()
-        windows = trainer.WindowedSet(X=kernels.clip_windows(X, st_.k, st_.padding),
+        windows = trainer.WindowedSet(X=kernels.clip_windows(X, st_.k),
                                       labels=np.arange(8) % 2 == 0, vocabulary=vocab)
         fc0 = st_.fc_trad.copy()
         rec = trainer.train_epoch(st_, windows, objective.LossWeights(), 0.5, freeze,
@@ -349,33 +353,36 @@ def test_state_json_round_trip():
 
 
 def test_filters_json_round_trip():
-    """W, the era, the padding and NaN precisions (written as null) survive."""
+    """W, the era and NaN precisions (written as null) survive; the file
+    records the padding of 3-step filters, 1."""
     W = np.random.default_rng(0).random((4, 3, 13))
     precision = np.array([0.5, np.nan, 1.0, 0.0])
-    snap = netcore.EraSnapshot(era=7, W=W, per_filter_precision=precision, padding=2)
+    snap = netcore.EraSnapshot(era=7, W=W, per_filter_precision=precision)
     text = netcore.filters_to_json(snap, {"config_hash": "abc"})
     assert json.loads(text)["per_filter_precision"] == [0.5, None, 1.0, 0.0]
+    assert json.loads(text)["padding"] == 1
     back = netcore.filters_from_json(text)
-    assert (back.W == W).all() and back.era == 7 and back.padding == 2
+    assert (back.W == W).all() and back.era == 7
     assert np.array_equal(back.per_filter_precision, precision, equal_nan=True)
 
 
 @pytest.mark.parametrize("k,want", [(1, 0), (3, 1)])
 def test_a_missing_padding_reads_as_1_or_0_at_k_1(vocab, k, want):
-    """Model, snapshot and bank files written before the `padding` field read
-    as padding 1, or as 0 at k = 1, where padding 1 would pass k - 1."""
-    state = init_state(4, k, vocab.d, padding=0, rng=0)
+    """Model, snapshot and bank files record padding 1, or 0 at k = 1, where
+    padding 1 would pass k - 1; a file written before the field loads as the
+    same file with it."""
+    state = init_state(4, k, vocab.d, rng=0)
     snap = netcore.EraSnapshot(era=0, W=state.W, per_filter_precision=np.full(4, np.nan))
     cells = np.zeros((k, vocab.d), dtype=np.uint8)
     cells[0, vocab.help_index] = 1
     bank = curator.PatternBank(patterns=(curator.Pattern(cells=cells, pattern_id="p"),),
                                vocabulary=vocab)
-    for text, load in ((netcore.state_to_json(state), netcore.state_from_json),
-                       (netcore.filters_to_json(snap), netcore.filters_from_json),
-                       (curator.bank_to_json(bank), curator.bank_from_json)):
-        doc = json.loads(text)
-        del doc["padding"]
-        assert load(json.dumps(doc)).padding == want
+    for dump, load, value in ((netcore.state_to_json, netcore.state_from_json, state),
+                              (netcore.filters_to_json, netcore.filters_from_json, snap),
+                              (curator.bank_to_json, curator.bank_from_json, bank)):
+        doc = json.loads(dump(value))
+        assert doc.pop("padding") == want
+        assert dump(load(json.dumps(doc))) == dump(value)
 
 
 @pytest.mark.parametrize("load", [netcore.state_from_json, netcore.filters_from_json])

@@ -157,7 +157,7 @@ def _batch(vocab, seed, B=64, M=16, k=3, L=5):
     state = netcore.init_state(M, k, vocab.d, rng=rng)
     state.W[:] = _weights_in_unit_box(rng, state.W.shape)
     X = random_legal_clip_batch(vocab, B, L, rng)
-    Xw = kernels.clip_windows(X, k, state.padding)
+    Xw = kernels.clip_windows(X, k)
     # half the filters are jittered copies of batch windows, so that their
     # pooled activations reach the thresholding offset and the head's
     # sigmoid and softmax are not saturated at exact 0 or 1
@@ -214,7 +214,7 @@ def test_dropout_scales_the_maps_before_the_pool(vocab):
     lo = 0.9
     while lo * scale != np.nextafter(lo, 2.0) * scale:
         lo = np.nextafter(lo, 2.0)
-    state = netcore.init_state(1, 1, vocab.d, padding=0, rng=0)
+    state = netcore.init_state(1, 1, vocab.d, rng=0)
     state.W[:] = 0.0
     state.W[0, 0, 3], state.W[0, 0, 4] = lo, np.nextafter(lo, 2.0)
     Xw = np.zeros((1, 2, vocab.d), dtype=np.uint8)
@@ -248,7 +248,7 @@ def test_train_epoch_matches_reference_bits(vocab, planted, alpha, freeze):
     from patternconv import corpus
 
     ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=5, p_plant=0.2)
-    windows = trainer.WindowedSet.build(ds, 3, 1)
+    windows = trainer.WindowedSet.build(ds, 3)
     cfg = trainer.TrainConfig(batch_size=32)
     weights = LossWeights(bin=0.7, min=0.3, sub=0.0, poss=1.0)
     state = netcore.init_state(12, 3, vocab.d, rng=np.random.default_rng(3))
@@ -295,8 +295,7 @@ def test_synth_matches_recorded_digest(vocab, planted, seed, noise):
     ds = corpus.synth_generate(
         vocab, planted, data["n_clips"], noise, noise, seed=seed,
         clip_length=data["clip_length"], p_plant=data["p_plant"], p_help=data["p_help"],
-        p_feature=data["p_feature"], p_distract=data["p_distract"],
-        match_padding=cli.DEFAULT_CONFIG["model"]["padding"])
+        p_feature=data["p_feature"], p_distract=data["p_distract"])
     digest = hashlib.sha256(ds.steps_array().tobytes())
     digest.update(ds.labels().tobytes())
     assert digest.hexdigest() == SYNTH_DIGESTS[seed, noise]

@@ -32,14 +32,14 @@ def test_windowed_set_holds_a_contiguous_copy_of_the_windows(vocab, planted):
     """Training gathers each batch from WindowedSet.X; the kernels' windows
     are a read-only strided view, so the set keeps a C-contiguous copy."""
     ds = _dataset(vocab, planted)
-    windows = WindowedSet.build(ds, 3, 1)
+    windows = WindowedSet.build(ds, 3)
     assert windows.X.flags.c_contiguous
     assert (windows.X == kernels.clip_windows(ds.steps_array(), 3, 1)).all()
 
 
 def test_zero_learning_rate_leaves_params(vocab, planted):
     ds = _dataset(vocab, planted)
-    windows = WindowedSet.build(ds, 3, 1)
+    windows = WindowedSet.build(ds, 3)
     cfg = _small_config(learning_rate=0.0)
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     W0, fc0 = st_.W.copy(), st_.fc_trad.copy()
@@ -51,7 +51,7 @@ def test_zero_learning_rate_leaves_params(vocab, planted):
 
 def test_freeze_keeps_fc_trad(vocab, planted):
     ds = _dataset(vocab, planted)
-    windows = WindowedSet.build(ds, 3, 1)
+    windows = WindowedSet.build(ds, 3)
     cfg = _small_config()
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     fc0 = st_.fc_trad.copy()
@@ -62,7 +62,7 @@ def test_freeze_keeps_fc_trad(vocab, planted):
 
 def test_plain_training_reduces_bce(vocab, planted):
     ds = _dataset(vocab, planted, n=200, seed=1)
-    windows = WindowedSet.build(ds, 3, 1)
+    windows = WindowedSet.build(ds, 3)
     cfg = _small_config()
     st_ = netcore.init_state(8, 3, vocab.d, rng=np.random.default_rng(0))
     rng = np.random.default_rng(2)
@@ -77,7 +77,7 @@ def test_plain_training_reduces_bce(vocab, planted):
 
 def test_weights_stay_clamped(vocab, planted):
     ds = _dataset(vocab, planted)
-    windows = WindowedSet.build(ds, 3, 1)
+    windows = WindowedSet.build(ds, 3)
     cfg = _small_config(learning_rate=0.5)
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     for _ in range(5):
@@ -90,7 +90,7 @@ def test_weights_stay_clamped(vocab, planted):
 def test_nan_weight_raises_numerical_error(vocab, planted, alpha):
     """A NaN in W makes the batch BCE non-finite through either head, so the
     BCE check alone catches it; the regularizers need no check of their own."""
-    windows = WindowedSet.build(_dataset(vocab, planted), 3, 1)
+    windows = WindowedSet.build(_dataset(vocab, planted), 3)
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     st_.W[1, 2, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite loss"):
@@ -103,7 +103,7 @@ def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
     train_epoch writes back is its clamp to [0, 1] alone: np.maximum then
     np.minimum in place, the bits of np.clip(W, 0, 1) on a signed zero, on
     values either side of the box and on a NaN."""
-    windows = WindowedSet.build(_dataset(vocab, planted), 3, 1)  # two batches
+    windows = WindowedSet.build(_dataset(vocab, planted), 3)  # two batches
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     st_.W[:] = np.resize([-0.0, -0.2, 0.0, 1.0, 1.3, np.nan, 0.25], st_.W.shape)
     W0 = st_.W.copy()
@@ -134,20 +134,20 @@ def test_filter_precision_fixture(vocab, planted):
     relabeled = corpus.Dataset(vocabulary=vocab, clips=tuple(
         corpus.Clip(clip_id=c.clip_id, steps=c.steps, label=i < 3)
         for i, c in enumerate(chosen)))
-    prec = eval_filter_precision(W, WindowedSet.build(relabeled, 3, 1))
+    prec = eval_filter_precision(W, WindowedSet.build(relabeled, 3))
     assert prec[0] == pytest.approx(0.3)
 
 
 def test_filter_precision_no_match_is_nan(vocab, planted):
     ds = _dataset(vocab, planted, n=50)
     W = np.ones((1, 3, vocab.d))  # demands everything: matches nothing
-    assert np.isnan(eval_filter_precision(W, WindowedSet.build(ds, 3, 1))[0])
+    assert np.isnan(eval_filter_precision(W, WindowedSet.build(ds, 3))[0])
 
 
 def test_filter_precision_pure_positive(vocab, planted):
     ds = _dataset(vocab, [planted[0]], n=400, seed=4)
     W = planted[0].cells[None].astype(np.float64)
-    assert eval_filter_precision(W, WindowedSet.build(ds, 3, 1))[0] == 1.0
+    assert eval_filter_precision(W, WindowedSet.build(ds, 3))[0] == 1.0
 
 
 # ----------------------------------------------------------------- harvest

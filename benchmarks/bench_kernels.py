@@ -17,18 +17,27 @@ matching are timed on the whole batch and on a single clip, the shape of
 candidate test in its rejection sampling.
 `bank_predict_batch`, the bank scoring of `eval`, is timed over the batch
 for banks of 7, 8, 131 and 132 sparse random patterns, each row with the
-tracemalloc peak of one call: matching runs in blocks of about 4,096 window
-rows, so the peak is the one zero-padded uint8 copy of the clips that their
-windows view, (L + 2·padding)·d bytes a clip, plus a few MB for a block.
+tracemalloc peak of one call: matching runs in blocks of at most 4,096
+window rows and 2**17 row-by-pattern products, so the peak is the one
+zero-padded uint8 copy of the clips that their windows view,
+(L + 2·padding)·d bytes a clip, plus about 1 MB for a block.
 `evalmetrics.evaluate` of the 7-pattern bank over the batch (a fifth of the
 clips labelled positive) is timed as `eval` runs it: the scoring plus the
-metrics report of its bool scores. The
+metrics report of its bool scores.
+`trainer.eval_filter_precision` is timed over the batch at 64 and 2,048
+random filters, the acceptance model's and the source paper's, each row
+with the tracemalloc peak of one call: it counts each block's matches, so
+the peak stays near one block at either count. The
 curation pools default to 300 and 1,359 unique patterns; 1,359 is the
 unique count of the source paper's funnel. The `prune_subsumed` row prints
 the patterns it keeps and the tracemalloc peak of one call: pruning matches
-the patterns over themselves as zero-padded clips, one block of about 4,096
-window rows at a time, so the peak grows with the pattern count (a block's
-float32 products are about 22 MB at 1,359 patterns). `harvest+dedup` harvests 19
+the patterns over themselves as zero-padded clips, one block at a time, so
+its peak beyond one block is the n x n dominance matrix, 1.8 MB at 1,359
+patterns. The `rank+curve` row ranks the pool on the batch and draws
+its kappa curve over the batch, with the tracemalloc peak of one call:
+ranking counts each block's matched and positive clips, and the curve keeps
+each clip's lowest matching rank, so neither holds a clips x patterns
+matrix. `harvest+dedup` harvests 19
 shuffled, jittered raw filters per pool pattern (a quarter pushed
 off-binary, precisions uniform on [0, 1]; 25,821 filters at 1,359, about
 the 25,981 the paper harvests) and deduplicates what it keeps.
@@ -90,6 +99,9 @@ BANK_SIZES = (7, 8, 131, 132)
 RAW_PER_UNIQUE = 19
 # fresh processes whose median each single-clip row and step row reports
 ROW_PROCESSES = 5
+# filters of the filter-precision rows: the acceptance model's and the
+# source paper's
+PRECISION_FILTERS = (64, 2048)
 
 
 def _time(fn, *args, repeats=10):
@@ -232,8 +244,8 @@ def step_rows(X: np.ndarray, M: int, k: int, repeats: int) -> dict:
     return rows
 
 
-def bench_curation(sizes, k: int, repeats: int) -> None:
-    vocab = FeatureVocabulary.default()
+def bench_curation(sizes, k: int, repeats: int, ds: corpus.Dataset) -> None:
+    vocab = ds.vocabulary
     print(f"{'curation pass':<20} {'patterns':>9} {'time':>12} {'out':>7}")
     for n in sizes:
         rng = np.random.default_rng(n)
@@ -242,6 +254,9 @@ def bench_curation(sizes, k: int, repeats: int) -> None:
         t = _time(curator.prune_subsumed, pats, repeats=repeats)
         kept, peak = _traced(curator.prune_subsumed, pats)
         print(f"{'prune_subsumed':<20} {n:>9} {_us(t)} {len(kept):>7}  {peak:.2f}MB peak")
+        t = _time(curator.cumulative_kappa_curve, pats, ds, ds, repeats=repeats)
+        peak = _traced(curator.cumulative_kappa_curve, pats, ds, ds)[1]
+        print(f"{'rank+curve':<20} {n:>9} {_us(t)} {len(ds):>7}  {peak:.2f}MB peak")
         # four raw filters per pattern: near-binary jitter, a quarter pushed off-binary
         W = np.repeat(cells, 4, axis=0).astype(np.float64)
         W = np.abs(W - rng.random(W.shape) * 0.04)
@@ -321,6 +336,12 @@ def main(argv=None):
         for kind, values in (("tie-heavy", scores), ("bool", rng.random(n) < 0.1)):
             t = _time(evalmetrics.auc, values, labels, repeats=args.repeats)
             print(f"{'auc':<20} {n:>9} {_us(t)}  {kind}")
+    windowed = trainer.WindowedSet.build(ds, k)
+    for n in PRECISION_FILTERS:
+        filters = (rng.random((n, k, d)) < 0.1).astype(np.float64)
+        t = _time(trainer.eval_filter_precision, filters, windowed, repeats=args.repeats)
+        peak = _traced(trainer.eval_filter_precision, filters, windowed)[1]
+        print(f"{'eval_filter_precision':<20} {B:>9} {_us(t)}  {n} filters  {peak:.2f}MB peak")
     bench_load(B, L, args.repeats)
     step_clips = step_batch(X)
     _median_row("train step", step_clips, per_process["train step"])
@@ -329,7 +350,7 @@ def main(argv=None):
         _median_row("regularizer_grad", "", per_process[f"regularizer_grad {name}"],
                     f"  {M} filters, weights {name}")
 
-    bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats)
+    bench_curation([int(n) for n in args.pool_sizes.split(",")], k, args.repeats, ds)
 
 
 if __name__ == "__main__":

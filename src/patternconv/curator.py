@@ -161,14 +161,11 @@ def discrete_match(pattern, clip, padding: int | None = None) -> tuple[bool, int
     return first >= 0, (first if first >= 0 else None)
 
 
-def match_matrix(patterns, dataset_or_steps) -> np.ndarray:
+def match_matrix(patterns, steps) -> np.ndarray:
     """(n_patterns, n_clips) first-window matrix, -1 when no match, of
-    patterns (Patterns or (k, d) cells) of one shape over a dataset or its
-    (n_clips, L, d) steps."""
-    if isinstance(dataset_or_steps, Dataset):
-        X = dataset_or_steps.steps_array()
-    else:
-        X = np.asarray(dataset_or_steps)
+    patterns (Patterns or (k, d) cells) of one shape over clip steps
+    (n_clips, L, d)."""
+    X = np.asarray(steps)
     if not len(patterns):
         return np.full((0, len(X)), -1, dtype=np.int64)
     cells = np.stack([getattr(p, "cells", p) for p in patterns])
@@ -176,13 +173,18 @@ def match_matrix(patterns, dataset_or_steps) -> np.ndarray:
         cells, kernels.clip_windows(X.astype(np.uint8, copy=False), cells.shape[1]))
 
 
+def _stacked(patterns, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The cells (P, k, d) of one or more patterns of one shape, and the
+    dataset's clip windows for k-step patterns."""
+    cells = np.stack([p.cells for p in patterns])
+    return cells, kernels.clip_windows(dataset.steps_array(), cells.shape[1])
+
+
 def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
     """(n_clips,) whether any of the bank's patterns matches each clip."""
-    X = dataset.steps_array()
     if not bank.patterns:
-        return np.zeros(len(X), dtype=bool)
-    cells = np.stack([p.cells for p in bank.patterns])
-    return kernels.match_any(cells, kernels.clip_windows(X, cells.shape[1]))
+        return np.zeros(len(dataset), dtype=bool)
+    return kernels.match_any(*_stacked(bank.patterns, dataset))
 
 
 def dedup(patterns) -> list[Pattern]:
@@ -250,33 +252,32 @@ def prune_subsumed(patterns, clip_length: int = DEFAULT_CLIP_LENGTH) -> list[Pat
     if not patterns:
         return []
     cells = np.stack([p.cells for p in patterns])
-    D = _dominance(cells, clip_length)
-    np.fill_diagonal(D, False)
-    later = np.tri(len(patterns), k=-1, dtype=bool)  # [i, j] with j < i
-    dominated = (D & ~(D.T & later)).any(axis=0)
+    E = _dominance(cells, clip_length).T  # E[j, i]: pattern i subsumes pattern j
+    np.fill_diagonal(E, False)
+    # A mutual (shift-equal) pair keeps the earlier pattern: [j, i] with
+    # j < i is cleared where [i, j] holds. In place, a band of rows at a
+    # time, each reading only entries below the diagonal, which no band
+    # writes, so that pruning holds one n x n array.
+    for lo in range(0, len(patterns), 128):
+        band = E[lo:lo + 128]
+        band[:, lo + 128:] &= ~E[lo + 128:, lo:lo + 128].T
+        square = band[:, lo:lo + 128]
+        square &= ~np.tril(square, -1).T
+    dominated = E.any(axis=1)
     return [p for p, out in zip(patterns, dominated) if not out]
-
-
-def match_precision(hits: np.ndarray, labels: np.ndarray):
-    """Per-row (precision, matched count) of a (n_patterns, n_clips) hit
-    matrix against the clip labels; precision is NaN for rows with no hit."""
-    matched = hits.sum(axis=1)
-    tp = (hits & labels[None, :]).sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        prec = np.where(matched > 0, tp / np.maximum(matched, 1), np.nan)
-    return prec, matched
 
 
 def rank_by_precision(patterns, ranking_set: Dataset) -> list[Pattern]:
     """Refresh precisions on ranking_set and sort descending by precision,
     ties broken by pattern_id for determinism. The low_support flag is
     informational metadata and does not affect the order."""
-    prec, matched = match_precision(match_matrix(patterns, ranking_set) >= 0,
-                                    ranking_set.labels())
+    if not patterns:
+        return []
+    matched, tp = kernels.match_counts(*_stacked(patterns, ranking_set),
+                                       ranking_set.labels()).tolist()
     updated = [
-        replace(p, precision_train=(None if np.isnan(pr) else float(pr)),
-                low_support=bool(m < LOW_SUPPORT_MATCHES))
-        for p, pr, m in zip(patterns, prec, matched)
+        replace(p, precision_train=(t / m if m else None), low_support=m < LOW_SUPPORT_MATCHES)
+        for p, m, t in zip(patterns, matched, tp)
     ]
     return sorted(
         updated,
@@ -291,13 +292,13 @@ def cumulative_kappa_curve(patterns, ranking_set: Dataset, eval_set: Dataset):
     Returns (sorted_patterns, [(n, kappa), ...]) with one point per prefix.
     """
     ranked = rank_by_precision(patterns, ranking_set)
+    if not ranked:
+        return ranked, []
     labels = eval_set.labels()
     P = len(ranked)
     # the n-pattern prefix flags a clip when the clip's first matching pattern
-    # ranks below n; a last row of ones gives the rank P to a clip none matches
-    hits = np.vstack([match_matrix(ranked, eval_set) >= 0,
-                      np.ones(len(labels), dtype=bool)])
-    first = hits.argmax(axis=0)
+    # ranks below n; a clip none matches has rank P
+    first = kernels.match_first_pattern(*_stacked(ranked, eval_set))
     tp = np.bincount(first[labels], minlength=P + 1)[:P].cumsum()
     fp = np.bincount(first[~labels], minlength=P + 1)[:P].cumsum()
     n_pos = int(labels.sum())

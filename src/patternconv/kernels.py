@@ -12,17 +12,29 @@ window gets a trailing constant 1, so the product is the count of the
 pattern's cells the window holds less the count it needs, and a hit is a
 product of 0 or more, one scalar comparison. The columns are padded with
 zero columns ending in -1, which never hit, to a multiple of 4 patterns.
-`match_blocks` alone makes that product, about MATCH_BLOCK_ROWS window rows
-at a time: each block's windows are converted into one float32 buffer
-reused by every block, multiplied and thresholded, and reduced into the
-caller's result before the next, so no temporary grows with clips x windows
-x patterns. It has three consumers. `match_first_window` and `match_any`
-reduce clips; `match_any` reduces each block's hits to one flag per clip in
-one `np.logical_or.reduceat` call, and synth's one-clip candidate test is one
-block. `curator._dominance` reads the patterns themselves as zero-padded
-clips, so that one pass tests whether each pattern holds another at every
-shift. The block's products grow with the pattern count, so the 22 MB block
-at 1,359 patterns bounds pruning as well as matching.
+`match_blocks` alone makes that product, one block of whole clips at a time:
+each block's windows are converted into one float32 buffer reused by every
+block, multiplied and thresholded, and reduced into the caller's result
+before the next. A block holds at most MATCH_BLOCK_ROWS window rows and
+MATCH_BLOCK_PRODUCTS row-by-pattern products, so no temporary grows with
+the clips or with the patterns. Its consumers:
+- `match_first_window` keeps each clip's first matching window per pattern,
+  which `explain` and `discrete_match` read;
+- `match_any` reduces each block's hits to one flag per clip in one
+  `np.logical_or.reduceat` call, for bank scoring and for synth's one-clip
+  candidate test, which is one block;
+- `match_clip_blocks` reduces each block to whether each pattern matches
+  each clip. `match_counts` sums those into per-pattern matched and positive
+  clip counts, which filter precision and ranking divide, and
+  `match_first_pattern` keeps each clip's lowest matching pattern, which
+  the kappa curve counts. Neither holds a clips x patterns matrix: filter
+  precision at 2,048 filters over 1,200 clips peaks at 1.2 MB of
+  tracemalloc, and ranking plus the kappa curve of 1,359 patterns over
+  20,000 clips at 3.3 MB;
+- `curator._dominance` reads the patterns themselves as zero-padded clips,
+  so that one pass tests whether each pattern holds another at every
+  shift; the block bounds pruning too, which peaks at 3.1 MB for 1,359
+  patterns, 1.8 MB of it its n x n dominance matrix.
 """
 
 from __future__ import annotations
@@ -97,15 +109,17 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return (dh.reshape(-1, M).T @ X.reshape(-1, kd)).reshape(M, k, kd // k)
 
 
-# Window rows per block of matching: the block bounds rows, so no temporary
-# grows with the number of clips. Its float32 products grow with the pattern
-# count: about 2.2 MB at 132 patterns, 22.3 MB at 1,359 (4,096 rows x 1,360 x
-# 4 bytes), the block that also bounds subsumption pruning of that many
-# patterns. Sizing blocks by rows x patterns is an open ROADMAP item. Counted in
-# rows, not clips, so that long clips do not grow the block. Blocks of 512 to
-# 2,048 clips at C = 5 timed alike; blocks of 128 clips were slower, and so
-# was one pass over 10,000.
+# A block of matching holds at most MATCH_BLOCK_ROWS window rows and at most
+# MATCH_BLOCK_PRODUCTS row-by-pattern float32 products (512 KB), so no
+# temporary grows with the number of clips or of patterns: 2,048 rows at 64
+# patterns, 96 at 1,360, and the rows cap alone below 32 patterns, as for a
+# 7-pattern bank. The block that bounds matching also bounds subsumption
+# pruning, whose clips are the patterns. Counted in rows, not clips, so that
+# long clips do not grow the block. Blocks of 512 to 2,048 clips at C = 5
+# timed alike for a few patterns; blocks of 128 clips were slower, and so was
+# one pass over 10,000.
 MATCH_BLOCK_ROWS = 4096
+MATCH_BLOCK_PRODUCTS = 1 << 17
 
 
 def _pattern_matrix(cells: np.ndarray, kd: int) -> np.ndarray:
@@ -129,13 +143,15 @@ def _pattern_matrix(cells: np.ndarray, kd: int) -> np.ndarray:
 
 
 def match_blocks(cells: np.ndarray, X: np.ndarray):
-    """Each block of about MATCH_BLOCK_ROWS rows of the clip windows X
-    (B, C, k·d) from `clip_windows`, as its clip slice and (b·C, P') whether
-    each window holds each column of the patterns' `_pattern_matrix`: one
-    float32 GEMM per block, thresholded at once."""
+    """Each block of whole clips of the clip windows X (B, C, k·d) from
+    `clip_windows`, as its clip slice and (b·C, P') whether each window holds
+    each column of the patterns' `_pattern_matrix`: one float32 GEMM per
+    block, thresholded at once. A block has at most MATCH_BLOCK_ROWS rows and
+    MATCH_BLOCK_PRODUCTS products, and at least one clip."""
     B, C, kd = X.shape
     cols = _pattern_matrix(cells, kd)
-    size = max(1, MATCH_BLOCK_ROWS // max(C, 1))
+    rows = min(MATCH_BLOCK_ROWS, MATCH_BLOCK_PRODUCTS // max(cols.shape[1], 1))
+    size = max(1, rows // max(C, 1))
     # one buffer of float32 windows for every block, each window followed by
     # a constant 1 that picks up its pattern's minus cell count
     windows = np.empty((min(B, size), C, kd + 1), dtype=np.float32)
@@ -173,3 +189,36 @@ def match_any(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
             out[part] = np.logical_or.reduceat(
                 hit.ravel(), np.arange(0, hit.size, X.shape[1] * hit.shape[1]))
     return out
+
+
+def match_clip_blocks(cells: np.ndarray, X: np.ndarray):
+    """Each block of `match_blocks` as its clip slice and (b, P) whether each
+    of the patterns (P, k, d) matches some window of each clip."""
+    P, C = len(cells), X.shape[1]
+    for part, hit in match_blocks(cells, X):
+        yield part, hit.reshape(len(hit) // C, C, hit.shape[1]).any(axis=1)[:, :P]
+
+
+def match_counts(cells: np.ndarray, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(2, P) int64: per pattern (P, k, d), the clips of the windows X it
+    matches, and how many of those the (B,) bool labels mark positive."""
+    weights = np.ones((2, len(X)), dtype=np.float32)
+    weights[1] = labels
+    counts = np.zeros((2, len(cells)))
+    for part, hits in match_clip_blocks(cells, X):
+        # counts of 0/1 products, exact in float32 below 2**24 clips a block
+        counts += weights[:, part] @ hits.astype(np.float32)
+    return counts.astype(np.int64)
+
+
+def match_first_pattern(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(B,) int64: per clip of the windows X, the lowest index of the patterns
+    (P, k, d) that match it, P when none does."""
+    P = len(cells)
+    first = np.full(len(X), P, dtype=np.int64)
+    if not P:
+        return first
+    for part, hits in match_clip_blocks(cells, X):
+        lowest = hits.argmax(axis=1)
+        first[part] = np.where(hits[np.arange(len(lowest)), lowest], lowest, P)
+    return first

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels, netcore, objective
 from .corpus import Dataset, FeatureVocabulary
-from .curator import Harvest, Pattern, binarize_filters, match_precision
+from .curator import Harvest, Pattern, binarize_filters
 from .errors import DataError, NumericalError
 from .evalmetrics import confusion, kappa
 from .netcore import EraSnapshot, ModelState, backward_batch, forward_batch
@@ -146,8 +146,8 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
 def eval_filter_precision(W: np.ndarray, windowed: WindowedSet) -> np.ndarray:
     """Precision of each rounded filter under discrete matching on a windowed
     set; NaN when a filter matches no clip."""
-    first = kernels.match_first_window((W >= 0.5).astype(np.uint8), windowed.X)
-    return match_precision(first >= 0, windowed.labels)[0]
+    matched, tp = kernels.match_counts((W >= 0.5).astype(np.uint8), windowed.X, windowed.labels)
+    return np.where(matched > 0, tp / np.maximum(matched, 1), np.nan)
 
 
 def harvest_filters(W: np.ndarray, precisions: np.ndarray, era: int,

@@ -1,11 +1,30 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import patternconv
 from patternconv import cli, corpus
 from patternconv.corpus import FeatureVocabulary
 from patternconv.curator import Pattern
+
+
+def pytest_report_header(config):
+    # pytest's pythonpath setting puts this checkout's src/ ahead of
+    # PYTHONPATH, so name the package the run tests
+    return f"patternconv: {os.path.dirname(patternconv.__file__)}"
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_first_window, random_legal_clip_batch, random_legal_pattern
+from bench_kernels import pattern_pool
+from conftest import brute_first_window, random_legal_clip_batch, random_legal_pattern, traced_peak
 from patternconv import corpus, curator, kernels, trainer
 from patternconv.corpus import Clip, Dataset
 from patternconv.curator import (Pattern, PatternBank, bank_predict_batch,
@@ -426,6 +427,32 @@ def test_prune_matches_pair_rule_on_random_pools(vocab):
             assert got == _oracle_prune_ids(order), trial
 
 
+def test_prune_keeps_the_earlier_of_each_mutual_pair_across_row_bands(vocab):
+    """Past one band of 128 rows, each shift-equal pair keeps its earlier
+    pattern, as the matrix rule over `_dominance` does: 150 three-cell
+    patterns with an empty last step and each one shifted a step later,
+    shuffled. Patterns of one size subsume only their own shifts."""
+    rng = np.random.default_rng(25)
+    seen, cells = set(), []
+    while len(cells) < 150:
+        c = random_legal_pattern(vocab, 3, rng, p_cell=0.15).cells.copy()
+        c[2] = 0
+        if c.sum() == 3 and c.tobytes() not in seen:
+            seen.add(c.tobytes())
+            cells.append(c)
+    pool = cells + [np.roll(c, 1, axis=0) for c in cells]
+    order = [_pat(pool[i], f"p{i:03d}") for i in rng.permutation(len(pool))]
+    D = curator._dominance(np.stack([p.cells for p in order]), corpus.DEFAULT_CLIP_LENGTH)
+    np.fill_diagonal(D, False)
+    later = np.tri(len(order), k=-1, dtype=bool)  # [i, j] with j < i
+    dominated = (D & ~(D.T & later)).any(axis=0)
+    kept = prune_subsumed(order)
+    assert kept == [p for p, out in zip(order, dominated) if not out]
+    i, j = np.nonzero(np.triu(D & D.T))
+    assert (i // 128 != j // 128).sum() >= 50  # mutual pairs that straddle bands
+    assert len(kept) >= 140  # about one of each pair
+
+
 def test_prune_keeps_earlier_of_shift_equal_pair(vocab):
     a = np.zeros((3, vocab.d), dtype=np.uint8)
     a[0, vocab.submission_indices[1]] = 1
@@ -442,6 +469,22 @@ def test_prune_empty_and_single(vocab):
     assert prune_subsumed([]) == []
     p = random_legal_pattern(vocab, 3, np.random.default_rng(22))
     assert prune_subsumed([p]) == [p]
+
+
+def _paper_pool(vocab):
+    """The benchmark's pool of 1,359 unique patterns, the source paper's
+    unique count."""
+    cells = pattern_pool(1359, 3, vocab, np.random.default_rng(1359))
+    return [_pat(c, f"p{i:05d}") for i, c in enumerate(cells)]
+
+
+def test_prune_at_the_paper_unique_count_holds_one_block(vocab):
+    """Pruning 1,359 patterns matches them over themselves one block of
+    about MATCH_BLOCK_PRODUCTS products at a time: a tracemalloc peak below
+    10 MB, where a 4,096-row block of their products would be 22 MB."""
+    pats = _paper_pool(vocab)
+    kept, peak = traced_peak(prune_subsumed, pats)
+    assert peak < 10e6 and 0 < len(kept) < len(pats)
 
 
 # ------------------------------------------------------------------ harvest
@@ -589,7 +632,7 @@ def _kappa_curve_oracle(ranked, eval_set):
     labels = eval_set.labels()
     curve = []
     any_hit = np.zeros(len(eval_set), dtype=bool)
-    for n, row in enumerate(match_matrix(ranked, eval_set) >= 0, start=1):
+    for n, row in enumerate(match_matrix(ranked, eval_set.steps_array()) >= 0, start=1):
         any_hit |= row
         kap = kappa(confusion(any_hit.astype(float), labels))
         curve.append((n, kap if kap is not None else 0.0))
@@ -627,6 +670,18 @@ def test_curve_peaks_at_planted(vocab, planted):
     ranked, curve = cumulative_kappa_curve(list(planted) + junk, ds, ds)
     best_n = max(curve, key=lambda p: p[1])[0]
     assert best_n <= 3 and curve[2][1] == pytest.approx(1.0)
+
+
+def test_rank_and_curve_at_the_paper_unique_count_hold_no_clips_by_patterns_matrix(vocab):
+    """Ranking 1,359 patterns and drawing their kappa curve over 20,000
+    clips reduce each block of matches to counts and lowest ranks: the
+    curve's tracemalloc peak, ranking included, stays below 50 MB, where one
+    patterns x clips int64 first-window matrix is 217 MB."""
+    rng = np.random.default_rng(23)
+    ds = Dataset(vocabulary=vocab, steps=random_legal_clip_batch(vocab, 20_000, 5, rng),
+                 labels=rng.random(20_000) < 0.3)
+    (ranked, curve), peak = traced_peak(cumulative_kappa_curve, _paper_pool(vocab), ds, ds)
+    assert peak < 50e6 and len(ranked) == len(curve) == 1359
 
 
 def test_select_bank_rules(vocab):

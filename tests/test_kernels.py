@@ -3,13 +3,12 @@ brute-force window scan."""
 
 import importlib.util
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (brute_first_window, padded_clips, random_legal_clip_batch,
-                      random_legal_pattern)
+                      random_legal_pattern, traced_peak)
 from patternconv import kernels
 from patternconv.corpus import Dataset
 from patternconv.curator import PatternBank, bank_predict_batch
@@ -134,27 +133,44 @@ def test_threshold_column_at_the_extreme_cell_counts(padding):
 @pytest.mark.parametrize("n_patterns", [1, 4, 5, 8, 131, 132])
 @pytest.mark.parametrize("padding", [0, 1])
 def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
-    """With blocks of a few clips' worth of window rows, every clip count on
-    either side of a block seam matches as the window scan does; the bank
-    pads as kernels.PADDING says."""
+    """With a product budget of three clips' worth of window rows at each
+    bank width, every clip count on either side of a block seam matches as
+    the window scan does: first windows, any match, the per-pattern matched
+    and positive counts and each clip's lowest matching pattern, also for 0
+    patterns and 0 clips; the bank pads as kernels.PADDING says."""
     block = 3  # clips per block
-    monkeypatch.setattr(kernels, "MATCH_BLOCK_ROWS", block * (5 + 2 * padding - 3 + 1))
+    C = 5 + 2 * padding - 3 + 1
+    width = -(-n_patterns // 4) * 4  # the pattern matrix's padded columns
+    monkeypatch.setattr(kernels, "MATCH_BLOCK_PRODUCTS", block * C * width)
     monkeypatch.setattr(kernels, "PADDING", padding)
     rng = np.random.default_rng(40 + 2 * n_patterns + padding)
     pats = [random_legal_pattern(vocab, 3, rng) for _ in range(n_patterns)]
     cells = np.stack([p.cells for p in pats])
     X = random_legal_clip_batch(vocab, 2 * block + 1, 5, rng)
     X[1::2, 1:4] = cells[-1]  # the last pattern in every other clip
+    labels = rng.random(len(X)) < 0.5
     bank = PatternBank(patterns=tuple(pats), vocabulary=vocab)
-    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
         Xn = X[:n]
         Xw = kernels.clip_windows(Xn, 3, padding)
+        assert [part.stop - part.start for part, _ in kernels.match_blocks(cells, Xw)] == [
+            block] * -(-n // block)
         want = brute_first_window(cells, Xn, padding)
         assert (kernels.match_first_window(cells, Xw) == want).all()
         hits = _brute_hits(cells, Xn, padding)
         assert (kernels.match_any(cells, Xw) == hits.any(axis=(1, 2))).all()
         got = bank_predict_batch(bank, Dataset(vocabulary=vocab, steps=Xn, labels=np.zeros(n)))
         assert (got == (want >= 0).any(axis=0)).all() and got[1::2].all()
+        matched = want >= 0
+        counts = kernels.match_counts(cells, Xw, labels[:n])
+        assert counts.dtype == np.int64 and counts.tolist() == [
+            matched.sum(axis=1).tolist(), (matched & labels[:n]).sum(axis=1).tolist()]
+        first = kernels.match_first_pattern(cells, Xw)
+        lowest = np.vstack([matched, np.ones(n, bool)]).argmax(axis=0)
+        assert first.dtype == np.int64 and first.tolist() == lowest.tolist()
+        assert kernels.match_counts(cells[:0], Xw, labels[:n]).shape == (2, 0)
+        assert kernels.match_first_pattern(cells[:0], Xw).tolist() == [0] * n
+    assert (first[1::2] < n_patterns).all()  # the planted clips match
     empty_bank = PatternBank(patterns=(), vocabulary=vocab)
     ds = Dataset(vocabulary=vocab, steps=X, labels=np.zeros(len(X)))
     assert not bank_predict_batch(empty_bank, ds).any()
@@ -168,20 +184,21 @@ def test_matching_across_block_seams(vocab, monkeypatch, n_patterns, padding):
 
 
 def test_matching_holds_one_block_of_counts(vocab):
-    """A block's float32 counts are freed once they are thresholded, so
-    matching three blocks peaks at one block's counts and two blocks' hits,
-    below two blocks' counts."""
+    """A block of 400 patterns holds about MATCH_BLOCK_PRODUCTS float32
+    products, freed once they are thresholded, so each reduction over three
+    blocks peaks below two blocks' products."""
     rng = np.random.default_rng(5)
     cells = np.stack([random_legal_pattern(vocab, 3, rng).cells for _ in range(400)])
-    rows = kernels.MATCH_BLOCK_ROWS // 5 * 5  # whole five-window clips
-    Xw = kernels.clip_windows(random_legal_clip_batch(vocab, 3 * rows // 5, 5, rng), 3, 1)
-    tracemalloc.start()
-    try:
-        kernels.match_any(cells, Xw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * rows * len(cells) * 4
+    width = len(cells)  # a multiple of 4: no padding columns
+    rows = kernels.MATCH_BLOCK_PRODUCTS // width // 5 * 5  # whole five-window clips
+    X = random_legal_clip_batch(vocab, 3 * rows // 5, 5, rng)
+    Xw = kernels.clip_windows(X, 3, 1)
+    labels = rng.random(len(X)) < 0.5
+    assert len(list(kernels.match_blocks(cells, Xw))) == 3
+    for reduce, args in ((kernels.match_any, ()), (kernels.match_counts, (labels,)),
+                         (kernels.match_first_pattern, ())):
+        peak = traced_peak(reduce, cells, Xw, *args)[1]
+        assert peak < 2 * rows * width * 4, reduce.__name__
 
 
 def test_match_empty_inputs():
@@ -250,6 +267,16 @@ def test_bench_kernels_script_runs(capsys):
     assert [row[1] for row in rows] == ["30"]
     assert all(row[4].endswith("MB") and float(row[4][:-2]) > 0 and row[5] == "peak"
                for row in rows)  # the tracemalloc peak of one call
+    rows = [line.split() for line in out.splitlines() if line.startswith("rank+curve")]
+    assert [(row[1], row[3]) for row in rows] == [("30", "8")]  # the pool over the batch
+    assert all(row[4].endswith("MB") and float(row[4][:-2]) > 0 and row[5] == "peak"
+               for row in rows)
+    rows = [line.split() for line in out.splitlines()
+            if line.startswith("eval_filter_precision")]
+    assert [(row[1], row[3], row[4]) for row in rows] == [("8", "64", "filters"),
+                                                          ("8", "2048", "filters")]
+    assert all(row[5].endswith("MB") and float(row[5][:-2]) > 0 and row[6] == "peak"
+               for row in rows)
     rows = [line.split() for line in out.splitlines() if line.startswith("harvest+dedup")]
     assert [(row[1], row[3]) for row in rows] == [("570", "30")]  # 19 raw per unique
     rows = [line.split() for line in out.splitlines() if line.startswith("auc")]

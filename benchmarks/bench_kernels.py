@@ -204,7 +204,7 @@ def bench_load(n: int, L: int, repeats: int) -> None:
 def step_batch(X: np.ndarray) -> int:
     """The clips of a training step: the training batch size, or the batch
     if smaller."""
-    return min(trainer.TrainConfig().batch_size, len(X))
+    return min(trainer.BATCH_SIZE, len(X))
 
 
 def step_rows(X: np.ndarray, M: int, k: int, repeats: int) -> dict:
@@ -225,7 +225,7 @@ def step_rows(X: np.ndarray, M: int, k: int, repeats: int) -> dict:
         y, cache = netcore.forward_batch(state, Xw, dropout, rng)
         dW = netcore.backward_batch(state, cache, objective.bce_grad(y, labels) / B)["W"]
         dW += objective.regularizer_grad(state.W, on, vocab)
-        dW *= 0.05
+        dW *= trainer.LEARNING_RATE
         state.W -= dW
         np.maximum(0.0, state.W, out=state.W)
         np.minimum(state.W, 1.0, out=state.W)

@@ -22,10 +22,12 @@ _COUNT, _INDEX = within("[1, inf)", INTEGER), within("[0, inf)", INTEGER)
 # at most 2**53, the largest integer a float holds exactly, so that
 # eras * epochs_per_era stays a finite float
 _ERA_COUNT = within("[1, 9007199254740992]", INTEGER)
-_UNIT, _RATE, _NOISE = within("[0, 1]"), within("[0, inf)"), within("[0, 0.5)")
+_UNIT, _NOISE = within("[0, 1]"), within("[0, 0.5)")
 # Every key a config may set, with its rule and default as errors.fields reads
 # them. A null planted_bank plants the default patterns and a null n_override
-# selects by kappa; no other key takes null.
+# selects by kappa; no other key takes null. The values no run varies are
+# constants: the learning rates and batch size in trainer, and synth's
+# background rates as synth_generate's defaults.
 _SCHEMA = {
     "model": {"M": (*_COUNT, 64), "k": (*_COUNT, 3)},
     "data": {
@@ -34,17 +36,12 @@ _SCHEMA = {
         "p_plant": (*_UNIT, 0.06),
         "label_noise": (*_NOISE, 0.0),
         "feature_noise": (*_NOISE, 0.0),
-        "p_help": (*_UNIT, 0.3),
-        "p_feature": (*_UNIT, 0.10),
         "p_distract": (*_UNIT, 0.7),
         "planted_bank": (*nullable(STRING), None),
     },
     "split": {"test_fraction": (*within("(0, 1)"), 0.25),
               "val_fraction": (*within("(0, 1)"), 0.2)},
     "train": {
-        "learning_rate": (*_RATE, 0.05),
-        "final_learning_rate": (*_RATE, 0.015),
-        "batch_size": (*_COUNT, 64),
         "eras": (*_ERA_COUNT, 5),
         "epochs_per_era": (*_ERA_COUNT, 50),
         "seed": (*_INDEX, 0),
@@ -111,13 +108,11 @@ def default_planted_patterns(vocab: corpus.FeatureVocabulary) -> list[curator.Pa
 
 
 def build_train_config(cfg: dict) -> trainer.TrainConfig:
-    """The schedule from eras and epochs_per_era; every other train key is the
-    TrainConfig field of its name."""
+    """The TrainConfig of the config's train section: of the default config,
+    TrainConfig()."""
     tcfg = cfg["train"]
-    schedule_keys = ("eras", "epochs_per_era")
     return trainer.TrainConfig(
-        schedule=ConstraintSchedule(**{key: tcfg[key] for key in schedule_keys}),
-        **{key: tcfg[key] for key in tcfg if key not in schedule_keys})
+        schedule=ConstraintSchedule(tcfg["eras"], tcfg["epochs_per_era"]), seed=tcfg["seed"])
 
 
 def _write(path: str, text: str) -> None:
@@ -231,7 +226,7 @@ def cmd_train(cfg: dict, out: str, dataset_path: str) -> int:
         _write(os.path.join(out, "snapshots", f"era_{snap.era:03d}.json"),
                netcore.filters_to_json(snap, {"config_hash": h}))
 
-    _write(os.path.join(out, "model.json"), netcore.state_to_json(state))
+    _write(os.path.join(out, "model.json"), netcore.state_to_json(state, {"config_hash": h}))
     bank = curator.PatternBank(patterns=tuple(harvested), vocabulary=train_set.vocabulary)
     _write(os.path.join(out, "harvested.json"), curator.bank_to_json(bank, {"config_hash": h}))
     _write(os.path.join(out, "manifest.json"),

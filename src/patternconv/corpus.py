@@ -505,8 +505,8 @@ def synth_generate(
     clip_length: int = DEFAULT_CLIP_LENGTH,
     p_plant: float = 0.06,
     p_help: float = 0.3,
-    p_feature: float = 0.15,
-    p_distract: float = 0.0,
+    p_feature: float = 0.10,
+    p_distract: float = 0.7,
 ) -> Dataset:
     """Generate a planted-pattern dataset with recoverable ground truth.
 
@@ -519,6 +519,10 @@ def synth_generate(
     random window (re-checked to still match no full pattern). Distractors
     keep any strictly-more-general variant of a planted pattern from being a
     usable classifier, so recovery of a pattern requires recovering it exactly.
+
+    The defaults are the CLI's default run, whose config sets neither
+    `p_help` (a background step's chance to be a help request) nor `p_feature`
+    (each of its context features' chance to be on).
     """
     if not (0 <= label_noise < 0.5) or not (0 <= feature_noise < 0.5):
         raise DataError("noise fractions must lie in [0, 0.5)")

@@ -141,6 +141,9 @@ def forward_batch(state: ModelState, X: np.ndarray, dropout: float = 0.0,
     if not 0.0 <= dropout < 1.0:  # keeping no cell scales by 1 / 0
         raise DataError(f"dropout must lie in [0, 1), not {dropout}")
     X = np.asarray(X)
+    if X.ndim != 3:
+        raise DataError(f"input must be clips (B, L, {state.d}) or clip windows "
+                        f"(B, C, {state.k * state.d}), not shape {X.shape}")
     if X.shape[2] == state.d:
         X = kernels.clip_windows(X, state.k)
     elif X.shape[2] != state.k * state.d:
@@ -208,7 +211,7 @@ def predict(state: ModelState, X: np.ndarray) -> np.ndarray:
     gate or the cache, so its memory is bounded by the chunk, not by N."""
     X = np.asarray(X)
     if X.ndim != 3 or X.shape[2] != state.d:
-        raise DataError(f"input width {X.shape[-1]} != {state.d} for model d {state.d}")
+        raise DataError(f"input must be clips (N, L, {state.d}), not shape {X.shape}")
     w = thresholding_weights(state.W)
     y = np.empty(len(X))
     for part in _predict_chunks(len(X)):
@@ -272,7 +275,8 @@ def backward_batch(state: ModelState, cache: ForwardCache, d_y: np.ndarray) -> d
     return {"W": dW, "fc_trad": dfc}
 
 
-def state_to_json(state: ModelState) -> str:
+def state_to_json(state: ModelState, extra: dict | None = None) -> str:
+    """The model file of `state`, with the keys of `extra` last."""
     doc = {
         "format": "patternconv-model",
         "version": MODEL_FORMAT_VERSION,
@@ -285,6 +289,8 @@ def state_to_json(state: ModelState) -> str:
         "thresh": THRESH,
         "alpha": state.alpha,
     }
+    if extra:
+        doc.update(extra)
     return json.dumps(doc, separators=(",", ":"))
 
 
@@ -293,8 +299,8 @@ _FILTERS = {"M": _SIZE, "k": _SIZE, "d": _SIZE, "W": LIST}
 # A model file may leave out a head constant, but not record another value.
 _THRESH = {key: ((lambda value, fixed=fixed: value == fixed), repr(fixed), fixed)
            for key, fixed in THRESH.items()}
-# Keys outside _MODEL, such as the `fc_frozen` and `dropout_rate` that older
-# model files record, are read past.
+# Keys outside _MODEL, such as the `config_hash` of a trained model and the
+# `fc_frozen` and `dropout_rate` that older model files record, are read past.
 _MODEL = {"fc_trad": LIST,
           "thresh": (lambda t: type(t) is dict and t.keys() <= THRESH.keys(),
                      "an object of " + ", ".join(THRESH)),

@@ -38,7 +38,8 @@ class ConstraintSchedule:
             raise DataError("era structure must be positive")
 
     @classmethod
-    def default(cls, eras: int = 50, epochs_per_era: int = 200) -> "ConstraintSchedule":
+    def default(cls, eras: int = 5, epochs_per_era: int = 50) -> "ConstraintSchedule":
+        """5 eras of 50 epochs unless told otherwise, as the CLI's default."""
         return cls(eras=eras, epochs_per_era=epochs_per_era)
 
 

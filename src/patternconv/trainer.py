@@ -21,16 +21,9 @@ from .schedule import (DEFAULT_RAMP_END_FRACTION, PRECISION_THRESHOLD, Constrain
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.05
-    final_learning_rate: float = 0.015
-    batch_size: int = 64
     schedule: ConstraintSchedule = field(default_factory=ConstraintSchedule.default)
     log_val_metrics: bool = True
     seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0 or self.batch_size < 1:
-            raise DataError("invalid learning rate or batch size")
 
 
 @dataclass(frozen=True)
@@ -62,26 +55,30 @@ class WindowedSet:
 # point where the constraint ramps reach their targets; p stays in [0, 0.8].
 DROPOUT_BASE = 0.35
 DROPOUT_ERA_AMP = 0.45
+# The SGD step size decays from LEARNING_RATE to FINAL_LEARNING_RATE over the
+# same span, on mini-batches of BATCH_SIZE clips.
+LEARNING_RATE = 0.05
+FINAL_LEARNING_RATE = 0.015
+BATCH_SIZE = 64
 
 
 def anneal_at(config: TrainConfig, epoch_in_era: int, era: int) -> tuple[float, float]:
     """(dropout_rate, learning_rate) for an epoch: both decay linearly, the
-    rate from learning_rate to final_learning_rate over the run."""
+    rate from LEARNING_RATE to FINAL_LEARNING_RATE over the run."""
     sched = config.schedule
     total = sched.eras * sched.epochs_per_era
     g = era * sched.epochs_per_era + epoch_in_era
     frac = min(1.0, g / max(DEFAULT_RAMP_END_FRACTION * total, 1.0))
-    lr = config.learning_rate + (config.final_learning_rate - config.learning_rate) * frac
+    lr = LEARNING_RATE + (FINAL_LEARNING_RATE - LEARNING_RATE) * frac
     era_frac = min(1.0, epoch_in_era / max(DEFAULT_RAMP_END_FRACTION * sched.epochs_per_era, 1.0))
     return DROPOUT_BASE * (1.0 - frac) + DROPOUT_ERA_AMP * (1.0 - era_frac), lr
 
 
 def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
-                alpha: float, freeze: bool, config: TrainConfig,
-                rng: np.random.Generator, pos_weight: float, learning_rate: float,
-                dropout: float) -> dict:
-    """One pass over shuffled mini-batches of the windowed training set;
-    mutates `state` in place.
+                alpha: float, freeze: bool, rng: np.random.Generator, pos_weight: float,
+                learning_rate: float, dropout: float) -> dict:
+    """One pass over shuffled mini-batches of BATCH_SIZE clips of the windowed
+    training set; mutates `state` in place.
 
     Per batch: forward at the `dropout` rate, positively-weighted mean BCE,
     analytic backward plus the scaled regularizer gradients, SGD step, clamp
@@ -98,8 +95,8 @@ def train_epoch(state: ModelState, train_set: WindowedSet, weights: LossWeights,
     grad_norm_conv = 0.0
     grad_norm_fc = 0.0
     n_batches = 0
-    for start in range(0, len(order), config.batch_size):
-        idx = order[start:start + config.batch_size]
+    for start in range(0, len(order), BATCH_SIZE):
+        idx = order[start:start + BATCH_SIZE]
         labels, clip_w = labels_all[idx], clip_w_all[idx]
         y, cache = forward_batch(state, train_set.X[idx], dropout, rng)
 
@@ -190,8 +187,8 @@ def train_full(config: TrainConfig, train_set: Dataset, val_set: Dataset | None,
         for epoch in range(sched.epochs_per_era):
             weights, alpha, freeze = weights_at(sched, epoch, era)
             dropout, lr = anneal_at(config, epoch, era)
-            record = train_epoch(state, train_w, weights, alpha, freeze, config,
-                                 rng, pos_weight, lr, dropout)
+            record = train_epoch(state, train_w, weights, alpha, freeze, rng, pos_weight, lr,
+                                 dropout)
             record.update(era=era, epoch=epoch, learning_rate=lr, dropout_rate=dropout)
             if config.log_val_metrics and val is not None:
                 record["val_kappa"] = kappa(confusion(netcore.predict(state, val[0]), val[1]))

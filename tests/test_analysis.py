@@ -7,14 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_legal_clip_batch, random_legal_pattern
-from patternconv import analysis, corpus
+from conftest import (brute_first_window, padded_clips, random_legal_clip_batch,
+                      random_legal_pattern, random_legal_steps)
+from patternconv import analysis, corpus, kernels
 from patternconv.analysis import (ExpertPattern, compare_banks, edit_distance,
                                   expand_expert, expert_from_names, explain,
                                   load_expert_patterns, pattern_stats,
                                   write_expert_patterns)
 from patternconv.corpus import Clip, FeatureVocabulary
-from patternconv.curator import Pattern, PatternBank, discrete_match
+from patternconv.curator import Pattern, PatternBank, discrete_match, pattern_violation
 from patternconv.errors import DataError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -220,6 +221,58 @@ def test_explain_orders_blocks_by_precision(vocab, planted):
     bank = PatternBank(patterns=(low, high), vocabulary=vocab)
     exp = explain(clip, bank, vocab)
     assert exp.matched_pattern_ids == ("high", "low")
+
+
+def _oracle_bank(vocab, k, clips, rng):
+    """A legal bank of k-step patterns: random ones, which seldom match, and
+    random subsets of the 1-cells of a padded clip window, which match that
+    clip at least. Precisions repeat, so the order needs its id tie-break."""
+    padding = kernels.padding_for(k)
+    cells = [random_legal_pattern(vocab, k, rng, p_cell=0.15).cells for _ in range(6)]
+    while len(cells) < 18:
+        clip = padded_clips(clips[rng.integers(len(clips))][None], padding)[0]
+        start = rng.integers(clip.shape[0] - k + 1)
+        sub = clip[start:start + k] & (rng.random((k, vocab.d)) < 0.5)
+        if sub.any():
+            cells.append(sub.astype(np.uint8))
+    precisions = [None, 0.2, 0.5, 0.5, 0.9]
+    patterns = [Pattern(cells=c, pattern_id=f"p{i:02d}",
+                        precision_train=precisions[rng.integers(len(precisions))])
+                for i, c in zip(rng.permutation(len(cells)), cells)]
+    assert all(pattern_violation(p.cells, vocab) is None for p in patterns)
+    return PatternBank(patterns=tuple(patterns), vocabulary=vocab)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_explain_agrees_with_the_brute_force_oracle(vocab, k):
+    """On random legal banks and clips, explain flags a clip by exactly the
+    patterns a scan of its padded windows finds, at the first window the scan
+    finds; orders them by precision, then by id; and cites each pattern's
+    1-cells, every one a 1 of the clip at the cited step."""
+    rng = np.random.default_rng(k)
+    padding = kernels.padding_for(k)
+    clips = [random_legal_steps(vocab, int(rng.integers(max(k - 2 * padding, 1), 8)), rng)
+             for _ in range(40)]
+    bank = _oracle_bank(vocab, k, clips, rng)
+    cells = np.stack([p.cells for p in bank.patterns])
+    precision = {p.pattern_id: p.precision_train or 0.0 for p in bank.patterns}
+    n_positive = {p.pattern_id: p.n_positive for p in bank.patterns}
+    matches = 0
+    for i, steps in enumerate(clips):
+        exp = explain(Clip(clip_id=f"c{i}", steps=steps, label=False), bank, vocab)
+        first = brute_first_window(cells, steps[None], padding)[:, 0]
+        assert {b["pattern_id"]: b["window"] for b in exp.blocks} == {
+            p.pattern_id: int(w) for p, w in zip(bank.patterns, first) if w >= 0}
+        assert exp.matched_pattern_ids == tuple(b["pattern_id"] for b in exp.blocks)
+        order = [(-precision[pid], pid) for pid in exp.matched_pattern_ids]
+        assert order == sorted(order)
+        for block in exp.blocks:
+            reqs = block["requirements"]
+            assert len(reqs) == n_positive[block["pattern_id"]]
+            for req in reqs:
+                assert steps[req["step_index"], vocab.feature_names.index(req["feature"])] == 1
+        matches += len(exp.blocks)
+    assert matches >= len(clips) // 2  # the oracle is not checked on empty matches alone
 
 
 def test_explain_takes_only_the_padding_of_the_bank_k(vocab, planted):

@@ -73,6 +73,13 @@ BAD_CONFIGS = {
     "removed_data_dataset": ({"data": {"dataset": "clips.jsonl"}}, "data.dataset"),
     "removed_model_d": ({"model": {"d": 13}}, "model.d"),
     "removed_model_padding": ({"model": {"padding": 1}}, "model.padding"),
+    # the learning rates, the batch size and synth's background rates are constants
+    "removed_learning_rate": ({"train": {"learning_rate": 0.05}}, "train.learning_rate"),
+    "removed_final_learning_rate": ({"train": {"final_learning_rate": 0.015}},
+                                    "train.final_learning_rate"),
+    "removed_batch_size": ({"train": {"batch_size": 64}}, "train.batch_size"),
+    "removed_p_help": ({"data": {"p_help": 0.3}}, "data.p_help"),
+    "removed_p_feature": ({"data": {"p_feature": 0.1}}, "data.p_feature"),
     "removed_class_weighting": ({"train": {"class_weighting": True}}, "train.class_weighting"),
     "removed_check_shifts": ({"curate": {"check_shifts": False}}, "curate.check_shifts"),
     "removed_targets": ({"train": {"targets": {"bin": 2.0}}}, "train.targets"),
@@ -82,11 +89,11 @@ BAD_CONFIGS = {
     "unknown_section": ({"eval": {}}, "eval"),
     "string_count": ({"train": {"eras": "2"}}, "train.eras"),
     "float_count": ({"model": {"M": 8.0}}, "model.M"),
-    "bool_count": ({"train": {"batch_size": True}}, "train.batch_size"),
-    "string_rate": ({"train": {"learning_rate": "0.1"}}, "train.learning_rate"),
+    "bool_count": ({"data": {"clip_length": True}}, "data.clip_length"),
+    "string_rate": ({"data": {"p_distract": "0.1"}}, "data.p_distract"),
     "bool_rate": ({"data": {"p_plant": False}}, "data.p_plant"),
     "null_count": ({"data": {"n_clips": None}}, "data.n_clips"),
-    "null_rate": ({"train": {"learning_rate": None}}, "train.learning_rate"),
+    "null_rate": ({"data": {"p_plant": None}}, "data.p_plant"),
     "numeric_path": ({"data": {"planted_bank": 3}}, "data.planted_bank"),
     "float_override": ({"curate": {"n_override": 2.5}}, "curate.n_override"),
     "section_not_object": ({"model": 3}, "model"),
@@ -110,12 +117,11 @@ def test_config_schema_violations_exit_1(tmp_path, capsys, case):
 def test_config_accepts_nulls_and_numbers_where_meant(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
-        "data": {"planted_bank": None, "p_plant": 1},
-        "train": {"final_learning_rate": 0, "learning_rate": 1},
+        "data": {"planted_bank": None, "p_plant": 1, "p_distract": 0, "label_noise": 0},
         "curate": {"n_override": 2}}))
     cfg = cli.load_config(str(path))
     assert cfg["curate"]["n_override"] == 2 and cfg["data"]["planted_bank"] is None
-    assert (cfg["train"]["learning_rate"], cfg["train"]["final_learning_rate"]) == (1, 0)
+    assert [cfg["data"][key] for key in ("p_plant", "p_distract", "label_noise")] == [1, 0, 0]
 
 
 def _out_of_range(key):
@@ -131,7 +137,8 @@ _UNKNOWN_PADDING = "unknown config key 'model.padding'"
 OUT_OF_RANGE = {
     "no_filters": ({"model": {"M": 0}}, "train", _out_of_range("model.M")),
     "negative_clip_count": ({"data": {"n_clips": -5}}, "synth", _out_of_range("data.n_clips")),
-    "empty_batch": ({"train": {"batch_size": 0}}, "train", _out_of_range("train.batch_size")),
+    # no clips: 0 is below a count's lower bound
+    "empty_batch": ({"data": {"n_clips": 0}}, "train", _out_of_range("data.n_clips")),
     "test_fraction_above_one": ({"split": {"test_fraction": 2}}, "train",
                                 _out_of_range("split.test_fraction")),
     "kernel_longer_than_padded_clip": ({"model": {"k": 8}}, "synth", _out_of_range("model.k")),
@@ -204,31 +211,44 @@ def test_oversized_config_exits_1_out_of_memory(tmp_path, capsys, vocab, case):
 
 def test_schema_has_the_shape_of_the_default_config():
     """_SCHEMA lists the keys of DEFAULT_CONFIG at every level, and every
-    default passes its own rule."""
+    default passes its own rule. It has 15 settable values: a value no run
+    varies is a constant, not a key."""
     defaults = copy.deepcopy(cli.DEFAULT_CONFIG)
 
     def walk(schema, default, path):
         assert schema.keys() == default.keys(), path
+        values = 0
         for key, entry in schema.items():
             if isinstance(entry, dict):
-                walk(entry, default[key], path + (key,))
+                values += walk(entry, default[key], path + (key,))
             else:
                 test, rule, *_ = entry
                 assert test(default[key]), (path + (key,), rule)
-    walk(cli._SCHEMA, defaults, ())
+                values += 1
+        return values
+    assert walk(cli._SCHEMA, defaults, ()) == 15
 
 
 def test_cli_defaults_are_the_acceptance_configuration():
     """DEFAULT_CONFIG trains, synthesizes and splits as the planted benchmark
-    of tests/test_acceptance.py does, so a default CLI run is that run."""
+    of tests/test_acceptance.py does, so a default CLI run is that run; and
+    its training and synth settings are the library's defaults, so
+    TrainConfig() and synth_generate's defaults are that run too."""
     cfg = cli.DEFAULT_CONFIG
-    assert cli.build_train_config(cfg) == trainer.TrainConfig(
-        schedule=ConstraintSchedule.default(eras=5, epochs_per_era=50))
+    assert cli.build_train_config(cfg) == trainer.TrainConfig()
+    assert [f.name for f in dataclasses.fields(trainer.TrainConfig)] == [
+        "schedule", "log_val_metrics", "seed"]
+    assert trainer.TrainConfig().schedule == ConstraintSchedule(eras=5, epochs_per_era=50)
     params = inspect.signature(corpus.synth_generate).parameters
-    assert cfg["data"] == {
-        **{key: params[key].default for key in ("clip_length", "p_plant", "p_help")},
-        "n_clips": 2000, "label_noise": 0.0, "feature_noise": 0.0, "p_feature": 0.10,
-        "p_distract": 0.7, "planted_bank": None}
+    defaults = {key: p.default for key, p in params.items() if p.default is not p.empty}
+    data = {key: cfg["data"][key] for key in cfg["data"].keys() - {"planted_bank"}}
+    # every defaulted key the config sets is at its default; the rest are constants
+    assert {key: data[key] for key in defaults.keys() & data.keys()} == \
+        {key: defaults[key] for key in defaults.keys() & data.keys()}
+    assert defaults.keys() - data.keys() == {"p_help", "p_feature"}
+    # the keys synth_generate requires, as the acceptance benchmark passes them
+    assert {key: data[key] for key in data.keys() - defaults.keys()} == {
+        "n_clips": 2000, "label_noise": 0.0, "feature_noise": 0.0}
     assert cfg["split"] == {"test_fraction": 0.25, "val_fraction": 0.2}
     assert cfg["model"] == {"M": 64, "k": 3}
 
@@ -1285,6 +1305,11 @@ def test_pipeline_end_to_end(tmp_path, tiny_config_path, capsys, vocab):
     log_lines = open(os.path.join(out, "training_log.jsonl")).read().splitlines()
     assert len(log_lines) == 4  # 1 era x 4 epochs
     assert {"era", "epoch", "bce"} <= set(json.loads(log_lines[0]))
+    # every JSON output of train records the run's config hash
+    h = cli.config_hash(cli.load_config(tiny_config_path, seed=0))
+    for name in ("model.json", "harvested.json", "manifest.json", "snapshots/era_000.json"):
+        with open(os.path.join(out, name)) as fh:
+            assert json.load(fh)["config_hash"] == h, name
     capsys.readouterr()
 
     assert _run(base + ["curate", os.path.join(out, "snapshots"), dataset_path]) == 0

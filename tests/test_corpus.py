@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_legal_steps
-from patternconv import corpus
+from patternconv import cli, corpus
 from patternconv.corpus import Clip, Dataset, FeatureVocabulary, check_steps
 from patternconv.curator import Pattern, discrete_match
 from patternconv.errors import DataError
@@ -438,7 +438,8 @@ SPLIT_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(SPLIT_DIGESTS))
 def test_stratified_split_is_frozen(vocab, planted, seed):
-    ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=seed, p_distract=0.7)
+    ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=seed, p_feature=0.15,
+                               p_distract=0.7)
     parts = corpus.stratified_split(ds, 0.25, 0.2, seed=seed)
     ids = json.dumps([list(part.clip_ids) for part in parts])
     assert hashlib.sha256(ids.encode()).hexdigest() == SPLIT_DIGESTS[seed]
@@ -505,7 +506,8 @@ SYNTH_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(SYNTH_DIGESTS))
 def test_synth_output_is_frozen(tmp_path, vocab, planted, seed):
-    ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=seed, p_distract=0.7)
+    ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=seed, p_feature=0.15,
+                               p_distract=0.7)
     corpus.write_dataset(ds, tmp_path / "d.jsonl")
     digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
     assert digest == SYNTH_DIGESTS[seed]
@@ -535,8 +537,12 @@ def test_synth_distractors_nearly_match(vocab, planted):
     assert hit / len(negs) > 0.8
 
 
-def test_synth_distractor_default_off(vocab, planted):
-    """Without distractors, near-miss variants appear only at background rates."""
-    a = corpus.synth_generate(vocab, planted, 400, 0.0, 0.0, seed=6)
-    b = corpus.synth_generate(vocab, planted, 400, 0.0, 0.0, seed=6, p_distract=0.0)
-    assert [c.steps.tobytes() for c in a.clips] == [c.steps.tobytes() for c in b.clips]
+def test_synth_distractor_default_is_the_cli_rate(vocab, planted):
+    """synth_generate stamps near-miss distractors by default, at the rate
+    the CLI's default config sets, so a library caller gets them unasked."""
+    def steps(**kw):
+        ds = corpus.synth_generate(vocab, planted, 400, 0.0, 0.0, seed=6, **kw)
+        return ds.steps_array().tobytes()
+
+    assert steps() == steps(p_distract=cli.DEFAULT_CONFIG["data"]["p_distract"])
+    assert steps() != steps(p_distract=0.0)

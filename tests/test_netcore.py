@@ -67,6 +67,16 @@ def test_conv_dimension_mismatch():
         forward_batch(_state(d=13), np.zeros((1, 5, 7)))
 
 
+def test_a_2d_input_error_names_both_shapes():
+    """A single clip (L, d) without its batch axis is no input form of the
+    model: the error names the shapes it takes and the shape it got."""
+    with pytest.raises(DataError, match=r"input must be clips \(B, L, 13\) or clip windows "
+                                        r"\(B, C, 39\), not shape \(5, 13\)"):
+        forward_batch(_state(d=13), np.zeros((5, 13)))
+    with pytest.raises(DataError, match=r"input must be clips \(N, L, 13\), not shape \(5, 13\)"):
+        netcore.predict(_state(d=13), np.zeros((5, 13)))
+
+
 @pytest.mark.parametrize("k,padding", [(3, 3), (3, -1), (1, 1)])
 def test_state_rejects_padding_outside_0_to_k_minus_1(k, padding):
     """A model file may record only the padding of its k, 1 or 0 at k = 1."""
@@ -312,8 +322,7 @@ def test_frozen_fc_gets_zero_gradient(vocab):
                                       labels=np.arange(8) % 2 == 0, vocabulary=vocab)
         fc0 = st_.fc_trad.copy()
         rec = trainer.train_epoch(st_, windows, objective.LossWeights(), 0.5, freeze,
-                                  trainer.TrainConfig(), np.random.default_rng(1), 1.0, 0.05,
-                                  0.2)
+                                  np.random.default_rng(1), 1.0, 0.05, 0.2)
         assert (st_.fc_trad == fc0).all() == freeze
         assert (rec["grad_norm_fc"] == 0.0) == freeze
 

@@ -115,15 +115,14 @@ def _ref_regularizer_terms(W, vocab, mp=MinPenaltyParams()):
             "poss": float(np.minimum(u * u, v * v).sum())}
 
 
-def _ref_train_epoch(state, train_set, weights, alpha, freeze, config, rng, pos_weight, lr,
-                     dropout):
+def _ref_train_epoch(state, train_set, weights, alpha, freeze, rng, pos_weight, lr, dropout):
     state.alpha = alpha
     labels_all = train_set.labels.astype(np.float64)
     order = rng.permutation(len(train_set))
     bce_sum = norm_conv = norm_fc = 0.0
     n = 0
-    for start in range(0, len(order), config.batch_size):
-        idx = order[start:start + config.batch_size]
+    for start in range(0, len(order), trainer.BATCH_SIZE):
+        idx = order[start:start + trainer.BATCH_SIZE]
         labels = labels_all[idx]
         y, cache = _ref_forward(state, train_set.X[idx], dropout, rng)
         clip_w = np.where(labels == 1.0, pos_weight, 1.0)
@@ -249,13 +248,12 @@ def test_train_epoch_matches_reference_bits(vocab, planted, alpha, freeze):
 
     ds = corpus.synth_generate(vocab, planted, 300, 0.0, 0.0, seed=5, p_plant=0.2)
     windows = trainer.WindowedSet.build(ds, 3)
-    cfg = trainer.TrainConfig(batch_size=32)
     weights = LossWeights(bin=0.7, min=0.3, sub=0.0, poss=1.0)
     state = netcore.init_state(12, 3, vocab.d, rng=np.random.default_rng(3))
     ref = state.copy()
-    rec = trainer.train_epoch(state, windows, weights, alpha, freeze, cfg,
-                              np.random.default_rng(4), 2.5, learning_rate=0.05, dropout=0.25)
-    bce, norm_conv, norm_fc = _ref_train_epoch(ref, windows, weights, alpha, freeze, cfg,
+    rec = trainer.train_epoch(state, windows, weights, alpha, freeze, np.random.default_rng(4),
+                              2.5, learning_rate=0.05, dropout=0.25)
+    bce, norm_conv, norm_fc = _ref_train_epoch(ref, windows, weights, alpha, freeze,
                                                np.random.default_rng(4), 2.5, 0.05, 0.25)
     assert _bits(state.W) == _bits(ref.W) and _bits(state.fc_trad) == _bits(ref.fc_trad)
     assert (rec["bce"], rec["grad_norm_conv"], rec["grad_norm_fc"]) == (bce, norm_conv, norm_fc)
@@ -291,11 +289,10 @@ def test_synth_matches_recorded_digest(vocab, planted, seed, noise):
     """`noise` is both the feature and the label noise."""
     from patternconv import cli, corpus
 
-    data = cli.DEFAULT_CONFIG["data"]
-    ds = corpus.synth_generate(
-        vocab, planted, data["n_clips"], noise, noise, seed=seed,
-        clip_length=data["clip_length"], p_plant=data["p_plant"], p_help=data["p_help"],
-        p_feature=data["p_feature"], p_distract=data["p_distract"])
+    data = {key: value for key, value in cli.DEFAULT_CONFIG["data"].items()
+            if key not in ("planted_bank", "label_noise", "feature_noise")}
+    ds = corpus.synth_generate(vocab, planted, label_noise=noise, feature_noise=noise,
+                               seed=seed, **data)
     digest = hashlib.sha256(ds.steps_array().tobytes())
     digest.update(ds.labels().tobytes())
     assert digest.hexdigest() == SYNTH_DIGESTS[seed, noise]

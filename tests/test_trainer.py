@@ -41,11 +41,10 @@ def test_windowed_set_holds_a_contiguous_copy_of_the_windows(vocab, planted):
 def test_zero_learning_rate_leaves_params(vocab, planted):
     ds = _dataset(vocab, planted)
     windows = WindowedSet.build(ds, 3)
-    cfg = _small_config(learning_rate=0.0)
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     W0, fc0 = st_.W.copy(), st_.fc_trad.copy()
-    rec = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg,
-                      np.random.default_rng(1), 1.0, 0.0, 0.2)
+    rec = train_epoch(st_, windows, LossWeights(), 0.0, False, np.random.default_rng(1), 1.0,
+                      0.0, 0.2)
     assert (st_.W == W0).all() and (st_.fc_trad == fc0).all()
     assert np.isfinite(rec["bce"])
 
@@ -53,37 +52,33 @@ def test_zero_learning_rate_leaves_params(vocab, planted):
 def test_freeze_keeps_fc_trad(vocab, planted):
     ds = _dataset(vocab, planted)
     windows = WindowedSet.build(ds, 3)
-    cfg = _small_config()
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     fc0 = st_.fc_trad.copy()
-    train_epoch(st_, windows, LossWeights(), 0.5, True, cfg, np.random.default_rng(1), 1.0,
-                cfg.learning_rate, 0.2)
+    train_epoch(st_, windows, LossWeights(), 0.5, True, np.random.default_rng(1), 1.0,
+                trainer.LEARNING_RATE, 0.2)
     assert (st_.fc_trad == fc0).all()
 
 
 def test_plain_training_reduces_bce(vocab, planted):
     ds = _dataset(vocab, planted, n=200, seed=1)
     windows = WindowedSet.build(ds, 3)
-    cfg = _small_config()
     st_ = netcore.init_state(8, 3, vocab.d, rng=np.random.default_rng(0))
     rng = np.random.default_rng(2)
-    lr = cfg.learning_rate
-    first = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr, 0.0)["bce"]
+    lr = trainer.LEARNING_RATE
+    first = train_epoch(st_, windows, LossWeights(), 0.0, False, rng, 1.0, lr, 0.0)["bce"]
     last = None
     for _ in range(50):
-        last = train_epoch(st_, windows, LossWeights(), 0.0, False, cfg, rng, 1.0, lr,
-                           0.0)["bce"]
+        last = train_epoch(st_, windows, LossWeights(), 0.0, False, rng, 1.0, lr, 0.0)["bce"]
     assert last < first
 
 
 def test_weights_stay_clamped(vocab, planted):
     ds = _dataset(vocab, planted)
     windows = WindowedSet.build(ds, 3)
-    cfg = _small_config(learning_rate=0.5)
     st_ = netcore.init_state(4, 3, vocab.d, rng=np.random.default_rng(0))
     for _ in range(5):
-        train_epoch(st_, windows, LossWeights(bin=2.0), 0.5, False, cfg,
-                    np.random.default_rng(1), 1.0, cfg.learning_rate, 0.2)
+        train_epoch(st_, windows, LossWeights(bin=2.0), 0.5, False, np.random.default_rng(1),
+                    1.0, 0.5, 0.2)
     assert st_.W.min() >= 0.0 and st_.W.max() <= 1.0
 
 
@@ -96,7 +91,7 @@ def test_nan_weight_raises_numerical_error(vocab, planted, alpha):
     st_.W[1, 2, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite loss"):
         train_epoch(st_, windows, LossWeights(bin=1.0, min=1.0, sub=1.0, poss=1.0), alpha,
-                    False, _small_config(), np.random.default_rng(1), 1.0, 0.05, 0.2)
+                    False, np.random.default_rng(1), 1.0, 0.05, 0.2)
 
 
 def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
@@ -114,8 +109,8 @@ def test_sgd_clamp_is_bit_for_bit_np_clip(vocab, planted, monkeypatch):
         "W": np.zeros(state.W.shape), "fc_trad": np.zeros(state.M)})
     monkeypatch.setattr(trainer.objective, "regularizer_grad",
                         lambda W, weights, vocab: np.zeros(W.shape))
-    train_epoch(st_, windows, LossWeights(), 0.5, False, _small_config(),
-                np.random.default_rng(1), 1.0, 0.05, 0.2)
+    train_epoch(st_, windows, LossWeights(), 0.5, False, np.random.default_rng(1), 1.0, 0.05,
+                0.2)
     assert st_.W.tobytes() == np.clip(W0, 0.0, 1.0).tobytes()
 
 
@@ -209,10 +204,10 @@ def test_anneal_endpoints():
     cfg = _small_config(eras=5, epochs=50)
     p0, lr0 = anneal_at(cfg, 0, 0)
     assert p0 == pytest.approx(trainer.DROPOUT_BASE + trainer.DROPOUT_ERA_AMP)
-    assert lr0 == pytest.approx(cfg.learning_rate)
+    assert lr0 == pytest.approx(trainer.LEARNING_RATE)
     p_end, lr_end = anneal_at(cfg, 49, 4)
     assert p_end == pytest.approx(0.0)
-    assert lr_end == pytest.approx(cfg.final_learning_rate)
+    assert lr_end == pytest.approx(trainer.FINAL_LEARNING_RATE)
 
 
 def test_anneal_era_amplitude_reopens():
@@ -234,28 +229,22 @@ def _anneal_formula(eras, epochs, epoch_in_era, era, lr0, lr1):
 
 
 @pytest.mark.parametrize("eras,epochs", [(5, 50), (3, 7)])
-@pytest.mark.parametrize("lr1", [0.015, 0.05])
-def test_anneal_matches_its_formula_bit_for_bit(eras, epochs, lr1):
-    """Every epoch's (dropout, learning rate) is the formula's, to the bit."""
-    cfg = _small_config(eras=eras, epochs=epochs, learning_rate=0.05, final_learning_rate=lr1)
+@pytest.mark.parametrize("lr1", [trainer.FINAL_LEARNING_RATE, trainer.LEARNING_RATE])
+def test_anneal_matches_its_formula_bit_for_bit(monkeypatch, eras, epochs, lr1):
+    """Every epoch's (dropout, learning rate) is the formula's, to the bit,
+    at the final rate the trainer uses and at one equal to the initial rate."""
+    monkeypatch.setattr(trainer, "FINAL_LEARNING_RATE", lr1)
+    cfg = _small_config(eras=eras, epochs=epochs)
     for era in range(eras):
         for epoch in range(epochs):
             got = anneal_at(cfg, epoch, era)
-            want = _anneal_formula(eras, epochs, epoch, era, 0.05, lr1)
+            want = _anneal_formula(eras, epochs, epoch, era, trainer.LEARNING_RATE, lr1)
             assert [x.hex() for x in got] == [x.hex() for x in want], (era, epoch)
 
 
-def test_anneal_disabled():
-    """A final_learning_rate equal to learning_rate turns the rate's anneal
-    off: every epoch trains at learning_rate, bit for bit."""
-    cfg = _small_config(eras=3, epochs=7, learning_rate=0.07, final_learning_rate=0.07)
-    rates = {anneal_at(cfg, epoch, era)[1].hex() for era in range(3) for epoch in range(7)}
-    assert rates == {(0.07).hex()}
-
-
 def test_anneal_validation(tmp_path, capsys):
-    """The anneal's shape is fixed: a config that sets one of its former keys,
-    or a null final_learning_rate, exits 1 naming the key."""
+    """The anneal's shape and rates are fixed: a config that sets one of
+    their former keys, to a number or to null, exits 1 naming the key."""
     for key, value in [("dropout_base", 0.35), ("dropout_era_amp", 0.45),
                        ("anneal_end_fraction", 0.9), ("dropout_base", None),
                        ("final_learning_rate", None)]:

@@ -13,14 +13,19 @@ each way, and matching is a float32 product of the windows, each with a
 trailing 1, and the patterns, each with its minus cell count, thresholded at
 0, one block of window rows at a time. Window building and first-window
 matching are timed on the whole batch and on a single clip, the shape of
-`explain`; `match_any` is timed on a single clip, the shape of synth's
-candidate test in its rejection sampling.
+`explain`; `match_any` is timed on the steps of a single clip, the shape of
+synth's candidate test in its rejection sampling.
 `bank_predict_batch`, the bank scoring of `eval`, is timed over the batch
-for banks of 7, 8, 131 and 132 sparse random patterns, each row with the
-tracemalloc peak of one call: matching runs in blocks of at most 4,096
-window rows and 2**17 row-by-pattern products, so the peak is the one
-zero-padded uint8 copy of the clips that their windows view,
-(L + 2·padding)·d bytes a clip, plus about 1 MB for a block.
+for banks of 7, 8, 131 and 132 sparse random patterns, and for the
+7-pattern bank over as many 20-step clips, each row with the tracemalloc
+peak of one call. `match_any` matches a narrow bank over short clips (7 and
+8 patterns here) by clip rows: one GEMM row per clip against a cached
+shift-stacked pattern matrix, in blocks of at most 2**17 products, so the
+peak is one block's float32 clips and products. The wider banks and the
+20-step clips are matched by window rows, in blocks of at most 4,096 window
+rows and 2**17 row-by-pattern products, so the peak is the one zero-padded
+uint8 copy of the clips that their windows view, (L + 2·padding)·d bytes a
+clip, plus about 1 MB for a block.
 `evalmetrics.evaluate` of the 7-pattern bank over the batch (a fifth of the
 clips labelled positive) is timed as `eval` runs it: the scoring plus the
 metrics report of its bool scores.
@@ -56,7 +61,7 @@ schedule target.
 
 Times are printed in microseconds. A host can run a whole process fast or
 slow, by more than a single-clip row or a training step changes, so each
-single-clip row (window building, first-window matching and `match_any` on
+single-clip row (window building, first-window matching and `match_any` of
 one clip) and each step row (the training step, `bce` plus `bce_grad`, and
 both `regularizer_grad` rows) is the median over `ROW_PROCESSES` (5) short
 processes, each reporting its best of `--repeats` calls; the row also prints
@@ -94,6 +99,9 @@ from patternconv.schedule import DEFAULT_TARGETS
 # banks on either side of a multiple of 4 patterns, the width the match
 # GEMM's pattern matrix is padded to; 132 is the source paper's selected bank
 BANK_SIZES = (7, 8, 131, 132)
+# the clip length of the last bank row, long enough that its 7-pattern bank
+# is matched by window rows
+LONG_CLIP = 20
 # raw filters per unique pattern in the harvest+dedup pool: the source
 # paper's funnel harvests 25,981 filters of 1,359 unique patterns
 RAW_PER_UNIQUE = 19
@@ -148,7 +156,7 @@ def process_rows(args) -> dict:
             for name, fn, a in [("clip_windows", kernels.clip_windows, (X[:1], args.kernel, 1)),
                                 ("match_first_window", kernels.match_first_window,
                                  (cells, Xu[:1])),
-                                ("match_any", kernels.match_any, (cells, Xu[:1]))]}
+                                ("match_any", kernels.match_any, (cells, X[:1]))]}
     return rows | step_rows(X, args.filters, args.kernel, args.repeats)
 
 
@@ -320,14 +328,18 @@ def main(argv=None):
     vocab = FeatureVocabulary.default()
     ds = corpus.Dataset(vocabulary=vocab, steps=X, labels=rng.random(B) < 0.2)
     bank_cells = (rng.random((max(BANK_SIZES), k, d)) < 0.08).astype(np.uint8)
-    for n in BANK_SIZES:
+    long_steps = np.random.default_rng(LONG_CLIP).random((B, LONG_CLIP, d)) < 0.25
+    long_ds = corpus.Dataset(vocabulary=vocab, steps=long_steps.astype(np.uint8),
+                             labels=np.zeros(B, dtype=bool))
+    for n, scored, note in [*((n, ds, "") for n in BANK_SIZES),
+                            (BANK_SIZES[0], long_ds, f"  {LONG_CLIP}-step clips")]:
         bank = curator.PatternBank(patterns=tuple(
             curator.Pattern(cells=c, pattern_id=f"p{i}") for i, c in enumerate(bank_cells[:n])),
             vocabulary=vocab)
-        t = _time(curator.bank_predict_batch, bank, ds, repeats=args.repeats)
-        peak = _traced(curator.bank_predict_batch, bank, ds)[1]
-        print(f"{'bank_predict_batch':<20} {B:>9} {_us(t)}  {n} patterns  {peak:.2f}MB peak")
-        if n == BANK_SIZES[0]:
+        t = _time(curator.bank_predict_batch, bank, scored, repeats=args.repeats)
+        peak = _traced(curator.bank_predict_batch, bank, scored)[1]
+        print(f"{'bank_predict_batch':<20} {B:>9} {_us(t)}  {n} patterns  {peak:.2f}MB peak{note}")
+        if n == BANK_SIZES[0] and scored is ds:
             t = _time(evalmetrics.evaluate, bank, ds, repeats=args.repeats)
             print(f"{'evaluate':<20} {B:>9} {_us(t)}  {n} patterns")
     for n in (B, 100_000):

@@ -571,8 +571,7 @@ def synth_generate(
 
 def _matches_any(cells: np.ndarray, steps: np.ndarray) -> bool:
     """Whether any of the patterns (P, k, d) matches the clip steps (L, d)."""
-    windows = kernels.clip_windows(steps[None], cells.shape[1])
-    return bool(kernels.match_any(cells, windows)[0])
+    return bool(kernels.match_any(cells, steps[None])[0])
 
 
 def _stamp_distractor(steps: np.ndarray, planted: np.ndarray, vocab: FeatureVocabulary,

@@ -184,7 +184,7 @@ def bank_predict_batch(bank: PatternBank, dataset: Dataset) -> np.ndarray:
     """(n_clips,) whether any of the bank's patterns matches each clip."""
     if not bank.patterns:
         return np.zeros(len(dataset), dtype=bool)
-    return kernels.match_any(*_stacked(bank.patterns, dataset))
+    return kernels.match_any(np.stack([p.cells for p in bank.patterns]), dataset.steps_array())
 
 
 def dedup(patterns) -> list[Pattern]:

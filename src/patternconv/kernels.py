@@ -4,7 +4,7 @@
 of one zero-padded copy of the clips, in which window c is the run of k·d
 values that starts at padded step c, padded by the package's one rule,
 `padding_for(k)`. The convolution's forward and backward passes and
-discrete matching all read these windows, each as a 2-D matrix multiply. A
+discrete matching read these windows, each as a 2-D matrix multiply. A
 binary pattern matches a window when the window holds all of its 1-cells.
 `_pattern_matrix` puts each pattern's threshold inside the product:
 its column holds the pattern's cells and then minus its cell count, and each
@@ -12,7 +12,7 @@ window gets a trailing constant 1, so the product is the count of the
 pattern's cells the window holds less the count it needs, and a hit is a
 product of 0 or more, one scalar comparison. The columns are padded with
 zero columns ending in -1, which never hit, to a multiple of 4 patterns.
-`match_blocks` alone makes that product, one block of whole clips at a time:
+`match_blocks` makes that product, one block of whole clips at a time:
 each block's windows are converted into one float32 buffer reused by every
 block, multiplied and thresholded, and reduced into the caller's result
 before the next. A block holds at most MATCH_BLOCK_ROWS window rows and
@@ -20,9 +20,18 @@ MATCH_BLOCK_PRODUCTS row-by-pattern products, so no temporary grows with
 the clips or with the patterns. Its consumers:
 - `match_first_window` keeps each clip's first matching window per pattern,
   which `explain` and `discrete_match` read;
-- `match_any` reduces each block's hits to one flag per clip in one
-  `np.logical_or.reduceat` call, for bank scoring and for synth's one-clip
-  candidate test, which is one block;
+- `match_any` takes clip steps and reduces each block's hits to one flag
+  per clip in one `np.logical_or.reduceat` call, for bank scoring and for
+  synth's one-clip candidate test. It has a second row layout,
+  `match_clip_rows`: one GEMM row per clip, each clip's L·d cells and a
+  trailing 1, times `_shifted_matrix`, the pattern matrix stacked once per
+  window at that window's clip steps. Its C·P' products per clip are the
+  window rows' exact integers in their order, so the same `reduceat` gives
+  the same flags, with no padded copy of the clips and no window buffer.
+  The matrix grows as L²·P, so MATCH_FULL_WIDTH's rule picks clip rows
+  only for narrow banks over short clips (7 patterns over 5-step clips,
+  not 32 patterns or 20-step clips), where the window sgemm is too narrow
+  to run at full speed; the matrix is cached per patterns and clip length;
 - `match_clip_blocks` reduces each block to whether each pattern matches
   each clip. `match_counts` sums those into per-pattern matched and positive
   clip counts, which filter precision and ranking divide, and
@@ -38,6 +47,8 @@ the clips or with the patterns. Its consumers:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -73,6 +84,15 @@ def check_padding(padding: int | None, k: int, what: str) -> None:
         fields({"padding": padding}, {"padding": padding_rule(k)}, what)
 
 
+def window_count(L: int, k: int, padding: int) -> int:
+    """C = L + 2·padding - k + 1, the k-step windows of a padded L-step clip;
+    DataError when there are none."""
+    C = L + 2 * padding - k + 1
+    if C < 1:
+        raise DataError("clip too short for the kernel even with padding")
+    return C
+
+
 def clip_windows(X: np.ndarray, k: int, padding: int | None = None) -> np.ndarray:
     """Flattened length-k windows of zero-padded clips (B, L, d): a read-only
     (B, C, k·d) view in the dtype of X, with C = L + 2·padding - k + 1, of one
@@ -81,9 +101,7 @@ def clip_windows(X: np.ndarray, k: int, padding: int | None = None) -> np.ndarra
     if padding is None:
         padding = padding_for(k)
     B, L, d = X.shape
-    C = L + 2 * padding - k + 1
-    if C < 1:
-        raise DataError("clip too short for the kernel even with padding")
+    C = window_count(L, k, padding)
     padded = np.zeros((B, L + 2 * padding, d), dtype=X.dtype)
     padded[:, padding:padding + L] = X
     # window c is the run of k·d values that starts at padded step c. A plain
@@ -120,6 +138,21 @@ def conv_backward_batch(dh: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
 # one pass over 10,000.
 MATCH_BLOCK_ROWS = 4096
 MATCH_BLOCK_PRODUCTS = 1 << 17
+# The window sgemm reaches full speed at about 32 pattern columns: a narrower
+# bank takes about as long as 32 columns. `match_any` makes one GEMM row per
+# clip instead, by `_shifted_matrix`, when that costs no more products a clip:
+# (L·d + 1)·P' <= (k·d + 1)·max(P', MATCH_FULL_WIDTH). In-process medians of
+# 9 alternating calls, 2 CPUs, one BLAS thread, 3-step patterns, d = 13:
+#   patterns  clip length  clips   window rows  clip rows  window/clip  picks
+#          7            5  10,000      2.26 ms    1.37 ms         1.65  clip
+#         16            5  10,000      2.16       1.66            1.30  clip
+#         32            5  10,000      2.80       2.74            1.02  window
+#         64            5  10,000      4.41       4.87            0.91  window
+#        132            5  20,000     15.4       19.7             0.78  window
+#          7           10  10,000      3.57       2.77            1.29  clip
+#          7           20   5,000      3.36       4.42            0.76  window
+#         32           10   5,000      2.56       4.34            0.59  window
+MATCH_FULL_WIDTH = 32
 
 
 def _pattern_matrix(cells: np.ndarray, kd: int) -> np.ndarray:
@@ -180,14 +213,66 @@ def match_first_window(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(first.T)
 
 
+@functools.lru_cache(maxsize=16)
+def _shifted_matrix(key: bytes, shape: tuple, L: int, d: int, padding: int) -> np.ndarray:
+    """The clip rows' GEMM operand for the patterns of `shape` (P, k, d),
+    given as their uint8 bytes, and L-step clips of d features padded by
+    `padding`: a read-only float32 (L·d + 1, C·P') matrix whose column
+    c·P' + p is column p of `_pattern_matrix` put at window c, on clip steps
+    c - padding + j. The rows of padding steps are dropped and the last row
+    keeps the full minus cell count, so a pattern that needs a padding cell
+    never hits, and a clip with a trailing 1 times the matrix is the C·P'
+    products of its C window rows, in their order."""
+    k = shape[1]
+    C = window_count(L, k, padding)
+    cols = _pattern_matrix(np.frombuffer(key, dtype=np.uint8).reshape(shape), k * d)
+    width = cols.shape[1]
+    out = np.zeros((L * d + 1, C * width), dtype=np.float32)
+    for c in range(C):
+        lo, hi = max(0, c - padding), min(L, c - padding + k)  # the clip steps it reads
+        j = lo - (c - padding)  # the pattern row on clip step lo
+        out[lo * d:hi * d, c * width:(c + 1) * width] = cols[j * d:(j + hi - lo) * d]
+    out[-1] = np.tile(cols[-1], C)
+    out.flags.writeable = False  # shared by every call of the cache
+    return out
+
+
+def match_clip_rows(cells: np.ndarray, X: np.ndarray):
+    """`match_blocks` for the clip steps X (B, L, d), one GEMM row per clip:
+    each block as its clip slice and (b, C·P') whether each window holds
+    each column, by `_shifted_matrix`. A block has at most
+    MATCH_BLOCK_PRODUCTS products, and at least one clip."""
+    cells = np.ascontiguousarray(cells, dtype=np.uint8)
+    B, L, d = X.shape
+    cols = _shifted_matrix(cells.tobytes(), cells.shape, L, d, padding_for(cells.shape[1]))
+    size = max(1, MATCH_BLOCK_PRODUCTS // max(cols.shape[1], 1))
+    # one buffer of float32 clips for every block, each with a trailing 1
+    rows = np.empty((min(B, size), L * d + 1), dtype=np.float32)
+    rows[:, -1] = 1.0
+    flat = X.reshape(B, L * d)
+    for lo in range(0, B, size):
+        block = flat[lo:lo + size]
+        rows[:len(block), :-1] = block
+        yield slice(lo, lo + size), rows[:len(block)] @ cols >= 0
+
+
 def match_any(cells: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(B,) whether any of the patterns (P, k, d) matches some window of each
-    clip, for the clip windows X (B, C, k·d) of `match_first_window`."""
-    out = np.zeros(len(X), dtype=bool)
-    for part, hit in match_blocks(cells, X):
-        if hit.size:  # a clip's hits are one run of C·P' flags in the block
-            out[part] = np.logical_or.reduceat(
-                hit.ravel(), np.arange(0, hit.size, X.shape[1] * hit.shape[1]))
+    of the clip steps X (B, L, d), padded by padding_for(k): by clip rows
+    when MATCH_FULL_WIDTH's rule finds them no costlier, else by window
+    rows."""
+    P, k = len(cells), cells.shape[1]
+    B, L, d = X.shape
+    C = window_count(L, k, padding_for(k))
+    width = -(-P // 4) * 4
+    if (L * d + 1) * width <= (k * d + 1) * max(width, MATCH_FULL_WIDTH):
+        blocks = match_clip_rows(cells, X)
+    else:
+        blocks = match_blocks(cells, clip_windows(X, k))
+    out = np.zeros(B, dtype=bool)
+    for part, hit in blocks:
+        if hit.size:  # a clip's hits are one run of C·P' flags in either layout
+            out[part] = np.logical_or.reduceat(hit.ravel(), np.arange(0, hit.size, C * width))
     return out
 
 
